@@ -113,8 +113,8 @@ def arc_contains(arc: Arc, circumference: Coord, point: Coord) -> bool:
     return arc.start <= p <= end or arc.start <= p + circumference <= end
 
 
-def unfold(instance: ArcInstance) -> Tuple[Instance, Dict[int, int]]:
-    """Line-interval instance equivalent to the arcs, plus the arc-to-interval id map.
+def unfold(instance: ArcInstance) -> Instance:
+    """Line-interval instance equivalent to the arcs; interval i is arc i.
 
     Proper arcs keep their length: [s, s+L] when they stay inside one turn,
     [s-C, s+L-C] when they cross zero (the positive part equals the part of
@@ -165,8 +165,7 @@ def unfold(instance: ArcInstance) -> Tuple[Instance, Dict[int, int]]:
     for arc in instance.arcs:
         lo, hi = proper[arc.id] if arc.id in proper else span
         intervals.append(Interval(arc.id, lo, hi))
-    mapping = {arc.id: arc.id for arc in instance.arcs}
-    return Instance(tuple(intervals), instance.k), mapping
+    return Instance(tuple(intervals), instance.k)
 
 
 def _measured_points(instance: ArcInstance) -> List[Coord]:
@@ -242,13 +241,10 @@ def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:
 def arc_color(instance: ArcInstance) -> Coloring:
     """Coloring of the arcs with spread at most two.
 
-    Unfolds to the line, colors the intervals balanced there, and carries
-    the colors back arc by arc.
+    Unfolds to the line and colors the intervals balanced there; interval
+    i is arc i, so its color is the arc's.
     """
-    line, mapping = unfold(instance)
-    line_coloring = k_color(line)
-    colors = tuple(line_coloring.colors[mapping[arc.id]] for arc in instance.arcs)
-    return Coloring(colors, instance.k)
+    return k_color(unfold(instance))
 
 
 def min_arc_imbalance_oracle(

@@ -73,6 +73,14 @@ def _emit(payload: str) -> None:
     sys.stdout.write(payload)
 
 
+def _check_spread(value: int, bound: int) -> None:
+    """Refuse to print a coloring whose measured imbalance breaks its guarantee."""
+    if value > bound:
+        raise InvariantViolation(
+            f"coloring has imbalance {value}, above the guaranteed {bound}"
+        )
+
+
 def cmd_color(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     if args.algorithm == "dewerra":
@@ -80,6 +88,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     else:
         coloring = k_color(instance)
     value = imbalance(instance, coloring).value
+    _check_spread(value, 1)
     _emit(format_coloring_json(coloring, value))
     return 0
 
@@ -110,6 +119,7 @@ def cmd_arcs(args: argparse.Namespace) -> int:
         instance = ArcInstance(instance.arcs, instance.circumference, args.k)
     coloring = arc_color(instance)
     value = arc_imbalance(instance, coloring).value
+    _check_spread(value, 2)
     _emit(format_coloring_json(coloring, value))
     return 0
 
@@ -135,6 +145,8 @@ def cmd_online(args: argparse.Namespace) -> int:
         return 0
     if args.input is None:
         raise FormatError("online without --adversary needs --input STREAM")
+    if args.rounds < 0:
+        raise FormatError(f"--rounds must not be negative, got {args.rounds}")
     instance = _load_instance(args)
     stream = Instance(instance.intervals[: args.rounds], instance.k)
     coloring, trace = run_online(alg, stream)
@@ -172,6 +184,7 @@ def cmd_hypergraph(args: argparse.Namespace) -> int:
     instance = hypergraph_to_instance(matrix, args.k)
     coloring = k_color(instance)
     value = imbalance(instance, coloring).value
+    _check_spread(value, 1)
     _emit(format_coloring_json(coloring, value))
     return 0
 

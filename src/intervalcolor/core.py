@@ -1,37 +1,29 @@
 """Exact interval instances, event normalization, and imbalance measurement.
 
 Coordinates are arbitrary-precision rationals so that coinciding endpoints
-are detected exactly; floats are rejected at the boundary.  All types are
-immutable values and safe to share between threads.
+are detected exactly; floats are rejected at the boundary.  normalize() is
+the only place interval endpoints are ordered: it ranks an instance's 2n
+endpoint events once, keeps the ranking on the instance, and every sweep
+over intervals (imbalance, the colorers, weighted_imbalance) walks that
+integer order.  All types are immutable values and safe to share between threads;
+the kept ranking is a pure function of the instance, so a race merely
+computes it twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "Coord",
     "CoordInput",
-    "START",
-    "END",
     "InvariantViolation",
     "to_coord",
     "Interval",
     "Instance",
     "make_instance",
-    "Event",
     "NormalizedInstance",
     "normalize",
     "Coloring",
@@ -46,10 +38,6 @@ __all__ = [
 
 Coord = Fraction
 CoordInput = Union[Fraction, int, str]
-
-START = 0
-END = 1
-
 
 class InvariantViolation(RuntimeError):
     """A structural guarantee of a construction failed.
@@ -106,6 +94,10 @@ class Instance:
 
     intervals: Tuple[Interval, ...]
     k: int
+    # the ranking normalize() computes once and keeps here
+    _normalized: Optional["NormalizedInstance"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", tuple(self.intervals))
@@ -131,73 +123,73 @@ def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
     return Instance(intervals, k)
 
 
-class Event(NamedTuple):
-    """One endpoint occurrence in the normalized order."""
-
-    rank: int  # 1-based position among all 2n events
-    interval: int
-    kind: int  # START or END
-
-
-def _sorted_events(
-    intervals: Sequence[Interval],
-) -> List[Tuple[Coord, int, int]]:
-    """All (coordinate, kind, id) events sorted by coordinate, starts first.
-
-    Floats decorate the sort key only to keep most comparisons cheap;
-    rounding is monotone, so exact ties are the only place the Fraction
-    itself is consulted and the order stays exact.
-    """
-    events: List[Tuple[Coord, int, int]] = []
-    for itv in intervals:
-        events.append((itv.lo, START, itv.id))
-        events.append((itv.hi, END, itv.id))
-    try:
-        events.sort(key=lambda ev: (float(ev[0]), ev))
-    except OverflowError:  # coordinates beyond float range: exact, slower path
-        events.sort()
-    return events
-
-
 @dataclass(frozen=True)
 class NormalizedInstance:
-    """Instance with its endpoints spread out into distinct ranks 1..2n.
+    """The 2n endpoint events of an instance in one exact order.
 
-    Equal coordinates are tie-broken with all starts before all ends, then
-    by interval id.  This realizes the usual infinitesimal nudge of
-    coinciding endpoints symbolically: every set of intervals covering a
-    common point of the original instance covers a common rank region
-    afterwards, so nothing that matters to balancedness is lost.
+    order lists the events by rank: i stands for the start of interval i
+    and ~i for its end.  Equal coordinates are tie-broken with all starts
+    before all ends, then by interval id.  This realizes the usual
+    infinitesimal nudge of coinciding endpoints symbolically: every set of
+    intervals covering a common point of the original instance covers a
+    common rank region afterwards, so nothing that matters to
+    balancedness is lost.
+
+    coords holds the distinct coordinates in ascending order and cuts the
+    block boundaries of order: the starts at coords[g] are
+    order[cuts[2g]:cuts[2g + 1]] and the ends there are
+    order[cuts[2g + 1]:cuts[2g + 2]].
     """
 
-    source: Instance
-    start_rank: Tuple[int, ...]
-    end_rank: Tuple[int, ...]
-
-    def events(self) -> Tuple[Event, ...]:
-        """All 2n events in rank order."""
-        n = self.source.n
-        out: List[Optional[Event]] = [None] * (2 * n)
-        for i in range(n):
-            out[self.start_rank[i] - 1] = Event(self.start_rank[i], i, START)
-            out[self.end_rank[i] - 1] = Event(self.end_rank[i], i, END)
-        return tuple(out)  # type: ignore[arg-type]
+    order: Tuple[int, ...]
+    coords: Tuple[Coord, ...]
+    cuts: Tuple[int, ...]
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
-    """Rank the 2n endpoint events, breaking coordinate ties deterministically."""
-    keyed = _sorted_events(instance.intervals)
-    start_rank = [0] * instance.n
-    end_rank = [0] * instance.n
-    for rank0, (_, kind, i) in enumerate(keyed):
-        if kind == START:
-            start_rank[i] = rank0 + 1
+    """Rank the 2n endpoint events once; later calls reuse the ranking.
+
+    This is the only place interval endpoints are sorted.  Floats decorate
+    the sort key only to keep most comparisons cheap; rounding is
+    monotone, so exact ties are the only place the Fraction itself is
+    consulted and the order stays exact.  Event e < n is the start of
+    interval e and event n + i its end, so the stable sort leaves equal
+    coordinates with starts first, then ids ascending.
+    """
+    if instance._normalized is not None:
+        return instance._normalized
+    n = instance.n
+    points = [itv.lo for itv in instance.intervals]
+    points += [itv.hi for itv in instance.intervals]
+    try:
+        keys = [(float(x), x) for x in points]
+    except OverflowError:  # coordinates beyond float range: exact, slower path
+        keys = points
+    events = sorted(range(2 * n), key=keys.__getitem__)
+    coords: List[Coord] = []
+    cuts = [0]
+    started = bytearray(n)
+    previous = None
+    for pos, e in enumerate(events):
+        key = keys[e]
+        if key != previous:  # float first; the Fraction only on float ties
+            coords.append(points[e])
+            previous = key
+        if e < n:
+            started[e] = 1
+            block = 2 * len(coords) - 2
+        elif started[e - n]:
+            block = 2 * len(coords) - 1
         else:
-            end_rank[i] = rank0 + 1
-    for i in range(instance.n):
-        if not start_rank[i] < end_rank[i]:
-            raise InvariantViolation(f"interval {i}: start rank not below end rank")
-    return NormalizedInstance(instance, tuple(start_rank), tuple(end_rank))
+            raise InvariantViolation(f"interval {e - n}: start rank not below end rank")
+        while len(cuts) <= block:
+            cuts.append(pos)
+    while len(cuts) <= 2 * len(coords):
+        cuts.append(2 * n)
+    order = tuple([e if e < n else n + ~e for e in events])
+    norm = NormalizedInstance(order, tuple(coords), tuple(cuts))
+    object.__setattr__(instance, "_normalized", norm)
+    return norm
 
 
 @dataclass(frozen=True)
@@ -241,24 +233,6 @@ class ImbalanceReport:
     per_region: Optional[Tuple[RegionCounts, ...]] = None
 
 
-def _event_groups(
-    intervals: Sequence[Interval],
-) -> Iterator[Tuple[Coord, List[int], List[int]]]:
-    """Yield (coordinate, starting ids, ending ids) in ascending order."""
-    events = _sorted_events(intervals)
-    idx = 0
-    m = len(events)
-    while idx < m:
-        x = events[idx][0]
-        starts: List[int] = []
-        ends: List[int] = []
-        while idx < m and events[idx][0] == x:
-            _, kind, i = events[idx]
-            (starts if kind == START else ends).append(i)
-            idx += 1
-        yield x, starts, ends
-
-
 def imbalance(
     instance: Instance, coloring: Coloring, *, with_regions: bool = False
 ) -> ImbalanceReport:
@@ -287,11 +261,12 @@ def imbalance(
     witness = Fraction(0)
     regions: Optional[List[RegionCounts]] = [] if with_regions else None
 
-    groups = list(_event_groups(instance.intervals))
-    last = len(groups) - 1
+    norm = normalize(instance)
+    order, coords, cuts = norm.order, norm.coords, norm.cuts
+    last = len(coords) - 1
 
-    for pos, (x, starts, ends) in enumerate(groups):
-        for i in starts:
+    for g, x in enumerate(coords):
+        for i in order[cuts[2 * g] : cuts[2 * g + 1]]:
             counts[cols[i] - 1] += 1
         spread = max(counts) - min(counts)
         if spread > best:
@@ -299,21 +274,19 @@ def imbalance(
             witness = x
         if regions is not None:
             regions.append(RegionCounts(x, x, tuple(counts)))
+        if g == last:
+            break
+        ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
         if ends:
-            for i in ends:
-                counts[cols[i] - 1] -= 1
-            if pos < last:
-                # something left, so the open region right of x can differ
-                spread = max(counts) - min(counts)
-                if spread > best:
-                    best = spread
-                    witness = (x + groups[pos + 1][0]) / 2
-                if regions is not None:
-                    regions.append(
-                        RegionCounts(x, groups[pos + 1][0], tuple(counts))
-                    )
-        elif regions is not None and pos < last:
-            regions.append(RegionCounts(x, groups[pos + 1][0], tuple(counts)))
+            for e in ends:
+                counts[cols[~e] - 1] -= 1
+            # something left, so the open region right of x can differ
+            spread = max(counts) - min(counts)
+            if spread > best:
+                best = spread
+                witness = (x + coords[g + 1]) / 2
+        if regions is not None:
+            regions.append(RegionCounts(x, coords[g + 1], tuple(counts)))
 
     per_region = tuple(regions) if regions is not None else None
     return ImbalanceReport(best, witness, per_region)
@@ -332,22 +305,17 @@ def divisibility_predicts_zero(instance: Instance) -> bool:
     multiple of k forces two color counts there to differ).
     """
     k = instance.k
+    cuts = normalize(instance).cuts
     depth = 0
-    groups = list(_event_groups(instance.intervals))
-    for pos, (_, starts, ends) in enumerate(groups):
-        depth += len(starts)
+    for b in range(len(cuts) - 1):
+        size = cuts[b + 1] - cuts[b]
+        depth += -size if b % 2 else size  # odd blocks hold ends
         if depth % k:
             return False
-        if ends:
-            depth -= len(ends)
-            if pos + 1 < len(groups) and depth % k:
-                return False
     return True
 
 
-def point_cliques(
-    intervals: Sequence[Interval],
-) -> Tuple[Tuple[Coord, frozenset], ...]:
+def point_cliques(instance: Instance) -> Tuple[Tuple[Coord, frozenset], ...]:
     """Every coverage set of the line, each with one witness point.
 
     Measured at every distinct endpoint (after admitting the intervals
@@ -355,16 +323,16 @@ def point_cliques(
     distinct endpoints.  Materializes the sets, so intended for desk-scale
     inputs only.
     """
+    norm = normalize(instance)
+    order, coords, cuts = norm.order, norm.coords, norm.cuts
     active: Set[int] = set()
     out: List[Tuple[Coord, frozenset]] = []
-    groups = list(_event_groups(intervals))
-    for pos, (x, starts, ends) in enumerate(groups):
-        active.update(starts)
+    for g, x in enumerate(coords):
+        active.update(order[cuts[2 * g] : cuts[2 * g + 1]])
         out.append((x, frozenset(active)))
-        active.difference_update(ends)
-        if pos + 1 < len(groups):
-            y = groups[pos + 1][0]
-            out.append(((x + y) / 2, frozenset(active)))
+        active.difference_update([~e for e in order[cuts[2 * g + 1] : cuts[2 * g + 2]]])
+        if g + 1 < len(coords):
+            out.append(((x + coords[g + 1]) / 2, frozenset(active)))
     return tuple(out)
 
 
@@ -388,7 +356,7 @@ def min_imbalance_oracle(
 
     seen: Set[frozenset] = set()
     by_last: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
-    for _, clique in point_cliques(instance.intervals):
+    for _, clique in point_cliques(instance):
         if clique and clique not in seen:
             seen.add(clique)
             by_last[max(clique)].append(tuple(sorted(clique)))

@@ -30,8 +30,18 @@ def _loads(text: str, what: str) -> Any:
     def reject(name: str) -> Any:
         raise FormatError(f"{what}: non-finite number {name}")
 
+    def unique(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+        data: Dict[str, Any] = {}
+        for key, value in pairs:
+            if key in data:
+                raise FormatError(f"{what}: duplicate key {key!r}")
+            data[key] = value
+        return data
+
     try:
-        return json.loads(text, parse_float=str, parse_constant=reject)
+        return json.loads(
+            text, parse_float=str, parse_constant=reject, object_pairs_hook=unique
+        )
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: invalid JSON: {exc}") from None
 
@@ -109,13 +119,6 @@ def parse_instance_text(text: str) -> Instance:
         raise FormatError(f"instance: {exc}") from None
 
 
-def format_instance_text(instance: Instance) -> str:
-    lines = [f"{instance.n} {instance.k}"]
-    for itv in instance.intervals:
-        lines.append(f"{coord_json(itv.lo)} {coord_json(itv.hi)}")
-    return "\n".join(lines) + "\n"
-
-
 # --- colorings ---
 
 
@@ -156,17 +159,6 @@ def parse_arc_json(text: str) -> ArcInstance:
         raise FormatError(f"arc instance: {exc}") from None
 
 
-def format_arc_json(instance: ArcInstance) -> str:
-    payload = {
-        "k": instance.k,
-        "circumference": coord_json(instance.circumference),
-        "arcs": [
-            [coord_json(arc.start), coord_json(arc.length)] for arc in instance.arcs
-        ],
-    }
-    return json.dumps(payload) + "\n"
-
-
 # --- 0/1 membership matrices ---
 
 
@@ -189,14 +181,6 @@ def parse_hypergraph_text(text: str) -> Tuple[Tuple[int, ...], ...]:
             raise FormatError(f"hypergraph: row {pos} must be {m} entries of 0 or 1")
         matrix.append(tuple(int(cell) for cell in row))
     return tuple(matrix)
-
-
-def format_hypergraph_text(matrix: Sequence[Sequence[int]]) -> str:
-    width = len(matrix[0]) if len(matrix) else 0
-    lines = [f"{len(matrix)} {width}"]
-    for row in matrix:
-        lines.append(" ".join(str(cell) for cell in row))
-    return "\n".join(lines) + "\n"
 
 
 # --- not-all-equal formulas ---
@@ -250,13 +234,6 @@ def parse_nae_text(text: str) -> NaeFormula:
         return NaeFormula(num_vars, tuple(clauses))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"formula: {exc}") from None
-
-
-def format_nae_text(formula: NaeFormula) -> str:
-    lines = [f"p nae {formula.num_vars} {len(formula.clauses)}"]
-    for a, b, c in formula.clauses:
-        lines.append(f"{a} {b} {c}")
-    return "\n".join(lines) + "\n"
 
 
 # --- axis-aligned box instances ---

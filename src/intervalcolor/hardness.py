@@ -41,9 +41,9 @@ from .core import (
     Instance,
     Interval,
     InvariantViolation,
-    _event_groups,
     is_balanced,
     make_instance,
+    normalize,
     to_coord,
 )
 
@@ -727,21 +727,15 @@ def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:
     w = weighted.weights
     counts = [0] * k
     best = 0
-    groups = list(_event_groups(weighted.intervals))
-    last = len(groups) - 1
-    for pos, (_, starts, ends) in enumerate(groups):
-        for i in starts:
+    norm = normalize(Instance(weighted.intervals, k))
+    order, cuts = norm.order, norm.cuts
+    for b in range(0, len(cuts) - 1, 2):  # the starts, then the ends, at one point
+        for i in order[cuts[b] : cuts[b + 1]]:
             counts[cols[i] - 1] += w[i]
-        spread = max(counts) - min(counts)
-        if spread > best:
-            best = spread
-        if ends:
-            for i in ends:
-                counts[cols[i] - 1] -= w[i]
-            if pos < last:
-                spread = max(counts) - min(counts)
-                if spread > best:
-                    best = spread
+        best = max(best, max(counts) - min(counts))
+        for e in order[cuts[b + 1] : cuts[b + 2]]:
+            counts[cols[~e] - 1] -= w[~e]
+        best = max(best, max(counts) - min(counts))
     return best
 
 

@@ -1,26 +1,21 @@
-"""Balanced k-coloring via constraint construction and bipartite edge coloring.
+"""Balanced k-coloring via one constraint sweep and bipartite edge coloring.
 
-The event scan cuts the line into windows holding k events of one type and
-emits one k-item constraint per window: all items in a constraint must get
-pairwise distinct colors.  Padding with virtual items keeps every constraint
-at exactly k items and every item in exactly one start-type and one end-type
-constraint, so the constraints form a k-regular bipartite multigraph whose
-edges are the items.  A proper k-edge-coloring of that graph (which exists
-on bipartite multigraphs) assigns each interval its color.
-
-Items are plain ints: ids below the instance size are real intervals;
-higher ids are virtual, even offsets for the x padding items and odd
-offsets for the y carry-over items.
+The event scan cuts the ranked order into windows holding k events of one
+type; each window is a constraint whose k items must get pairwise distinct
+colors.  Padding with virtual items keeps every constraint at exactly k
+items and every item in exactly one start-side and one end-side
+constraint, so the constraints are the vertices of a k-regular bipartite
+multigraph whose edges are the items.  The sweep writes that graph
+directly as edge arrays; a proper k-edge-coloring of it (which exists on
+bipartite multigraphs) assigns each interval its color.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from intervalcolor.core import (
-    END,
-    START,
     Coloring,
     Instance,
     Interval,
@@ -33,219 +28,118 @@ from intervalcolor.core import (
 from intervalcolor.two_color import two_color
 
 __all__ = [
-    "REAL",
-    "VIRTUAL_X",
-    "VIRTUAL_Y",
-    "item_kind",
-    "describe_item",
-    "Constraint",
-    "build_constraints",
-    "EdgeItem",
     "EdgeGraph",
-    "constraints_to_graph",
+    "constraint_graph",
     "edge_color",
     "k_color",
     "k_color_dewerra",
     "hypergraph_to_instance",
 ]
 
-REAL = "real"
-VIRTUAL_X = "x"
-VIRTUAL_Y = "y"
-
-
-def item_kind(item: int, n_real: int) -> str:
-    """Classify an item id as a real interval or an x/y virtual."""
-    if item < n_real:
-        return REAL
-    return VIRTUAL_X if (item - n_real) % 2 == 0 else VIRTUAL_Y
-
-
-def describe_item(item: int, n_real: int) -> str:
-    if item < n_real:
-        return f"I{item}"
-    offset = item - n_real
-    return f"{'x' if offset % 2 == 0 else 'y'}{offset // 2}"
-
-
-class Constraint(NamedTuple):
-    """Exactly k items that must receive pairwise distinct colors."""
-
-    id: int
-    items: Tuple[int, ...]
-    side: str  # "start" or "end"
-
-
-def build_constraints(
-    norm: NormalizedInstance, k: int, collect_occurrences: bool = True
-) -> Tuple[List[Constraint], Dict[int, List[int]]]:
-    """Scan events in rank order and emit the distinct-color constraints.
-
-    A window collects events of one type (chosen by the first event after a
-    clear) into an active list.  k collected events emit one constraint and
-    clear.  An event of the opposite type closes the window early with two
-    constraints instead: the active items padded to k with fresh x virtuals
-    on the window's own side, and the interrupting interval plus the same
-    x's padded with fresh y virtuals on the opposite side.  The y's become
-    the new active list, carrying the still-open overlap forward.
-
-    Returns the constraints and a map from each item to the ids of the
-    constraints containing it.  Callers that only need the constraints can
-    pass collect_occurrences=False to skip the map (returned empty); at
-    scale it costs more to build than the constraints themselves.
-    """
-    if k < 2:
-        raise ValueError(f"constraint construction needs k >= 2, got {k}")
-    n = norm.source.n
-    constraints: List[Constraint] = []
-    occurrences: Dict[int, List[int]] = {}
-    next_x = 0
-    next_y = 0
-    active: List[int] = []
-    collecting = 0  # 0 at root, +1 collecting starts, -1 collecting ends
-    depth = 0
-
-    if collect_occurrences:
-        def emit(items: Tuple[int, ...], side: str) -> None:
-            cid = len(constraints)
-            constraints.append(Constraint(cid, items, side))
-            for item in items:
-                known = occurrences.get(item)
-                if known is None:
-                    occurrences[item] = [cid]
-                else:
-                    known.append(cid)
-    else:
-        def emit(items: Tuple[int, ...], side: str) -> None:
-            constraints.append(Constraint(len(constraints), items, side))
-
-    for ev in norm.events():
-        is_start = ev.kind == START
-        depth += 1 if is_start else -1
-        if collecting == 0:
-            collecting = 1 if is_start else -1
-        if is_start == (collecting == 1):
-            active.append(ev.interval)
-            if len(active) == k:
-                emit(tuple(active), "start" if collecting == 1 else "end")
-                active.clear()
-                collecting = 0
-                if depth % k:
-                    raise InvariantViolation(
-                        f"window cleared at depth {depth}, not a multiple of {k}"
-                    )
-        else:
-            j = len(active)
-            xs = tuple(n + 2 * (next_x + t) for t in range(k - j))
-            next_x += k - j
-            ys = tuple(n + 2 * (next_y + t) + 1 for t in range(j - 1))
-            next_y += j - 1
-            own = "start" if collecting == 1 else "end"
-            opposite = "end" if collecting == 1 else "start"
-            emit(tuple(active) + xs, own)
-            emit(ys + (ev.interval,) + xs, opposite)
-            active[:] = ys
-            if not ys:
-                collecting = 0
-                if depth % k:
-                    raise InvariantViolation(
-                        f"window cleared at depth {depth}, not a multiple of {k}"
-                    )
-    if collecting != 0 or active:
-        raise InvariantViolation("event scan ended inside an open window")
-    return constraints, occurrences
-
-
-class EdgeItem(NamedTuple):
-    """One multigraph edge: an item joining its two constraints."""
-
-    item: int
-    start_pos: int  # position within EdgeGraph.start_vertices
-    end_pos: int  # position within EdgeGraph.end_vertices
-
 
 @dataclass(frozen=True)
 class EdgeGraph:
-    """Bipartite multigraph of constraints (vertices) and items (edges)."""
+    """Bipartite multigraph as edge arrays.
 
-    start_vertices: Tuple[int, ...]  # constraint ids on the start side
-    end_vertices: Tuple[int, ...]  # constraint ids on the end side
-    edges: Tuple[EdgeItem, ...]
-
-
-def constraints_to_graph(constraints: Sequence[Constraint]) -> EdgeGraph:
-    """Join the two constraints of every item by an edge.
-
-    Every item must occur in exactly two constraints of opposite sides;
-    anything else means the construction upstream is broken.  Edges come
-    out in the order of each item's second occurrence.  Item ids are
-    dense in the sweep construction, so pairing state lives in flat
-    arrays; sparse hand-built ids are compacted first.
+    Edge e joins start-side vertex starts[e] to end-side vertex ends[e] and
+    carries items[e]: an interval id, or -1 for a virtual item.  Vertices
+    are numbered 0, 1, ... on each side.
     """
-    start_pos: Dict[int, int] = {}
-    end_pos: Dict[int, int] = {}
-    total = 0
-    top = -1
-    for c in constraints:
-        if c.side == "start":
-            start_pos[c.id] = len(start_pos)
-        else:
-            end_pos[c.id] = len(end_pos)
-        total += len(c.items)
-        for item in c.items:
-            if item > top:
-                top = item
 
-    names = None  # dense index -> original item id, when compacted
-    if top > 4 * total + 64:
-        remap: Dict[int, int] = {}
-        for c in constraints:
-            for item in c.items:
-                if item not in remap:
-                    remap[item] = len(remap)
-        names = list(remap)
-        constraints = [
-            Constraint(c.id, tuple(remap[item] for item in c.items), c.side)
-            for c in constraints
-        ]
-        top = len(names) - 1
+    starts: Tuple[int, ...]
+    ends: Tuple[int, ...]
+    items: Tuple[int, ...]
 
-    counts = bytearray(top + 1)
-    first_pos = [0] * (top + 1)
-    first_on_start = bytearray(top + 1)
-    edges: List[EdgeItem] = []
-    for c in constraints:
-        on_start = c.side == "start"
-        pos = start_pos[c.id] if on_start else end_pos[c.id]
-        for item in c.items:
-            seen = counts[item]
-            if seen == 0:
-                counts[item] = 1
-                first_pos[item] = pos
-                first_on_start[item] = on_start
-            elif seen == 1:
-                counts[item] = 2
-                name = names[item] if names is not None else item
-                if first_on_start[item] == on_start:
+
+def constraint_graph(norm: NormalizedInstance, k: int) -> EdgeGraph:
+    """Scan the ranked events once and emit the constraint multigraph.
+
+    A window collects events of one type (chosen by the first event after a
+    clear) into an active list.  k collected events close it as one
+    constraint.  An event of the opposite type closes the window early with
+    two constraints instead: the active items padded to k with fresh x
+    virtuals on the window's own side, and the interrupting interval plus
+    the same x's padded with fresh y virtuals on the opposite side.  The
+    y's become the new active list, carrying the still-open overlap
+    forward.
+
+    Each constraint is numbered on its side in the order it closes.  An
+    item's edge is written when its second constraint closes, in the order
+    of the items within that constraint: active items, then the
+    interrupting interval, then the x's.  Virtual items are never named:
+    an x joins the two constraints of one interruption, and a y is carried
+    in the active list as ~v, v being its opposite-side vertex.
+    """
+    if k < 2:
+        raise ValueError(f"constraint construction needs k >= 2, got {k}")
+    order = norm.order
+    n = len(order) // 2
+    starts: List[int] = []
+    ends: List[int] = []
+    items: List[int] = []
+    start_vertex = [-1] * n  # -2 once the interval's edge is written
+    closed = [0, 0]  # constraints closed so far on the end, start side
+
+    def close(members: Sequence[int], on_start: bool) -> int:
+        v = closed[on_start]
+        closed[on_start] = v + 1
+        for m in members:
+            if m < 0:  # a y, first seen at opposite-side vertex ~m
+                starts.append(v if on_start else ~m)
+                ends.append(~m if on_start else v)
+                items.append(-1)
+            elif on_start:
+                if start_vertex[m] != -1:
                     raise InvariantViolation(
-                        f"item {name} occurs twice on the {c.side} side"
+                        f"interval {m} occurs on a second start-side vertex"
                     )
-                if on_start:
-                    edges.append(EdgeItem(name, pos, first_pos[item]))
-                else:
-                    edges.append(EdgeItem(name, first_pos[item], pos))
+                start_vertex[m] = v
             else:
-                name = names[item] if names is not None else item
-                raise InvariantViolation(
-                    f"item {name} occurs in more than 2 constraints"
-                )
-    if 2 * len(edges) != total:
-        lonely = next(i for i in range(top + 1) if counts[i] == 1)
-        name = names[lonely] if names is not None else lonely
-        raise InvariantViolation(f"item {name} occurs in 1 constraints, expected 2")
+                u = start_vertex[m]
+                if u < 0:
+                    raise InvariantViolation(
+                        f"interval {m} occurs on an end-side vertex"
+                        " without a matching start-side vertex"
+                    )
+                start_vertex[m] = -2
+                starts.append(u)
+                ends.append(v)
+                items.append(m)
+        return v
 
-    # dict insertion order is position order on both sides
-    return EdgeGraph(tuple(start_pos), tuple(end_pos), tuple(edges))
+    active: List[int] = []
+    collecting = 0  # 0 at root, +1 collecting starts, -1 collecting ends
+    depth = 0
+    for ev in order:
+        is_start = ev >= 0
+        depth += 1 if is_start else -1
+        if collecting == 0:
+            collecting = 1 if is_start else -1
+        on_start = collecting == 1
+        if is_start == on_start:
+            active.append(ev if is_start else ~ev)
+            if len(active) < k:
+                continue
+            close(active, on_start)
+            active.clear()
+        else:
+            j = len(active)
+            own = close(active, on_start)  # plus k - j x's seen first here
+            other = close((ev if is_start else ~ev,), not on_start)
+            starts.extend([own if on_start else other] * (k - j))
+            ends.extend([other if on_start else own] * (k - j))
+            items.extend([-1] * (k - j))
+            active[:] = [~other] * (j - 1)
+            if j > 1:
+                continue
+        collecting = 0
+        if depth % k:
+            raise InvariantViolation(
+                f"window cleared at depth {depth}, not a multiple of {k}"
+            )
+    if collecting != 0 or active:
+        raise InvariantViolation("event scan ended inside an open window")
+    return EdgeGraph(tuple(starts), tuple(ends), tuple(items))
 
 
 def edge_color(graph: EdgeGraph, k: int) -> Tuple[int, ...]:
@@ -261,15 +155,15 @@ def edge_color(graph: EdgeGraph, k: int) -> Tuple[int, ...]:
     lockstep and the first to terminate is swapped, so each edge costs
     twice the shorter path rather than the length of a fixed one.
     """
-    nl = len(graph.start_vertices)
-    nr = len(graph.end_vertices)
+    starts = graph.starts
+    ends = graph.ends
+    nl = max(starts, default=-1) + 1
+    nr = max(ends, default=-1) + 1
     full = (1 << k) - 1
     free_l = [full] * nl
     free_r = [full] * nr
     slot_l = [-1] * (nl * k)  # (vertex, color) -> edge index
     slot_r = [-1] * (nr * k)
-    starts = [e.start_pos for e in graph.edges]
-    ends = [e.end_pos for e in graph.edges]
     colors = [0] * len(starts)
 
     for idx, (u, v) in enumerate(zip(starts, ends)):
@@ -362,31 +256,22 @@ def edge_color(graph: EdgeGraph, k: int) -> Tuple[int, ...]:
 def k_color(instance: Instance) -> Coloring:
     """Balanced k-coloring of a closed-interval instance.
 
-    k = 1 trivially colors everything alike.  Otherwise composes the
-    constraint scan, the constraint multigraph, and its edge coloring;
-    every real interval takes the color of its item's edge and virtual
-    items' colors are discarded.
+    k = 1 trivially colors everything alike.  Otherwise edge-colors the
+    constraint multigraph of the ranked events; every real interval takes
+    the color of its item's edge and virtual items' colors are discarded.
     """
     k = instance.k
     if k == 1:
         return Coloring((1,) * instance.n, 1)
-    constraints, _ = build_constraints(
-        normalize(instance), k, collect_occurrences=False
-    )
-    graph = constraints_to_graph(constraints)
-    edge_colors = edge_color(graph, k)
+    graph = constraint_graph(normalize(instance), k)
     colors = [0] * instance.n
-    for idx, edge in enumerate(graph.edges):
-        if edge.item < instance.n:
-            colors[edge.item] = edge_colors[idx]
+    for item, color in zip(graph.items, edge_color(graph, k)):
+        if item >= 0:
+            colors[item] = color
     return Coloring(tuple(colors), k)
 
 
-def k_color_dewerra(
-    instance: Instance,
-    max_extra: Optional[int] = None,
-    return_passes: bool = False,
-):
+def k_color_dewerra(instance: Instance, return_passes: bool = False):
     """Balanced k-coloring by repeated pairwise rebalancing.
 
     Starts from the round-robin-by-id coloring.  Each pass finds the color
@@ -401,8 +286,8 @@ def k_color_dewerra(
     classically credited with needing at most k(k-1)/2 passes, but pairs
     already balanced can re-break at small differences, and moderate random
     instances routinely exceed that figure.  The pass budget is therefore
-    capped at k(k-1)/2 + max_extra (max_extra defaults to k); exhausting
-    the cap raises InvariantViolation rather than looping on.
+    capped at k(k-1)/2 + k; exhausting the cap raises InvariantViolation
+    rather than looping on.
 
     With return_passes=True, returns (coloring, passes) instead of the
     coloring alone.
@@ -412,7 +297,7 @@ def k_color_dewerra(
         raise ValueError(f"pairwise rebalancing needs k >= 2, got {k}")
     n = instance.n
     colors = [(i % k) + 1 for i in range(n)]
-    limit = k * (k - 1) // 2 + (k if max_extra is None else max_extra)
+    limit = k * (k - 1) // 2 + k
 
     for done in range(limit + 1):
         value, pair = _worst_pair(instance, colors)

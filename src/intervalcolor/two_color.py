@@ -1,194 +1,57 @@
-"""Balanced 2-coloring via event pairing and constraint-graph traversal.
+"""Balanced 2-coloring by pairing rank-consecutive events.
 
 Consecutive events (ranks 2i-1, 2i) enclose the regions of odd depth, so
 each such pair constrains its two intervals: a start/end pair of different
-intervals merges them into one chain that must be monochromatic, a pair of
-two starts or two ends forces opposite colors on the chains involved.  The
-resulting constraint graph has maximum degree two and only even cycles, so
-a traversal 2-colors it.
+intervals must share a color, a pair of two starts or two ends must get
+opposite colors.  Every event lies in exactly one pair and every interval
+has two events, so the constraints link the intervals into paths and
+cycles, and the cycles are even; walking each path or cycle 2-colors it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from intervalcolor.core import Coloring, Instance, InvariantViolation, normalize
 
-from intervalcolor.core import (
-    END,
-    START,
-    Coloring,
-    Event,
-    Instance,
-    InvariantViolation,
-    NormalizedInstance,
-    normalize,
-)
-
-__all__ = [
-    "EventPair",
-    "ChainPartition",
-    "Edge2",
-    "ConstraintGraph2",
-    "pair_events",
-    "build_constraint_graph",
-    "two_color",
-]
-
-
-class EventPair(NamedTuple):
-    """Two rank-consecutive events; first.rank = 2i-1, second.rank = 2i."""
-
-    first: Event
-    second: Event
-
-
-class ChainPartition:
-    """Union-find over interval ids; a chain is a set of merged intervals."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def chain_labels(self) -> Dict[int, int]:
-        """Map each root to the smallest interval id in its chain."""
-        labels: Dict[int, int] = {}
-        for i in range(len(self.parent)):
-            labels.setdefault(self.find(i), i)
-        return labels
-
-
-class Edge2(NamedTuple):
-    """Opposite-color constraint between two chains.
-
-    kind is "start" when the source pair was two start events and "end"
-    when it was two end events.
-    """
-
-    chain_a: int
-    chain_b: int
-    kind: str
-    source: EventPair
-
-
-@dataclass(frozen=True)
-class ConstraintGraph2:
-    """Chains as vertices (labeled by smallest member id), constraints as edges."""
-
-    vertices: Tuple[int, ...]
-    edges: Tuple[Edge2, ...]
-
-
-def pair_events(norm: NormalizedInstance) -> Tuple[EventPair, ...]:
-    """Group the 2n ranked events into n consecutive pairs."""
-    events = norm.events()
-    return tuple(
-        EventPair(events[2 * i], events[2 * i + 1]) for i in range(len(events) // 2)
-    )
-
-
-def build_constraint_graph(
-    pairs: Tuple[EventPair, ...],
-) -> Tuple[ChainPartition, ConstraintGraph2]:
-    """Merge start/end pairs into chains and turn same-type pairs into edges.
-
-    Edges are recorded against interval ids during the scan and resolved to
-    final chain labels afterwards, because later pairs may still merge the
-    involved intervals deeper into chains.
-    """
-    n = 0
-    for pair in pairs:
-        n = max(n, pair.first.interval + 1, pair.second.interval + 1)
-    partition = ChainPartition(n)
-    raw_edges: List[Tuple[int, int, str, EventPair]] = []
-    for pair in pairs:
-        a, b = pair.first.interval, pair.second.interval
-        if a == b:
-            continue  # interval enclosed by its own events stays an isolated chain
-        if pair.first.kind != pair.second.kind:
-            partition.union(a, b)
-        elif pair.first.kind == START:
-            raw_edges.append((a, b, "start", pair))
-        else:
-            raw_edges.append((a, b, "end", pair))
-
-    labels = partition.chain_labels()
-    chain_of = [labels[partition.find(i)] for i in range(n)]
-    edges: List[Edge2] = []
-    incidences = {"start": bytearray(n), "end": bytearray(n)}
-    for a, b, kind, pair in raw_edges:
-        ca = chain_of[a]
-        cb = chain_of[b]
-        if ca == cb:
-            raise InvariantViolation(
-                f"{kind}-type pair {pair} joins one chain to itself"
-            )
-        seen = incidences[kind]
-        for c in (ca, cb):
-            if seen[c]:
-                raise InvariantViolation(
-                    f"chain {c} has more than one {kind}-type constraint"
-                )
-            seen[c] = 1
-        edges.append(Edge2(ca, cb, kind, pair))
-
-    vertices = tuple(sorted(labels.values()))
-    return partition, ConstraintGraph2(vertices, tuple(edges))
+__all__ = ["two_color"]
 
 
 def two_color(instance: Instance) -> Coloring:
     """Balanced 2-coloring of a closed-interval instance.
 
-    Isolated chains get color 1; each connected component is traversed from
-    its lowest-labeled chain, which gets color 1, alternating across edges.
-    All intervals of a chain inherit the chain color.
+    Intervals are visited in id order; the first interval of each path or
+    cycle gets color 1 and the walk carries colors along the pairs in both
+    directions from it.
     """
     if instance.k != 2:
         raise ValueError(f"two_color requires k = 2, got k = {instance.k}")
-    if instance.n == 0:
-        return Coloring((), 2)
+    order = normalize(instance).order
+    # event slot 2i is the start of interval i and 2i + 1 its end
+    mate = [0] * len(order)
+    for p in range(0, len(order), 2):
+        a, b = order[p], order[p + 1]
+        sa = 2 * a if a >= 0 else 2 * ~a + 1
+        sb = 2 * b if b >= 0 else 2 * ~b + 1
+        mate[sa] = sb
+        mate[sb] = sa
 
-    partition, graph = build_constraint_graph(pair_events(normalize(instance)))
-
-    adjacency: Dict[int, List[int]] = {v: [] for v in graph.vertices}
-    for edge in graph.edges:
-        adjacency[edge.chain_a].append(edge.chain_b)
-        adjacency[edge.chain_b].append(edge.chain_a)
-
-    chain_color: Dict[int, int] = {}
-    for v in graph.vertices:
-        if v in chain_color:
+    colors = [0] * instance.n
+    for first in range(instance.n):
+        if colors[first]:
             continue
-        chain_color[v] = 1
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if w not in chain_color:
-                    chain_color[w] = 3 - chain_color[u]
-                    queue.append(w)
-                elif chain_color[w] == chain_color[u]:
-                    raise InvariantViolation("constraint graph has an odd cycle")
-
-    labels = partition.chain_labels()
-    colors = tuple(
-        chain_color[labels[partition.find(i)]] for i in range(instance.n)
-    )
-    return Coloring(colors, 2)
+        colors[first] = 1
+        for slot in (2 * first, 2 * first + 1):
+            i, c = first, 1
+            while True:
+                other = mate[slot]
+                j = other >> 1
+                if j == i:
+                    break  # the interval's own events are paired
+                # a start/end pair shares the color, a same-type pair flips it
+                cj = c if (slot ^ other) & 1 else 3 - c
+                if colors[j]:
+                    if colors[j] != cj:
+                        raise InvariantViolation("constraint graph has an odd cycle")
+                    break
+                colors[j] = cj
+                i, c, slot = j, cj, other ^ 1
+    return Coloring(tuple(colors), 2)

@@ -2,9 +2,12 @@
 
 import gc
 import time
+from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 from intervalcolor.core import Coloring, Instance, make_instance
+from intervalcolor.k_color import EdgeGraph
 
 
 def random_instance(rng, n, k, collide=0.3, span=60):
@@ -64,13 +67,25 @@ def brute_force_counts(instance: Instance, coloring: Coloring, x):
     return tuple(counts)
 
 
+class Edge(NamedTuple):
+    item: int
+    start_pos: int
+    end_pos: int
+
+
+class ListedEdgeGraph(EdgeGraph):
+    """EdgeGraph that also lists its edges as records, for readable tests."""
+
+    @property
+    def edges(self):
+        return tuple(map(Edge, self.items, self.starts, self.ends))
+
+
 def random_bipartite_multigraph(rng, n_left, n_right, m, max_degree):
     """Random bipartite multigraph with all degrees capped at max_degree."""
-    from intervalcolor.k_color import EdgeGraph, EdgeItem
-
     deg_l = [0] * n_left
     deg_r = [0] * n_right
-    edges = []
+    starts, ends, items = [], [], []
     for item in range(m):
         for _ in range(80):
             u = rng.randrange(n_left)
@@ -78,19 +93,43 @@ def random_bipartite_multigraph(rng, n_left, n_right, m, max_degree):
             if deg_l[u] < max_degree and deg_r[v] < max_degree:
                 deg_l[u] += 1
                 deg_r[v] += 1
-                edges.append(EdgeItem(item, u, v))
+                starts.append(u)
+                ends.append(v)
+                items.append(item)
                 break
-    return EdgeGraph(tuple(range(n_left)), tuple(range(n_right)), tuple(edges))
+    return ListedEdgeGraph(tuple(starts), tuple(ends), tuple(items))
 
 
 def assert_proper_edge_coloring(graph, colors, k):
     """Fail unless colors is a proper edge coloring with colors in 1..k."""
+    assert len(colors) == len(graph.starts)
     seen = set()
-    for edge, color in zip(graph.edges, colors):
+    for u, v, color in zip(graph.starts, graph.ends, colors):
         assert 1 <= color <= k
-        for key in (("L", edge.start_pos, color), ("R", edge.end_pos, color)):
+        for key in (("L", u, color), ("R", v, color)):
             assert key not in seen, f"color {color} repeated at vertex {key}"
             seen.add(key)
+
+
+def assert_sweep_graph(graph, n, k):
+    """Fail unless graph is the k-regular bipartite multigraph of an n-interval sweep.
+
+    The two sides are numbered independently, so the graph is bipartite by
+    construction; each side's vertices must be 0..m-1 with every degree k,
+    both sides must have the same size, and every interval must appear as
+    exactly one edge while every other edge is virtual.
+    """
+    sizes = []
+    for side in (graph.starts, graph.ends):
+        degree = Counter(side)
+        assert sorted(degree) == list(range(len(degree)))
+        assert set(degree.values()) <= {k}
+        sizes.append(len(degree))
+    assert sizes[0] == sizes[1]
+    assert len(graph.starts) == len(graph.ends) == len(graph.items) == k * sizes[0]
+    real = sorted(item for item in graph.items if item >= 0)
+    assert real == list(range(n))
+    assert all(item == -1 for item in graph.items if item < 0)
 
 
 def steady_seconds(fn, reps=3):

@@ -26,19 +26,18 @@ def bounds(interval):
 
 
 def test_unfold_arc_without_wrap_keeps_position():
-    line, mapping = unfold(make_arc_instance([(0, 1)], 3, 2))
+    line = unfold(make_arc_instance([(0, 1)], 3, 2))
     assert bounds(line.intervals[0]) == (0, 1)
-    assert mapping == {0: 0}
 
 
 def test_unfold_wrapping_arc_shifts_left():
     # positive part has length 0.5, the counterclockwise part past zero
-    line, _ = unfold(make_arc_instance([("2.5", 1)], 3, 2))
+    line = unfold(make_arc_instance([("2.5", 1)], 3, 2))
     assert bounds(line.intervals[0]) == (Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_unfold_arc_ending_exactly_at_zero_does_not_wrap():
-    line, _ = unfold(make_arc_instance([(2, 1)], 3, 2))
+    line = unfold(make_arc_instance([(2, 1)], 3, 2))
     assert bounds(line.intervals[0]) == (2, 3)
 
 
@@ -48,7 +47,7 @@ def test_unfold_full_arc_against_full_width_hull():
     # anchored margin 0.5 left of the hull rather than a hull-covering
     # interval (which would count it twice at some circle points)
     inst = make_arc_instance([("2.5", 1), ("1.5", 1), (0, 3)], 3, 2)
-    line, _ = unfold(inst)
+    line = unfold(inst)
     assert bounds(line.intervals[2]) == (-1, 2)
 
 
@@ -56,14 +55,14 @@ def test_unfold_full_arc_margin_capped_below_circumference():
     # hull [0, 1] on a circumference-10 circle: margin capped at 9/4 so the
     # spanning interval stays narrower than one full turn
     inst = make_arc_instance([(0, 1), (0, 12)], 10, 2)
-    line, _ = unfold(inst)
+    line = unfold(inst)
     lo, hi = bounds(line.intervals[1])
     assert lo < 0 < 1 < hi
     assert hi - lo < 10
 
 
 def test_unfold_only_full_arcs():
-    line, _ = unfold(make_arc_instance([(0, 5), (0, 7)], 5, 2))
+    line = unfold(make_arc_instance([(0, 5), (0, 7)], 5, 2))
     assert bounds(line.intervals[0]) == bounds(line.intervals[1])
     assert line.intervals[0].hi - line.intervals[0].lo < 5
 
@@ -174,7 +173,7 @@ def test_unfold_preserves_membership():
     for _ in range(40):
         k = rng.randint(2, 4)
         inst = random_arc_instance(rng, rng.randint(1, 30), k, full_rate=0.0)
-        line, mapping = unfold(inst)
+        line = unfold(inst)
         C = inst.circumference
         samples = {arc.start for arc in inst.arcs}
         samples |= {(arc.start + arc.length) % C for arc in inst.arcs}

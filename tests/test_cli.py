@@ -66,6 +66,56 @@ def test_color_malformed_text_line(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_duplicate_json_keys_exit_2(tmp_path, capsys):
+    inputs = [
+        ("color", '{"k": 2, "intervals": [[0, 1], [0, 1]], "k": 3}'),
+        ("arcs", '{"k": 2, "circumference": 4, "circumference": 5, "arcs": []}'),
+        ("decide-boxes", '{"d": 1, "k": 2, "boxes": [], "boxes": []}'),
+    ]
+    for command, text in inputs:
+        path = write(tmp_path, "dup.json", text)
+        code, out, err = run(capsys, command, "--input", path)
+        assert (code, out) == (2, "")
+        assert "duplicate key" in err
+    inst = write(tmp_path, "two.json", TWO)
+    coloring = write(tmp_path, "col.json", '{"colors": [1, 2], "colors": [1, 1]}')
+    code, out, err = run(capsys, "verify", "--input", inst, "--coloring", coloring)
+    assert (code, out) == (2, "")
+    assert "duplicate key" in err
+
+
+def test_guarantee_breach_exits_3(tmp_path, monkeypatch, capsys):
+    # a colorer that paints everything alike breaks the promised bound;
+    # the command must refuse its own result instead of printing it
+    import intervalcolor.cli as cli
+    from intervalcolor.core import Coloring
+
+    def alike(instance):
+        return Coloring((1,) * instance.n, instance.k)
+
+    monkeypatch.setattr(cli, "k_color", alike)
+    monkeypatch.setattr(cli, "k_color_dewerra", alike)
+    monkeypatch.setattr(cli, "arc_color", alike)
+    stacked = write(tmp_path, "stacked.json", '{"k": 2, "intervals": [[0, 1], [0, 1]]}')
+    matrix = write(tmp_path, "m.txt", "2 1\n1\n1\n")
+    arcs = write(
+        tmp_path, "arcs.json", '{"k": 2, "circumference": 4, "arcs": [[0, 1], [0, 1], [0, 1]]}'
+    )
+    for argv in (
+        ["color", "--input", stacked],
+        ["color", "--input", stacked, "--algorithm", "dewerra"],
+        ["hypergraph", "--input", matrix, "--k", "2"],
+        ["arcs", "--input", arcs],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "above the guaranteed" in err
+    # spread 2 is within the arc guarantee
+    two = write(tmp_path, "two.json", '{"k": 2, "circumference": 4, "arcs": [[0, 1], [0, 1]]}')
+    code, out, _ = run(capsys, "arcs", "--input", two)
+    assert code == 0 and json.loads(out)["imbalance"] == 2
+
+
 def test_color_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "color", "--input", str(tmp_path / "nope.json"))
     assert code == 2
@@ -214,6 +264,17 @@ def test_online_stream_truncates_to_rounds(tmp_path, capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 2
+
+
+def test_online_stream_rejects_negative_rounds(tmp_path, capsys):
+    path = write(tmp_path, "stream.txt", "3 2\n0 4\n1 5\n2 6\n")
+    code, out, err = run(
+        capsys,
+        "online", "--algorithm", "round_robin", "--k", "2", "--rounds", "-1",
+        "--input", path, "--format", "text",
+    )
+    assert (code, out) == (2, "")
+    assert "--rounds" in err
 
 
 def test_online_stream_requires_input(capsys):

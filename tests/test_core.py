@@ -6,8 +6,6 @@ from fractions import Fraction
 import pytest
 
 from intervalcolor.core import (
-    END,
-    START,
     Coloring,
     Instance,
     Interval,
@@ -69,36 +67,72 @@ def test_coloring_validation():
 
 def test_normalize_shared_start_breaks_by_id():
     norm = normalize(make_instance([[0, 2], [0, 1]], 2))
-    assert norm.start_rank == (1, 2)
-    assert norm.end_rank == (4, 3)
+    assert norm.order == (0, 1, ~1, ~0)
+    assert norm.coords == (0, 1, 2)
+    assert norm.cuts == (0, 2, 2, 2, 3, 3, 4)
 
 
 def test_normalize_touching_endpoints_keep_their_clique():
     inst = make_instance([[0, 1], [1, 2]], 2)
     norm = normalize(inst)
-    assert norm.start_rank == (1, 2)
-    assert norm.end_rank == (3, 4)
+    assert norm.order == (0, 1, ~0, ~1)  # at x = 1 the start ranks first
     # the region between ranks 2 and 3 carries both intervals, like x = 1
-    cliques = dict(point_cliques(inst.intervals))
+    cliques = dict(point_cliques(inst))
     assert cliques[Fraction(1)] == frozenset({0, 1})
 
 
 def test_normalize_empty():
     norm = normalize(make_instance([], 2))
-    assert norm.start_rank == ()
-    assert norm.end_rank == ()
-    assert norm.events() == ()
+    assert norm.order == ()
+    assert norm.coords == ()
+    assert norm.cuts == (0,)
+
+
+def test_normalize_ranks_once_per_instance():
+    inst = make_instance([[0, 2], [1, 3]], 2)
+    norm = normalize(inst)
+    imbalance(inst, Coloring((1, 2), 2))
+    assert normalize(inst) is norm
+    # a new instance with other k has its own ranking, equal in value
+    other = Instance(inst.intervals, 3)
+    assert normalize(other) is not norm and normalize(other) == norm
 
 
 def test_events_are_a_rank_permutation():
     rng = random.Random(7)
     for _ in range(50):
         inst = random_instance(rng, rng.randint(0, 12), 2)
-        events = normalize(inst).events()
-        assert [e.rank for e in events] == list(range(1, 2 * inst.n + 1))
-        for i in range(inst.n):
-            kinds = [e.kind for e in events if e.interval == i]
-            assert sorted(kinds) == [START, END] if inst.n else True
+        norm = normalize(inst)
+        order, coords, cuts = norm.order, norm.coords, norm.cuts
+        assert sorted(order) == sorted([*range(inst.n), *(~i for i in range(inst.n))])
+        rank = {e: r for r, e in enumerate(order)}
+        assert all(rank[i] < rank[~i] for i in range(inst.n))
+        # blocks alternate starts and ends at strictly increasing coordinates
+        assert list(coords) == sorted(set(coords))
+        assert len(cuts) == 2 * len(coords) + 1 and cuts[0] == 0
+        assert cuts[-1] == 2 * inst.n and list(cuts) == sorted(cuts)
+        for b in range(len(cuts) - 1):
+            for e in order[cuts[b] : cuts[b + 1]]:
+                itv = inst.intervals[e if e >= 0 else ~e]
+                assert (e < 0) == (b % 2 == 1)
+                assert (itv.lo if e >= 0 else itv.hi) == coords[b // 2]
+            block = list(order[cuts[b] : cuts[b + 1]])
+            ids = [e if e >= 0 else ~e for e in block]
+            assert ids == sorted(ids)  # ties break by interval id
+
+
+def test_normalize_exact_on_float_ties_and_overflow():
+    tiny = Fraction(1, 10**30)
+    inst = make_instance([[1 + tiny, 2], [1, 1 + tiny], [1, 2]], 2)
+    assert float(1 + tiny) == 1.0
+    norm = normalize(inst)
+    assert norm.coords == (1, 1 + tiny, 2)
+    assert norm.order == (1, 2, 0, ~1, ~0, ~2)
+    huge = 10**400  # beyond float range: the exact fallback sorts
+    inst = make_instance([[huge, huge + 1], [-huge, huge]], 2)
+    norm = normalize(inst)
+    assert norm.coords == (-huge, huge, huge + 1)
+    assert norm.order == (1, 0, ~1, ~0)
 
 
 def test_imbalance_monochromatic_overlap():
@@ -184,16 +218,15 @@ def test_normalize_is_clique_complete():
     rng = random.Random(19)
     for _ in range(150):
         inst = random_instance(rng, rng.randint(0, 10), 2, collide=0.5)
-        events = normalize(inst).events()
         rank_cliques = {frozenset()}
         active = set()
-        for ev in events:
-            if ev.kind == START:
-                active.add(ev.interval)
+        for e in normalize(inst).order:
+            if e >= 0:
+                active.add(e)
             else:
-                active.discard(ev.interval)
+                active.discard(~e)
             rank_cliques.add(frozenset(active))
-        for _, clique in point_cliques(inst.intervals):
+        for _, clique in point_cliques(inst):
             assert clique in rank_cliques
 
 

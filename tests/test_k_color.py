@@ -1,4 +1,4 @@
-"""Constraint construction, edge coloring, and the general k-coloring."""
+"""Constraint sweep, edge coloring, and the general k-coloring."""
 
 import random
 
@@ -7,6 +7,7 @@ import pytest
 from intervalcolor.core import (
     Coloring,
     InvariantViolation,
+    NormalizedInstance,
     imbalance,
     is_balanced,
     make_instance,
@@ -14,16 +15,10 @@ from intervalcolor.core import (
     normalize,
 )
 from intervalcolor.k_color import (
-    REAL,
-    VIRTUAL_X,
-    VIRTUAL_Y,
-    Constraint,
-    build_constraints,
-    constraints_to_graph,
-    describe_item,
+    EdgeGraph,
+    constraint_graph,
     edge_color,
     hypergraph_to_instance,
-    item_kind,
     k_color,
     k_color_dewerra,
 )
@@ -31,50 +26,52 @@ from intervalcolor.two_color import two_color
 
 from helpers import (
     assert_proper_edge_coloring,
+    assert_sweep_graph,
     random_bipartite_multigraph,
     random_instance,
 )
 
 
-def readable(constraints, n):
-    return [
-        (tuple(describe_item(i, n) for i in c.items), c.side) for c in constraints
-    ]
+def sweep(bounds, k):
+    return constraint_graph(normalize(make_instance(bounds, k)), k)
+
+
+def edges(graph):
+    return list(zip(graph.starts, graph.ends, graph.items))
 
 
 def test_three_starts_open_a_full_window():
-    inst = make_instance([[0, 1], ["0.2", "1.5"], ["0.4", 2]], 3)
-    constraints, _ = build_constraints(normalize(inst), 3)
-    assert constraints[0].items == (0, 1, 2)
-    assert constraints[0].side == "start"
+    graph = sweep([[0, 1], ["0.2", "1.5"], ["0.4", 2]], 3)
+    # one start-side window of all three, closed by one end-side window
+    assert edges(graph) == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
 
 
 def test_worked_example_constraints():
-    inst = make_instance([[0, 2], [1, 5], [4, 6]], 3)
-    constraints, occurrences = build_constraints(normalize(inst), 3)
-    assert readable(constraints, 3) == [
-        (("I0", "I1", "x0"), "start"),
-        (("y0", "I0", "x0"), "end"),
-        (("y0", "I2", "x1"), "start"),
-        (("y1", "I1", "x1"), "end"),
-        (("y1", "x2", "x3"), "start"),
-        (("I2", "x2", "x3"), "end"),
+    # start side S0 = {I0, I1, x0}, S1 = {y0, I2, x1}, S2 = {y1, x2, x3};
+    # end side E0 = {y0, I0, x0}, E1 = {y1, I1, x1}, E2 = {I2, x2, x3}.
+    # Each item's edge is written when its second constraint closes.
+    graph = sweep([[0, 2], [1, 5], [4, 6]], 3)
+    assert edges(graph) == [
+        (0, 0, 0),  # E0: I0
+        (0, 0, -1),  # E0: x0
+        (1, 0, -1),  # S1: y0
+        (0, 1, 1),  # E1: I1
+        (1, 1, -1),  # E1: x1
+        (2, 1, -1),  # S2: y1
+        (1, 2, 2),  # E2: I2
+        (2, 2, -1),  # E2: x2
+        (2, 2, -1),  # E2: x3
     ]
-    assert occurrences[0] == [0, 1]
-    assert occurrences[2] == [2, 5]
 
 
 def test_single_interval_k2_hits_both_sides():
-    constraints, _ = build_constraints(normalize(make_instance([[0, 1]], 2)), 2)
-    assert readable(constraints, 1) == [
-        (("I0", "x0"), "start"),
-        (("I0", "x0"), "end"),
-    ]
+    # S0 = {I0, x0} and E0 = {I0, x0}
+    assert edges(sweep([[0, 1]], 2)) == [(0, 0, 0), (0, 0, -1)]
 
 
 def test_build_constraints_rejects_k1():
     with pytest.raises(ValueError):
-        build_constraints(normalize(make_instance([[0, 1]], 1)), 1)
+        sweep([[0, 1]], 1)
 
 
 def test_constraint_structure_on_random_instances():
@@ -82,88 +79,54 @@ def test_constraint_structure_on_random_instances():
     for _ in range(150):
         k = rng.randint(2, 6)
         inst = random_instance(rng, rng.randint(0, 40), k, collide=0.4)
-        constraints, occurrences = build_constraints(normalize(inst), k)
-        sides = {c.id: c.side for c in constraints}
-        for c in constraints:
-            assert len(c.items) == k
-            assert len(set(c.items)) == k
-        virtuals = 0
-        for item, cids in occurrences.items():
-            assert len(cids) == 2
-            first, second = sides[cids[0]], sides[cids[1]]
-            assert {first, second} == {"start", "end"}
-            kind = item_kind(item, inst.n)
-            if kind != REAL:
-                virtuals += 1
+        graph = constraint_graph(normalize(inst), k)
+        assert_sweep_graph(graph, inst.n, k)
+        virtuals = graph.items.count(-1)
         assert virtuals <= 2 * max(inst.n, 1) * (k - 1)
 
 
 def test_graph_for_single_interval_is_two_parallel_edges():
-    constraints, _ = build_constraints(normalize(make_instance([[0, 1]], 2)), 2)
-    graph = constraints_to_graph(constraints)
-    assert graph.start_vertices == (0,)
-    assert graph.end_vertices == (1,)
-    assert len(graph.edges) == 2
-    assert all(e.start_pos == 0 and e.end_pos == 0 for e in graph.edges)
+    graph = sweep([[0, 1]], 2)
+    assert graph.starts == (0, 0) and graph.ends == (0, 0)
 
 
 def test_graph_for_worked_example_is_3_regular():
-    inst = make_instance([[0, 2], [1, 5], [4, 6]], 3)
-    constraints, _ = build_constraints(normalize(inst), 3)
-    graph = constraints_to_graph(constraints)
-    assert len(graph.start_vertices) == 3
-    assert len(graph.end_vertices) == 3
-    assert len(graph.edges) == 9
-    deg_l = [0] * 3
-    deg_r = [0] * 3
-    for e in graph.edges:
-        deg_l[e.start_pos] += 1
-        deg_r[e.end_pos] += 1
-    assert deg_l == [3, 3, 3] and deg_r == [3, 3, 3]
+    graph = sweep([[0, 2], [1, 5], [4, 6]], 3)
+    assert_sweep_graph(graph, 3, 3)
+    assert len(set(graph.starts)) == len(set(graph.ends)) == 3
 
 
 def test_graph_of_empty_constraint_list():
-    graph = constraints_to_graph([])
-    assert graph.edges == ()
-    assert graph.start_vertices == () and graph.end_vertices == ()
+    assert sweep([], 3) == EdgeGraph((), (), ())
 
 
 def test_graph_rejects_inconsistent_occurrences():
-    lonely = [Constraint(0, (0, 1), "start"), Constraint(1, (0, 2), "end")]
-    with pytest.raises(InvariantViolation):
-        constraints_to_graph(lonely)  # items 1 and 2 occur once each
-    same_side = [
-        Constraint(0, (0, 1), "start"),
-        Constraint(1, (0, 1), "start"),
+    # hand-built orders that no instance ranks to
+    cases = [
+        ((~0, 0), 2, "without a matching start-side"),  # end ranked before start
+        ((0, 1, ~1, ~1), 2, "without a matching start-side"),  # second end
+        ((0, 0), 2, "second start-side vertex"),
+        ((0, 1, 1, 0), 3, "second start-side vertex"),
+        ((0, 0), 3, "ended inside an open window"),
     ]
-    with pytest.raises(InvariantViolation):
-        constraints_to_graph(same_side)
+    for order, k, message in cases:
+        with pytest.raises(InvariantViolation, match=message):
+            constraint_graph(NormalizedInstance(order, (), ()), k)
 
 
 def test_edge_color_shared_left_vertex_path():
-    graph = random_bipartite_multigraph(random.Random(0), 1, 2, 0, 2)
-    from intervalcolor.k_color import EdgeGraph, EdgeItem
-
-    graph = EdgeGraph((0,), (0, 1), (EdgeItem(0, 0, 0), EdgeItem(1, 0, 1)))
+    graph = EdgeGraph((0, 0), (0, 1), (0, 1))
     assert edge_color(graph, 2) == (1, 2)
 
 
 def test_edge_color_parallel_edges_use_all_colors():
-    from intervalcolor.k_color import EdgeGraph, EdgeItem
-
     k = 4
-    graph = EdgeGraph(
-        (0,), (0,), tuple(EdgeItem(i, 0, 0) for i in range(k))
-    )
+    graph = EdgeGraph((0,) * k, (0,) * k, tuple(range(k)))
     assert sorted(edge_color(graph, k)) == list(range(1, k + 1))
 
 
 def test_edge_color_rejects_degree_overflow():
-    from intervalcolor.k_color import EdgeGraph, EdgeItem
-
-    graph = EdgeGraph(
-        (0,), (0,), tuple(EdgeItem(i, 0, 0) for i in range(3))
-    )
+    graph = EdgeGraph((0,) * 3, (0,) * 3, (0, 1, 2))
     with pytest.raises(InvariantViolation):
         edge_color(graph, 2)
 

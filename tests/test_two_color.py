@@ -5,99 +5,108 @@ import random
 import pytest
 
 from intervalcolor.core import (
-    END,
-    START,
+    InvariantViolation,
+    NormalizedInstance,
     imbalance,
     is_balanced,
     make_instance,
     min_imbalance_oracle,
     normalize,
 )
-from intervalcolor.two_color import (
-    build_constraint_graph,
-    pair_events,
-    two_color,
-)
+from intervalcolor.two_color import two_color
 
 from helpers import random_instance, steady_pair_seconds
 
 
-def events_of(pair):
-    return (
-        (pair.first.interval, pair.first.kind),
-        (pair.second.interval, pair.second.kind),
-    )
+def pairs(inst):
+    """The ranked events two by two: ranks (2i-1, 2i) as (i or ~i, j or ~j)."""
+    order = normalize(inst).order
+    return list(zip(order[0::2], order[1::2]))
 
 
 def test_pair_events_single_interval():
-    pairs = pair_events(normalize(make_instance([[0, 1]], 2)))
-    assert len(pairs) == 1
-    assert events_of(pairs[0]) == ((0, START), (0, END))
+    assert pairs(make_instance([[0, 1]], 2)) == [(0, ~0)]
 
 
 def test_pair_events_nested():
-    pairs = pair_events(normalize(make_instance([[0, 3], [1, 2]], 2)))
-    assert [events_of(p) for p in pairs] == [
-        ((0, START), (1, START)),
-        ((1, END), (0, END)),
-    ]
+    assert pairs(make_instance([[0, 3], [1, 2]], 2)) == [(0, 1), (~1, ~0)]
 
 
 def test_pair_events_staggered():
     inst = make_instance([[0, 2], [1, 4], [3, 6], [5, 7]], 2)
-    pairs = pair_events(normalize(inst))
-    assert [events_of(p) for p in pairs] == [
-        ((0, START), (1, START)),
-        ((0, END), (2, START)),
-        ((1, END), (3, START)),
-        ((2, END), (3, END)),
-    ]
+    assert pairs(inst) == [(0, 1), (~0, 2), (~1, 3), (~2, ~3)]
 
 
 def test_pair_ranks_are_consecutive():
+    # every pair encloses a region of odd depth: rank 2i-1 ends at odd depth
     rng = random.Random(3)
     for _ in range(50):
         inst = random_instance(rng, rng.randint(0, 20), 2)
-        for i, pair in enumerate(pair_events(normalize(inst))):
-            assert pair.first.rank == 2 * i + 1
-            assert pair.second.rank == 2 * i + 2
+        depth = 0
+        for first, second in pairs(inst):
+            depth += 1 if first >= 0 else -1
+            assert depth % 2 == 1
+            depth += 1 if second >= 0 else -1
+        assert depth == 0
 
 
 def test_graph_parallel_edges():
-    pairs = pair_events(normalize(make_instance([[0, 3], [1, 2]], 2)))
-    partition, graph = build_constraint_graph(pairs)
-    assert graph.vertices == (0, 1)
-    assert sorted(e.kind for e in graph.edges) == ["end", "start"]
-    assert all({e.chain_a, e.chain_b} == {0, 1} for e in graph.edges)
+    # a start pair and an end pair join the same two intervals
+    col = two_color(make_instance([[0, 3], [1, 2]], 2))
+    assert col.colors == (1, 2)
 
 
 def test_graph_merges_chains():
     inst = make_instance([[0, 2], [1, 4], [3, 6], [5, 7]], 2)
-    partition, graph = build_constraint_graph(pair_events(normalize(inst)))
-    assert partition.find(0) == partition.find(2)
-    assert partition.find(1) == partition.find(3)
-    assert graph.vertices == (0, 1)
-    assert sorted(e.kind for e in graph.edges) == ["end", "start"]
+    col = two_color(inst).colors
+    assert col[0] == col[2] and col[1] == col[3]  # merged by start/end pairs
+    assert col[0] != col[1]  # opposed by the start pair and the end pair
 
 
 def test_graph_isolated_chain():
-    partition, graph = build_constraint_graph(
-        pair_events(normalize(make_instance([[0, 1]], 2)))
-    )
-    assert graph.vertices == (0,)
-    assert graph.edges == ()
+    assert two_color(make_instance([[0, 1]], 2)).colors == (1,)
 
 
 def test_graph_incidence_is_at_most_one_per_kind():
+    # a start/end pair of two intervals merges them into one chain; each
+    # chain meets at most one start pair and one end pair, and the
+    # coloring keeps chains alike and opposes the two sides of every pair
     rng = random.Random(5)
     for _ in range(200):
         inst = random_instance(rng, rng.randint(0, 40), 2, collide=0.4)
-        _, graph = build_constraint_graph(pair_events(normalize(inst)))
+        colors = two_color(inst).colors
+        chain = list(range(inst.n))
+
+        def root(i):
+            while chain[i] != i:
+                i = chain[i]
+            return i
+
+        same_kind = []
+        for a, b in pairs(inst):
+            i, j = (a if a >= 0 else ~a), (b if b >= 0 else ~b)
+            if i == j:
+                continue
+            if (a >= 0) != (b >= 0):
+                chain[root(i)] = root(j)
+                assert colors[i] == colors[j]
+            else:
+                same_kind.append((i, j, a >= 0))
+                assert colors[i] != colors[j]
         seen = set()
-        for edge in graph.edges:
-            for chain in (edge.chain_a, edge.chain_b):
-                assert (chain, edge.kind) not in seen
-                seen.add((chain, edge.kind))
+        for i, j, kind in same_kind:
+            for c in (root(i), root(j)):
+                assert (c, kind) not in seen
+                seen.add((c, kind))
+
+
+def test_two_color_rejects_contradictory_pairs():
+    # interval 0 starts twice and never ends: the pairs ask intervals 0
+    # and 1 to be both alike and opposite
+    inst = make_instance([[0, 1], [0, 1]], 2)
+    object.__setattr__(inst, "_normalized", NormalizedInstance((0, 1, 0, ~1), (), ()))
+    with pytest.raises(InvariantViolation, match="odd cycle"):
+        two_color(inst)
 
 
 def test_two_color_examples():
