@@ -42,7 +42,6 @@ from .k_color import hypergraph_to_instance, k_color, k_color_dewerra
 from .online import (
     adversary_general,
     make_algorithm,
-    presentation_trace,
     run_online,
 )
 
@@ -129,8 +128,7 @@ def cmd_online(args: argparse.Namespace) -> int:
     alg = make_algorithm(name, seed=args.seed)
     if args.adversary:
         transcript = adversary_general(alg, args.k, args.rounds)
-        trace = presentation_trace(transcript)
-        _emit(format_transcript_jsonl(transcript.presented, transcript.colors, trace))
+        _emit(format_transcript_jsonl(transcript.presented, transcript.colors, transcript.trace))
         final = transcript.final_imbalance
         summary = {"final_imbalance": final, "rounds": args.rounds}
         if args.k == 2:

@@ -119,9 +119,6 @@ class Box:
         if self.tag not in BOX_TAGS:
             raise ValueError(f"box {self.id}: unknown tag {self.tag!r}")
 
-    def contains(self, point: Sequence[Coord]) -> bool:
-        return all(lo <= x <= hi for (lo, hi), x in zip(self.bounds, point))
-
 
 @dataclass(frozen=True)
 class BoxInstance:
@@ -531,7 +528,8 @@ def _dim_samples_and_masks(
 ) -> List[Tuple[List[Coord], List[int]]]:
     """Per dimension: sample coordinates (endpoints and midpoints between
     consecutive endpoints) and, per sample, the bitmask of boxes whose
-    projection covers it."""
+    projection covers it.  Endpoint coords[i] is sample 2i; each box's bit
+    is toggled in at its lo sample and out just after its hi sample."""
     per_dim: List[Tuple[List[Coord], List[int]]] = []
     for dim in range(d):
         coords = sorted(
@@ -542,13 +540,16 @@ def _dim_samples_and_masks(
             if idx:
                 samples.append((coords[idx - 1] + x) / 2)
             samples.append(x)
+        slot = {x: 2 * idx for idx, x in enumerate(coords)}
+        toggles = [0] * (len(samples) + 1)
+        for box in boxes:
+            lo, hi = box.bounds[dim]
+            toggles[slot[lo]] ^= 1 << box.id
+            toggles[slot[hi] + 1] ^= 1 << box.id
         masks: List[int] = []
-        for x in samples:
-            msk = 0
-            for box in boxes:
-                lo, hi = box.bounds[dim]
-                if lo <= x <= hi:
-                    msk |= 1 << box.id
+        msk = 0
+        for change in toggles[:-1]:
+            msk ^= change
             masks.append(msk)
         per_dim.append((samples, masks))
     return per_dim

@@ -330,19 +330,15 @@ def _worst_pair(
     Returns (difference, (i, j)) with the lexicographically smallest pair
     among maximizers.
     """
-    k = instance.k
-    coloring = Coloring(tuple(colors), k)
-    report = imbalance(instance, coloring, with_regions=True)
+    report = imbalance(instance, Coloring(tuple(colors), instance.k), with_regions=True)
     best = 0
     best_pair = (1, 2)
     for region in report.per_region:
         counts = region.counts
-        for i in range(k):
-            for j in range(i + 1, k):
-                diff = abs(counts[i] - counts[j])
-                if diff > best:
-                    best = diff
-                    best_pair = (i + 1, j + 1)
+        hi, lo = max(counts), min(counts)
+        if hi - lo > best:
+            best = hi - lo
+            best_pair = tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
     return best, best_pair
 
 

@@ -10,13 +10,18 @@ can keep the spread bounded.  For k > 2 only two colors are tracked; an
 interval answered with an untracked color is re-presented with a slightly
 larger startpoint until the algorithm yields a tracked color or the
 stacked copies themselves certify a large spread.
+
+Both run_online and the adversary present intervals through one session
+that asks the algorithm for a color, checks it, and measures the
+imbalance of the prefix so far with the offline sweep, so every recorded
+bound is observed, not assumed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from intervalcolor.core import (
     Coloring,
@@ -46,18 +51,17 @@ __all__ = [
 class OnlineAlgorithm:
     """Irrevocable one-interval-at-a-time coloring strategy.
 
-    reset(k) starts a fresh run; assign sees the new interval plus the full
-    history of (interval, chosen color) pairs and must return a color in
-    1..k.  Implementations must be deterministic given k, the history, and
+    reset(k) starts a fresh run.  assign is called once per arrival, in
+    arrival order, and must return a color in 1..k; the interval keeps that
+    color, so an algorithm that needs the past records it itself.
+    Implementations must be deterministic given k, the arrivals so far, and
     their own construction arguments (e.g. a seed).
     """
 
     def reset(self, k: int) -> None:
         raise NotImplementedError
 
-    def assign(
-        self, interval: Interval, history: Sequence[Tuple[Interval, int]]
-    ) -> int:
+    def assign(self, interval: Interval) -> int:
         raise NotImplementedError
 
 
@@ -66,9 +70,11 @@ class RoundRobin(OnlineAlgorithm):
 
     def reset(self, k: int) -> None:
         self.k = k
+        self.calls = 0
 
-    def assign(self, interval, history):
-        return (len(history) % self.k) + 1
+    def assign(self, interval):
+        self.calls += 1
+        return (self.calls - 1) % self.k + 1
 
 
 class GreedyLeastLoaded(OnlineAlgorithm):
@@ -81,13 +87,16 @@ class GreedyLeastLoaded(OnlineAlgorithm):
 
     def reset(self, k: int) -> None:
         self.k = k
+        self.answers: List[Tuple[Interval, int]] = []
 
-    def assign(self, interval, history):
+    def assign(self, interval):
         counts = [0] * self.k
-        for old, color in history:
+        for old, color in self.answers:
             if old.contains(interval.lo):
                 counts[color - 1] += 1
-        return counts.index(min(counts)) + 1
+        color = counts.index(min(counts)) + 1
+        self.answers.append((interval, color))
+        return color
 
 
 class SeededRandom(OnlineAlgorithm):
@@ -100,7 +109,7 @@ class SeededRandom(OnlineAlgorithm):
         self.k = k
         self.rng = random.Random(self.seed)
 
-    def assign(self, interval, history):
+    def assign(self, interval):
         return self.rng.randint(1, self.k)
 
 
@@ -114,7 +123,7 @@ class AlwaysColor(OnlineAlgorithm):
         if not (1 <= self.color <= k):
             raise ValueError(f"constant color {self.color} outside 1..{k}")
 
-    def assign(self, interval, history):
+    def assign(self, interval):
         return self.color
 
 
@@ -135,24 +144,24 @@ def make_algorithm(name: str, seed: Optional[int] = None) -> OnlineAlgorithm:
 class Transcript:
     """Record of an adversary run.
 
-    presented and colors have one entry per presentation, including the
-    re-presented copies for k > 2.  simb_l, simb_r, and max_imbalance have
-    one entry per completed adversary round: the signed color-1-minus-
-    color-2 count inside the current L and R regions, and the spread of
-    the prefix instance measured by the offline sweep, so the recorded
-    bound is observed, not assumed.
+    presented, colors, and trace have one entry per presentation,
+    including the re-presented copies for k > 2: the interval, its color,
+    and the imbalance of the prefix instance it closes, measured by the
+    offline sweep.  simb_l and simb_r have one entry per completed
+    adversary round: the signed color-1-minus-color-2 count inside the
+    current L and R regions.
     """
 
     presented: Tuple[Interval, ...]
     colors: Tuple[int, ...]
+    trace: Tuple[int, ...]
     simb_l: Tuple[int, ...]
     simb_r: Tuple[int, ...]
-    max_imbalance: Tuple[int, ...]
     k: int
 
     @property
     def final_imbalance(self) -> int:
-        return self.max_imbalance[-1] if self.max_imbalance else 0
+        return self.trace[-1] if self.trace else 0
 
 
 def transcript_instance(transcript: Transcript) -> Instance:
@@ -160,32 +169,31 @@ def transcript_instance(transcript: Transcript) -> Instance:
     return Instance(transcript.presented, transcript.k)
 
 
-def presentation_trace(transcript: Transcript) -> Tuple[int, ...]:
-    """Realized imbalance after each presentation, repeats included.
+class _Session:
+    """One run: each presented interval, its color, and its prefix imbalance."""
 
-    Unlike Transcript.max_imbalance this has one entry per presented
-    interval, so it lines up with transcript.presented and .colors.
-    """
-    presented: List[Interval] = []
-    colors: List[int] = []
-    trace: List[int] = []
-    for itv, color in zip(transcript.presented, transcript.colors):
-        presented.append(itv)
-        colors.append(color)
-        trace.append(_prefix_imbalance(presented, colors, transcript.k))
-    return tuple(trace)
+    def __init__(self, alg: OnlineAlgorithm, k: int):
+        alg.reset(k)
+        self.alg = alg
+        self.k = k
+        self.presented: List[Interval] = []
+        self.colors: List[int] = []
+        self.trace: List[int] = []
+
+    def present(self, itv: Interval) -> int:
+        color = self.alg.assign(itv)
+        if not (1 <= color <= self.k):
+            raise ValueError(f"algorithm returned color {color}, outside 1..{self.k}")
+        self.presented.append(itv)
+        self.colors.append(color)
+        prefix = Instance(tuple(self.presented), self.k)
+        self.trace.append(imbalance(prefix, Coloring(tuple(self.colors), self.k)).value)
+        return color
 
 
-def _prefix_imbalance(presented: List[Interval], colors: List[int], k: int) -> int:
-    instance = Instance(tuple(presented), k)
-    return imbalance(instance, Coloring(tuple(colors), k)).value
-
-
-def _signed_count(
-    presented: List[Interval], colors: List[int], point: Coord
-) -> int:
+def _signed_count(session: _Session, point: Coord) -> int:
     total = 0
-    for itv, color in zip(presented, colors):
+    for itv, color in zip(session.presented, session.colors):
         if itv.contains(point):
             if color == 1:
                 total += 1
@@ -202,27 +210,16 @@ def run_online(
     Startpoints must be nondecreasing (the online contract).  Returns the
     final coloring and the realized imbalance after each assignment.
     """
-    k = instance.k
-    alg.reset(k)
-    history: List[Tuple[Interval, int]] = []
-    colors: List[int] = []
-    presented: List[Interval] = []
-    trace: List[int] = []
-    last_start: Optional[Coord] = None
-    for itv in instance.intervals:
-        if last_start is not None and itv.lo < last_start:
+    intervals = instance.intervals
+    for prev, itv in zip(intervals, intervals[1:]):
+        if itv.lo < prev.lo:
             raise ValueError(
-                f"interval {itv.id} starts at {itv.lo}, before previous {last_start}"
+                f"interval {itv.id} starts at {itv.lo}, before previous {prev.lo}"
             )
-        last_start = itv.lo
-        color = alg.assign(itv, tuple(history))
-        if not (1 <= color <= k):
-            raise ValueError(f"algorithm returned color {color}, outside 1..{k}")
-        history.append((itv, color))
-        presented.append(itv)
-        colors.append(color)
-        trace.append(_prefix_imbalance(presented, colors, k))
-    return Coloring(tuple(colors), k), tuple(trace)
+    session = _Session(alg, instance.k)
+    for itv in intervals:
+        session.present(itv)
+    return Coloring(tuple(session.colors), instance.k), tuple(session.trace)
 
 
 def adversary_k2(alg: OnlineAlgorithm, t: int) -> Transcript:
@@ -271,37 +268,24 @@ def adversary_general(
 def _run_adversary(
     alg: OnlineAlgorithm, k: int, t: int, repeat_budget: int
 ) -> Transcript:
-    alg.reset(k)
+    session = _Session(alg, k)
+    presented = session.presented
     L = (Coord(0), Coord(1))
     R = (Coord(2), Coord(3))
-    history: List[Tuple[Interval, int]] = []
-    presented: List[Interval] = []
-    colors: List[int] = []
     simb_l: List[int] = []
     simb_r: List[int] = []
-    max_imbalance: List[int] = []
-    last_start: Optional[Coord] = None
 
-    def record(point_l: Coord, point_r: Coord) -> None:
-        simb_l.append(_signed_count(presented, colors, point_l))
-        simb_r.append(_signed_count(presented, colors, point_r))
-        max_imbalance.append(_prefix_imbalance(presented, colors, k))
+    def record() -> None:
+        simb_l.append(_signed_count(session, (L[0] + L[1]) / 2))
+        simb_r.append(_signed_count(session, (R[0] + R[1]) / 2))
 
     def present(lo: Coord, hi: Coord) -> int:
-        nonlocal last_start
-        if last_start is not None and lo <= last_start:
+        if presented and lo <= presented[-1].lo:
             raise InvariantViolation(
-                f"adversary startpoints must increase strictly: {lo} after {last_start}"
+                f"adversary startpoints must increase strictly:"
+                f" {lo} after {presented[-1].lo}"
             )
-        last_start = lo
-        itv = Interval(len(presented), lo, hi)
-        color = alg.assign(itv, tuple(history))
-        if not (1 <= color <= k):
-            raise ValueError(f"algorithm returned color {color}, outside 1..{k}")
-        history.append((itv, color))
-        presented.append(itv)
-        colors.append(color)
-        return color
+        return session.present(Interval(len(presented), lo, hi))
 
     for _ in range(t):
         mid_l = (L[0] + L[1]) / 2
@@ -318,20 +302,20 @@ def _run_adversary(
         if color > 2:
             # the algorithm exhausted the budget with untracked colors;
             # the stacked copies already certify the spread
-            record((L[0] + L[1]) / 2, (R[0] + R[1]) / 2)
+            record()
             break
         if color == 1:
             R = (R[0], mid_r)
         else:
             R = (mid_r, R[1])
         L = (mid_l, L[1])
-        record((L[0] + L[1]) / 2, (R[0] + R[1]) / 2)
+        record()
 
     return Transcript(
         tuple(presented),
-        tuple(colors),
+        tuple(session.colors),
+        tuple(session.trace),
         tuple(simb_l),
         tuple(simb_r),
-        tuple(max_imbalance),
         k,
     )

@@ -5,15 +5,32 @@ own formats.  Each case pins the exit code and the digest of stdout, so
 any change to the colors a command prints shows up as a failure; a
 deliberate change of output must update the digests and say so in
 CHANGES.md.
+
+Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print
+each case's name, exit code and stdout sha256 at the current code, so
+deliberate changes can be recaptured and reviewed as a diff.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from intervalcolor.cli import main
-from intervalcolor.formats import coord_json, format_instance_json
+from intervalcolor.core import make_instance
+from intervalcolor.formats import (
+    coord_json,
+    format_box_instance_json,
+    format_instance_json,
+    parse_nae_text,
+)
+from intervalcolor.hardness import reduce_nae_to_boxes
 from helpers import random_arc_instance, random_instance
 
 
@@ -47,7 +64,25 @@ def matrix_file(seed, rows, width):
     return "\n".join(lines) + "\n"
 
 
-# name -> (input text, extra argv, exit code, sha256 of stdout)
+def stream_file(seed, n, k):
+    """Online stream: nondecreasing half-integer starts with repeats."""
+    rng = random.Random(seed)
+    lo, bounds = Fraction(0), []
+    for _ in range(n):
+        lo += Fraction(rng.choice((0, 0, 1, 1, 2, 3)), 2)
+        bounds.append((lo, lo + Fraction(rng.randrange(0, 40), 2)))
+    return format_instance_json(make_instance(bounds, k))
+
+
+NAE_FORMULA = "p nae 4 3\n1 2 3\n2 3 4\n1 3 4\n"
+
+
+def box_file():
+    return format_box_instance_json(reduce_nae_to_boxes(parse_nae_text(NAE_FORMULA), 2))
+
+
+# name -> (input text or None, argv, exit code, sha256 of stdout); with an
+# input the case's argv gets "--input PATH" appended
 CASES = {
     "color-k2": (
         lambda: interval_file(1, 2000, 2),
@@ -97,14 +132,66 @@ CASES = {
         0,
         "c75d579e2a30e3e25fa8a6a5f2ddfb6d3eda5153730f3ff742eec9decb67e64b",
     ),
+    "online-greedy-k3": (
+        lambda: stream_file(9, 300, 3),
+        ["online", "--algorithm", "greedy_least_loaded", "--k", "3", "--rounds", "300"],
+        0,
+        "af28b368427a71e0c74388679090116fdac1b161a0918065e6e97f71c562bbce",
+    ),
+    "online-adversary-round-robin-k2": (
+        None,
+        ["online", "--adversary", "--algorithm", "round_robin", "--k", "2", "--rounds", "60"],
+        0,
+        "f658c69a3e6dded7e180b9ca6d7217ca98fba98861e9c7bbc86a7fc528d2c5f0",
+    ),
+    "online-adversary-seeded-random-k4": (
+        None,
+        ["online", "--adversary", "--algorithm", "seeded_random", "--seed", "10",
+         "--k", "4", "--rounds", "30"],
+        0,
+        "a07da906e684ef70fa7ebce00e2cecaf4c09ca9ce01023118de1eae7bf754fa9",
+    ),
+    "online-adversary-greedy-k3": (
+        None,
+        ["online", "--adversary", "--algorithm", "greedy", "--k", "3", "--rounds", "20"],
+        0,
+        "9c3f2ea8a587d66a5e6bc7ea451ad1ad38754b86a3441c6bc1fd43f78afe9583",
+    ),
+    "reduce-nae3sat": (
+        lambda: NAE_FORMULA,
+        ["reduce", "nae3sat"],
+        0,
+        "0a458737f9129e69f619d4ef8fdb31671aa597805c1f491015419e7e5b6c87e5",
+    ),
+    "decide-boxes": (
+        box_file,
+        ["decide-boxes"],
+        0,
+        "92da5570e7e94f06d54f81caca0b4bc97f3c16dfab5e4986b07a6130022b9651",
+    ),
 }
 
 
+def run_case(name, directory):
+    """Exit code and stdout sha256 of one case at the current code."""
+    make_input, argv, _, _ = CASES[name]
+    if make_input is not None:
+        path = Path(directory) / "input"
+        path.write_text(make_input(), encoding="utf-8")
+        argv = argv + ["--input", str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_stdout_is_pinned(name, tmp_path, capsys):
-    make_input, argv, code, digest = CASES[name]
-    path = tmp_path / "input"
-    path.write_text(make_input(), encoding="utf-8")
-    got = main(argv + ["--input", str(path)])
-    out = capsys.readouterr().out
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+def test_cli_stdout_is_pinned(name, tmp_path):
+    assert run_case(name, tmp_path) == CASES[name][2:]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        for name in sorted(CASES):
+            code, digest = run_case(name, directory)
+            print(f"{name} {code} {digest}")

@@ -237,6 +237,36 @@ def test_box_imbalance_basics():
         box_imbalance(single, Coloring((1,), 3))
 
 
+def test_box_imbalance_counts_touching_faces():
+    # closed boxes: two boxes meeting only along x = 1 both count there
+    inst = make_box_instance([[(0, 1), (0, 1)], [(1, 2), (0, 1)]], 2)
+    report = box_imbalance(inst, Coloring((1, 1), 2))
+    assert (report.value, report.witness) == (2, (Fraction(1), Fraction(0)))
+
+
+def test_box_imbalance_matches_pointwise_counts():
+    # integer endpoints in 0..4, so the half-integer grid meets every
+    # endpoint and every open gap between consecutive endpoints
+    rng = random.Random(17)
+    grid = [Fraction(v, 2) for v in range(-1, 10)]
+    for _ in range(120):
+        d, n, k = rng.randint(1, 3), rng.randint(1, 6), rng.randint(1, 3)
+        bounds = [
+            [sorted((rng.randint(0, 4), rng.randint(0, 4))) for _ in range(d)]
+            for _ in range(n)
+        ]
+        inst = make_box_instance(bounds, k)
+        coloring = Coloring(tuple(rng.randint(1, k) for _ in range(n)), k)
+        best = 0
+        for point in product(grid, repeat=d):
+            counts = [0] * k
+            for box, color in zip(inst.boxes, coloring.colors):
+                if all(lo <= x <= hi for (lo, hi), x in zip(box.bounds, point)):
+                    counts[color - 1] += 1
+            best = max(best, max(counts) - min(counts))
+        assert box_imbalance(inst, coloring).value == best
+
+
 def test_three_rectangles_can_force_spread_two():
     # pairwise-only regions for each pair plus one triple region: any
     # 2-coloring leaves some pair monochromatic in its private region

@@ -2,10 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from intervalcolor.core import (
+    Coloring,
+    Instance,
     InvariantViolation,
     imbalance,
     is_balanced,
@@ -31,7 +34,7 @@ class BadAlgorithm(OnlineAlgorithm):
     def reset(self, k):
         pass
 
-    def assign(self, interval, history):
+    def assign(self, interval):
         return 0
 
 
@@ -122,7 +125,7 @@ def test_adversary_k2_signed_accounting_per_round():
                 m += 1
             assert tr.simb_r[i] == p
             assert tr.simb_l[i] == p - m
-            assert tr.max_imbalance[i] >= max(abs(tr.simb_r[i]), abs(tr.simb_l[i]))
+            assert tr.trace[i] >= max(abs(tr.simb_r[i]), abs(tr.simb_l[i]))
 
 
 def test_adversary_startpoints_strictly_increase():
@@ -193,3 +196,67 @@ def test_adversary_general_signed_accounting_with_storms():
         assert tr.simb_l[rounds] == p - m
         rounds += 1
     assert rounds == 25
+
+
+def prefix_imbalances(intervals, colors, k):
+    """The oracle: imbalance of every prefix, each ranked from scratch."""
+    return tuple(
+        imbalance(Instance(tuple(intervals[:i]), k), Coloring(tuple(colors[:i]), k)).value
+        for i in range(1, len(intervals) + 1)
+    )
+
+
+def random_stream(rng, n, k):
+    """Nondecreasing starts with repeats; touching, nested and point
+    intervals; coordinates in halves and thirds."""
+    step = (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1))
+    length = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2, 3), Fraction(5))
+    lo, bounds = Fraction(0), []
+    for _ in range(n):
+        lo += rng.choice(step)
+        bounds.append((lo, lo + rng.choice(length)))
+    return make_instance(bounds, k)
+
+
+def greedy_reference(intervals, k):
+    """Least-loaded color at each startpoint, scanning the whole history."""
+    colors = []
+    for pos, itv in enumerate(intervals):
+        counts = [0] * k
+        for old, color in zip(intervals[:pos], colors):
+            if old.lo <= itv.lo <= old.hi:
+                counts[color - 1] += 1
+        colors.append(counts.index(min(counts)) + 1)
+    return tuple(colors)
+
+
+def test_run_online_trace_matches_prefix_oracle():
+    rng = random.Random(61)
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        inst = random_stream(rng, rng.randint(0, 25), k)
+        for name in ALGORITHM_NAMES:
+            coloring, trace = run_online(make_algorithm(name, seed=7), inst)
+            assert trace == prefix_imbalances(inst.intervals, coloring.colors, k), name
+
+
+def test_builtin_colors_match_references():
+    rng = random.Random(62)
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        inst = random_stream(rng, rng.randint(0, 25), k)
+        greedy, _ = run_online(GreedyLeastLoaded(), inst)
+        assert greedy.colors == greedy_reference(inst.intervals, k)
+        robin, _ = run_online(RoundRobin(), inst)
+        assert robin.colors == tuple(i % k + 1 for i in range(inst.n))
+        draws = random.Random(5)
+        seeded, _ = run_online(SeededRandom(5), inst)
+        assert seeded.colors == tuple(draws.randint(1, k) for _ in range(inst.n))
+
+
+def test_adversary_trace_matches_prefix_oracle():
+    for k in (2, 3, 4):
+        for name in ALGORITHM_NAMES:
+            tr = adversary_general(make_algorithm(name, seed=k), k, 12)
+            assert tr.trace == prefix_imbalances(tr.presented, tr.colors, k), (k, name)
+            assert tr.final_imbalance == tr.trace[-1]
