@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from intervalcolor.core import (
@@ -26,6 +25,7 @@ from intervalcolor.core import (
     ImbalanceReport,
     Instance,
     Interval,
+    _search_colorings,
     to_coord,
 )
 from intervalcolor.k_color import k_color
@@ -253,22 +253,17 @@ def min_arc_imbalance_oracle(
     """Exhaustive minimum spread over all arc colorings, desk scale only.
 
     Returns the minimum and its lexicographically smallest witness coloring.
-    Work grows as k^(n-1), so instances beyond limit_n arcs are rejected.
+    The cells of the search are the arcs containing each point that
+    arc_imbalance measures; the work can grow exponentially in n, so
+    instances beyond limit_n arcs are rejected.
     """
     n, k = instance.n, instance.k
     if n > limit_n:
         raise ValueError(f"exhaustive search limited to {limit_n} arcs, got {n}")
-    if n == 0:
-        return 0, Coloring((), k)
-    best_value: Optional[int] = None
-    best_colors: Optional[Tuple[int, ...]] = None
-    # the lexicographically smallest minimizer colors arc 0 with 1
-    for rest in product(range(1, k + 1), repeat=n - 1):
-        colors = (1,) + rest
-        value = arc_imbalance(instance, Coloring(colors, k)).value
-        if best_value is None or value < best_value:
-            best_value = value
-            best_colors = colors
-            if best_value == 0:
-                break
-    return best_value, Coloring(best_colors, k)
+    C = instance.circumference
+    cells = (
+        [arc.id for arc in instance.arcs if arc_contains(arc, C, point)]
+        for point in _measured_points(instance)
+    )
+    value, colors = _search_colorings(n, k, cells, minimize=True)
+    return value, Coloring(colors, k)

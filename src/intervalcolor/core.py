@@ -27,7 +27,6 @@ __all__ = [
     "NormalizedInstance",
     "normalize",
     "Coloring",
-    "RegionCounts",
     "ImbalanceReport",
     "imbalance",
     "is_balanced",
@@ -209,33 +208,20 @@ class Coloring:
 
 
 @dataclass(frozen=True)
-class RegionCounts:
-    """Per-color counts on one measured region; lo == hi marks a single point."""
-
-    lo: Coord
-    hi: Coord
-    counts: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ImbalanceReport:
     """Worst-point color imbalance.
 
     value is the maximum, over all points of the line, of the largest
     color-class count minus the smallest among intervals covering the
     point; colors with zero count there are included in the minimum.
-    witness is the first measured point attaining the maximum.  per_region
-    optionally lists every measured constant-coverage region.
+    witness is the first measured point attaining the maximum.
     """
 
     value: int
     witness: Coord
-    per_region: Optional[Tuple[RegionCounts, ...]] = None
 
 
-def imbalance(
-    instance: Instance, coloring: Coloring, *, with_regions: bool = False
-) -> ImbalanceReport:
+def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     """Measure the worst color-count spread over every point of the line.
 
     The sweep visits events in normalized rank order but measures once per
@@ -259,7 +245,6 @@ def imbalance(
     counts = [0] * k
     best = 0
     witness = Fraction(0)
-    regions: Optional[List[RegionCounts]] = [] if with_regions else None
 
     norm = normalize(instance)
     order, coords, cuts = norm.order, norm.coords, norm.cuts
@@ -272,8 +257,6 @@ def imbalance(
         if spread > best:
             best = spread
             witness = x
-        if regions is not None:
-            regions.append(RegionCounts(x, x, tuple(counts)))
         if g == last:
             break
         ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
@@ -285,11 +268,8 @@ def imbalance(
             if spread > best:
                 best = spread
                 witness = (x + coords[g + 1]) / 2
-        if regions is not None:
-            regions.append(RegionCounts(x, coords[g + 1], tuple(counts)))
 
-    per_region = tuple(regions) if regions is not None else None
-    return ImbalanceReport(best, witness, per_region)
+    return ImbalanceReport(best, witness)
 
 
 def is_balanced(instance: Instance, coloring: Coloring) -> bool:
@@ -336,62 +316,86 @@ def point_cliques(instance: Instance) -> Tuple[Tuple[Coord, frozenset], ...]:
     return tuple(out)
 
 
+def _search_colorings(
+    n: int, k: int, cells: Iterable[Iterable[int]], minimize: bool
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Exact search over the k-colorings of items 0..n-1, desk scale only.
+
+    A cell lists item ids; a repeated id counts once per occurrence.  A
+    coloring's spread is the largest, over the cells, of the top color
+    count minus the bottom one, colors absent from the cell included.
+    Items take colors in id order, colors ascending, and each cell is
+    checked once its highest member has a color.  An item takes no color
+    above one more than the largest before it, so item 0 is pinned to
+    color 1: relabeling colors never changes a spread, and relabeling them
+    by first use never makes a coloring lexicographically larger, so the
+    first answer has that form anyway.  It also makes the cost the same
+    for every k above n.
+
+    With minimize, returns the minimum spread and its lexicographically
+    first coloring, abandoning every partial coloring that cannot beat the
+    best found so far and stopping at 0.  Otherwise returns the
+    lexicographically first coloring of spread at most 1 with its spread,
+    or None when there is none.
+    """
+    if n == 0:
+        return 0, ()
+    unique = {tuple(sorted(cell)) for cell in cells}
+    unique.discard(())
+    by_last: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
+    for cell in unique:
+        by_last[cell[-1]].append(cell)
+    # partial colorings whose spread reaches bound are abandoned
+    bound = 1 + max(map(len, unique), default=0) if minimize else 2
+    # colors stay at most n, so when k > n one always-empty slot stands
+    # for every color above n
+    width = min(k, n + 1)
+    colors = [0] * n
+    running = [0] * n  # spread of the cells completed before item i
+    used = [0] * n  # largest color before item i
+    best = None
+    i = 0
+    while i >= 0:
+        color = colors[i] + 1
+        if color > min(k, used[i] + 1) or running[i] >= bound:
+            colors[i] = 0
+            i -= 1
+            continue
+        colors[i] = color
+        spread = running[i]
+        for cell in by_last[i]:
+            counts = [0] * width
+            for member in cell:
+                counts[colors[member] - 1] += 1
+            spread = max(spread, max(counts) - min(counts))
+            if spread >= bound:
+                break
+        if spread >= bound:
+            continue
+        if i + 1 < n:
+            running[i + 1] = spread
+            used[i + 1] = max(used[i], color)
+            i += 1
+            continue
+        best = spread, tuple(colors)
+        if spread == 0 or not minimize:
+            break
+        bound = spread
+    return best
+
+
 def min_imbalance_oracle(
     instance: Instance, limit_n: int = 12
 ) -> Tuple[int, Coloring]:
     """Exhaustive minimum imbalance with its lexicographically smallest coloring.
 
-    The first interval is pinned to color 1: relabeling colors by order of
-    first appearance never changes the imbalance, so the lexicographically
-    smallest minimizer always starts with color 1.  Search is depth-first
-    in id order, colors ascending, with branch-and-bound on the coverage
-    sets completed so far and an early exit once imbalance 0 is found.
+    The cells of the search are the coverage sets of point_cliques; the
+    work can grow exponentially in n, so instances beyond limit_n
+    intervals are rejected.
     """
     n = instance.n
-    k = instance.k
     if n > limit_n:
         raise ValueError(f"oracle limited to n <= {limit_n} intervals, got {n}")
-    if n == 0:
-        return 0, Coloring((), k)
-
-    seen: Set[frozenset] = set()
-    by_last: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
-    for _, clique in point_cliques(instance):
-        if clique and clique not in seen:
-            seen.add(clique)
-            by_last[max(clique)].append(tuple(sorted(clique)))
-
-    colors = [0] * n
-    best_value: Optional[int] = None
-    best_colors: Optional[Tuple[int, ...]] = None
-
-    def spread_of(members: Tuple[int, ...]) -> int:
-        counts = [0] * k
-        for i in members:
-            counts[colors[i] - 1] += 1
-        return max(counts) - min(counts)
-
-    def dfs(i: int, running: int) -> None:
-        nonlocal best_value, best_colors
-        if best_value is not None and running >= best_value:
-            return
-        if i == n:
-            best_value = running
-            best_colors = tuple(colors)
-            return
-        choices: Iterable[int] = (1,) if i == 0 else range(1, k + 1)
-        for c in choices:
-            colors[i] = c
-            new_running = running
-            for members in by_last[i]:
-                s = spread_of(members)
-                if s > new_running:
-                    new_running = s
-            dfs(i + 1, new_running)
-            if best_value == 0:
-                break
-        colors[i] = 0
-
-    dfs(0, 0)
-    assert best_value is not None and best_colors is not None
-    return best_value, Coloring(best_colors, k)
+    cells = (clique for _, clique in point_cliques(instance))
+    value, colors = _search_colorings(n, instance.k, cells, minimize=True)
+    return value, Coloring(colors, instance.k)

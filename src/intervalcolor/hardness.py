@@ -41,9 +41,10 @@ from .core import (
     Instance,
     Interval,
     InvariantViolation,
-    is_balanced,
+    _search_colorings,
     make_instance,
     normalize,
+    point_cliques,
     to_coord,
 )
 
@@ -555,12 +556,20 @@ def _dim_samples_and_masks(
     return per_dim
 
 
-def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
-    counts = [0] * k
+def _mask_ids(msk: int) -> List[int]:
+    """Box ids of the set bits of msk, ascending."""
+    ids = []
     while msk:
         low = msk & -msk
-        counts[colors[low.bit_length() - 1] - 1] += 1
+        ids.append(low.bit_length() - 1)
         msk ^= low
+    return ids
+
+
+def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
+    counts = [0] * k
+    for b in _mask_ids(msk):
+        counts[colors[b] - 1] += 1
     return max(counts) - min(counts)
 
 
@@ -610,90 +619,22 @@ def decide_balanced_boxes(
     """Search for a balanced k-coloring of the boxes, or return None.
 
     Exhaustive backtracking in box id order, colors ascending, so the
-    first balanced coloring in that order is returned.  A partial
-    assignment is abandoned as soon as any arrangement cell whose boxes
-    are all colored shows a spread above one.  That prune makes the
-    search practical on reduction outputs, where chains propagate forced
-    colors link by link; arbitrary instances this size may still take
-    exponential time.
+    first balanced coloring in that order is returned.  The cells of the
+    search are the distinct sets of boxes covering a point of the
+    arrangement grid, and a partial assignment is abandoned as soon as a
+    cell whose boxes are all colored shows a spread above one.  That prune
+    makes the search practical on reduction outputs, where chains
+    propagate forced colors link by link; arbitrary instances this size
+    may still take exponential time.
     """
     n = instance.n
-    k = instance.k
     if n > limit_n:
         raise ValueError(f"decider limited to n <= {limit_n} boxes, got {n}")
-    if n == 0:
-        return Coloring((), k)
-
-    per_dim = _dim_samples_and_masks(instance.boxes, instance.d)
-    distinct: Set[int] = set()
-    if instance.d == 2:
-        ymasks = per_dim[1][1]
-        for mx in per_dim[0][1]:
-            if not mx:
-                continue
-            for my in ymasks:
-                both = mx & my
-                if both:
-                    distinct.add(both)
-    else:
-        for combo in itertools.product(*(p[1] for p in per_dim)):
-            both = combo[0]
-            for msk in combo[1:]:
-                both &= msk
-                if not both:
-                    break
-            if both:
-                distinct.add(both)
-
-    cells = sorted(distinct)
-    members: List[List[int]] = []
-    for msk in cells:
-        ids = []
-        while msk:
-            low = msk & -msk
-            ids.append(low.bit_length() - 1)
-            msk ^= low
-        members.append(ids)
-    box_cells: List[List[int]] = [[] for _ in range(n)]
-    for idx, ids in enumerate(members):
-        for b in ids:
-            box_cells[b].append(idx)
-    counts = [[0] * k for _ in cells]
-    remaining = [len(ids) for ids in members]
-    colors = [0] * n
-
-    def place(b: int, color: int) -> bool:
-        ok = True
-        for idx in box_cells[b]:
-            cnt = counts[idx]
-            cnt[color - 1] += 1
-            remaining[idx] -= 1
-            if remaining[idx] == 0 and max(cnt) - min(cnt) > 1:
-                ok = False
-        if not ok:
-            unplace(b, color)
-        return ok
-
-    def unplace(b: int, color: int) -> None:
-        for idx in box_cells[b]:
-            counts[idx][color - 1] -= 1
-            remaining[idx] += 1
-
-    i = 0
-    while True:
-        if i == n:
-            return Coloring(tuple(colors), k)
-        color = colors[i] + 1
-        if color > k:
-            colors[i] = 0
-            i -= 1
-            if i < 0:
-                return None
-            unplace(i, colors[i])
-            continue
-        colors[i] = color
-        if place(i, color):
-            i += 1
+    cells = {-1}  # every box, as a mask
+    for _, masks in _dim_samples_and_masks(instance.boxes, instance.d):
+        cells = {a & m for a in cells for m in masks}
+    found = _search_colorings(n, instance.k, map(_mask_ids, cells), minimize=False)
+    return None if found is None else Coloring(found[1], instance.k)
 
 
 def reduce_partition_to_weighted(values: Sequence[int]) -> WeightedInstance:
@@ -776,9 +717,11 @@ def decide_grouped_intervals(
 ) -> Optional[Coloring]:
     """Search for a balanced coloring constant on each group, or None.
 
-    Groups must partition the interval ids.  Brute force over the k^g
+    Groups must partition the interval ids.  Exhaustive search over the
     group color assignments in counting order, so the first balanced
-    assignment in that order is returned.
+    assignment in that order is returned.  The cells of the search are the
+    coverage sets of point_cliques with each interval replaced by its
+    group, so a group counts once per member.
     """
     flat = sorted(i for group in groups for i in group)
     if flat != list(range(instance.n)):
@@ -787,13 +730,12 @@ def decide_grouped_intervals(
         raise ValueError(
             f"brute force limited to {limit_groups} groups, got {len(groups)}"
         )
-    k = instance.k
-    colors = [0] * instance.n
-    for assignment in itertools.product(range(1, k + 1), repeat=len(groups)):
-        for group, color in zip(groups, assignment):
-            for i in group:
-                colors[i] = color
-        coloring = Coloring(tuple(colors), k)
-        if is_balanced(instance, coloring):
-            return coloring
-    return None
+    group_of = [0] * instance.n
+    for g, group in enumerate(groups):
+        for i in group:
+            group_of[i] = g
+    cells = ([group_of[i] for i in clique] for _, clique in point_cliques(instance))
+    found = _search_colorings(len(groups), instance.k, cells, minimize=False)
+    if found is None:
+        return None
+    return Coloring(tuple(found[1][g] for g in group_of), instance.k)

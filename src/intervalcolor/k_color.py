@@ -325,21 +325,20 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
 def _worst_pair(
     instance: Instance, colors: List[int]
 ) -> Tuple[int, Tuple[int, int]]:
-    """Largest pointwise count difference over all color pairs.
+    """Largest pointwise count difference and the pair of colors showing it.
 
-    Returns (difference, (i, j)) with the lexicographically smallest pair
-    among maximizers.
+    The pair holds the first color with the largest count and the first
+    with the smallest at the first point attaining the difference, in
+    ascending order.
     """
-    report = imbalance(instance, Coloring(tuple(colors), instance.k), with_regions=True)
-    best = 0
-    best_pair = (1, 2)
-    for region in report.per_region:
-        counts = region.counts
-        hi, lo = max(counts), min(counts)
-        if hi - lo > best:
-            best = hi - lo
-            best_pair = tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
-    return best, best_pair
+    report = imbalance(instance, Coloring(tuple(colors), instance.k))
+    w = report.witness
+    counts = [0] * instance.k
+    for itv, color in zip(instance.intervals, colors):
+        if itv.lo <= w <= itv.hi:
+            counts[color - 1] += 1
+    hi, lo = max(counts), min(counts)
+    return report.value, tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
 
 
 def hypergraph_to_instance(matrix: Sequence[Sequence[int]], k: int) -> Instance:

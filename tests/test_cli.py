@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: files in, JSON and exit codes out."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -369,10 +370,13 @@ def test_outputs_byte_deterministic(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     path = write(tmp_path, "two.json", TWO)
+    # the child finds the package where this process did, installed or not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-m", "intervalcolor", "color", "--input", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["imbalance"] == 1

@@ -167,14 +167,21 @@ def test_imbalance_argument_mismatches():
         imbalance(inst, Coloring((1,), 3))
 
 
+def brute_force_value(inst, col):
+    """Largest spread of the direct counts at every endpoint and gap midpoint."""
+    xs = sorted({x for itv in inst.intervals for x in (itv.lo, itv.hi)})
+    points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    counts = [brute_force_counts(inst, col, x) for x in points]
+    return max((max(c) - min(c) for c in counts), default=0)
+
+
 def test_imbalance_report_regions_attain_value():
     rng = random.Random(11)
     for _ in range(100):
         inst = random_instance(rng, rng.randint(1, 15), rng.randint(1, 4))
         col = random_coloring(rng, inst.n, inst.k)
-        report = imbalance(inst, col, with_regions=True)
-        spreads = [max(r.counts) - min(r.counts) for r in report.per_region]
-        assert report.value == max(spreads)
+        report = imbalance(inst, col)
+        assert report.value == brute_force_value(inst, col)
         witness_counts = brute_force_counts(inst, col, report.witness)
         assert max(witness_counts) - min(witness_counts) == report.value
 
@@ -184,10 +191,7 @@ def test_sweep_counts_match_direct_counting():
     for _ in range(100):
         inst = random_instance(rng, rng.randint(0, 20), rng.randint(1, 4))
         col = random_coloring(rng, inst.n, inst.k)
-        report = imbalance(inst, col, with_regions=True)
-        for region in report.per_region:
-            x = region.lo if region.lo == region.hi else (region.lo + region.hi) / 2
-            assert region.counts == brute_force_counts(inst, col, x)
+        assert imbalance(inst, col).value == brute_force_value(inst, col)
 
 
 def test_imbalance_invariant_under_color_relabeling():
@@ -247,6 +251,14 @@ def test_oracle_empty_and_limit():
     with pytest.raises(ValueError):
         min_imbalance_oracle(big)
     min_imbalance_oracle(big, limit_n=13)
+
+
+def test_oracle_with_far_more_colors_than_intervals():
+    # unused colors are interchangeable, so the search tries only one of
+    # them per interval and a huge k costs what k = n + 1 does
+    inst = make_instance([[0, 3], [1, 4], [2, 5], [0, 5]], 10**9)
+    value, col = min_imbalance_oracle(inst)
+    assert value == 1 and col.colors == (1, 2, 3, 4)
 
 
 def test_oracle_lexicographic_tie_break():

@@ -75,10 +75,11 @@ def stream_file(seed, n, k):
 
 
 NAE_FORMULA = "p nae 4 3\n1 2 3\n2 3 4\n1 3 4\n"
+UNSAT_FORMULA = "p nae 1 1\n1 1 1\n"
 
 
-def box_file():
-    return format_box_instance_json(reduce_nae_to_boxes(parse_nae_text(NAE_FORMULA), 2))
+def box_file(formula, k):
+    return format_box_instance_json(reduce_nae_to_boxes(parse_nae_text(formula), k))
 
 
 # name -> (input text or None, argv, exit code, sha256 of stdout); with an
@@ -164,10 +165,34 @@ CASES = {
         "0a458737f9129e69f619d4ef8fdb31671aa597805c1f491015419e7e5b6c87e5",
     ),
     "decide-boxes": (
-        box_file,
+        lambda: box_file(NAE_FORMULA, 2),
         ["decide-boxes"],
         0,
         "92da5570e7e94f06d54f81caca0b4bc97f3c16dfab5e4986b07a6130022b9651",
+    ),
+    "decide-boxes-k3": (
+        lambda: box_file(NAE_FORMULA, 3),
+        ["decide-boxes"],
+        0,
+        "910c878109e772ee6e817892fbb327b1078df1876b661166e18150699598671e",
+    ),
+    "decide-boxes-unsat": (
+        lambda: box_file(UNSAT_FORMULA, 2),
+        ["decide-boxes"],
+        1,
+        "33aa75946278672d7dd31e7a55b7aa21c5e10be100acaf7d57732388a02a1744",
+    ),
+    "oracle-k2": (
+        lambda: interval_file(12, 12, 2),
+        ["oracle"],
+        0,
+        "7546fb03e0f5b11a9f447739a30e5b7fd6b2e574a55b853d0a55e2902b39cba1",
+    ),
+    "oracle-k3": (
+        lambda: interval_file(13, 11, 3),
+        ["oracle"],
+        0,
+        "8c4012cd5198bfa3eb5f7accc03fa6ae6f32cdfc527ebcced315e2ac672bda6a",
     ),
 }
 
