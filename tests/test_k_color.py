@@ -8,6 +8,7 @@ from intervalcolor.core import (
     Coloring,
     InvariantViolation,
     NormalizedInstance,
+    divisibility_predicts_zero,
     imbalance,
     is_balanced,
     make_instance,
@@ -312,3 +313,37 @@ def test_hypergraph_random_matrices_are_column_balanced():
         col = k_color(inst)
         for counts in column_counts(matrix, col, k):
             assert max(counts) - min(counts) <= 1
+
+
+DIFFERENTIAL_KS = (2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 1024)
+
+
+def replicated_instance(rng, base_n, k):
+    """k copies of each of base_n random intervals, ids shuffled.
+
+    Every depth is a multiple of k, so a balanced coloring must be exact.
+    """
+    base = random_instance(rng, base_n, k, collide=0.4)
+    bounds = [(itv.lo, itv.hi) for itv in base.intervals for _ in range(k)]
+    rng.shuffle(bounds)
+    return make_instance(bounds, k)
+
+
+def test_k_color_differential_against_divisibility_and_oracle():
+    # composite k (6, 12, 24) covers halving followed by the odd part;
+    # depths reach about 50, so k = 32 halves and k = 1024 does not
+    rng = random.Random(71)
+    for trial in range(440):
+        k = DIFFERENTIAL_KS[trial % len(DIFFERENTIAL_KS)]
+        if trial % 4 == 3:
+            inst = replicated_instance(rng, rng.randint(0, max(1, 96 // k)), k)
+        else:
+            inst = random_instance(rng, rng.randint(0, 100), k, collide=0.35)
+        value = imbalance(inst, k_color(inst)).value
+        assert value <= 1, (trial, k)
+        assert (value == 0) == divisibility_predicts_zero(inst), (trial, k)
+    for _ in range(120):
+        k = rng.choice((2, 3, 4))
+        inst = random_instance(rng, rng.randint(0, 9), k, collide=0.35)
+        best, _ = min_imbalance_oracle(inst)
+        assert imbalance(inst, k_color(inst)).value == best
