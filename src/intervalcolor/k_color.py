@@ -1,13 +1,28 @@
-"""Balanced k-coloring via one constraint sweep and bipartite edge coloring.
+"""Balanced k-coloring: halving passes, then edge coloring of the odd part.
 
-The event scan cuts the ranked order into windows holding k events of one
-type; each window is a constraint whose k items must get pairwise distinct
-colors.  Padding with virtual items keeps every constraint at exactly k
-items and every item in exactly one start-side and one end-side
-constraint, so the constraints are the vertices of a k-regular bipartite
+Write k = 2^t * m with m odd.  k_color runs t halving passes of the
+shared event order (two_color.halve), each splitting every current class
+into two balanced halves, so 2^t classes come out.  Nested rounding makes
+that exact: for integers d and a, b >= 1, floor(floor(d/a)/b) =
+floor(d/ab) and ceil(ceil(d/a)/b) = ceil(d/ab), so a balanced a-coloring
+whose classes are each balanced b-colored is a balanced ab-coloring, and
+when ab divides a depth every count there is exact at every level.
+
+Only when m > 1 is a class m-colored by the constraint sweep: the event
+scan cuts the class's ranked events into windows holding m events of one
+type; each window is a constraint whose m items must get pairwise
+distinct colors.  Padding with virtual items keeps every constraint at
+exactly m items and every item in exactly one start-side and one end-side
+constraint, so the constraints are the vertices of an m-regular bipartite
 multigraph whose edges are the items.  The sweep writes that graph
-directly as edge arrays; a proper k-edge-coloring of it (which exists on
-bipartite multigraphs) assigns each interval its color.
+directly as edge arrays; a proper m-edge-coloring of it (which exists on
+bipartite multigraphs) assigns each interval its color within its class.
+
+When k is at least the largest depth, no split is needed: first-free
+greedy in rank order gives the intervals at any point distinct colors,
+which is balanced, costs O(n log n) and nothing in proportion to k.  This
+also covers stopping the halving early once 2^level reaches the depth:
+halving runs only when k, and so every 2^level, is below the depth.
 """
 
 from __future__ import annotations
@@ -18,14 +33,13 @@ from typing import List, Sequence, Tuple
 from intervalcolor.core import (
     Coloring,
     Instance,
-    Interval,
     InvariantViolation,
     NormalizedInstance,
     imbalance,
     make_instance,
     normalize,
 )
-from intervalcolor.two_color import two_color
+from intervalcolor.two_color import halve
 
 __all__ = [
     "EdgeGraph",
@@ -256,19 +270,75 @@ def edge_color(graph: EdgeGraph, k: int) -> Tuple[int, ...]:
 def k_color(instance: Instance) -> Coloring:
     """Balanced k-coloring of a closed-interval instance.
 
-    k = 1 trivially colors everything alike.  Otherwise edge-colors the
-    constraint multigraph of the ranked events; every real interval takes
-    the color of its item's edge and virtual items' colors are discarded.
+    k = 1 trivially colors everything alike, and k at least the largest
+    depth takes first-free greedy colors.  Otherwise, with k = 2^t * m and
+    m odd, t halving passes split the intervals into 2^t classes, and when
+    m > 1 all classes are m-colored by one constraint graph over their
+    events, class after class; class c takes colors c*m + 1 .. c*m + m.
     """
     k = instance.k
+    n = instance.n
     if k == 1:
-        return Coloring((1,) * instance.n, 1)
-    graph = constraint_graph(normalize(instance), k)
-    colors = [0] * instance.n
-    for item, color in zip(graph.items, edge_color(graph, k)):
+        return Coloring((1,) * n, 1)
+    norm = normalize(instance)
+    if k >= _max_depth(norm):
+        return Coloring(tuple(_greedy_colors(norm.order, n)), k)
+    classes = [0] * n
+    count = 1
+    m = k
+    while m % 2 == 0:
+        classes = halve(norm.order, classes, count)
+        count *= 2
+        m //= 2
+    if m == 1:
+        return Coloring(tuple([c + 1 for c in classes]), k)
+    # each class's events in turn: one order, as if the classes lay side
+    # by side on the line, so one graph holds every class's constraints
+    by_class: List[List[int]] = [[] for _ in range(count)]
+    for e in norm.order:
+        by_class[classes[e if e >= 0 else ~e]].append(e)
+    order = tuple([e for events in by_class for e in events])
+    graph = constraint_graph(NormalizedInstance(order, (), ()), m)
+    colors = [0] * n
+    for item, color in zip(graph.items, edge_color(graph, m)):
         if item >= 0:
-            colors[item] = color
+            colors[item] = classes[item] * m + color
     return Coloring(tuple(colors), k)
+
+
+def _max_depth(norm: NormalizedInstance) -> int:
+    """Largest number of intervals sharing a point."""
+    cuts = norm.cuts
+    depth = deepest = 0
+    for b in range(0, len(cuts) - 1, 2):
+        depth += cuts[b + 1] - cuts[b]  # the starts at one coordinate
+        if depth > deepest:
+            deepest = depth
+        depth -= cuts[b + 2] - cuts[b + 1]  # then the ends there
+    return deepest
+
+
+def _greedy_colors(order: Sequence[int], n: int) -> List[int]:
+    """First-free coloring in rank order, using as many colors as the depth.
+
+    A start takes the smallest color its earlier holders have released, or
+    a new one; an end releases its interval's color.
+    """
+    import heapq  # only this path needs it; the CLI's start-up stays lean
+
+    colors = [0] * n
+    free: List[int] = []  # heap of released colors
+    used = 0
+    for e in order:
+        if e >= 0:
+            if free:
+                colors[e] = heapq.heappop(free)
+            else:
+                used += 1
+                colors[e] = used
+        else:
+            heapq.heappush(free, colors[~e])
+    return colors
 
 
 def k_color_dewerra(instance: Instance, return_passes: bool = False):
@@ -296,6 +366,7 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
     if k < 2:
         raise ValueError(f"pairwise rebalancing needs k >= 2, got {k}")
     n = instance.n
+    order = normalize(instance).order
     colors = [(i % k) + 1 for i in range(n)]
     limit = k * (k - 1) // 2 + k
 
@@ -306,17 +377,18 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
             return (coloring, done) if return_passes else coloring
         i, j = pair
         extracted = [t for t in range(n) if colors[t] in (i, j)]
-        sub = Instance(
-            tuple(
-                Interval(pos, instance.intervals[t].lo, instance.intervals[t].hi)
-                for pos, t in enumerate(extracted)
-            ),
-            2,
-        )
-        sub_colors = two_color(sub).colors
-        keep = sub_colors[0]  # class of the lowest extracted id keeps color i
-        for pos, t in enumerate(extracted):
-            colors[t] = i if sub_colors[pos] == keep else j
+        # renumbered in id order, their events keep their ranks: the
+        # subsequence is the order normalizing them alone would give
+        pos = {t: p for p, t in enumerate(extracted)}
+        sub = [
+            pos[e] if e >= 0 else ~pos[~e]
+            for e in order
+            if colors[e if e >= 0 else ~e] in (i, j)
+        ]
+        # the first half holds the lowest extracted id, which keeps color i
+        halves = halve(sub, [0] * len(extracted), 1)
+        for p, t in enumerate(extracted):
+            colors[t] = j if halves[p] else i
     raise InvariantViolation(
         f"rebalancing did not converge within {limit} passes"
     )

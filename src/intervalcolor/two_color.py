@@ -1,4 +1,4 @@
-"""Balanced 2-coloring by pairing rank-consecutive events.
+"""Balanced 2-coloring by pairing rank-consecutive events, and balanced halving.
 
 Consecutive events (ranks 2i-1, 2i) enclose the regions of odd depth, so
 each such pair constrains its two intervals: a start/end pair of different
@@ -6,9 +6,21 @@ intervals must share a color, a pair of two starts or two ends must get
 opposite colors.  Every event lies in exactly one pair and every interval
 has two events, so the constraints link the intervals into paths and
 cycles, and the cycles are even; walking each path or cycle 2-colors it.
+
+halve() is the same step applied to every class of a partition at once.
+A class's events are a subsequence of the shared order and rank its
+intervals exactly as normalizing the class alone would, so pairing
+consecutive events within each class (one pending event per class) and
+walking the mates splits every class into two balanced halves in one
+integer pass.  two_color is halve() on the single class of all intervals;
+k_color halves t times for k = 2^t * m, and since floor(floor(d/2)/2) =
+floor(d/4) (likewise for ceil, and for every further level), the 2^t
+classes hold floor(d/2^t) or ceil(d/2^t) intervals at a point of depth d.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence
 
 from intervalcolor.core import Coloring, Instance, InvariantViolation, normalize
 
@@ -24,21 +36,41 @@ def two_color(instance: Instance) -> Coloring:
     """
     if instance.k != 2:
         raise ValueError(f"two_color requires k = 2, got k = {instance.k}")
-    order = normalize(instance).order
-    # event slot 2i is the start of interval i and 2i + 1 its end
-    mate = [0] * len(order)
-    for p in range(0, len(order), 2):
-        a, b = order[p], order[p + 1]
-        sa = 2 * a if a >= 0 else 2 * ~a + 1
-        sb = 2 * b if b >= 0 else 2 * ~b + 1
-        mate[sa] = sb
-        mate[sb] = sa
+    halves = halve(normalize(instance).order, [0] * instance.n, 1)
+    return Coloring(tuple([c + 1 for c in halves]), 2)
 
-    colors = [0] * instance.n
-    for first in range(instance.n):
-        if colors[first]:
+
+def halve(order: Sequence[int], classes: List[int], count: int) -> List[int]:
+    """Split every class of a partition into two balanced halves.
+
+    order is an event order over intervals 0..len(classes)-1 (i the start
+    of interval i, ~i its end) and classes[i] in 0..count-1 the class of
+    interval i.  Returns each interval's new class 2c or 2c + 1: at every
+    rank region, the two halves of a class differ in count by at most one.
+    Intervals are visited in id order; the first interval of each path or
+    cycle goes to 2c and the walk carries sides along the pairs in both
+    directions from it.
+    """
+    n = len(classes)
+    # event slot 2i is the start of interval i and 2i + 1 its end
+    mate = [0] * (2 * n)
+    pending = [-1] * count  # the unpaired event slot of each class
+    for e in order:
+        s = 2 * e if e >= 0 else 2 * ~e + 1
+        c = classes[s >> 1]
+        p = pending[c]
+        if p < 0:
+            pending[c] = s
+        else:
+            mate[p] = s
+            mate[s] = p
+            pending[c] = -1
+
+    sides = [0] * n  # 1 or 2 once walked
+    for first in range(n):
+        if sides[first]:
             continue
-        colors[first] = 1
+        sides[first] = 1
         for slot in (2 * first, 2 * first + 1):
             i, c = first, 1
             while True:
@@ -46,12 +78,12 @@ def two_color(instance: Instance) -> Coloring:
                 j = other >> 1
                 if j == i:
                     break  # the interval's own events are paired
-                # a start/end pair shares the color, a same-type pair flips it
+                # a start/end pair shares the side, a same-type pair flips it
                 cj = c if (slot ^ other) & 1 else 3 - c
-                if colors[j]:
-                    if colors[j] != cj:
+                if sides[j]:
+                    if sides[j] != cj:
                         raise InvariantViolation("constraint graph has an odd cycle")
                     break
-                colors[j] = cj
+                sides[j] = cj
                 i, c, slot = j, cj, other ^ 1
-    return Coloring(tuple(colors), 2)
+    return [2 * c + s - 1 for c, s in zip(classes, sides)]

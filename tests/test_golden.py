@@ -101,13 +101,13 @@ CASES = {
         lambda: interval_file(3, 2000, 8),
         ["color"],
         0,
-        "41e02a9734b932bc17f64620862e3a863b177e1247ce538b925c0f760c24aadd",
+        "74b3de033772640db7f358e9932841d4c4599ff3a23af85e2587ffa0d3d44abf",
     ),
     "color-k32": (
         lambda: interval_file(4, 2000, 32),
         ["color"],
         0,
-        "86db52cb9409980073565754e99b90bc9dfaa778be81ba2b39a90e0a7ab5875e",
+        "2dff5fb95b21cef2c099eeff0c60a6f0fae5ac17fe6e9f56436e063e630cadfa",
     ),
     "color-dewerra-k2": (
         lambda: interval_file(5, 40, 2),
@@ -125,7 +125,7 @@ CASES = {
         lambda: arc_file(7, 1000, 4),
         ["arcs"],
         0,
-        "7bdc83d4b331d81fe762ff79d6270222a5221bfe37cfd6be05e5b1bf86fac4b8",
+        "878ddb9db605b6714124571dcd7fe48737cd4b4299fa5bcd57efcc9366d75419",
     ),
     "hypergraph-k3": (
         lambda: matrix_file(8, 300, 80),

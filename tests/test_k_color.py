@@ -1,6 +1,8 @@
 """Constraint sweep, edge coloring, and the general k-coloring."""
 
+import importlib
 import random
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from intervalcolor.core import (
     make_instance,
     min_imbalance_oracle,
     normalize,
+    point_cliques,
 )
 from intervalcolor.k_color import (
     EdgeGraph,
@@ -180,6 +183,46 @@ def test_k_color_matches_oracle_and_two_color_value():
         assert imbalance(inst, k_color(inst)).value == value
         if k == 2:
             assert imbalance(inst, two_color(inst)).value == value
+
+
+def test_k_color_at_or_above_depth_gives_each_point_distinct_colors():
+    # first-free in rank order: starts before ends at a shared coordinate
+    inst = make_instance([[0, 2], [1, 3], [2, 4], [3, 5]], 3)
+    assert k_color(inst).colors == (1, 2, 3, 1)
+    rng = random.Random(73)
+    for _ in range(100):
+        n = rng.randint(1, 30)
+        inst = random_instance(rng, n, n, collide=0.4)
+        colors = k_color(inst).colors
+        for _, clique in point_cliques(inst):
+            assert len({colors[i] for i in clique}) == len(clique)
+
+
+def test_k_color_huge_k_costs_nothing_in_k():
+    inst = make_instance([[0, 2], [1, 3], [2, 4]], 99_999)
+    started = time.perf_counter()
+    coloring = k_color(inst)
+    assert is_balanced(inst, coloring)
+    assert time.perf_counter() - started < 0.5
+    assert coloring.colors == (1, 2, 3)
+
+
+def test_k_color_edge_colors_only_the_odd_part(monkeypatch):
+    module = importlib.import_module("intervalcolor.k_color")
+    seen = []
+
+    def recording(graph, k):
+        seen.append(k)
+        return edge_color(graph, k)
+
+    monkeypatch.setattr(module, "edge_color", recording)
+    rng = random.Random(79)
+    inst = random_instance(rng, 200, 2, collide=0.3)  # depth well above 24
+    for k, calls in ((2, []), (8, []), (16, []), (3, [3]), (12, [3]), (24, [3]), (20, [5])):
+        seen.clear()
+        coloring = k_color(make_instance([(i.lo, i.hi) for i in inst.intervals], k))
+        assert seen == calls, k
+        assert set(coloring.colors) == set(range(1, k + 1))
 
 
 def test_dewerra_balanced_on_worked_example():
