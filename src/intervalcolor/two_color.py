@@ -12,9 +12,9 @@ A class's events are a subsequence of the shared order and rank its
 intervals exactly as normalizing the class alone would, so pairing
 consecutive events within each class (one pending event per class) and
 walking the mates splits every class into two balanced halves in one
-integer pass.  two_color is halve() on the single class of all intervals;
-k_color halves t times for k = 2^t * m, and since floor(floor(d/2)/2) =
-floor(d/4) (likewise for ceil, and for every further level), the 2^t
+integer pass.  two_color is halve() on the single class of all intervals.
+k_color halves t times for k = 2^t * m; since floor(floor(d/2)/2) =
+floor(d/4), and likewise for ceil and every further level, the 2^t
 classes hold floor(d/2^t) or ceil(d/2^t) intervals at a point of depth d.
 """
 
@@ -43,13 +43,10 @@ def two_color(instance: Instance) -> Coloring:
 def halve(order: Sequence[int], classes: List[int], count: int) -> List[int]:
     """Split every class of a partition into two balanced halves.
 
-    order is an event order over intervals 0..len(classes)-1 (i the start
-    of interval i, ~i its end) and classes[i] in 0..count-1 the class of
-    interval i.  Returns each interval's new class 2c or 2c + 1: at every
-    rank region, the two halves of a class differ in count by at most one.
-    Intervals are visited in id order; the first interval of each path or
-    cycle goes to 2c and the walk carries sides along the pairs in both
-    directions from it.
+    order ranks the events of intervals 0..len(classes)-1 (i the start of
+    interval i, ~i its end) and classes[i] in 0..count-1 is the class of
+    interval i.  Returns each interval's new class, 2c or 2c + 1; the
+    first interval of each path or cycle, in id order, takes 2c.
     """
     n = len(classes)
     # event slot 2i is the start of interval i and 2i + 1 its end
