@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -386,3 +387,52 @@ def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
     assert main(["color"]) == 2
     capsys.readouterr()
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# the README writes the installed entry point; run it from this checkout
+PRELUDE = 'intervalcolor() { "$PYTHON" -m intervalcolor "$@"; }\n'
+
+
+def readme_sessions():
+    """Each shell example of the README as a list of (command, output lines)."""
+    with open(README, encoding="utf-8") as handle:
+        blocks = re.findall(r"```sh\n(.*?)```", handle.read(), re.S)
+    for block in blocks:
+        steps = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            elif steps:
+                steps[-1][1].append(line)
+        if steps:
+            yield steps
+
+
+def test_readme_examples_print_what_they_show(tmp_path):
+    env = {
+        **os.environ,
+        "PYTHON": sys.executable,
+        "PYTHONPATH": os.pathsep.join(sys.path),
+    }
+    shown = set()
+    for steps in readme_sessions():
+        if any("..." in line for _, output in steps for line in output):
+            continue  # elided output cannot be compared
+        for command, output in steps:
+            text = "".join(line + "\n" for line in output)
+            if command.startswith("cat "):
+                # the example's input file, shown by cat
+                (tmp_path / command[4:]).write_text(text, encoding="utf-8")
+                continue
+            proc = subprocess.run(
+                ["bash", "-c", PRELUDE + command],
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, (command, proc.stderr)
+            assert proc.stdout == text, command
+            shown.update(re.findall(r"intervalcolor (\S+)", command))
+    assert {"color", "verify", "oracle", "arcs", "hypergraph"} <= shown

@@ -121,6 +121,12 @@ CASES = {
         0,
         "a77f6be20dcd2973626b247a3dc81a5643a3d08c86e9e9ccce9e0dc52504c94e",
     ),
+    "arcs-k3": (
+        lambda: arc_file(14, 1000, 3),
+        ["arcs"],
+        0,
+        "d40c1c634057a847fe90b62dfc0c02e4a51497d61a7e296d37043ca9be5bc3a4",
+    ),
     "arcs-k4": (
         lambda: arc_file(7, 1000, 4),
         ["arcs"],
