@@ -10,13 +10,23 @@ at most two images on the line.
 
 Three arcs that pairwise intersect without a common point already force a
 spread of two for k = 2, so two is tight.
+
+Spreads on the circle are measured on the line as well, by cutting each arc
+into at most two closed pieces of [0, C]: a full arc becomes [0, C], an arc
+reaching C or past it becomes [s, C] and [0, s + L - C], and any other arc
+stays [s, s + L].  Line point p in [0, C) is the circle point p: the pieces
+holding it are those of the arcs containing p, one each, since the two
+pieces of an arc shorter than a turn are disjoint.  Line point C holds the
+arcs reaching C, which are those containing the points just below angle 0.
+So every coverage set of the circle appears at some line point, each arc
+counted once, and no line point shows any other; imbalance and
+point_cliques on the pieces measure the circle exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from intervalcolor.core import (
     Coord,
@@ -26,6 +36,10 @@ from intervalcolor.core import (
     Instance,
     Interval,
     _search_colorings,
+    imbalance,
+    make_instance,
+    normalize,
+    point_cliques,
     to_coord,
 )
 from intervalcolor.k_color import k_color
@@ -133,64 +147,62 @@ def unfold(instance: ArcInstance) -> Instance:
     would count full arcs twice at some points and allow spread three.
     """
     C = instance.circumference
-    proper: Dict[int, Tuple[Coord, Coord]] = {}
-    full_ids: List[int] = []
+    bounds: List[Optional[Tuple[Coord, Coord]]] = []
     for arc in instance.arcs:
         if arc.length >= C:
-            full_ids.append(arc.id)
+            bounds.append(None)
         elif arc.start + arc.length > C:
-            proper[arc.id] = (arc.start - C, arc.start + arc.length - C)
+            bounds.append((arc.start - C, arc.start + arc.length - C))
         else:
-            proper[arc.id] = (arc.start, arc.start + arc.length)
+            bounds.append((arc.start, arc.start + arc.length))
 
-    if full_ids:
-        if proper:
-            coords = sorted({c for bounds in proper.values() for c in bounds})
-            hull_lo, hull_hi = coords[0], coords[-1]
-            gaps = [b - a for a, b in zip(coords, coords[1:])]
-            margin = min(gaps) / 2 if gaps else Coord(1)
-        else:
-            hull_lo = hull_hi = Coord(0)
-            margin = Coord(1)
+    if None in bounds:
+        proper = make_instance([b for b in bounds if b is not None], instance.k)
+        coords = normalize(proper).coords or (Coord(0),)
+        hull_lo, hull_hi = coords[0], coords[-1]
+        gaps = [b - a for a, b in zip(coords, coords[1:])]
+        margin = min(gaps) / 2 if gaps else Coord(1)
         hull_width = hull_hi - hull_lo
         if hull_width < C:
             margin = min(margin, (C - hull_width) / 4)
             span = (hull_lo - margin, hull_hi + margin)
         else:
             span = (hull_lo - margin, hull_lo - margin + C)
-    else:
-        span = None
+        bounds = [span if b is None else b for b in bounds]
 
-    intervals = []
-    for arc in instance.arcs:
-        lo, hi = proper[arc.id] if arc.id in proper else span
-        intervals.append(Interval(arc.id, lo, hi))
-    return Instance(tuple(intervals), instance.k)
+    return Instance(
+        tuple(Interval(i, lo, hi) for i, (lo, hi) in enumerate(bounds)), instance.k
+    )
 
 
-def _measured_points(instance: ArcInstance) -> List[Coord]:
-    """Endpoints of proper arcs plus gap midpoints, wrap-aware, in [0, C)."""
+def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
+    """The arcs cut at angle 0 into closed intervals of [0, C].
+
+    Returns the pieces as an instance and, for each piece, its arc's id.
+    """
     C = instance.circumference
-    endpoints = set()
+    zero = Coord(0)
+    intervals: List[Interval] = []
+    owners: List[int] = []
     for arc in instance.arcs:
+        end = arc.start + arc.length
         if arc.length >= C:
-            continue
-        endpoints.add(arc.start)
-        endpoints.add((arc.start + arc.length) % C)
-    if not endpoints:
-        return [Coord(0)] if instance.arcs else []
-    points = sorted(endpoints)
-    mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
-    mids.append(((points[-1] + points[0] + C) / 2) % C)
-    return sorted(set(points) | set(mids))
+            cut = ((zero, C),)
+        elif end >= C:
+            cut = ((arc.start, C), (zero, end - C))
+        else:
+            cut = ((arc.start, end),)
+        for lo, hi in cut:
+            intervals.append(Interval(len(intervals), lo, hi))
+            owners.append(arc.id)
+    return Instance(tuple(intervals), instance.k), owners
 
 
 def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:
     """Largest color-count spread over all circle points.
 
-    Counts change only at arc endpoints, so endpoints and region midpoints
-    (including the region wrapping across zero) cover every distinct count
-    profile on the circle.
+    Measured by imbalance on the arcs' pieces in [0, C], each piece in its
+    arc's color; the witness is a point of [0, C).
     """
     if len(coloring.colors) != instance.n:
         raise ValueError(
@@ -198,44 +210,11 @@ def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:
         )
     if coloring.k != instance.k:
         raise ValueError(f"coloring uses k={coloring.k}, instance has k={instance.k}")
-    points = _measured_points(instance)
-    if not points:
+    if not instance.arcs:
         return ImbalanceReport(0, None)
-
-    C = instance.circumference
-    m = len(points)
-    k = instance.k
-    # difference arrays over point indices, one per color
-    diffs = [[0] * (m + 1) for _ in range(k)]
-
-    def add_range(color: int, first: int, last: int) -> None:
-        if first <= last:
-            diffs[color][first] += 1
-            diffs[color][last + 1] -= 1
-
-    for arc, color in zip(instance.arcs, coloring.colors):
-        c = color - 1
-        if arc.length >= C:
-            add_range(c, 0, m - 1)
-            continue
-        lo, hi = arc.start, arc.start + arc.length
-        if hi >= C:
-            add_range(c, bisect_left(points, lo), m - 1)
-            add_range(c, 0, bisect_right(points, hi - C) - 1)
-        else:
-            add_range(c, bisect_left(points, lo), bisect_right(points, hi) - 1)
-
-    best = 0
-    witness: Optional[Coord] = None
-    running = [0] * k
-    for idx, point in enumerate(points):
-        for c in range(k):
-            running[c] += diffs[c][idx]
-        spread = max(running) - min(running)
-        if spread > best or witness is None:
-            best = spread
-            witness = point
-    return ImbalanceReport(best, witness)
+    pieces, owners = _pieces(instance)
+    colors = coloring.colors
+    return imbalance(pieces, Coloring([colors[a] for a in owners], instance.k))
 
 
 def arc_color(instance: ArcInstance) -> Coloring:
@@ -253,17 +232,14 @@ def min_arc_imbalance_oracle(
     """Exhaustive minimum spread over all arc colorings, desk scale only.
 
     Returns the minimum and its lexicographically smallest witness coloring.
-    The cells of the search are the arcs containing each point that
-    arc_imbalance measures; the work can grow exponentially in n, so
-    instances beyond limit_n arcs are rejected.
+    The cells of the search are the coverage sets of point_cliques on the
+    arcs' pieces, mapped back to arc ids; the work can grow exponentially
+    in n, so instances beyond limit_n arcs are rejected.
     """
     n, k = instance.n, instance.k
     if n > limit_n:
         raise ValueError(f"exhaustive search limited to {limit_n} arcs, got {n}")
-    C = instance.circumference
-    cells = (
-        [arc.id for arc in instance.arcs if arc_contains(arc, C, point)]
-        for point in _measured_points(instance)
-    )
+    pieces, owners = _pieces(instance)
+    cells = ([owners[i] for i in clique] for _, clique in point_cliques(pieces))
     value, colors = _search_colorings(n, k, cells, minimize=True)
     return value, Coloring(colors, k)

@@ -242,6 +242,12 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
         )
     k = instance.k
     cols = coloring.colors
+    if k > instance.n + 1:
+        # the colors in use get dense slots and one more slot, always 0,
+        # stands for the rest, so the counts stay within n + 1 slots
+        slot = {c: s for s, c in enumerate(set(cols), 1)}
+        cols = [slot[c] for c in cols]
+        k = len(slot) + 1
     counts = [0] * k
     best = 0
     witness = Fraction(0)

@@ -67,6 +67,44 @@ def brute_force_counts(instance: Instance, coloring: Coloring, x):
     return tuple(counts)
 
 
+def brute_force_arc_cells(instance):
+    """Ids of the arcs covering each sample point, by direct arc membership.
+
+    Counts change only at the endpoints of proper arcs, so the samples are
+    each endpoint, the midpoint between consecutive endpoints and the
+    midpoint of the gap across zero (just zero when every arc is full).
+    """
+    from intervalcolor.arcs import arc_contains
+
+    C = instance.circumference
+    ends = sorted(
+        {p % C for arc in instance.arcs if arc.length < C
+         for p in (arc.start, arc.start + arc.length)}
+    ) or [Fraction(0)]
+    samples = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    samples.append((ends[-1] + ends[0] + C) / 2 % C)
+    return [
+        [arc.id for arc in instance.arcs if arc_contains(arc, C, p)]
+        for p in samples
+    ]
+
+
+def cell_spread(cells, coloring):
+    """Largest color-count spread over the cells, absent colors included."""
+    spread = 0
+    for cell in cells:
+        counts = [0] * coloring.k
+        for i in cell:
+            counts[coloring.colors[i] - 1] += 1
+        spread = max(spread, max(counts) - min(counts))
+    return spread
+
+
+def brute_force_arc_spread(instance, coloring):
+    """Largest color-count spread on the circle by direct arc membership."""
+    return cell_spread(brute_force_arc_cells(instance), coloring)
+
+
 class Edge(NamedTuple):
     item: int
     start_pos: int

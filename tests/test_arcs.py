@@ -1,6 +1,8 @@
 """Unfolding, circular imbalance, and the spread-2 arc coloring."""
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +20,7 @@ from intervalcolor.arcs import (
 )
 from intervalcolor.core import Coloring, imbalance, is_balanced, to_coord
 
-from helpers import random_arc_instance
+from helpers import brute_force_arc_spread, cell_spread, random_arc_instance
 
 
 def bounds(interval):
@@ -119,6 +121,55 @@ def test_arc_imbalance_measures_wrap_gap_midpoint():
     report = arc_imbalance(inst, Coloring((1, 2), 2))
     assert report.value == 1
     assert report.witness == 0
+
+
+def test_arc_imbalance_matches_membership_reference():
+    # arcs starting at 0, arcs ending exactly at the circumference, full
+    # arcs and plain ones, for every n in 0..12 and k in 1..4
+    rng = random.Random(107)
+    C = 8
+    for trial in range(260):
+        n, k = trial % 13, trial % 4 + 1
+        pairs = []
+        for _ in range(n):
+            start = Fraction(rng.randrange(0, 2 * C), 2)
+            length = Fraction(rng.randrange(1, 2 * C), 2)
+            kind = rng.randrange(4)
+            if kind == 0:
+                start = Fraction(0)
+            elif kind == 1:
+                start = C - length
+            elif kind == 2:
+                length += C - Fraction(1, 2)
+            pairs.append((start, length))
+        inst = make_arc_instance(pairs, C, k)
+        col = Coloring(tuple(rng.randint(1, k) for _ in range(n)), k)
+        report = arc_imbalance(inst, col)
+        assert report.value == brute_force_arc_spread(inst, col)
+        if n:
+            assert 0 <= report.witness < C
+            at_witness = [
+                arc.id for arc in inst.arcs if arc_contains(arc, C, report.witness)
+            ]
+            assert cell_spread([at_witness], col) == report.value
+
+
+def test_arc_imbalance_cost_does_not_grow_with_k():
+    rng = random.Random(109)
+    k = 10**5
+    inst = random_arc_instance(rng, 100, k, circumference=20)
+    col = Coloring(tuple(rng.randint(1, k) for _ in range(inst.n)), k)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        report = arc_imbalance(inst, col)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.value == brute_force_arc_spread(inst, col)
+    assert elapsed < 1.0
+    assert peak < 4 << 20
 
 
 def test_three_pairwise_intersecting_arcs_need_two():

@@ -1,6 +1,7 @@
 """Core model: coordinates, normalization, imbalance, and the oracle."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,39 @@ def test_sweep_counts_match_direct_counting():
         inst = random_instance(rng, rng.randint(0, 20), rng.randint(1, 4))
         col = random_coloring(rng, inst.n, inst.k)
         assert imbalance(inst, col).value == brute_force_value(inst, col)
+
+
+def test_imbalance_with_more_colors_than_intervals():
+    # beyond n + 1 colors the counts live in dense slots; value and witness
+    # stay those of direct counting
+    rng = random.Random(19)
+    for _ in range(100):
+        n = rng.randint(0, 12)
+        k = n + 2 + rng.choice((0, 1, 5, 100))
+        inst = random_instance(rng, n, k)
+        palette = rng.sample(range(1, k + 1), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            col = Coloring(tuple(rng.choice(palette) for _ in range(n)), k)
+        else:
+            col = random_coloring(rng, n, k)
+        report = imbalance(inst, col)
+        assert report.value == brute_force_value(inst, col)
+        witness_counts = brute_force_counts(inst, col, report.witness)
+        assert max(witness_counts) - min(witness_counts) == report.value
+
+
+def test_imbalance_memory_does_not_grow_with_k():
+    k = 10**7
+    inst = make_instance([[0, 2], [1, 3], [2, 4]], k)
+    col = Coloring((1, k, 1), k)
+    tracemalloc.start()
+    try:
+        report = imbalance(inst, col)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.value, report.witness) == (2, 2)
+    assert peak < 1 << 20
 
 
 def test_imbalance_invariant_under_color_relabeling():

@@ -2,16 +2,18 @@
 
 The two oracles and the two deciders share one pruned search.  Here each
 is checked against a plain loop over itertools.product that measures
-every coloring with the library's own imbalance functions: the oracles
-must return the minimum and its lexicographically first coloring, the
-deciders the first balanced coloring in counting order, or None.
+every coloring with the library's own imbalance functions, and arcs with
+a brute-force membership count that shares no code with the arc oracle.
+The oracles must return the minimum and its lexicographically first
+coloring, the deciders the first balanced coloring in counting order, or
+None.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from intervalcolor.arcs import arc_imbalance, min_arc_imbalance_oracle
+from intervalcolor.arcs import min_arc_imbalance_oracle
 from intervalcolor.core import Coloring, imbalance, min_imbalance_oracle
 from intervalcolor.hardness import (
     box_imbalance,
@@ -20,7 +22,12 @@ from intervalcolor.hardness import (
     make_box_instance,
 )
 
-from helpers import random_arc_instance, random_instance
+from helpers import (
+    brute_force_arc_cells,
+    cell_spread,
+    random_arc_instance,
+    random_instance,
+)
 
 
 def first_by_product(n, k, spread, minimize):
@@ -59,8 +66,9 @@ def test_searches_match_product_over_all_colorings():
         assert min_imbalance_oracle(inst) == (value, Coloring(colors, k))
 
         arcs = random_arc_instance(rng, rng.randint(0, 6), k, circumference=8)
+        cells = brute_force_arc_cells(arcs)
         value, colors = first_by_product(
-            arcs.n, k, lambda c: arc_imbalance(arcs, Coloring(c, k)).value, True
+            arcs.n, k, lambda c: cell_spread(cells, Coloring(c, k)), True
         )
         assert min_arc_imbalance_oracle(arcs) == (value, Coloring(colors, k))
 
