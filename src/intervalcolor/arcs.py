@@ -34,7 +34,6 @@ from intervalcolor.core import (
     Coloring,
     ImbalanceReport,
     Instance,
-    Interval,
     _search_colorings,
     imbalance,
     make_instance,
@@ -158,10 +157,12 @@ def unfold(instance: ArcInstance) -> Instance:
 
     if None in bounds:
         proper = make_instance([b for b in bounds if b is not None], instance.k)
-        coords = normalize(proper).coords or (Coord(0),)
-        hull_lo, hull_hi = coords[0], coords[-1]
+        norm = normalize(proper)
+        coords, scale = norm.coords or (0,), norm.scale
+        hull_lo = Coord(coords[0], scale)
+        hull_hi = Coord(coords[-1], scale)
         gaps = [b - a for a, b in zip(coords, coords[1:])]
-        margin = min(gaps) / 2 if gaps else Coord(1)
+        margin = Coord(min(gaps), 2 * scale) if gaps else Coord(1)
         hull_width = hull_hi - hull_lo
         if hull_width < C:
             margin = min(margin, (C - hull_width) / 4)
@@ -170,9 +171,7 @@ def unfold(instance: ArcInstance) -> Instance:
             span = (hull_lo - margin, hull_lo - margin + C)
         bounds = [span if b is None else b for b in bounds]
 
-    return Instance(
-        tuple(Interval(i, lo, hi) for i, (lo, hi) in enumerate(bounds)), instance.k
-    )
+    return make_instance(bounds, instance.k)
 
 
 def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
@@ -182,7 +181,7 @@ def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
     """
     C = instance.circumference
     zero = Coord(0)
-    intervals: List[Interval] = []
+    bounds: List[Tuple[Coord, Coord]] = []
     owners: List[int] = []
     for arc in instance.arcs:
         end = arc.start + arc.length
@@ -192,10 +191,9 @@ def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
             cut = ((arc.start, C), (zero, end - C))
         else:
             cut = ((arc.start, end),)
-        for lo, hi in cut:
-            intervals.append(Interval(len(intervals), lo, hi))
-            owners.append(arc.id)
-    return Instance(tuple(intervals), instance.k), owners
+        bounds += cut
+        owners += [arc.id] * len(cut)
+    return make_instance(bounds, instance.k), owners
 
 
 def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:

@@ -64,7 +64,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     else:
         instance = parse_instance_json(text)
     if getattr(args, "k", None) is not None and args.k != instance.k:
-        instance = Instance(instance.intervals, args.k)
+        instance = Instance.from_keys(instance.lo, instance.hi, instance.scale, args.k)
     return instance
 
 
@@ -146,7 +146,9 @@ def cmd_online(args: argparse.Namespace) -> int:
     if args.rounds < 0:
         raise FormatError(f"--rounds must not be negative, got {args.rounds}")
     instance = _load_instance(args)
-    stream = Instance(instance.intervals[: args.rounds], instance.k)
+    stream = Instance.from_keys(
+        instance.lo[: args.rounds], instance.hi[: args.rounds], instance.scale, instance.k
+    )
     coloring, trace = run_online(alg, stream)
     _emit(format_transcript_jsonl(stream.intervals, coloring.colors, trace))
     return 0

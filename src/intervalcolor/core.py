@@ -1,20 +1,30 @@
 """Exact interval instances, event normalization, and imbalance measurement.
 
 Coordinates are arbitrary-precision rationals so that coinciding endpoints
-are detected exactly; floats are rejected at the boundary.  normalize() is
-the only place interval endpoints are ordered: it ranks an instance's 2n
-endpoint events once, keeps the ranking on the instance, and every sweep
-over intervals (imbalance, the colorers, weighted_imbalance) walks that
-integer order.  All types are immutable values and safe to share between threads;
-the kept ranking is a pure function of the instance, so a race merely
-computes it twice.
+are detected exactly; floats are rejected at the boundary.  Rationals only
+order endpoints: an instance keeps each endpoint as a key, its coordinate
+times the instance's scale (the lcm of the denominators), so the keys are
+plain ints.  Only when the scale would pass _KEY_BITS bits are the keys the
+Fractions themselves, with scale 1; every sweep runs the same code either
+way.  normalize() is the only place endpoints are ordered: it ranks an
+instance's 2n endpoint events once by key, keeps the ranking on the
+instance, and every sweep over intervals (imbalance, the colorers,
+weighted_imbalance) walks that integer order.  A coordinate becomes a
+Fraction again only where it leaves the library: a witness, a clique's
+point, or an Interval, which an instance builds on first request.  All
+types are immutable values and safe to share between threads; the kept
+ranking and intervals are pure functions of the instance, so a race merely
+computes them twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from functools import cached_property
+from math import lcm
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "Coord",
@@ -37,6 +47,13 @@ __all__ = [
 
 Coord = Fraction
 CoordInput = Union[Fraction, int, str]
+
+# a scale wider than this ranks Fraction keys instead of int keys, so a
+# hostile spread of denominators cannot grow the keys without bound
+_KEY_BITS = 64
+
+_INT_OR_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
 
 class InvariantViolation(RuntimeError):
     """A structural guarantee of a construction failed.
@@ -69,6 +86,53 @@ def to_coord(value: CoordInput) -> Coord:
     )
 
 
+def _split(value: CoordInput) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of a coordinate, as to_coord reads it.
+
+    Plain ints, ASCII "a" and "a/b" strings and Fractions are split
+    directly; everything else, failures included, goes through to_coord.
+    """
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is str:
+        match = _INT_OR_RATIO(value)
+        if match is not None:
+            num, den = match.groups()
+            try:  # int() refuses very long digit strings, as Fraction does
+                d = 1 if den is None else int(den)
+                if d:
+                    return int(num), d
+            except ValueError:
+                pass
+    elif kind is Fraction:
+        return value.numerator, value.denominator
+    x = to_coord(value)
+    return x.numerator, x.denominator
+
+
+def _keys(
+    nums: List[int], dens: List[int], exact: Callable[[], List[Fraction]]
+) -> Tuple[list, int]:
+    """Keys of the coordinates nums[i] / dens[i], and their scale.
+
+    The scale is the lcm of the denominators and key i is
+    nums[i] * (scale // dens[i]).  When the scale would pass _KEY_BITS
+    bits, the keys are exact(), the coordinates as Fractions, and the
+    scale is 1.  Either way key / scale is the coordinate.
+    """
+    distinct = set(dens)
+    scale = 1
+    for d in distinct:
+        scale = lcm(scale, d)
+        if scale.bit_length() > _KEY_BITS:
+            return exact(), 1
+    if scale == 1:
+        return nums, 1
+    factor = {d: scale // d for d in distinct}
+    return [a * factor[d] for a, d in zip(nums, dens)], scale
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi]; point intervals (lo == hi) are allowed."""
@@ -87,39 +151,119 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
 class Instance:
-    """An ordered list of closed intervals plus the number of colors k."""
+    """An ordered list of closed intervals plus the number of colors k.
 
-    intervals: Tuple[Interval, ...]
+    Interval i is [lo[i] / scale, hi[i] / scale]: lo and hi are key
+    columns, ints, or Fractions when scale is 1 (see _keys).  The
+    intervals themselves are built on first request.
+    """
+
+    lo: Tuple
+    hi: Tuple
+    scale: int
     k: int
-    # the ranking normalize() computes once and keeps here
-    _normalized: Optional["NormalizedInstance"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        for pos, itv in enumerate(self.intervals):
+    def __init__(self, intervals: Iterable[Interval], k: int) -> None:
+        intervals = tuple(intervals)
+        for pos, itv in enumerate(intervals):
             if itv.id != pos:
                 raise ValueError(
                     f"interval ids must be 0..n-1 in order; "
                     f"position {pos} holds id {itv.id}"
                 )
+        coords = [itv.lo for itv in intervals] + [itv.hi for itv in intervals]
+        keys, scale = _keys(
+            [x.numerator for x in coords], [x.denominator for x in coords],
+            lambda: coords,
+        )
+        n = len(intervals)
+        self._set(keys[:n], keys[n:], scale, k)
+        self.__dict__["intervals"] = intervals
+
+    @classmethod
+    def from_keys(cls, lo: Sequence, hi: Sequence, scale: int, k: int) -> "Instance":
+        """The instance whose interval i is [lo[i] / scale, hi[i] / scale].
+
+        Keys are ints, or Fractions with scale 1; lo[i] > hi[i] is rejected
+        as an Interval would reject it.
+        """
+        instance = cls.__new__(cls)
+        instance._set(lo, hi, scale, k)
+        return instance
+
+    def _set(self, lo: Sequence, hi: Sequence, scale: int, k: int) -> None:
+        if len(lo) != len(hi):
+            raise ValueError(f"{len(lo)} lower keys for {len(hi)} upper keys")
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            if a > b:
+                raise ValueError(
+                    f"interval {i}: lo {Fraction(a, scale)} > hi {Fraction(b, scale)}"
+                )
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        put = object.__setattr__
+        put(self, "lo", tuple(lo))
+        put(self, "hi", tuple(hi))
+        put(self, "scale", scale)
+        put(self, "k", k)
+        put(self, "_normalized", None)  # the ranking normalize() keeps here
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Instance is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Instance is immutable; cannot delete {name!r}")
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.lo)
+
+    @cached_property
+    def intervals(self) -> Tuple[Interval, ...]:
+        s = self.scale
+        return tuple(
+            Interval(i, Fraction(a, s), Fraction(b, s))
+            for i, (a, b) in enumerate(zip(self.lo, self.hi))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        if self.k != other.k or self.n != other.n:
+            return False
+        if self.scale == other.scale:
+            return self.lo == other.lo and self.hi == other.hi
+        s, t = self.scale, other.scale
+        return all(
+            a * t == b * s
+            for a, b in zip(self.lo + self.hi, other.lo + other.hi)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k))
+
+    def __repr__(self) -> str:
+        return f"Instance(n={self.n}, k={self.k}, scale={self.scale})"
 
 
 def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
-    """Build an Instance from (lo, hi) pairs, assigning ids in order."""
-    intervals = tuple(
-        Interval(i, to_coord(lo), to_coord(hi)) for i, (lo, hi) in enumerate(bounds)
-    )
-    return Instance(intervals, k)
+    """Build an Instance from (lo, hi) pairs, assigning ids in order.
+
+    Each coordinate is read once into an integer numerator and
+    denominator; no Fraction or Interval is built on the way.
+    """
+    los: List[Tuple[int, int]] = []
+    his: List[Tuple[int, int]] = []
+    for lo, hi in bounds:
+        los.append(_split(lo))
+        his.append(_split(hi))
+    parts = los + his
+    nums = [a for a, _ in parts]
+    dens = [d for _, d in parts]
+    keys, scale = _keys(nums, dens, lambda: [Fraction(a, d) for a, d in parts])
+    n = len(los)
+    return Instance.from_keys(keys[:n], keys[n:], scale, k)
 
 
 @dataclass(frozen=True)
@@ -134,45 +278,40 @@ class NormalizedInstance:
     common rank region afterwards, so nothing that matters to
     balancedness is lost.
 
-    coords holds the distinct coordinates in ascending order and cuts the
-    block boundaries of order: the starts at coords[g] are
-    order[cuts[2g]:cuts[2g + 1]] and the ends there are
-    order[cuts[2g + 1]:cuts[2g + 2]].
+    coords holds the distinct endpoint keys in ascending order, each the
+    coordinate times scale (see Instance), and cuts the block boundaries
+    of order: the starts at coords[g] are order[cuts[2g]:cuts[2g + 1]] and
+    the ends there are order[cuts[2g + 1]:cuts[2g + 2]].
     """
 
     order: Tuple[int, ...]
-    coords: Tuple[Coord, ...]
+    coords: Tuple
     cuts: Tuple[int, ...]
+    scale: int = 1
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
     """Rank the 2n endpoint events once; later calls reuse the ranking.
 
-    This is the only place interval endpoints are sorted.  Floats decorate
-    the sort key only to keep most comparisons cheap; rounding is
-    monotone, so exact ties are the only place the Fraction itself is
-    consulted and the order stays exact.  Event e < n is the start of
+    This is the only place interval endpoints are sorted, and it sorts the
+    instance's keys: ints, exact and cheap to compare, unless the scale
+    was too wide and they are Fractions.  Event e < n is the start of
     interval e and event n + i its end, so the stable sort leaves equal
-    coordinates with starts first, then ids ascending.
+    keys with starts first, then ids ascending.
     """
     if instance._normalized is not None:
         return instance._normalized
     n = instance.n
-    points = [itv.lo for itv in instance.intervals]
-    points += [itv.hi for itv in instance.intervals]
-    try:
-        keys = [(float(x), x) for x in points]
-    except OverflowError:  # coordinates beyond float range: exact, slower path
-        keys = points
+    keys = instance.lo + instance.hi
     events = sorted(range(2 * n), key=keys.__getitem__)
-    coords: List[Coord] = []
+    coords: List = []
     cuts = [0]
     started = bytearray(n)
     previous = None
     for pos, e in enumerate(events):
         key = keys[e]
-        if key != previous:  # float first; the Fraction only on float ties
-            coords.append(points[e])
+        if key != previous:
+            coords.append(key)
             previous = key
         if e < n:
             started[e] = 1
@@ -186,7 +325,7 @@ def normalize(instance: Instance) -> NormalizedInstance:
     while len(cuts) <= 2 * len(coords):
         cuts.append(2 * n)
     order = tuple([e if e < n else n + ~e for e in events])
-    norm = NormalizedInstance(order, tuple(coords), tuple(cuts))
+    norm = NormalizedInstance(order, tuple(coords), tuple(cuts), instance.scale)
     object.__setattr__(instance, "_normalized", norm)
     return norm
 
@@ -250,32 +389,43 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
         k = len(slot) + 1
     counts = [0] * k
     best = 0
-    witness = Fraction(0)
+    at = None  # the first point attaining best: (g, between g and g + 1)
 
     norm = normalize(instance)
-    order, coords, cuts = norm.order, norm.coords, norm.cuts
-    last = len(coords) - 1
+    order, cuts = norm.order, norm.cuts
+    last = len(norm.coords) - 1
 
-    for g, x in enumerate(coords):
+    for g in range(last + 1):
         for i in order[cuts[2 * g] : cuts[2 * g + 1]]:
             counts[cols[i] - 1] += 1
         spread = max(counts) - min(counts)
         if spread > best:
             best = spread
-            witness = x
+            at = g, False
         if g == last:
             break
         ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
         if ends:
             for e in ends:
                 counts[cols[~e] - 1] -= 1
-            # something left, so the open region right of x can differ
+            # something left, so the open region right of coords[g] can differ
             spread = max(counts) - min(counts)
             if spread > best:
                 best = spread
-                witness = (x + coords[g + 1]) / 2
+                at = g, True
 
-    return ImbalanceReport(best, witness)
+    if at is None:
+        return ImbalanceReport(best, Fraction(0))
+    g, between = at
+    return ImbalanceReport(best, _point(norm, g, between))
+
+
+def _point(norm: NormalizedInstance, g: int, between: bool) -> Coord:
+    """The coordinate coords[g], or the midpoint of coords[g] and coords[g + 1]."""
+    x = norm.coords[g]
+    if between:
+        return Fraction(x + norm.coords[g + 1], 2 * norm.scale)
+    return Fraction(x, norm.scale)
 
 
 def is_balanced(instance: Instance, coloring: Coloring) -> bool:
@@ -310,15 +460,15 @@ def point_cliques(instance: Instance) -> Tuple[Tuple[Coord, frozenset], ...]:
     inputs only.
     """
     norm = normalize(instance)
-    order, coords, cuts = norm.order, norm.coords, norm.cuts
+    order, cuts = norm.order, norm.cuts
     active: Set[int] = set()
     out: List[Tuple[Coord, frozenset]] = []
-    for g, x in enumerate(coords):
+    for g in range(len(norm.coords)):
         active.update(order[cuts[2 * g] : cuts[2 * g + 1]])
-        out.append((x, frozenset(active)))
+        out.append((_point(norm, g, False), frozenset(active)))
         active.difference_update([~e for e in order[cuts[2 * g + 1] : cuts[2 * g + 2]]])
-        if g + 1 < len(coords):
-            out.append(((x + coords[g + 1]) / 2, frozenset(active)))
+        if g + 1 < len(norm.coords):
+            out.append((_point(norm, g, True), frozenset(active)))
     return tuple(out)
 
 

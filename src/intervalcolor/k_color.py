@@ -27,6 +27,7 @@ halving runs only when k, and so every 2^level, is below the depth.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -404,11 +405,19 @@ def _worst_pair(
     ascending order.
     """
     report = imbalance(instance, Coloring(tuple(colors), instance.k))
-    w = report.witness
     counts = [0] * instance.k
-    for itv, color in zip(instance.intervals, colors):
-        if itv.lo <= w <= itv.hi:
-            counts[color - 1] += 1
+    if report.value:
+        # the witness is a distinct key or the midpoint of two neighbors;
+        # an interval covers it iff it covers both neighbors
+        norm = normalize(instance)
+        coords = norm.coords
+        w = report.witness * norm.scale
+        g = bisect_right(coords, w) - 1
+        left = coords[g]
+        right = left if left == w else coords[g + 1]
+        for lo, hi, color in zip(instance.lo, instance.hi, colors):
+            if lo <= left and right <= hi:
+                counts[color - 1] += 1
     hi, lo = max(counts), min(counts)
     return report.value, tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
 

@@ -67,6 +67,43 @@ def brute_force_counts(instance: Instance, coloring: Coloring, x):
     return tuple(counts)
 
 
+def reference_ranking(instance: Instance):
+    """(order, coords, cuts) of the endpoint events by exact Fraction sort.
+
+    Events sort by coordinate, then starts before ends, then interval id;
+    coords are the distinct coordinates as Fractions.  The reference for
+    normalize, which sorts integer keys instead.
+    """
+    events = sorted(
+        [(itv.lo, 0, itv.id) for itv in instance.intervals]
+        + [(itv.hi, 1, itv.id) for itv in instance.intervals]
+    )
+    order = tuple(i if end == 0 else ~i for _, end, i in events)
+    coords = sorted({x for x, _, _ in events})
+    blocks = Counter((x, end) for x, end, _ in events)
+    cuts = [0]
+    for x in coords:
+        cuts.append(cuts[-1] + blocks[x, 0])
+        cuts.append(cuts[-1] + blocks[x, 1])
+    return order, tuple(coords), tuple(cuts)
+
+
+def reference_imbalance(instance: Instance, coloring: Coloring):
+    """(value, witness) by direct counting at every coordinate and gap midpoint.
+
+    The points are visited left to right and the witness is the first one
+    attaining the largest spread, 0 when every spread is 0.
+    """
+    _, xs, _ = reference_ranking(instance)
+    points = [p for a, b in zip(xs, xs[1:]) for p in (a, (a + b) / 2)] + list(xs[-1:])
+    best, witness = 0, Fraction(0)
+    for p in points:
+        counts = brute_force_counts(instance, coloring, p)
+        if max(counts) - min(counts) > best:
+            best, witness = max(counts) - min(counts), p
+    return best, witness
+
+
 def brute_force_arc_cells(instance):
     """Ids of the arcs covering each sample point, by direct arc membership.
 

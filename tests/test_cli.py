@@ -10,8 +10,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from intervalcolor import cli
 from intervalcolor.cli import main
-from intervalcolor.formats import format_instance_json
+from intervalcolor.core import to_coord
+from intervalcolor.formats import coord_json, format_instance_json
 from helpers import random_instance
 
 TWO = '{"k": 2, "intervals": [[0, 2], ["1/2", "5/2"]]}\n'
@@ -151,6 +153,61 @@ def test_color_then_verify_round_trip(tmp_path, capsys):
         assert code == 0
         assert main(["verify", "--input", inst, "--coloring", colored]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [" 3", "+3", "1_000", "\u0663", "007", "-0/5", "3/0", "3/-2", "0.25", "1e3",
+     "1/2 ", "", True],
+    ids=ascii,
+)
+def test_coordinate_grammar_at_the_command_line(tmp_path, capsys, value):
+    # every coordinate string reads as to_coord reads it; a rejected one
+    # exits 2 with to_coord's message
+    path = write(tmp_path, "one.json", json.dumps({"k": 2, "intervals": [[value, 10**4]]}))
+    code, out, err = run(capsys, "color", "--input", path)
+    try:
+        x = to_coord(value)
+    except (TypeError, ValueError) as exc:
+        assert (code, out, err) == (2, "", f"error: instance: {exc}\n")
+        return
+    assert code == 0 and json.loads(out) == {"colors": [1], "imbalance": 1}
+    coloring = write(tmp_path, "one-colors.json", out)
+    code, out, _ = run(capsys, "verify", "--input", path, "--coloring", coloring)
+    assert json.loads(out) == {"imbalance": 1, "witness": coord_json(x)}
+
+
+def test_color_and_verify_build_no_intervals(tmp_path, capsys, monkeypatch):
+    # the sweeps read integer keys; Interval objects are built only on
+    # request, and no command here requests them
+    loaded = []
+    load = cli._load_instance
+
+    def keep(args):
+        loaded.append(load(args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_instance", keep)
+    rng = random.Random(37)
+    # ids 0, 3, 6, ... pile up near 0 and the rest near 5, so rebalancing
+    # has work to do; denominators of 10**30 give Fraction keys
+    tiny = [
+        [f"{i + 5 * bool(i % 3) * 10**30}/{10**30}", 1 + 5 * bool(i % 3)]
+        for i in range(20)
+    ]
+    for text in (
+        format_instance_json(random_instance(rng, 40, 3)),
+        json.dumps({"k": 3, "intervals": tiny}),
+    ):
+        path = write(tmp_path, "inst.json", text)
+        code, out, _ = run(capsys, "color", "--input", path)
+        coloring = write(tmp_path, "colors.json", out)
+        assert code == 0
+        assert run(capsys, "verify", "--input", path, "--coloring", coloring)[0] == 0
+        assert run(capsys, "color", "--input", path, "--algorithm", "dewerra")[0] == 0
+        assert run(capsys, "color", "--input", path, "--k", "4")[0] == 0
+    assert len(loaded) == 8
+    assert all("intervals" not in vars(instance) for instance in loaded)
 
 
 def test_verify_monochromatic_pair(tmp_path, capsys):

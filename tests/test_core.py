@@ -1,11 +1,14 @@
 """Core model: coordinates, normalization, imbalance, and the oracle."""
 
+import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from intervalcolor import core
 from intervalcolor.core import (
     Coloring,
     Instance,
@@ -20,7 +23,16 @@ from intervalcolor.core import (
     to_coord,
 )
 
-from helpers import brute_force_counts, random_coloring, random_instance
+from intervalcolor.formats import parse_instance_json
+from intervalcolor.k_color import k_color
+
+from helpers import (
+    brute_force_counts,
+    random_coloring,
+    random_instance,
+    reference_imbalance,
+    reference_ranking,
+)
 
 
 def test_to_coord_accepts_exact_inputs():
@@ -116,7 +128,8 @@ def test_events_are_a_rank_permutation():
             for e in order[cuts[b] : cuts[b + 1]]:
                 itv = inst.intervals[e if e >= 0 else ~e]
                 assert (e < 0) == (b % 2 == 1)
-                assert (itv.lo if e >= 0 else itv.hi) == coords[b // 2]
+                x = itv.lo if e >= 0 else itv.hi
+                assert x == Fraction(coords[b // 2], norm.scale)
             block = list(order[cuts[b] : cuts[b + 1]])
             ids = [e if e >= 0 else ~e for e in block]
             assert ids == sorted(ids)  # ties break by interval id
@@ -134,6 +147,154 @@ def test_normalize_exact_on_float_ties_and_overflow():
     norm = normalize(inst)
     assert norm.coords == (-huge, huge, huge + 1)
     assert norm.order == (1, 0, ~1, ~0)
+
+
+GRAMMAR_CASES = [
+    " 3", "+3", "1_000", "\u0663", "007", "-0/5", "3/0", "3/-2", "0.25", "1e3",
+    "1/2 ", "", True, 0.5, 10**400, "1e1000000",
+]
+
+
+def outcome(read, value):
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("value", GRAMMAR_CASES, ids=lambda v: ascii(v)[:12])
+def test_coordinate_split_matches_to_coord(value):
+    # the integer split accepts and rejects what to_coord does, same value,
+    # same error
+    def through_instance(v):
+        return make_instance([[v, v]], 2).intervals[0].lo
+
+    expected = outcome(to_coord, value)
+    assert outcome(lambda v: Fraction(*core._split(v)), value) == expected
+    assert outcome(through_instance, value) == expected
+
+
+def test_ints_ratios_and_fractions_skip_to_coord(monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"to_coord called on {value!r}")
+
+    monkeypatch.setattr(core, "to_coord", refuse)
+    inst = make_instance([[0, "1/2"], ["-3/4", 7], [Fraction(1, 3), 10**400]], 2)
+    assert inst.scale == 12
+    assert inst.intervals[1].lo == Fraction(-3, 4)
+
+
+def test_instance_keys_and_equality_across_scales():
+    halves = make_instance([["1/2", 1], [0, "3/2"]], 2)
+    quarters = make_instance([["2/4", 1], [0, "6/4"]], 2)
+    assert (halves.lo, halves.hi, halves.scale) == ((1, 0), (2, 3), 2)
+    assert quarters.scale == 4 and quarters == halves
+    assert Instance(halves.intervals, 2) == halves
+    assert make_instance([["1/2", 1], [0, 2]], 2) != halves
+    with pytest.raises(ValueError, match=r"interval 1: lo 3/2 > hi 1/2"):
+        make_instance([[0, 1], ["3/2", "1/2"]], 2)
+    with pytest.raises(ValueError, match=r"interval 0: lo 3/2 > hi 1/2"):
+        Instance.from_keys((3,), (1,), 2, 2)
+
+
+def quarter_string(v):
+    """Decimal string of v / 4, such as "-1.25"."""
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    return f"{sign}{v // 4}.{v % 4 * 25:02d}"
+
+
+COORDINATE_KINDS = {
+    "ints": lambda rng: rng.randrange(-20, 20),
+    "halves": lambda rng: f"{rng.randrange(-40, 40)}/2",
+    "decimals": lambda rng: quarter_string(rng.randrange(-80, 80)),
+    "huge": lambda rng: rng.choice((-1, 1)) * 10**400 + rng.randrange(-6, 6),
+    # denominators near 10**30 pass the key width: Fraction keys
+    "tiny": lambda rng: rng.randrange(-3, 3) + Fraction(rng.randrange(1, 6), 10**30),
+}
+
+
+def random_keyed_instance(rng, kind, n, k):
+    """Seeded instance whose coordinates are drawn as COORDINATE_KINDS says.
+
+    Endpoints repeat through a shared pool, and about one interval in five
+    is a point.
+    """
+    draws = list(COORDINATE_KINDS.values()) if kind == "mixed" else [COORDINATE_KINDS[kind]]
+    pool = [rng.choice(draws)(rng) for _ in range(max(2, n // 2))]
+
+    def coord():
+        return rng.choice(pool) if rng.random() < 0.4 else rng.choice(draws)(rng)
+
+    bounds = []
+    for _ in range(n):
+        a = coord()
+        b = a if rng.random() < 0.2 else coord()
+        bounds.append((a, b) if to_coord(a) <= to_coord(b) else (b, a))
+    return make_instance(bounds, k)
+
+
+@pytest.mark.parametrize("kind", [*COORDINATE_KINDS, "mixed"])
+def test_ranking_matches_the_fraction_sort(kind):
+    rng = random.Random(f"keys/{kind}")
+    for _ in range(60):
+        inst = random_keyed_instance(rng, kind, rng.randint(0, 20), rng.randint(1, 4))
+        if kind == "tiny" and inst.n:
+            assert inst.scale == 1 and all(type(x) is Fraction for x in inst.lo)
+        elif kind != "mixed":
+            assert all(type(x) is int for x in inst.lo + inst.hi)
+        norm = normalize(inst)
+        order, coords, cuts = reference_ranking(inst)
+        assert norm.order == order and norm.cuts == cuts
+        assert tuple(Fraction(x, norm.scale) for x in norm.coords) == coords
+        # the same intervals keyed from Interval objects rank alike
+        again = normalize(Instance(inst.intervals, inst.k))
+        assert (again.order, again.cuts) == (order, cuts)
+        assert tuple(Fraction(x, again.scale) for x in again.coords) == coords
+        col = random_coloring(rng, inst.n, inst.k)
+        report = imbalance(inst, col)
+        assert (report.value, report.witness) == reference_imbalance(inst, col)
+        counts = brute_force_counts(inst, col, report.witness)
+        assert max(counts, default=0) - min(counts, default=0) == report.value
+
+
+def first_primes(count):
+    limit = 50_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    primes = [p for p in range(limit) if sieve[p]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def test_hostile_denominators_stay_bounded():
+    # every endpoint has its own prime denominator, so their lcm would
+    # have tens of thousands of bits; past the key width the instance
+    # ranks the Fractions instead, and time and memory stay small
+    n = 2000
+    primes = first_primes(2 * n)
+    rng = random.Random(29)
+    intervals = []
+    for p, q in zip(primes[::2], primes[1::2]):
+        a, b = (rng.randrange(1, 1000 * p), p), (rng.randrange(1, 1000 * q), q)
+        if a[0] * b[1] > b[0] * a[1]:
+            a, b = b, a
+        intervals.append([f"{a[0]}/{a[1]}", f"{b[0]}/{b[1]}"])
+    text = json.dumps({"k": 3, "intervals": intervals})
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        inst = parse_instance_json(text)
+        value = imbalance(inst, k_color(inst)).value
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.scale == 1 and value <= 1
+    assert elapsed < 10, f"{elapsed:.1f} s"
+    assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_imbalance_monochromatic_overlap():

@@ -3,6 +3,7 @@
 import importlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from intervalcolor.core import (
 )
 from intervalcolor.k_color import (
     EdgeGraph,
+    _worst_pair,
     constraint_graph,
     edge_color,
     hypergraph_to_instance,
@@ -32,6 +34,7 @@ from intervalcolor.two_color import two_color
 from helpers import (
     assert_proper_edge_coloring,
     assert_sweep_graph,
+    brute_force_counts,
     random_bipartite_multigraph,
     random_instance,
 )
@@ -291,6 +294,28 @@ def test_dewerra_matches_oracle_small():
         inst = random_instance(rng, rng.randint(0, 9), k)
         value, _ = min_imbalance_oracle(inst)
         assert imbalance(inst, k_color_dewerra(inst)).value == value
+
+
+def test_worst_pair_counts_at_the_witness_by_keys():
+    # the pair read from integer (or Fraction) keys is the pair that direct
+    # counting at the witness gives, midpoints included
+    rng = random.Random(71)
+    tiny = Fraction(1, 10**30)
+    for trial in range(120):
+        k = rng.randint(2, 5)
+        inst = random_instance(rng, rng.randint(1, 25), k, collide=0.4)
+        if trial % 2:  # nudged coordinates rank as Fraction keys
+            inst = make_instance(
+                [(itv.lo + itv.id * tiny, itv.hi + itv.id * tiny) for itv in inst.intervals], k
+            )
+            assert inst.scale == 1
+        colors = [rng.randint(1, k) for _ in range(inst.n)]
+        value, pair = _worst_pair(inst, colors)
+        report = imbalance(inst, Coloring(tuple(colors), k))
+        counts = brute_force_counts(inst, Coloring(tuple(colors), k), report.witness)
+        top, bottom = counts.index(max(counts)) + 1, counts.index(min(counts)) + 1
+        assert value == report.value == max(counts) - min(counts)
+        assert pair == tuple(sorted((top, bottom)))
 
 
 def column_counts(matrix, coloring, k):
