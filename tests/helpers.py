@@ -1,4 +1,4 @@
-"""Shared random generators and timing utilities for the test suite."""
+"""Shared random generators, references and timing utilities for the test suite."""
 
 import gc
 import time
@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 from intervalcolor.core import Coloring, Instance, make_instance
 from intervalcolor.k_color import EdgeGraph
+from intervalcolor.online import OnlineAlgorithm
 
 
 def random_instance(rng, n, k, collide=0.3, span=60):
@@ -140,6 +141,25 @@ def cell_spread(cells, coloring):
 def brute_force_arc_spread(instance, coloring):
     """Largest color-count spread on the circle by direct arc membership."""
     return cell_spread(brute_force_arc_cells(instance), coloring)
+
+
+class AlwaysColor(OnlineAlgorithm):
+    """Constant online strategy, an adversary test opponent."""
+
+    def __init__(self, color: int):
+        self.color = color
+
+    def reset(self, k: int) -> None:
+        if not (1 <= self.color <= k):
+            raise ValueError(f"constant color {self.color} outside 1..{k}")
+
+    def assign(self, interval):
+        return self.color
+
+
+def transcript_instance(transcript) -> Instance:
+    """The presented intervals of a Transcript as an offline instance."""
+    return Instance(transcript.presented, transcript.k)
 
 
 class Edge(NamedTuple):

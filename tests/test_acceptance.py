@@ -42,7 +42,7 @@ from intervalcolor.k_color import (
     k_color,
     k_color_dewerra,
 )
-from intervalcolor.online import adversary_k2, make_algorithm, transcript_instance
+from intervalcolor.online import adversary_k2, make_algorithm
 from intervalcolor.two_color import two_color
 from helpers import (
     assert_proper_edge_coloring,
@@ -50,6 +50,7 @@ from helpers import (
     random_bipartite_multigraph,
     random_instance,
     steady_pair_seconds,
+    transcript_instance,
 )
 
 

@@ -17,17 +17,18 @@ from intervalcolor.core import (
 from intervalcolor.k_color import k_color
 from intervalcolor.online import (
     ALGORITHM_NAMES,
-    AlwaysColor,
     GreedyLeastLoaded,
     OnlineAlgorithm,
     RoundRobin,
     SeededRandom,
+    _Session,
+    _signed_count,
     adversary_general,
     adversary_k2,
     make_algorithm,
     run_online,
-    transcript_instance,
 )
+from helpers import AlwaysColor, steady_seconds, transcript_instance
 
 
 class BadAlgorithm(OnlineAlgorithm):
@@ -254,9 +255,154 @@ def test_builtin_colors_match_references():
         assert seeded.colors == tuple(draws.randint(1, k) for _ in range(inst.n))
 
 
-def test_adversary_trace_matches_prefix_oracle():
-    for k in (2, 3, 4):
+def test_run_online_trace_matches_prefix_oracle_up_to_200():
+    # longer streams keep many right ends alive and drop many at once;
+    # k beyond n leaves colors unused, so an absent color holds the minimum
+    rng = random.Random(63)
+    for _ in range(24):
+        k = rng.choice((1, 2, 3, 4, 5, 40, 500))
+        inst = random_stream(rng, rng.randint(0, 200), k)
         for name in ALGORITHM_NAMES:
-            tr = adversary_general(make_algorithm(name, seed=k), k, 12)
-            assert tr.trace == prefix_imbalances(tr.presented, tr.colors, k), (k, name)
-            assert tr.final_imbalance == tr.trace[-1]
+            coloring, trace = run_online(make_algorithm(name, seed=8), inst)
+            assert trace == prefix_imbalances(inst.intervals, coloring.colors, k), (k, name)
+
+
+@pytest.mark.parametrize("shape", ["nested", "staircase"])
+def test_run_online_trace_on_nested_and_staircase_streams(shape):
+    # nested: [i, N - i], every right end new and lowest; staircase:
+    # [i, N + i], every interval alive and every right end new and highest
+    N = 90
+    bounds = [(i, N - i) for i in range(N // 2)] if shape == "nested" else [
+        (i, N + i) for i in range(N)
+    ]
+    for k in (2, 3, 7):
+        inst = make_instance(bounds, k)
+        for name in ALGORITHM_NAMES:
+            coloring, trace = run_online(make_algorithm(name, seed=k), inst)
+            assert trace == prefix_imbalances(inst.intervals, coloring.colors, k), (k, name)
+
+
+def adversary_runs():
+    """Transcripts of every builtin for k = 2..5, of a constant untracked
+    color that exhausts a small repeat budget, and of random colors from
+    a million."""
+    for k in (2, 3, 4, 5):
+        for name in ALGORITHM_NAMES:
+            yield adversary_general(make_algorithm(name, seed=k), k, 12)
+        yield adversary_general(make_algorithm("seeded_random", seed=k), k, 20, repeat_budget=2)
+    for k in (3, 4, 5):
+        yield adversary_general(AlwaysColor(3), k, 12, repeat_budget=4)
+    yield adversary_general(make_algorithm("seeded_random", seed=6), 10**6, 12)
+
+
+def test_adversary_trace_matches_prefix_oracle():
+    for tr in adversary_runs():
+        assert tr.trace == prefix_imbalances(tr.presented, tr.colors, tr.k), tr.colors
+        assert tr.final_imbalance == tr.trace[-1]
+
+
+def region_midpoints(tr):
+    """(L midpoint, R midpoint, presentations so far) at each record,
+    replayed from the transcript's colors; a run that ends on an untracked
+    color broke off with the budget spent and records once more."""
+    L, R = (Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))
+    mid = lambda region: (region[0] + region[1]) / 2
+    out = []
+    for pos, color in enumerate(tr.colors):
+        if color <= 2:
+            R = (R[0], mid(R)) if color == 1 else (mid(R), R[1])
+            L = (mid(L), L[1])
+            out.append((mid(L), mid(R), pos + 1))
+    if tr.colors and tr.colors[-1] > 2:
+        out.append((mid(L), mid(R), len(tr.colors)))
+    return out
+
+
+def signed_count(intervals, colors, point):
+    """Color-1 minus color-2 intervals covering point, counted from scratch."""
+    return sum(
+        (color == 1) - (color == 2)
+        for itv, color in zip(intervals, colors)
+        if itv.contains(point)
+    )
+
+
+def test_adversary_region_counts_match_scratch_counts():
+    broke = 0
+    for tr in adversary_runs():
+        points = region_midpoints(tr)
+        assert len(points) == len(tr.simb_l) == len(tr.simb_r)
+        for (mid_l, mid_r, n), simb_l, simb_r in zip(points, tr.simb_l, tr.simb_r):
+            prefix = tr.presented[:n], tr.colors[:n]
+            assert simb_l == signed_count(*prefix, mid_l)
+            assert simb_r == signed_count(*prefix, mid_r)
+        broke += tr.colors[-1] > 2
+    assert broke >= 3  # the budget-exhausted break path ran
+
+
+def test_signed_count_matches_scratch_counts_at_every_point():
+    # points at, between and beyond the endpoints, left of the latest
+    # start too, after every arrival of random streams keyed by coordinate
+    rng = random.Random(65)
+    for _ in range(30):
+        inst = random_stream(rng, rng.randint(1, 30), 3)
+        session = _Session(SeededRandom(rng.randrange(100)), 3)
+        for itv in inst.intervals:
+            session.present(itv, itv.lo, itv.hi)
+            xs = sorted({x for old in session.presented for x in (old.lo, old.hi)})
+            points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] + 1]
+            for point in points:
+                assert _signed_count(session, point) == signed_count(
+                    session.presented, session.colors, point
+                ), point
+
+
+def test_count_lists_stay_within_the_colors_in_use():
+    # one slot per color used plus one zero slot, however large k is
+    inst = make_instance([(i, 10 + i) for i in range(6)], 10**9)
+    session = _Session(RoundRobin(), 10**9)
+    for itv, lo, hi in zip(inst.intervals, inst.lo, inst.hi):
+        session.present(itv, lo, hi)
+    assert [len(counts) for counts in session.suf] == [7] * 6
+    assert session.trace == [1] * 6
+
+
+def test_break_path_probes_left_of_the_latest_start():
+    # the last record probes L's midpoint 1/2, left of the stacked copies'
+    # last start 47/64, where the counts kept per right end do not apply
+    tr = adversary_general(AlwaysColor(3), 3, 30, repeat_budget=5)
+    assert tr.presented[-1].lo == Fraction(47, 64)
+    assert region_midpoints(tr) == [(Fraction(1, 2), Fraction(5, 2), 5)]
+
+
+def test_greedy_rejects_decreasing_startpoints():
+    greedy = GreedyLeastLoaded()
+    greedy.reset(2)
+    greedy.assign(make_instance([(1, 2)], 2).intervals[0])
+    with pytest.raises(ValueError):
+        greedy.assign(make_instance([(0, 3)], 2).intervals[0])
+
+
+def test_finish_refuses_a_trace_the_offline_check_disagrees_with():
+    inst = make_instance([(0, 2), (1, 3)], 2)
+    session = _Session(RoundRobin(), 2)
+    for itv, lo, hi in zip(inst.intervals, inst.lo, inst.hi):
+        session.present(itv, lo, hi)
+    assert session.finish(inst).colors == (1, 2)
+    session.trace[-1] += 1
+    with pytest.raises(InvariantViolation):
+        session.finish(inst)
+
+
+def test_run_online_stays_near_linear():
+    # shaped like the benchmark's stream: starts uniform in [0, 2 * 10^4),
+    # lengths in [0, 2500); re-ranking every prefix took seconds at n = 1000
+    rng = random.Random(64)
+    starts = sorted(rng.randrange(0, 2 * 10**4) for _ in range(2000))
+    inst = make_instance([(a, a + rng.randrange(0, 2500)) for a in starts], 3)
+    assert steady_seconds(lambda: run_online(GreedyLeastLoaded(), inst)) < 1.0
+
+
+def test_adversary_stays_near_linear():
+    seconds = steady_seconds(lambda: adversary_general(RoundRobin(), 2, 240))
+    assert seconds < 0.5
