@@ -47,7 +47,6 @@ __all__ = [
     "Arc",
     "ArcInstance",
     "make_arc_instance",
-    "arc_contains",
     "unfold",
     "arc_imbalance",
     "arc_color",
@@ -115,15 +114,6 @@ def make_arc_instance(
         for i, (start, length) in enumerate(pairs)
     )
     return ArcInstance(arcs, to_coord(circumference), k)
-
-
-def arc_contains(arc: Arc, circumference: Coord, point: Coord) -> bool:
-    """Closed-arc membership of a circle point given by any real coordinate."""
-    if arc.length >= circumference:
-        return True
-    p = point % circumference
-    end = arc.start + arc.length
-    return arc.start <= p <= end or arc.start <= p + circumference <= end
 
 
 def unfold(instance: ArcInstance) -> Instance:

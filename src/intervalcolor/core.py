@@ -14,7 +14,8 @@ Fraction again only where it leaves the library: a witness, a clique's
 point, or an Interval, which an instance builds on first request.  All
 types are immutable values and safe to share between threads; the kept
 ranking and intervals are pure functions of the instance, so a race merely
-computes them twice.
+computes them twice.  imbalance, the check behind every result, costs O(1)
+per event whatever k is and allocates nothing in proportion to k.
 """
 
 from __future__ import annotations
@@ -369,6 +370,13 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     right endpoint), and at the midpoint of each region between consecutive
     distinct coordinates.  Those points realize every coverage set that
     exists on the line, so the maximum is exact.
+
+    Each event costs O(1) whatever k is.  Besides each color's count the
+    sweep keeps freq[v], the number of colors whose count is v, with the
+    k - (colors in use) absent colors folded into freq[0] as one int, and
+    the largest and smallest counts top and bottom.  An event moves one
+    count by one, so each pointer moves at most one step.  Counts never
+    pass n, so nothing is allocated in proportion to k: O(n) in all.
     """
     if len(coloring.colors) != instance.n:
         raise ValueError(
@@ -379,15 +387,16 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
         raise ValueError(
             f"coloring uses k={coloring.k} but instance has k={instance.k}"
         )
-    k = instance.k
+    n = instance.n
     cols = coloring.colors
-    if k > instance.n + 1:
-        # the colors in use get dense slots and one more slot, always 0,
-        # stands for the rest, so the counts stay within n + 1 slots
-        slot = {c: s for s, c in enumerate(set(cols), 1)}
+    if n and max(cols) > n:
+        # at most n colors are in use; dense slots keep counts within n slots
+        slot = {c: s for s, c in enumerate(set(cols))}
         cols = [slot[c] for c in cols]
-        k = len(slot) + 1
-    counts = [0] * k
+    counts = [0] * (n + 1)  # per color, or per slot
+    freq = [0] * (n + 1)  # freq[v]: colors whose count is v
+    freq[0] = instance.k
+    top = bottom = 0
     best = 0
     at = None  # the first point attaining best: (g, between g and g + 1)
 
@@ -397,21 +406,35 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
 
     for g in range(last + 1):
         for i in order[cuts[2 * g] : cuts[2 * g + 1]]:
-            counts[cols[i] - 1] += 1
-        spread = max(counts) - min(counts)
-        if spread > best:
-            best = spread
+            c = cols[i]
+            v = counts[c]
+            counts[c] = v + 1
+            freq[v] -= 1
+            freq[v + 1] += 1
+            if v == top:
+                top = v + 1
+            if v == bottom and not freq[v]:
+                bottom = v + 1
+        if top - bottom > best:
+            best = top - bottom
             at = g, False
         if g == last:
             break
         ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
         if ends:
             for e in ends:
-                counts[cols[~e] - 1] -= 1
+                c = cols[~e]
+                v = counts[c]
+                counts[c] = v - 1
+                freq[v] -= 1
+                freq[v - 1] += 1
+                if v == bottom:
+                    bottom = v - 1
+                if v == top and not freq[v]:
+                    top = v - 1
             # something left, so the open region right of coords[g] can differ
-            spread = max(counts) - min(counts)
-            if spread > best:
-                best = spread
+            if top - bottom > best:
+                best = top - bottom
                 at = g, True
 
     if at is None:

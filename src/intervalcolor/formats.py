@@ -83,16 +83,6 @@ def parse_instance_json(text: str) -> Instance:
         raise FormatError(f"instance: {exc}") from None
 
 
-def format_instance_json(instance: Instance) -> str:
-    payload = {
-        "k": instance.k,
-        "intervals": [
-            [coord_json(itv.lo), coord_json(itv.hi)] for itv in instance.intervals
-        ],
-    }
-    return json.dumps(payload) + "\n"
-
-
 def parse_instance_text(text: str) -> Instance:
     """Instance from a "n k" header line and n "lo hi" lines.
 

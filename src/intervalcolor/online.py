@@ -93,6 +93,8 @@ class GreedyLeastLoaded(OnlineAlgorithm):
     count, ties to the lowest color.  Startpoints never decrease, so an
     answer ending before one startpoint contains no later one: only the
     answers still active are kept, in right-end order, with their counts.
+    The colors used so far are always 1..u, since a new color is taken
+    only when every used one is busy, so counts holds u slots, not k.
     """
 
     def reset(self, k: int) -> None:
@@ -100,7 +102,7 @@ class GreedyLeastLoaded(OnlineAlgorithm):
         self.start: Optional[Coord] = None
         self.ends: List[Coord] = []  # right ends of the active answers, ascending
         self.active: List[int] = []  # their colors
-        self.counts = [0] * k  # active answers per color
+        self.counts: List[int] = []  # active answers per used color
 
     def assign(self, interval):
         lo = interval.lo
@@ -112,6 +114,8 @@ class GreedyLeastLoaded(OnlineAlgorithm):
         for color in active[:gone]:
             counts[color - 1] -= 1
         del ends[:gone], active[:gone]
+        if len(counts) < self.k and 0 not in counts:
+            counts.append(0)  # every used color is busy: take the next one
         color = counts.index(min(counts)) + 1
         counts[color - 1] += 1
         at = bisect_right(ends, interval.hi)

@@ -1,12 +1,14 @@
 """Shared random generators, references and timing utilities for the test suite."""
 
 import gc
+import json
 import time
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from intervalcolor.core import Coloring, Instance, make_instance
+from intervalcolor.formats import coord_json
 from intervalcolor.k_color import EdgeGraph
 from intervalcolor.online import OnlineAlgorithm
 
@@ -33,6 +35,17 @@ def random_instance(rng, n, k, collide=0.3, span=60):
             a, b = b, a
         bounds.append((a, b))
     return make_instance(bounds, k)
+
+
+def format_instance_json(instance: Instance) -> str:
+    """The JSON instance file the command line reads, for an Instance."""
+    payload = {
+        "k": instance.k,
+        "intervals": [
+            [coord_json(itv.lo), coord_json(itv.hi)] for itv in instance.intervals
+        ],
+    }
+    return json.dumps(payload) + "\n"
 
 
 def random_coloring(rng, n, k):
@@ -105,6 +118,15 @@ def reference_imbalance(instance: Instance, coloring: Coloring):
     return best, witness
 
 
+def arc_contains(arc, circumference, point):
+    """Closed-arc membership of a circle point given by any real coordinate."""
+    if arc.length >= circumference:
+        return True
+    p = point % circumference
+    end = arc.start + arc.length
+    return arc.start <= p <= end or arc.start <= p + circumference <= end
+
+
 def brute_force_arc_cells(instance):
     """Ids of the arcs covering each sample point, by direct arc membership.
 
@@ -112,8 +134,6 @@ def brute_force_arc_cells(instance):
     each endpoint, the midpoint between consecutive endpoints and the
     midpoint of the gap across zero (just zero when every arc is full).
     """
-    from intervalcolor.arcs import arc_contains
-
     C = instance.circumference
     ends = sorted(
         {p % C for arc in instance.arcs if arc.length < C

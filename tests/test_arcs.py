@@ -12,7 +12,6 @@ from intervalcolor.arcs import (
     Arc,
     ArcInstance,
     arc_color,
-    arc_contains,
     arc_imbalance,
     make_arc_instance,
     min_arc_imbalance_oracle,
@@ -20,7 +19,12 @@ from intervalcolor.arcs import (
 )
 from intervalcolor.core import Coloring, imbalance, is_balanced, to_coord
 
-from helpers import brute_force_arc_spread, cell_spread, random_arc_instance
+from helpers import (
+    arc_contains,
+    brute_force_arc_spread,
+    cell_spread,
+    random_arc_instance,
+)
 
 
 def bounds(interval):
@@ -125,11 +129,11 @@ def test_arc_imbalance_measures_wrap_gap_midpoint():
 
 def test_arc_imbalance_matches_membership_reference():
     # arcs starting at 0, arcs ending exactly at the circumference, full
-    # arcs and plain ones, for every n in 0..12 and k in 1..4
+    # arcs and plain ones, for every n in 0..12 and k in 1..4, 64 and 1024
     rng = random.Random(107)
     C = 8
     for trial in range(260):
-        n, k = trial % 13, trial % 4 + 1
+        n, k = trial % 13, (1, 2, 3, 4, 64, 1024)[trial % 6]
         pairs = []
         for _ in range(n):
             start = Fraction(rng.randrange(0, 2 * C), 2)

@@ -13,8 +13,8 @@ import pytest
 from intervalcolor import cli
 from intervalcolor.cli import main
 from intervalcolor.core import to_coord
-from intervalcolor.formats import coord_json, format_instance_json
-from helpers import random_instance
+from intervalcolor.formats import coord_json
+from helpers import format_instance_json, random_instance
 
 TWO = '{"k": 2, "intervals": [[0, 2], ["1/2", "5/2"]]}\n'
 

@@ -32,6 +32,7 @@ from helpers import (
     random_instance,
     reference_imbalance,
     reference_ranking,
+    steady_seconds,
 )
 
 
@@ -357,8 +358,8 @@ def test_sweep_counts_match_direct_counting():
 
 
 def test_imbalance_with_more_colors_than_intervals():
-    # beyond n + 1 colors the counts live in dense slots; value and witness
-    # stay those of direct counting
+    # colors above n are counted in dense slots; value and witness stay
+    # those of direct counting
     rng = random.Random(19)
     for _ in range(100):
         n = rng.randint(0, 12)
@@ -387,6 +388,35 @@ def test_imbalance_memory_does_not_grow_with_k():
         tracemalloc.stop()
     assert (report.value, report.witness) == (2, 2)
     assert peak < 1 << 20
+
+
+def test_imbalance_matches_reference_at_every_k():
+    # k below, at and just above n, and far above it; palettes of a few
+    # colors, some above n, leave most colors absent from every point
+    rng = random.Random(23)
+    for trial in range(400):
+        n = rng.randint(0, 14)
+        k = (1, 2, 3, 8, max(1, n - 1), n or 1, n + 1, n + 102)[trial % 8]
+        inst = random_instance(rng, n, k)
+        if trial % 16 < 8:
+            col = random_coloring(rng, n, k)
+        else:
+            palette = rng.sample(range(1, k + 1), min(k, rng.randint(1, 3)))
+            if k > n:
+                palette.append(rng.randint(n + 1, k))
+            col = Coloring(tuple(rng.choice(palette) for _ in range(n)), k)
+        report = imbalance(inst, col)
+        assert (report.value, report.witness) == reference_imbalance(inst, col)
+
+
+def test_imbalance_time_does_not_grow_with_k():
+    # every count is 0 or 1 at k = n - 1 on nested intervals, and a scan
+    # of the count slots at each coordinate took 18 s at this size
+    n = 16000
+    inst = make_instance([(i, n + i) for i in range(n)], n - 1)
+    col = Coloring(tuple(i % (n - 1) + 1 for i in range(n)), n - 1)
+    assert imbalance(inst, col).value == 1
+    assert steady_seconds(lambda: imbalance(inst, col)) < 1.0
 
 
 def test_imbalance_invariant_under_color_relabeling():

@@ -27,11 +27,10 @@ from intervalcolor.core import make_instance
 from intervalcolor.formats import (
     coord_json,
     format_box_instance_json,
-    format_instance_json,
     parse_nae_text,
 )
 from intervalcolor.hardness import reduce_nae_to_boxes
-from helpers import random_arc_instance, random_instance
+from helpers import format_instance_json, random_arc_instance, random_instance
 
 
 def interval_file(seed, n, k):

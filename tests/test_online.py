@@ -255,6 +255,18 @@ def test_builtin_colors_match_references():
         assert seeded.colors == tuple(draws.randint(1, k) for _ in range(inst.n))
 
 
+def test_greedy_cost_does_not_grow_with_k():
+    # the greedy's colors are always 1..u, so it keeps u counts, not k
+    rng = random.Random(65)
+    for _ in range(40):
+        n = rng.randint(0, 25)
+        inst = random_stream(rng, n, n + 5)
+        greedy, _ = run_online(GreedyLeastLoaded(), inst)
+        assert greedy.colors == greedy_reference(inst.intervals, n + 5)
+    inst = make_instance([(i, i + 5) for i in range(200)], 10**6)
+    assert steady_seconds(lambda: run_online(GreedyLeastLoaded(), inst)) < 0.5
+
+
 def test_run_online_trace_matches_prefix_oracle_up_to_200():
     # longer streams keep many right ends alive and drop many at once;
     # k beyond n leaves colors unused, so an absent color holds the minimum
