@@ -375,8 +375,10 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     sweep keeps freq[v], the number of colors whose count is v, with the
     k - (colors in use) absent colors folded into freq[0] as one int, and
     the largest and smallest counts top and bottom.  An event moves one
-    count by one, so each pointer moves at most one step.  Counts never
-    pass n, so nothing is allocated in proportion to k: O(n) in all.
+    count by one, so each pointer moves at most one step, and freq grows
+    and shrinks with top: it holds top + 1 ints, at most the depth plus
+    one.  The counts take min(k, n) + 1 slots, so nothing is allocated in
+    proportion to k.
     """
     if len(coloring.colors) != instance.n:
         raise ValueError(
@@ -393,9 +395,8 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
         # at most n colors are in use; dense slots keep counts within n slots
         slot = {c: s for s, c in enumerate(set(cols))}
         cols = [slot[c] for c in cols]
-    counts = [0] * (n + 1)  # per color, or per slot
-    freq = [0] * (n + 1)  # freq[v]: colors whose count is v
-    freq[0] = instance.k
+    counts = [0] * (min(instance.k, n) + 1)  # per color, or per slot
+    freq = [instance.k]  # freq[v]: colors whose count is v, for v <= top
     top = bottom = 0
     best = 0
     at = None  # the first point attaining best: (g, between g and g + 1)
@@ -410,9 +411,11 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
             v = counts[c]
             counts[c] = v + 1
             freq[v] -= 1
-            freq[v + 1] += 1
             if v == top:
                 top = v + 1
+                freq.append(1)
+            else:
+                freq[v + 1] += 1
             if v == bottom and not freq[v]:
                 bottom = v + 1
         if top - bottom > best:
@@ -426,12 +429,14 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
                 c = cols[~e]
                 v = counts[c]
                 counts[c] = v - 1
-                freq[v] -= 1
                 freq[v - 1] += 1
+                if v == top and freq[v] == 1:
+                    top = v - 1
+                    freq.pop()
+                else:
+                    freq[v] -= 1
                 if v == bottom:
                     bottom = v - 1
-                if v == top and not freq[v]:
-                    top = v - 1
             # something left, so the open region right of coords[g] can differ
             if top - bottom > best:
                 best = top - bottom

@@ -127,35 +127,57 @@ def test_arc_imbalance_measures_wrap_gap_midpoint():
     assert report.witness == 0
 
 
+def _membership_case_pairs(rng, n, C):
+    pairs = []
+    for _ in range(n):
+        start = Fraction(rng.randrange(0, 2 * C), 2)
+        length = Fraction(rng.randrange(1, 2 * C), 2)
+        kind = rng.randrange(4)
+        if kind == 0:
+            start = Fraction(0)
+        elif kind == 1:
+            start = C - length
+        elif kind == 2:
+            length += C - Fraction(1, 2)
+        pairs.append((start, length))
+    return pairs
+
+
+def _assert_matches_membership(inst, col):
+    report = arc_imbalance(inst, col)
+    assert report.value == brute_force_arc_spread(inst, col)
+    if inst.n:
+        C = inst.circumference
+        assert 0 <= report.witness < C
+        at_witness = [
+            arc.id for arc in inst.arcs if arc_contains(arc, C, report.witness)
+        ]
+        assert cell_spread([at_witness], col) == report.value
+
+
 def test_arc_imbalance_matches_membership_reference():
     # arcs starting at 0, arcs ending exactly at the circumference, full
-    # arcs and plain ones, for every n in 0..12 and k in 1..4, 64 and 1024
+    # arcs and plain ones, for every n in 0..12 and k in 1..4
     rng = random.Random(107)
     C = 8
     for trial in range(260):
-        n, k = trial % 13, (1, 2, 3, 4, 64, 1024)[trial % 6]
-        pairs = []
-        for _ in range(n):
-            start = Fraction(rng.randrange(0, 2 * C), 2)
-            length = Fraction(rng.randrange(1, 2 * C), 2)
-            kind = rng.randrange(4)
-            if kind == 0:
-                start = Fraction(0)
-            elif kind == 1:
-                start = C - length
-            elif kind == 2:
-                length += C - Fraction(1, 2)
-            pairs.append((start, length))
-        inst = make_arc_instance(pairs, C, k)
+        n, k = trial % 13, trial % 4 + 1
+        inst = make_arc_instance(_membership_case_pairs(rng, n, C), C, k)
         col = Coloring(tuple(rng.randint(1, k) for _ in range(n)), k)
-        report = arc_imbalance(inst, col)
-        assert report.value == brute_force_arc_spread(inst, col)
-        if n:
-            assert 0 <= report.witness < C
-            at_witness = [
-                arc.id for arc in inst.arcs if arc_contains(arc, C, report.witness)
-            ]
-            assert cell_spread([at_witness], col) == report.value
+        _assert_matches_membership(inst, col)
+
+
+def test_arc_imbalance_matches_membership_reference_at_large_k():
+    # k = 64 and 1024 with colors drawn from a few palette entries spread
+    # over 1..k, so spreads vary and colors above n are remapped
+    rng = random.Random(113)
+    C = 8
+    for trial in range(260):
+        n, k = trial % 13, (64, 1024)[trial % 2]
+        inst = make_arc_instance(_membership_case_pairs(rng, n, C), C, k)
+        palette = rng.sample(range(1, k + 1), rng.randint(1, 4))
+        col = Coloring(tuple(rng.choice(palette) for _ in range(n)), k)
+        _assert_matches_membership(inst, col)
 
 
 def test_arc_imbalance_cost_does_not_grow_with_k():
