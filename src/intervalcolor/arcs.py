@@ -21,12 +21,23 @@ arcs reaching C, which are those containing the points just below angle 0.
 So every coverage set of the circle appears at some line point, each arc
 counted once, and no line point shows any other; imbalance and
 point_cliques on the pieces measure the circle exactly.
+
+An ArcInstance keeps its starts, lengths and circumference as keys at one
+scale, as an Instance keeps its endpoints: ints read once from the input,
+or Fractions with scale 1 when the scale would pass core._KEY_BITS.
+unfold and the pieces compute on those keys and hand them to
+Instance.from_keys.  The full-arc margin of unfold, half the smallest gap
+between distinct endpoint keys capped at a quarter of C minus the hull
+width, is an int once every key is multiplied by 4.  A Fraction is built
+only where a value leaves the module: an Arc, on request, or a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from functools import cached_property
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from intervalcolor.core import (
     Coord,
@@ -34,12 +45,13 @@ from intervalcolor.core import (
     Coloring,
     ImbalanceReport,
     Instance,
+    _keys,
+    _read_pairs,
+    _same_coords,
     _search_colorings,
+    _split,
     imbalance,
-    make_instance,
-    normalize,
     point_cliques,
-    to_coord,
 )
 from intervalcolor.k_color import k_color
 
@@ -76,44 +88,105 @@ class Arc:
             raise ValueError(f"arc length must be positive, got {self.length}")
 
 
-@dataclass(frozen=True)
 class ArcInstance:
-    arcs: Tuple[Arc, ...]
-    circumference: Coord
+    """Closed arcs on a circle plus the number of colors k.
+
+    Arc i starts at start[i] / scale and extends length[i] / scale
+    counterclockwise; the circumference is turn / scale.  start, length
+    and turn are keys at one scale, ints, or Fractions when scale is 1
+    (see core._keys), as an Instance keeps its endpoints; they are
+    validated as Arc validates an arc, and every start must lie in
+    [0, circumference).  The Arc objects are built on first request;
+    make_arc_instance reads an instance from coordinates.
+    """
+
+    start: Tuple
+    length: Tuple
+    turn: Union[int, Fraction]
+    scale: int
     k: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        if not isinstance(self.circumference, Coord):
-            raise TypeError("circumference must be a Coord")
-        if self.circumference <= 0:
-            raise ValueError(f"circumference must be positive, got {self.circumference}")
-        if self.k < 1:
-            raise ValueError(f"need at least one color, got k={self.k}")
-        for pos, arc in enumerate(self.arcs):
-            if arc.id != pos:
-                raise ValueError(f"arc ids must be 0..n-1 in order; got {arc.id} at {pos}")
-            if not (0 <= arc.start < self.circumference):
+    def __init__(
+        self, start: Sequence, length: Sequence, turn: Union[int, Fraction], scale: int, k: int
+    ) -> None:
+        if len(start) != len(length):
+            raise ValueError(f"{len(start)} starts for {len(length)} lengths")
+        for x in length:
+            if x <= 0:
+                raise ValueError(f"arc length must be positive, got {Fraction(x, scale)}")
+        if turn <= 0:
+            raise ValueError(f"circumference must be positive, got {Fraction(turn, scale)}")
+        if k < 1:
+            raise ValueError(f"need at least one color, got k={k}")
+        for i, x in enumerate(start):
+            if not 0 <= x < turn:
                 raise ValueError(
-                    f"arc {arc.id} start {arc.start} outside [0, {self.circumference})"
+                    f"arc {i} start {Fraction(x, scale)} outside "
+                    f"[0, {Fraction(turn, scale)})"
                 )
+        put = object.__setattr__
+        put(self, "start", tuple(start))
+        put(self, "length", tuple(length))
+        put(self, "turn", turn)
+        put(self, "scale", scale)
+        put(self, "k", k)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ArcInstance is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ArcInstance is immutable; cannot delete {name!r}")
 
     @property
     def n(self) -> int:
-        return len(self.arcs)
+        return len(self.start)
+
+    @property
+    def circumference(self) -> Coord:
+        return Fraction(self.turn, self.scale)
+
+    @cached_property
+    def arcs(self) -> Tuple[Arc, ...]:
+        s = self.scale
+        return tuple(
+            Arc(i, Fraction(a, s), Fraction(b, s))
+            for i, (a, b) in enumerate(zip(self.start, self.length))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArcInstance):
+            return NotImplemented
+        if self.k != other.k or self.n != other.n:
+            return False
+        return _same_coords(
+            self.start + self.length + (self.turn,), self.scale,
+            other.start + other.length + (other.turn,), other.scale,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k))
+
+    def __repr__(self) -> str:
+        return f"ArcInstance(n={self.n}, k={self.k}, scale={self.scale})"
 
 
 def make_arc_instance(
-    pairs: Sequence[Sequence[CoordInput]],
+    pairs: Iterable[Sequence[CoordInput]],
     circumference: CoordInput,
     k: int,
 ) -> ArcInstance:
-    """ArcInstance from (start, length) pairs of ints, strings, or Fractions."""
-    arcs = tuple(
-        Arc(i, to_coord(start), to_coord(length))
-        for i, (start, length) in enumerate(pairs)
-    )
-    return ArcInstance(arcs, to_coord(circumference), k)
+    """ArcInstance from (start, length) pairs of ints, strings, or Fractions.
+
+    Every coordinate, the circumference last, is read once into an
+    integer numerator and denominator, as make_instance reads endpoints;
+    no Fraction or Arc is built on the way.
+    """
+    nums, dens = _read_pairs(pairs)
+    c, d = _split(circumference)
+    nums.append(c)
+    dens.append(d)
+    keys, scale = _keys(nums, dens, lambda: list(map(Fraction, nums, dens)))
+    return ArcInstance(keys[0:-1:2], keys[1:-1:2], keys[-1], scale, k)
 
 
 def unfold(instance: ArcInstance) -> Instance:
@@ -127,63 +200,79 @@ def unfold(instance: ArcInstance) -> Instance:
     Full-circle arcs all become one shared interval.  While the hull of the
     proper intervals is narrower than the circumference C, that interval
     extends the hull by a margin of half the smallest gap between distinct
-    endpoints (1 when there are no proper arcs), capped at (C - hull)/4 so
-    its width stays below C.  When the hull is at least C wide, it becomes
-    [hull_lo - margin, hull_lo - margin + C] instead: exactly one turn,
-    anchored just left of the hull.  Either way the interval never covers
-    two images of a circle point that carries a proper arc, which is what
-    keeps the pulled-back spread at two; a naive hull-covering interval
-    would count full arcs twice at some points and allow spread three.
+    endpoint keys (one unit when there are no proper arcs), capped at a
+    quarter of C minus the hull width so its width stays below C.  When the
+    hull is at least C wide, it becomes [hull_lo - margin, hull_lo - margin
+    + C] instead: exactly one turn, anchored just left of the hull.  Either
+    way the interval never covers two images of a circle point that carries
+    a proper arc, which is what keeps the pulled-back spread at two; a
+    naive hull-covering interval would count full arcs twice at some points
+    and allow spread three.
+
+    Everything is computed on the instance's keys.  With full arcs and int
+    keys, every key is multiplied by 4 (and the scale with it), so the
+    margin, a half gap or a quarter of the room left, is an int too; with
+    Fraction keys the scale stays 1 and the margin is divided out exactly.
     """
-    C = instance.circumference
-    bounds: List[Optional[Tuple[Coord, Coord]]] = []
-    for arc in instance.arcs:
-        if arc.length >= C:
-            bounds.append(None)
-        elif arc.start + arc.length > C:
-            bounds.append((arc.start - C, arc.start + arc.length - C))
-        else:
-            bounds.append((arc.start, arc.start + arc.length))
+    C = instance.turn
+    lo: List = []
+    hi: List = []
+    for s, length in zip(instance.start, instance.length):
+        if length >= C:
+            lo.append(None)
+            hi.append(None)
+            continue
+        if s + length > C:
+            s -= C
+        lo.append(s)
+        hi.append(s + length)
 
-    if None in bounds:
-        proper = make_instance([b for b in bounds if b is not None], instance.k)
-        norm = normalize(proper)
-        coords, scale = norm.coords or (0,), norm.scale
-        hull_lo = Coord(coords[0], scale)
-        hull_hi = Coord(coords[-1], scale)
-        gaps = [b - a for a, b in zip(coords, coords[1:])]
-        margin = Coord(min(gaps), 2 * scale) if gaps else Coord(1)
-        hull_width = hull_hi - hull_lo
-        if hull_width < C:
-            margin = min(margin, (C - hull_width) / 4)
-            span = (hull_lo - margin, hull_hi + margin)
+    scale = instance.scale
+    if None in lo:
+        xs = sorted({x for x in lo + hi if x is not None}) or [0]
+        hull_lo, hull_hi = xs[0], xs[-1]
+        gap = min((b - a for a, b in zip(xs, xs[1:])), default=None)
+        room = C - (hull_hi - hull_lo)
+        if isinstance(C, int):  # keys times 4: a half gap and a quarter room stay ints
+            up, margin = 4, 4 * scale if gap is None else 2 * gap
         else:
-            span = (hull_lo - margin, hull_lo - margin + C)
-        bounds = [span if b is None else b for b in bounds]
+            up, margin, room = 1, 1 if gap is None else gap / 2, room / 4
+        if room > 0:
+            margin = min(margin, room)
+            span = (up * hull_lo - margin, up * hull_hi + margin)
+        else:
+            span = (up * hull_lo - margin, up * (hull_lo + C) - margin)
+        lo = [span[0] if x is None else up * x for x in lo]
+        hi = [span[1] if x is None else up * x for x in hi]
+        scale *= up
 
-    return make_instance(bounds, instance.k)
+    return Instance.from_keys(lo, hi, scale, instance.k)
 
 
 def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
     """The arcs cut at angle 0 into closed intervals of [0, C].
 
-    Returns the pieces as an instance and, for each piece, its arc's id.
+    Returns the pieces as an instance on the arcs' keys and, for each
+    piece, its arc's id.
     """
-    C = instance.circumference
-    zero = Coord(0)
-    bounds: List[Tuple[Coord, Coord]] = []
+    C = instance.turn
+    lo: List = []
+    hi: List = []
     owners: List[int] = []
-    for arc in instance.arcs:
-        end = arc.start + arc.length
-        if arc.length >= C:
-            cut = ((zero, C),)
+    for i, (s, length) in enumerate(zip(instance.start, instance.length)):
+        end = s + length
+        if length >= C:
+            lo.append(0)
+            hi.append(C)
         elif end >= C:
-            cut = ((arc.start, C), (zero, end - C))
+            lo += (s, 0)
+            hi += (C, end - C)
+            owners.append(i)
         else:
-            cut = ((arc.start, end),)
-        bounds += cut
-        owners += [arc.id] * len(cut)
-    return make_instance(bounds, instance.k), owners
+            lo.append(s)
+            hi.append(end)
+        owners.append(i)
+    return Instance.from_keys(lo, hi, instance.scale, instance.k), owners
 
 
 def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:
@@ -198,7 +287,7 @@ def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:
         )
     if coloring.k != instance.k:
         raise ValueError(f"coloring uses k={coloring.k}, instance has k={instance.k}")
-    if not instance.arcs:
+    if not instance.n:
         return ImbalanceReport(0, None)
     pieces, owners = _pieces(instance)
     colors = coloring.colors

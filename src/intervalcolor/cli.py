@@ -115,7 +115,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_arcs(args: argparse.Namespace) -> int:
     instance = parse_arc_json(_read_text(args.input))
     if args.k is not None and args.k != instance.k:
-        instance = ArcInstance(instance.arcs, instance.circumference, args.k)
+        instance = ArcInstance(
+            instance.start, instance.length, instance.turn, instance.scale, args.k
+        )
     coloring = arc_color(instance)
     value = arc_imbalance(instance, coloring).value
     _check_spread(value, 2)

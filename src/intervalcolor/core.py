@@ -21,6 +21,7 @@ per event whatever k is and allocates nothing in proportion to k.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -69,7 +70,10 @@ def to_coord(value: CoordInput) -> Coord:
 
     Floats are rejected: binary rounding would silently merge or split
     coincident endpoints, and the tie-breaking rules depend on exact
-    collision detection.
+    collision detection.  A decimal exponent is refused when it and the
+    digits before it pass Python's int-string digit limit
+    (sys.get_int_max_str_digits()), the limit a long digit string already
+    meets, so "1e1000000" cannot build a million-digit integer.
     """
     if isinstance(value, Fraction):
         return value
@@ -78,6 +82,17 @@ def to_coord(value: CoordInput) -> Coord:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        head, e, exponent = value.lower().rpartition("e")
+        if e and limit:
+            try:
+                digits = abs(int(exponent)) + sum(c.isdigit() for c in head)
+            except ValueError:  # not an exponent; Fraction decides
+                digits = 0
+            if digits > limit:
+                raise ValueError(
+                    f"not a valid coordinate: {value!r} passes the {limit}-digit limit"
+                )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -112,6 +127,26 @@ def _split(value: CoordInput) -> Tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def _read_pairs(pairs: Iterable[Sequence[CoordInput]]) -> Tuple[List[int], List[int]]:
+    """Numerators and denominators of the coordinates of (a, b) pairs.
+
+    Two flat lists: entry 2i is pair i's first coordinate and 2i + 1 its
+    second.  Each coordinate is read once, by _split; no Fraction and no
+    per-coordinate tuple is kept.
+    """
+    nums: List[int] = []
+    dens: List[int] = []
+    num, den = nums.append, dens.append
+    for a, b in pairs:
+        x, d = _split(a)
+        num(x)
+        den(d)
+        x, d = _split(b)
+        num(x)
+        den(d)
+    return nums, dens
+
+
 def _keys(
     nums: List[int], dens: List[int], exact: Callable[[], List[Fraction]]
 ) -> Tuple[list, int]:
@@ -132,6 +167,13 @@ def _keys(
         return nums, 1
     factor = {d: scale // d for d in distinct}
     return [a * factor[d] for a, d in zip(nums, dens)], scale
+
+
+def _same_coords(xs: Sequence, s: int, ys: Sequence, t: int) -> bool:
+    """True iff keys xs at scale s and as many keys ys at scale t are equal coordinates."""
+    if s == t:
+        return xs == ys
+    return all(a * t == b * s for a, b in zip(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -233,12 +275,8 @@ class Instance:
             return NotImplemented
         if self.k != other.k or self.n != other.n:
             return False
-        if self.scale == other.scale:
-            return self.lo == other.lo and self.hi == other.hi
-        s, t = self.scale, other.scale
-        return all(
-            a * t == b * s
-            for a, b in zip(self.lo + self.hi, other.lo + other.hi)
+        return _same_coords(
+            self.lo + self.hi, self.scale, other.lo + other.hi, other.scale
         )
 
     def __hash__(self) -> int:
@@ -252,19 +290,13 @@ def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
     """Build an Instance from (lo, hi) pairs, assigning ids in order.
 
     Each coordinate is read once into an integer numerator and
-    denominator; no Fraction or Interval is built on the way.
+    denominator (see _read_pairs); no Fraction or Interval is built on
+    the way.
     """
-    los: List[Tuple[int, int]] = []
-    his: List[Tuple[int, int]] = []
-    for lo, hi in bounds:
-        los.append(_split(lo))
-        his.append(_split(hi))
-    parts = los + his
-    nums = [a for a, _ in parts]
-    dens = [d for _, d in parts]
-    keys, scale = _keys(nums, dens, lambda: [Fraction(a, d) for a, d in parts])
-    n = len(los)
-    return Instance.from_keys(keys[:n], keys[n:], scale, k)
+    nums, dens = _read_pairs(bounds)
+    keys, scale = _keys(nums, dens, lambda: list(map(Fraction, nums, dens)))
+    del nums, dens  # drop the columns before the halves are copied out
+    return Instance.from_keys(keys[0::2], keys[1::2], scale, k)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def parse_instance_json(text: str) -> Instance:
     k = _require_int(data, "k", "instance")
     entries = _require_pairs(data, "intervals", "instance")
     try:
-        return make_instance([(lo, hi) for lo, hi in entries], k)
+        return make_instance(entries, k)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"instance: {exc}") from None
 
@@ -104,7 +104,7 @@ def parse_instance_text(text: str) -> Instance:
         if len(row) != 2:
             raise FormatError(f"instance: interval line {pos} must be 'lo hi'")
     try:
-        return make_instance([(row[0], row[1]) for row in rows[1:]], k)
+        return make_instance(rows[1:], k)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"instance: {exc}") from None
 
@@ -142,9 +142,7 @@ def parse_arc_json(text: str) -> ArcInstance:
     circumference = data.get("circumference")
     entries = _require_pairs(data, "arcs", "arc instance")
     try:
-        return make_arc_instance(
-            [(start, length) for start, length in entries], circumference, k
-        )
+        return make_arc_instance(entries, circumference, k)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"arc instance: {exc}") from None
 

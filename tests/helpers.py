@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from intervalcolor.core import Coloring, Instance, make_instance
+from intervalcolor.core import Coloring, Instance, make_instance, normalize
 from intervalcolor.formats import coord_json
 from intervalcolor.k_color import EdgeGraph
 from intervalcolor.online import OnlineAlgorithm
@@ -125,6 +125,60 @@ def arc_contains(arc, circumference, point):
     p = point % circumference
     end = arc.start + arc.length
     return arc.start <= p <= end or arc.start <= p + circumference <= end
+
+
+def reference_unfold(instance):
+    """unfold computed on the instance's Arc objects in Fractions.
+
+    The reference for unfold, which computes on keys: the same intervals,
+    with the full-arc margin taken from the coordinates normalize ranks.
+    """
+    C = instance.circumference
+    bounds = []
+    for arc in instance.arcs:
+        if arc.length >= C:
+            bounds.append(None)
+        elif arc.start + arc.length > C:
+            bounds.append((arc.start - C, arc.start + arc.length - C))
+        else:
+            bounds.append((arc.start, arc.start + arc.length))
+
+    if None in bounds:
+        proper = make_instance([b for b in bounds if b is not None], instance.k)
+        norm = normalize(proper)
+        coords, scale = norm.coords or (0,), norm.scale
+        hull_lo = Fraction(coords[0], scale)
+        hull_hi = Fraction(coords[-1], scale)
+        gaps = [b - a for a, b in zip(coords, coords[1:])]
+        margin = Fraction(min(gaps), 2 * scale) if gaps else Fraction(1)
+        hull_width = hull_hi - hull_lo
+        if hull_width < C:
+            margin = min(margin, (C - hull_width) / 4)
+            span = (hull_lo - margin, hull_hi + margin)
+        else:
+            span = (hull_lo - margin, hull_lo - margin + C)
+        bounds = [span if b is None else b for b in bounds]
+
+    return make_instance(bounds, instance.k)
+
+
+def reference_pieces(instance):
+    """_pieces computed on the instance's Arc objects in Fractions."""
+    C = instance.circumference
+    zero = Fraction(0)
+    bounds = []
+    owners = []
+    for arc in instance.arcs:
+        end = arc.start + arc.length
+        if arc.length >= C:
+            cut = ((zero, C),)
+        elif end >= C:
+            cut = ((arc.start, C), (zero, end - C))
+        else:
+            cut = ((arc.start, end),)
+        bounds += cut
+        owners += [arc.id] * len(cut)
+    return make_instance(bounds, instance.k), owners
 
 
 def brute_force_arc_cells(instance):

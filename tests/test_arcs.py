@@ -1,5 +1,6 @@
 """Unfolding, circular imbalance, and the spread-2 arc coloring."""
 
+import json
 import random
 import time
 import tracemalloc
@@ -8,22 +9,30 @@ from itertools import product
 
 import pytest
 
+from intervalcolor import core
 from intervalcolor.arcs import (
     Arc,
     ArcInstance,
+    _pieces,
     arc_color,
     arc_imbalance,
     make_arc_instance,
     min_arc_imbalance_oracle,
     unfold,
 )
+from intervalcolor.cli import main
 from intervalcolor.core import Coloring, imbalance, is_balanced, to_coord
+from intervalcolor.formats import parse_arc_json
+from intervalcolor.k_color import k_color
 
 from helpers import (
     arc_contains,
     brute_force_arc_spread,
     cell_spread,
     random_arc_instance,
+    random_coloring,
+    reference_pieces,
+    reference_unfold,
 )
 
 
@@ -281,3 +290,113 @@ def test_oracle_rejects_large_instances():
     inst = random_arc_instance(random.Random(1), 13, 2)
     with pytest.raises(ValueError):
         min_arc_imbalance_oracle(inst)
+
+
+def test_arc_instance_keys_and_equality_across_scales():
+    halves = make_arc_instance([["1/2", 1], [0, "3/2"]], 2, 2)
+    quarters = make_arc_instance([["2/4", 1], [0, "6/4"]], "8/4", 2)
+    assert (halves.start, halves.length, halves.turn, halves.scale) == ((1, 0), (2, 3), 4, 2)
+    assert quarters.scale == 4 and quarters == halves
+    assert halves.circumference == 2
+    again = make_arc_instance([(a.start, a.length) for a in halves.arcs], halves.circumference, 2)
+    assert (again.start, again.length, again.turn, again.scale) == (
+        halves.start, halves.length, halves.turn, halves.scale,
+    )
+    assert make_arc_instance([["1/2", 1], [0, "3/2"]], 3, 2) != halves
+    with pytest.raises(ValueError, match=r"arc 1 start 5/2 outside \[0, 2\)"):
+        make_arc_instance([[0, 1], ["5/2", 1]], 2, 2)
+    with pytest.raises(ValueError, match=r"arc length must be positive, got -1/2"):
+        ArcInstance((0,), (-1,), 4, 2, 2)
+    with pytest.raises(TypeError):
+        make_arc_instance([(0, 1)], 0.5, 2)  # float circumference
+    with pytest.raises(AttributeError):
+        halves.k = 3
+
+
+def _differential_pairs(rng, kind, n, C):
+    """(start, length) pairs on circumference C for one differential kind.
+
+    Coordinates are thirds and halves; about a quarter of the arcs start at
+    0 and a quarter end exactly at C.  "tiny" nudges half the starts by
+    10**-30 and adds an arc of that length, so the keys pass _KEY_BITS and
+    fall back to Fractions.
+    """
+    pairs = []
+    for _ in range(n):
+        step = Fraction(1, rng.choice((2, 3)))
+        slots = int(C / step)
+        start = step * rng.randrange(slots)
+        if kind == "full" or (kind != "proper" and rng.random() < 0.2):
+            length = C + step * rng.randrange(slots)
+        else:
+            length = step * rng.randrange(1, slots)
+            roll = rng.random()
+            if roll < 0.25:
+                start = Fraction(0)
+            elif roll < 0.5:
+                start = C - length
+        if kind == "tiny" and rng.random() < 0.5:
+            start += Fraction(1, 10**30)
+        pairs.append((start, length))
+    if kind == "tiny":
+        pairs.append((Fraction(0), Fraction(1, 10**30)))
+    if kind == "wide":
+        # one arc crossing zero and one ending at C: hull at least C wide
+        pairs += [(C - 1, 2), (C - 3, 3), (0, C)]
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["proper", "mixed", "full", "wide", "tiny"])
+def test_key_path_matches_the_fraction_reference(kind):
+    rng = random.Random(f"arckeys/{kind}")
+    for trial in range(60):
+        C = Fraction(rng.randint(3, 9))
+        k = rng.randint(1, 5)
+        inst = make_arc_instance(_differential_pairs(rng, kind, rng.randint(0, 14), C), C, k)
+        if kind == "tiny":
+            assert inst.scale == 1 and type(inst.turn) is Fraction
+        elif kind != "tiny":
+            assert all(type(x) is int for x in inst.start + inst.length)
+        line, ref_line = unfold(inst), reference_unfold(inst)
+        assert line == ref_line and line.intervals == ref_line.intervals
+        pieces, owners = _pieces(inst)
+        ref_pieces, ref_owners = reference_pieces(inst)
+        assert (pieces, owners) == (ref_pieces, ref_owners)
+        coloring = arc_color(inst)
+        assert coloring == k_color(ref_line)
+        for col in (coloring, random_coloring(rng, inst.n, k)):
+            report = arc_imbalance(inst, col)
+            if not inst.n:
+                assert (report.value, report.witness) == (0, None)
+                continue
+            expected = imbalance(ref_pieces, Coloring([col.colors[a] for a in ref_owners], k))
+            assert (report.value, report.witness) == (expected.value, expected.witness)
+            assert report.value == brute_force_arc_spread(inst, col)
+
+
+def test_arc_paths_build_no_arc_and_skip_to_coord(tmp_path, monkeypatch, capsys):
+    # the arc op reads integer keys; Arc objects are built only on request
+    def refuse(*args):
+        raise AssertionError(f"called on {args!r}")
+
+    arcs = [[0, "3/2"], ["15/2", 2], ["1/3", 9], [4, "9/2"]]
+    text = json.dumps({"k": 3, "circumference": "17/2", "arcs": arcs})
+    path = tmp_path / "arcs.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(core, "to_coord", refuse)
+    monkeypatch.setattr(Arc, "__post_init__", refuse)
+    inst = parse_arc_json(text)
+    assert arc_imbalance(inst, arc_color(inst)).value <= 2
+    assert main(["arcs", "--input", str(path), "--k", "2"]) == 0
+    assert main(["arcs", "--input", str(path)]) == 0
+    assert "arcs" not in vars(inst)
+    monkeypatch.undo()
+    capsys.readouterr()
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    assert inst.arcs == (
+        Arc(0, Fraction(0), 3 * half),
+        Arc(1, 15 * half, Fraction(2)),
+        Arc(2, third, Fraction(9)),
+        Arc(3, Fraction(4), 9 * half),
+    )
+    assert inst.circumference == 17 * half

@@ -158,7 +158,7 @@ def test_color_then_verify_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize(
     "value",
     [" 3", "+3", "1_000", "\u0663", "007", "-0/5", "3/0", "3/-2", "0.25", "1e3",
-     "1/2 ", "", True],
+     "1/2 ", "", True, "1e1000000"],
     ids=ascii,
 )
 def test_coordinate_grammar_at_the_command_line(tmp_path, capsys, value):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from intervalcolor import core
+from intervalcolor.arcs import make_arc_instance
 from intervalcolor.core import (
     Coloring,
     Instance,
@@ -171,8 +173,25 @@ def test_coordinate_split_matches_to_coord(value):
         return make_instance([[v, v]], 2).intervals[0].lo
 
     expected = outcome(to_coord, value)
+    if value == "1e1000000":  # a million digits: refused before they are built
+        limit = sys.get_int_max_str_digits()
+        message = f"not a valid coordinate: '1e1000000' passes the {limit}-digit limit"
+        assert expected == (ValueError, message)
     assert outcome(lambda v: Fraction(*core._split(v)), value) == expected
     assert outcome(through_instance, value) == expected
+
+
+def test_decimal_exponents_stop_at_the_int_digit_limit():
+    # the written digits plus the exponent may not pass the limit a long
+    # digit string meets; arcs read coordinates through the same split
+    limit = sys.get_int_max_str_digits()
+    assert to_coord(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert to_coord(f"-2.5E-{limit - 2}") == Fraction(-25, 10 ** (limit - 1))
+    for value in (f"1e{limit}", f"1e-{limit}", f"25e+{limit - 1}"):
+        with pytest.raises(ValueError, match=f"passes the {limit}-digit limit"):
+            to_coord(value)
+        with pytest.raises(ValueError, match=f"passes the {limit}-digit limit"):
+            make_arc_instance([[0, value]], 3, 2)
 
 
 def test_ints_ratios_and_fractions_skip_to_coord(monkeypatch):
@@ -190,7 +209,8 @@ def test_instance_keys_and_equality_across_scales():
     quarters = make_instance([["2/4", 1], [0, "6/4"]], 2)
     assert (halves.lo, halves.hi, halves.scale) == ((1, 0), (2, 3), 2)
     assert quarters.scale == 4 and quarters == halves
-    assert Instance(halves.intervals, 2) == halves
+    again = Instance(halves.intervals, 2)
+    assert (again.lo, again.hi, again.scale) == (halves.lo, halves.hi, halves.scale)
     assert make_instance([["1/2", 1], [0, 2]], 2) != halves
     with pytest.raises(ValueError, match=r"interval 1: lo 3/2 > hi 1/2"):
         make_instance([[0, 1], ["3/2", "1/2"]], 2)
