@@ -54,7 +54,6 @@ __all__ = [
     "BoxInstance",
     "WeightedInstance",
     "make_box_instance",
-    "boxes_intersect",
     "nae_brute_force",
     "reduce_nae_to_boxes",
     "box_imbalance",
@@ -172,14 +171,6 @@ def make_box_instance(
     return BoxInstance(tuple(boxes), d, k)
 
 
-def boxes_intersect(a: Box, b: Box) -> bool:
-    """True iff the closed boxes share at least one point."""
-    return all(
-        alo <= bhi and blo <= ahi
-        for (alo, ahi), (blo, bhi) in zip(a.bounds, b.bounds)
-    )
-
-
 @dataclass(frozen=True)
 class WeightedInstance:
     """Intervals with positive integer weights plus the number of colors k."""
@@ -253,6 +244,10 @@ _SLOT_RECT = ("left", "right", "tall")
 _SLOT_COL = (0, 2, 1)
 _SLOT_DIP = (1, 1, 4)
 
+# Largest k reduce_nae_to_boxes accepts: every color past two adds a
+# cover box, so k alone sets the size of the output.
+MAX_REDUCTION_K = 10_000
+
 
 def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
     """Build a box instance with a balanced k-coloring iff the formula is
@@ -276,12 +271,13 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
     every other box and share the point (xmax + 1, 1) beyond the
     construction.  d > 2 pads every box with zero-length dimensions.
 
-    The finished instance is audited: every pair of boxes must intersect
-    exactly when the construction plan says it should, otherwise
-    InvariantViolation is raised.
+    The rectangles are audited before they become boxes: every pair must
+    intersect exactly when the construction plan says it should,
+    otherwise InvariantViolation is raised.  k is limited to
+    MAX_REDUCTION_K.
     """
-    if k < 2:
-        raise ValueError(f"reduction needs k >= 2, got {k}")
+    if not 2 <= k <= MAX_REDUCTION_K:
+        raise ValueError(f"reduction needs 2 <= k <= {MAX_REDUCTION_K}, got {k}")
     if d < 2:
         raise ValueError(f"reduction needs d >= 2, got {d}")
     m = len(formula.clauses)
@@ -483,45 +479,75 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
         ymax = max(e[0][3] for e in entries)
     else:
         xmax = ymax = 0
-    cover_entries: List[Tuple[Tuple[int, int, int, int], str, Tuple]] = []
-    for j in range(1, n_covers + 1):
-        cover_entries.append(
-            ((-j, xmax + 1 + j, -j, ymax + j), "cover", ("cover", j))
-        )
-    total = len(cover_entries) + len(entries)
-    for a in range(n_covers):
-        for b in range(a + 1, total):
-            expected.add((a, b))
+    cover_entries = [
+        ((-j, xmax + 1 + j, -j, ymax + j), "cover", ("cover", j))
+        for j in range(1, n_covers + 1)
+    ]
+    all_entries = cover_entries + entries
+    provenance = {bid: prov for bid, (_, _, prov) in enumerate(all_entries)}
+    _audit_reduction([rect for rect, _, _ in all_entries], n_covers, expected, provenance)
 
-    boxes: List[Box] = []
-    provenance: Dict[int, Tuple] = {}
     pad = ((Fraction(0), Fraction(0)),) * (d - 2)
-    for bid, ((x0, x1, y0, y1), tag, prov) in enumerate(
-        itertools.chain(cover_entries, entries)
-    ):
-        bounds = ((Fraction(x0), Fraction(x1)), (Fraction(y0), Fraction(y1))) + pad
-        boxes.append(Box(bid, bounds, tag))
-        provenance[bid] = prov
-
-    instance = BoxInstance(tuple(boxes), d, k, provenance)
-    _audit_reduction(instance, expected)
-    return instance
+    boxes = [
+        Box(bid, ((Fraction(x0), Fraction(x1)), (Fraction(y0), Fraction(y1))) + pad, tag)
+        for bid, ((x0, x1, y0, y1), tag, _) in enumerate(all_entries)
+    ]
+    return BoxInstance(tuple(boxes), d, k, provenance)
 
 
-def _audit_reduction(instance: BoxInstance, expected: Set[Tuple[int, int]]) -> None:
-    """Check that boxes intersect exactly as the construction planned."""
-    boxes = instance.boxes
-    for a in range(len(boxes)):
-        for b in range(a + 1, len(boxes)):
-            actual = boxes_intersect(boxes[a], boxes[b])
-            planned = (a, b) in expected
-            if actual != planned:
-                kind = "unplanned" if actual else "missing"
-                raise InvariantViolation(
-                    f"{kind} intersection between box {a} "
-                    f"{instance.provenance.get(a)} and box {b} "
-                    f"{instance.provenance.get(b)}"
-                )
+def _audit_reduction(
+    rects: Sequence[Tuple[int, int, int, int]],
+    n_covers: int,
+    expected: Set[Tuple[int, int]],
+    provenance: Mapping[int, Tuple],
+) -> None:
+    """Check that the rectangles, in box id order with the n_covers covers
+    first, intersect exactly as planned; expected holds the planned pairs
+    (a, b), a < b, of the rest.  Every cover meets every other box when
+    each cover contains the one before it and the first contains the hull
+    of the rest, so nested covers cost O(k) and only the rest are swept.
+    A mismatch names the smallest pair whose intersection is not as planned.
+    """
+    nested = True
+    if n_covers:
+        x0s, x1s, y0s, y1s = zip(*(rects[n_covers:] or rects[:1]))
+        chain = [(min(x0s), max(x1s), min(y0s), max(y1s))] + list(rects[:n_covers])
+        nested = all(
+            o[0] <= i[0] and i[1] <= o[1] and o[2] <= i[2] and i[3] <= o[3]
+            for i, o in zip(chain, chain[1:])
+        )
+    if not nested:  # then the covers are swept too, pair by pair
+        expected = expected | {(a, b) for a in range(n_covers) for b in range(a + 1, len(rects))}
+    actual = _meeting_pairs(rects, n_covers if nested else 0)
+    if actual != expected:
+        a, b = min(actual ^ expected)
+        raise InvariantViolation(
+            f"{'unplanned' if (a, b) in actual else 'missing'} intersection between "
+            f"box {a} {provenance.get(a)} and box {b} {provenance.get(b)}"
+        )
+
+
+def _meeting_pairs(
+    rects: Sequence[Tuple[int, int, int, int]], first: int
+) -> Set[Tuple[int, int]]:
+    """Pairs (a, b), a < b, of ids from first on whose closed rectangles
+    (x0, x1, y0, y1) share a point.  One sweep over x tests each rectangle
+    as it starts for y-overlap with those active; starts sort before ends
+    at equal x, so rectangles touching along an edge still meet."""
+    ids = range(first, len(rects))
+    events = sorted([(rects[i][0], 0, i) for i in ids] + [(rects[i][1], 1, i) for i in ids])
+    active: Dict[int, Tuple[int, int]] = {}
+    pairs: Set[Tuple[int, int]] = set()
+    for _, is_end, b in events:
+        if is_end:
+            del active[b]
+            continue
+        y0, y1 = rects[b][2], rects[b][3]
+        for a, (ay0, ay1) in active.items():
+            if ay0 <= y1 and y0 <= ay1:
+                pairs.add((a, b) if a < b else (b, a))
+        active[b] = (y0, y1)
+    return pairs
 
 
 def _dim_samples_and_masks(
@@ -573,15 +599,25 @@ def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
     return max(counts) - min(counts)
 
 
+def _cells(per_dim: Sequence[Tuple[List[Coord], List[int]]]) -> Set[int]:
+    """The distinct sets of boxes, as masks, covering a point of the grid:
+    the per-dimension masks folded together one dimension at a time."""
+    cells = {-1}  # every box, as a mask
+    for _, masks in per_dim:
+        cells = {a & m for a in cells for m in masks}
+    return cells
+
+
 def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     """Worst color-count spread over every point of d-space.
 
     Samples the arrangement grid: the Cartesian product, over
     dimensions, of all box endpoints plus the midpoints between
     consecutive endpoints.  Every distinct covering set attains one of
-    those samples, so the maximum is exact.  witness is the first grid
-    point (lexicographic in dimension order) attaining the maximum, as a
-    coordinate tuple, or None for an empty instance.
+    those samples, so the maximum, taken over the distinct covering sets,
+    is exact.  witness is the first grid point (lexicographic in dimension
+    order) attaining it, as a coordinate tuple, or None for an empty
+    instance; the grid is scanned only as far as that point.
     """
     if len(coloring.colors) != instance.n:
         raise ValueError(
@@ -594,23 +630,17 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     if not instance.boxes:
         return ImbalanceReport(0, None)
     per_dim = _dim_samples_and_masks(instance.boxes, instance.d)
-    spread_cache: Dict[int, int] = {0: 0}
-    best = -1
-    witness: Optional[Tuple[Coord, ...]] = None
-    for combo in itertools.product(*(range(len(p[0])) for p in per_dim)):
-        msk = per_dim[0][1][combo[0]]
-        for dim in range(1, instance.d):
-            msk &= per_dim[dim][1][combo[dim]]
-            if not msk:
-                break
-        spread = spread_cache.get(msk)
-        if spread is None:
-            spread = _spread_of_mask(msk, coloring.colors, instance.k)
-            spread_cache[msk] = spread
-        if spread > best:
-            best = spread
-            witness = tuple(per_dim[dim][0][combo[dim]] for dim in range(instance.d))
-    return ImbalanceReport(best, witness)
+    spread = {
+        msk: _spread_of_mask(msk, coloring.colors, instance.k) for msk in _cells(per_dim)
+    }
+    best = max(spread.values())
+    for point in itertools.product(*(zip(samples, masks) for samples, masks in per_dim)):
+        msk = -1
+        for _, m in point:
+            msk &= m
+        if spread[msk] == best:
+            return ImbalanceReport(best, tuple(x for x, _ in point))
+    raise InvariantViolation("no grid point attains the largest cell spread")
 
 
 def decide_balanced_boxes(
@@ -630,9 +660,7 @@ def decide_balanced_boxes(
     n = instance.n
     if n > limit_n:
         raise ValueError(f"decider limited to n <= {limit_n} boxes, got {n}")
-    cells = {-1}  # every box, as a mask
-    for _, masks in _dim_samples_and_masks(instance.boxes, instance.d):
-        cells = {a & m for a in cells for m in masks}
+    cells = _cells(_dim_samples_and_masks(instance.boxes, instance.d))
     found = _search_colorings(n, instance.k, map(_mask_ids, cells), minimize=False)
     return None if found is None else Coloring(found[1], instance.k)
 

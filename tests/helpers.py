@@ -2,13 +2,16 @@
 
 import gc
 import json
+import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
-from intervalcolor.core import Coloring, Instance, make_instance, normalize
+from intervalcolor.core import Coloring, Instance, InvariantViolation, make_instance, normalize
 from intervalcolor.formats import coord_json
+from intervalcolor.hardness import NaeFormula, _dim_samples_and_masks, _spread_of_mask
 from intervalcolor.k_color import EdgeGraph
 from intervalcolor.online import OnlineAlgorithm
 
@@ -215,6 +218,72 @@ def cell_spread(cells, coloring):
 def brute_force_arc_spread(instance, coloring):
     """Largest color-count spread on the circle by direct arc membership."""
     return cell_spread(brute_force_arc_cells(instance), coloring)
+
+
+def random_formula(rng, max_clauses=3, max_vars=5):
+    nv = rng.randint(1, max_vars)
+    nc = rng.randint(0, max_clauses)
+    clauses = [tuple(rng.randint(1, nv) for _ in range(3)) for _ in range(nc)]
+    return NaeFormula(nv, clauses)
+
+
+def formula_corpus(count=50):
+    """The formulas of acceptance criterion 8: two fixed, the rest seeded."""
+    rng = random.Random(88)
+    fixed = [NaeFormula(3, ((1, 2, 3),)), NaeFormula(1, ((1, 1, 1),))]
+    return fixed + [random_formula(rng) for _ in range(count)]
+
+
+def boxes_intersect(a, b):
+    """True iff the closed boxes share at least one point."""
+    return all(
+        alo <= bhi and blo <= ahi
+        for (alo, ahi), (blo, bhi) in zip(a.bounds, b.bounds)
+    )
+
+
+def reference_audit_reduction(instance, expected):
+    """Raise InvariantViolation at the first pair of boxes, in (a, b) order,
+    whose intersection differs from the planned pairs in expected.
+
+    The all-pairs check of every box, covers included, that the reduction's
+    audit replaces; expected must list the cover pairs too.
+    """
+    boxes = instance.boxes
+    for a in range(len(boxes)):
+        for b in range(a + 1, len(boxes)):
+            actual = boxes_intersect(boxes[a], boxes[b])
+            if actual != ((a, b) in expected):
+                kind = "unplanned" if actual else "missing"
+                raise InvariantViolation(
+                    f"{kind} intersection between box {a} "
+                    f"{instance.provenance.get(a)} and box {b} "
+                    f"{instance.provenance.get(b)}"
+                )
+
+
+def reference_box_imbalance(instance, coloring):
+    """(value, witness) of box_imbalance by visiting the whole sample grid.
+
+    The witness is the first grid point, lexicographic in dimension order,
+    attaining the largest spread; None for an empty instance.
+    """
+    if not instance.boxes:
+        return 0, None
+    per_dim = _dim_samples_and_masks(instance.boxes, instance.d)
+    spread_cache = {}
+    best, witness = -1, None
+    for combo in product(*(range(len(samples)) for samples, _ in per_dim)):
+        msk = -1
+        for (_, masks), i in zip(per_dim, combo):
+            msk &= masks[i]
+        spread = spread_cache.get(msk)
+        if spread is None:
+            spread = spread_cache[msk] = _spread_of_mask(msk, coloring.colors, instance.k)
+        if spread > best:
+            best = spread
+            witness = tuple(samples[i] for (samples, _), i in zip(per_dim, combo))
+    return best, witness
 
 
 class AlwaysColor(OnlineAlgorithm):

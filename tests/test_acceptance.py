@@ -27,7 +27,6 @@ from intervalcolor.core import (
     min_imbalance_oracle,
 )
 from intervalcolor.hardness import (
-    NaeFormula,
     decide_balanced_boxes,
     decide_grouped_intervals,
     nae_brute_force,
@@ -46,25 +45,13 @@ from intervalcolor.online import adversary_k2, make_algorithm
 from intervalcolor.two_color import two_color
 from helpers import (
     assert_proper_edge_coloring,
+    formula_corpus,
     random_arc_instance,
     random_bipartite_multigraph,
     random_instance,
     steady_pair_seconds,
     transcript_instance,
 )
-
-
-def random_formula(rng, max_clauses=3, max_vars=5):
-    nv = rng.randint(1, max_vars)
-    nc = rng.randint(0, max_clauses)
-    clauses = [tuple(rng.randint(1, nv) for _ in range(3)) for _ in range(nc)]
-    return NaeFormula(nv, clauses)
-
-
-def formula_corpus(count=50):
-    rng = random.Random(88)
-    fixed = [NaeFormula(3, ((1, 2, 3),)), NaeFormula(1, ((1, 1, 1),))]
-    return fixed + [random_formula(rng) for _ in range(count)]
 
 
 def test_criterion_01_balanced_random_instances():

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -14,6 +15,7 @@ from intervalcolor import cli
 from intervalcolor.cli import main
 from intervalcolor.core import to_coord
 from intervalcolor.formats import coord_json
+from intervalcolor.hardness import MAX_REDUCTION_K
 from helpers import format_instance_json, random_instance
 
 TWO = '{"k": 2, "intervals": [[0, 2], ["1/2", "5/2"]]}\n'
@@ -386,6 +388,21 @@ def test_reduce_rejects_bad_header(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", "nae3sat", "--input", nae)
     assert code == 2
     assert "p nae" in err
+
+
+def test_reduce_k_limit(tmp_path, capsys):
+    nae = write(tmp_path, "sat.nae", "p nae 3 1\n1 2 3\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "nae3sat", "--input", nae, "--k", "1000000000")
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert f"k <= {MAX_REDUCTION_K}," in err
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "reduce", "nae3sat", "--input", nae, "--k", str(MAX_REDUCTION_K))
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert json.loads(out)["k"] == MAX_REDUCTION_K
+    assert elapsed < 2, elapsed
 
 
 def test_decide_boxes_rejects_malformed(tmp_path, capsys):

@@ -1,20 +1,22 @@
 """Reductions, the box decider, and their gadget-level guarantees."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from intervalcolor.core import Coloring, Interval
+from intervalcolor.core import Coloring, Interval, InvariantViolation
 from intervalcolor.hardness import (
     Box,
     BoxInstance,
     NaeFormula,
     WeightedInstance,
+    _audit_reduction,
     _dim_samples_and_masks,
+    _meeting_pairs,
     box_imbalance,
-    boxes_intersect,
     decide_balanced_boxes,
     decide_grouped_intervals,
     make_box_instance,
@@ -24,13 +26,33 @@ from intervalcolor.hardness import (
     reduce_partition_to_weighted,
     weighted_imbalance,
 )
+from helpers import (
+    boxes_intersect,
+    formula_corpus,
+    random_coloring,
+    random_formula,
+    reference_audit_reduction,
+    reference_box_imbalance,
+)
 
 
-def random_formula(rng, max_clauses=3, max_vars=5):
-    nv = rng.randint(1, max_vars)
-    nc = rng.randint(0, max_clauses)
-    clauses = [tuple(rng.randint(1, nv) for _ in range(3)) for _ in range(nc)]
-    return NaeFormula(nv, clauses)
+def grid_rects(instance):
+    """Each box's first two dimensions as an int tuple (x0, x1, y0, y1)."""
+    return [
+        (int(x0), int(x1), int(y0), int(y1))
+        for (x0, x1), (y0, y1), *_ in (box.bounds for box in instance.boxes)
+    ]
+
+
+def all_meeting_pairs(instance, first=0):
+    """Every pair (a, b), first <= a < b, of intersecting boxes, by testing all pairs."""
+    boxes = instance.boxes
+    return {
+        (a, b)
+        for a in range(first, len(boxes))
+        for b in range(a + 1, len(boxes))
+        if boxes_intersect(boxes[a], boxes[b])
+    }
 
 
 def distinct_cell_masks(instance):
@@ -125,6 +147,91 @@ def test_reduce_argument_errors():
         reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)]), 1)
     with pytest.raises(ValueError):
         reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)]), 2, d=1)
+    with pytest.raises(ValueError, match="k <= 10000,"):
+        reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)]), 10_001)
+
+
+def test_reduce_ten_clauses_in_bounded_time():
+    # checking all pairs of these 3488 boxes took about 12 s on a 2-vCPU Xeon
+    # under Python 3.11; the sweep takes milliseconds
+    rng = random.Random(20)
+    formula = NaeFormula(8, [tuple(rng.randint(1, 8) for _ in range(3)) for _ in range(10)])
+    started = time.perf_counter()
+    inst = reduce_nae_to_boxes(formula, 2)
+    elapsed = time.perf_counter() - started
+    assert inst.n > 3000
+    assert elapsed < 2, elapsed
+
+
+def test_swept_pairs_match_all_pairs():
+    rng = random.Random(20)
+    formulas = [NaeFormula(0, ()), NaeFormula(2, ()), NaeFormula(1, [(1, 1, 1)])]
+    formulas += [random_formula(rng) for _ in range(4)]
+    for formula, k, d in product(formulas, (2, 3, 5), (2, 3)):
+        inst = reduce_nae_to_boxes(formula, k, d)
+        covers = k - 2
+        rects = grid_rects(inst)
+        assert _meeting_pairs(rects, covers) == all_meeting_pairs(inst, covers)
+        assert all(
+            boxes_intersect(inst.boxes[a], box) for a in range(covers) for box in inst.boxes
+        )
+    # random rectangles on a small grid, so edges and corners touch often
+    for _ in range(200):
+        bounds = [
+            [sorted((rng.randint(0, 6), rng.randint(0, 6))) for _ in range(2)]
+            for _ in range(rng.randint(0, 12))
+        ]
+        inst = make_box_instance(bounds, 2)
+        first = rng.randint(0, 2)
+        assert _meeting_pairs(grid_rects(inst), first) == all_meeting_pairs(inst, first)
+
+
+def audit_message(inst, rects, planned):
+    """The audit's error on rects, checked to be the all-pairs check's error."""
+    covers = inst.k - 2
+    tampered = BoxInstance(
+        tuple(
+            Box(i, ((Fraction(x0), Fraction(x1)), (Fraction(y0), Fraction(y1))), box.tag)
+            for i, ((x0, x1, y0, y1), box) in enumerate(zip(rects, inst.boxes))
+        ),
+        2,
+        inst.k,
+        inst.provenance,
+    )
+    with_covers = planned | {(a, b) for a in range(covers) for b in range(a + 1, inst.n)}
+    with pytest.raises(InvariantViolation) as reference:
+        reference_audit_reduction(tampered, with_covers)
+    with pytest.raises(InvariantViolation) as audit:
+        _audit_reduction(rects, covers, planned, inst.provenance)
+    assert str(audit.value) == str(reference.value)
+    return str(audit.value)
+
+
+def test_audit_names_the_pair_that_all_pairs_names():
+    rng = random.Random(21)
+    inst = reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3), (3, 1, 2)]), 5)
+    covers, rects = 3, grid_rects(inst)
+    planned = all_meeting_pairs(inst, covers)
+    _audit_reduction(rects, covers, planned, inst.provenance)
+
+    dropped = rng.choice(sorted(planned))
+    message = audit_message(inst, rects, planned - {dropped})
+    assert message.startswith(f"unplanned intersection between box {dropped[0]} ")
+
+    apart = [(a, b) for a in range(covers, inst.n) for b in range(a + 1, inst.n)]
+    added = rng.choice([pair for pair in apart if pair not in planned])
+    message = audit_message(inst, rects, planned | {added})
+    assert message.startswith(f"missing intersection between box {added[0]} ")
+
+    for c in range(covers):
+        x0, x1, y0, _ = rects[c]
+        shrunk = rects[:c] + [(x0, x1, y0, y0)] + rects[c + 1 :]
+        assert audit_message(inst, shrunk, planned).startswith("missing intersection")
+
+    # covers out of nesting order are swept with the rest, and pass while
+    # every cover still meets every box
+    swapped = [rects[1], rects[0]] + rects[2:]
+    _audit_reduction(swapped, covers, planned, inst.provenance)
 
 
 def test_reduce_lifts_to_three_dimensions():
@@ -265,6 +372,28 @@ def test_box_imbalance_matches_pointwise_counts():
                     counts[color - 1] += 1
             best = max(best, max(counts) - min(counts))
         assert box_imbalance(inst, coloring).value == best
+
+
+def test_box_imbalance_matches_the_grid_reference():
+    def check(inst, coloring):
+        report = box_imbalance(inst, coloring)
+        assert (report.value, report.witness) == reference_box_imbalance(inst, coloring)
+
+    rng = random.Random(23)
+    check(make_box_instance([], 2), Coloring((), 2))
+    for _ in range(300):
+        # small integer endpoints, so faces and corners of boxes touch
+        d, n, k = rng.randint(1, 3), rng.randint(1, 7), rng.randint(1, 4)
+        bounds = [
+            [sorted((rng.randint(0, 5), rng.randint(0, 5))) for _ in range(d)]
+            for _ in range(n)
+        ]
+        check(make_box_instance(bounds, k), random_coloring(rng, n, k))
+    for formula in formula_corpus():
+        for k in (2, 3) if len(formula.clauses) <= 2 else (2,):
+            inst = reduce_nae_to_boxes(formula, k)
+            check(inst, decide_balanced_boxes(inst) or random_coloring(rng, inst.n, k))
+            check(inst, random_coloring(rng, inst.n, k))
 
 
 def test_three_rectangles_can_force_spread_two():
