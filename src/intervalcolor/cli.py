@@ -202,26 +202,26 @@ _SVG_FILL = {
 
 def _svg_dump(instance: BoxInstance) -> str:
     """Plain axis-aligned rectangles, first two dimensions, y pointing up."""
-    def num(value: object) -> str:
-        return f"{float(value):g}"  # type: ignore[arg-type]
+    xs, ys = instance.dims[0], instance.dims[1]
+    sx, sy = xs.scale, ys.scale
 
-    if instance.boxes:
-        xlo = min(box.bounds[0][0] for box in instance.boxes) - 1
-        xhi = max(box.bounds[0][1] for box in instance.boxes) + 1
-        ylo = min(box.bounds[1][0] for box in instance.boxes) - 1
-        yhi = max(box.bounds[1][1] for box in instance.boxes) + 1
+    def num(key: object, scale: int) -> str:
+        return f"{float(key / scale):g}"  # type: ignore[operator]
+
+    if instance.n:
+        xlo, xhi = min(xs.lo) - sx, max(xs.hi) + sx
+        ylo, yhi = min(ys.lo) - sy, max(ys.hi) + sy
     else:
-        xlo, xhi, ylo, yhi = 0, 1, 0, 1
+        xlo, xhi, ylo, yhi = 0, sx, 0, sy
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox='
-        f'"{num(xlo)} 0 {num(xhi - xlo)} {num(yhi - ylo)}">'
+        f'"{num(xlo, sx)} 0 {num(xhi - xlo, sx)} {num(yhi - ylo, sy)}">'
     ]
-    for box in instance.boxes:
-        (bx_lo, bx_hi), (by_lo, by_hi) = box.bounds[0], box.bounds[1]
+    for x0, x1, y0, y1, tag in zip(xs.lo, xs.hi, ys.lo, ys.hi, instance.tags):
         lines.append(
-            f'<rect x="{num(bx_lo)}" y="{num(yhi - by_hi)}"'
-            f' width="{num(bx_hi - bx_lo)}" height="{num(by_hi - by_lo)}"'
-            f' fill="{_SVG_FILL.get(box.tag, "#999999")}" fill-opacity="0.55"'
+            f'<rect x="{num(x0, sx)}" y="{num(yhi - y1, sy)}"'
+            f' width="{num(x1 - x0, sx)}" height="{num(y1 - y0, sy)}"'
+            f' fill="{_SVG_FILL.get(tag, "#999999")}" fill-opacity="0.55"'
             ' stroke="#333333" stroke-width="0.12"/>'
         )
     lines.append("</svg>")

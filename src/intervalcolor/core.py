@@ -6,12 +6,13 @@ order endpoints: an instance keeps each endpoint as a key, its coordinate
 times the instance's scale (the lcm of the denominators), so the keys are
 plain ints.  Only when the scale would pass _KEY_BITS bits are the keys the
 Fractions themselves, with scale 1; every sweep runs the same code either
-way.  normalize() is the only place endpoints are ordered: it ranks an
-instance's 2n endpoint events once by key, keeps the ranking on the
-instance, and every sweep over intervals (imbalance, the colorers,
+way.  normalize() is the only place endpoints are ordered, on the line,
+the circle, boxes (an Instance per dimension) and weighted intervals: it
+ranks an instance's 2n endpoint events once by key, keeps the ranking on
+the instance, and every sweep (imbalance, the colorers, the box masks,
 weighted_imbalance) walks that integer order.  A coordinate becomes a
 Fraction again only where it leaves the library: a witness, a clique's
-point, or an Interval, which an instance builds on first request.  All
+point, or an Interval, Arc or Box, built on first request.  All
 types are immutable values and safe to share between threads; the kept
 ranking and intervals are pure functions of the instance, so a race merely
 computes them twice.  imbalance, the check behind every result, costs O(1)

@@ -8,11 +8,12 @@ writer emits the same bytes for the same input and ends with a newline.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from .arcs import ArcInstance, make_arc_instance
-from .core import Coloring, Coord, Instance, Interval, make_instance, to_coord
-from .hardness import Box, BoxInstance, NaeFormula
+from .core import Coloring, Coord, Instance, Interval, make_instance
+from .hardness import BoxInstance, NaeFormula, _read_dims
 
 
 class FormatError(ValueError):
@@ -228,13 +229,14 @@ def parse_nae_text(text: str) -> NaeFormula:
 
 
 def format_box_instance_json(instance: BoxInstance) -> str:
+    columns = [
+        [[coord_json(x if dim.scale == 1 else Fraction(x, dim.scale)) for x in keys]
+         for keys in (dim.lo, dim.hi)]
+        for dim in instance.dims
+    ]
     boxes = [
-        {
-            "id": box.id,
-            "tag": box.tag,
-            "bounds": [[coord_json(lo), coord_json(hi)] for lo, hi in box.bounds],
-        }
-        for box in instance.boxes
+        {"id": i, "tag": tag, "bounds": [[lo[i], hi[i]] for lo, hi in columns]}
+        for i, tag in enumerate(instance.tags)
     ]
     provenance = {
         str(box_id): list(entry)
@@ -245,6 +247,11 @@ def format_box_instance_json(instance: BoxInstance) -> str:
 
 
 def parse_box_instance_json(text: str) -> BoxInstance:
+    """BoxInstance from {"d":, "k":, "boxes": [{"id":, "tag":, "bounds":}, ...]}.
+
+    Box i must have id i.  Each dimension's coordinates are read as an
+    interval file's are, by make_instance.
+    """
     data = _loads(text, "box instance")
     if not isinstance(data, dict):
         raise FormatError("box instance: expected a JSON object")
@@ -253,23 +260,19 @@ def parse_box_instance_json(text: str) -> BoxInstance:
     entries = data.get("boxes")
     if not isinstance(entries, list):
         raise FormatError('box instance: "boxes" must be a list')
-    boxes = []
+    bounds = []
+    tags = []
     for pos, entry in enumerate(entries):
         where = f"box instance: boxes[{pos}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where} must be a JSON object")
-        box_id = _require_int(entry, "id", where)
+        if _require_int(entry, "id", where) != pos:
+            raise FormatError(f"{where}: box ids must be 0..n-1 in order")
         tag = entry.get("tag")
         if not isinstance(tag, str):
             raise FormatError(f'{where}: "tag" must be a string')
-        bound_entries = _require_pairs(entry, "bounds", where)
-        try:
-            bounds = tuple(
-                (to_coord(lo), to_coord(hi)) for lo, hi in bound_entries
-            )
-            boxes.append(Box(box_id, bounds, tag))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{where}: {exc}") from None
+        tags.append(tag)
+        bounds.append(_require_pairs(entry, "bounds", where))
     provenance: Dict[int, Tuple[Any, ...]] = {}
     raw_prov = data.get("provenance", {})
     if not isinstance(raw_prov, dict):
@@ -282,7 +285,7 @@ def parse_box_instance_json(text: str) -> BoxInstance:
                 raise FormatError(f"box instance: provenance entry {key!r} malformed")
         provenance[int(key)] = tuple(entry)
     try:
-        return BoxInstance(tuple(boxes), d, k, provenance)
+        return BoxInstance(_read_dims(bounds, d, k), tags, provenance)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"box instance: {exc}") from None
 

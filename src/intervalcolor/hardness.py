@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from typing import (
     Dict,
     Iterable,
@@ -36,16 +36,16 @@ from typing import (
 
 from .core import (
     Coord,
+    CoordInput,
     Coloring,
     ImbalanceReport,
     Instance,
-    Interval,
     InvariantViolation,
+    _point,
     _search_colorings,
     make_instance,
     normalize,
     point_cliques,
-    to_coord,
 )
 
 __all__ = [
@@ -101,105 +101,111 @@ class NaeFormula:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned closed box: one [lo, hi] interval per dimension."""
+    """Axis-aligned closed box: one [lo, hi] interval per dimension.
+
+    BoxInstance.boxes builds these from an instance's keys, which the
+    instance has validated; nothing takes a Box as input.
+    """
 
     id: int
     bounds: Tuple[Tuple[Coord, Coord], ...]
     tag: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
-        for dim, (lo, hi) in enumerate(self.bounds):
-            if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
-                raise TypeError(
-                    f"box {self.id} dim {dim}: bounds must be Coord; use to_coord()"
-                )
-            if lo > hi:
-                raise ValueError(f"box {self.id} dim {dim}: lo {lo} > hi {hi}")
-        if self.tag not in BOX_TAGS:
-            raise ValueError(f"box {self.id}: unknown tag {self.tag!r}")
 
 
 @dataclass(frozen=True)
 class BoxInstance:
     """Boxes in d dimensions plus the number of colors k.
 
-    provenance maps a box id to the formula element it realizes when the
-    instance came out of reduce_nae_to_boxes; hand-built instances leave
-    it empty.
+    Box i is interval i of every Instance in dims, one per dimension, all
+    with the same n and k, and carries tags[i].  The Box objects are
+    built on first request.  provenance maps a box id to the formula
+    element it realizes when the instance came out of
+    reduce_nae_to_boxes; hand-built instances leave it empty.
     """
 
-    boxes: Tuple[Box, ...]
-    d: int
-    k: int
+    dims: Tuple[Instance, ...]
+    tags: Tuple[str, ...]
     provenance: Mapping[int, Tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        for pos, box in enumerate(self.boxes):
-            if box.id != pos:
-                raise ValueError(
-                    f"box ids must be 0..n-1 in order; position {pos} holds {box.id}"
-                )
-            if len(box.bounds) != self.d:
-                raise ValueError(
-                    f"box {pos} has {len(box.bounds)} dimensions, instance has {self.d}"
-                )
+        object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "tags", tuple(self.tags))
+        if not self.dims:
+            raise ValueError("a box instance needs at least one dimension")
+        for j, dim in enumerate(self.dims):
+            if (dim.n, dim.k) != (self.n, self.k):
+                raise ValueError(f"dim {j} has n={dim.n}, k={dim.k}, not n={self.n}, k={self.k}")
+        if len(self.tags) != self.n:
+            raise ValueError(f"{len(self.tags)} tags for {self.n} boxes")
+        for pos, tag in enumerate(self.tags):
+            if tag not in BOX_TAGS:
+                raise ValueError(f"box {pos}: unknown tag {tag!r}")
+
+    @property
+    def d(self) -> int:
+        return len(self.dims)
 
     @property
     def n(self) -> int:
-        return len(self.boxes)
+        return self.dims[0].n
+
+    @property
+    def k(self) -> int:
+        return self.dims[0].k
+
+    @cached_property
+    def boxes(self) -> Tuple[Box, ...]:
+        columns = [dim.intervals for dim in self.dims]
+        return tuple(
+            Box(i, tuple((itv.lo, itv.hi) for itv in row), tag)
+            for i, (tag, *row) in enumerate(zip(self.tags, *columns))
+        )
 
 
 def make_box_instance(
-    bounds: Iterable[Sequence[Sequence[object]]], k: int, tags: Optional[Sequence[str]] = None
+    bounds: Iterable[Sequence[Sequence[CoordInput]]], k: int, tags: Optional[Sequence[str]] = None
 ) -> BoxInstance:
-    """Build a BoxInstance from per-box ((lo, hi), ...) bounds, ids in order."""
-    boxes = []
-    for i, dims in enumerate(bounds):
-        tag = tags[i] if tags is not None else "clause"
-        coords = tuple((to_coord(lo), to_coord(hi)) for lo, hi in dims)
-        boxes.append(Box(i, coords, tag))
-    if boxes:
-        d = len(boxes[0].bounds)
-    else:
-        d = 2
-    return BoxInstance(tuple(boxes), d, k)
+    """Build a BoxInstance from per-box ((lo, hi), ...) bounds, ids in order.
+
+    d is the first box's dimension count, 2 when there is no box.
+    """
+    bounds = list(bounds)
+    dims = _read_dims(bounds, len(bounds[0]) if bounds else 2, k)
+    return BoxInstance(dims, ["clause"] * len(bounds) if tags is None else tags)
+
+
+def _read_dims(bounds: Sequence[Sequence[Sequence[CoordInput]]], d: int, k: int) -> List[Instance]:
+    """One Instance per dimension of the boxes' bounds, read by make_instance."""
+    if not bounds:  # then d is not bounded by the input, so share one instance
+        return [make_instance((), k)] * d
+    for pos, box in enumerate(bounds):
+        if len(box) != d:
+            raise ValueError(f"box {pos} has {len(box)} dimensions, instance has {d}")
+    return [make_instance([box[j] for box in bounds], k) for j in range(d)]
 
 
 @dataclass(frozen=True)
 class WeightedInstance:
-    """Intervals with positive integer weights plus the number of colors k."""
+    """An interval instance with a positive integer weight per interval."""
 
-    intervals: Tuple[Interval, ...]
+    instance: Instance
     weights: Tuple[int, ...]
-    k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(self.intervals))
         object.__setattr__(self, "weights", tuple(self.weights))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if len(self.weights) != len(self.intervals):
-            raise ValueError(
-                f"{len(self.weights)} weights for {len(self.intervals)} intervals"
-            )
-        for pos, itv in enumerate(self.intervals):
-            if itv.id != pos:
-                raise ValueError(
-                    f"interval ids must be 0..n-1 in order; position {pos} holds {itv.id}"
-                )
+        if len(self.weights) != self.n:
+            raise ValueError(f"{len(self.weights)} weights for {self.n} intervals")
         for pos, w in enumerate(self.weights):
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:
                 raise ValueError(f"weight at position {pos} must be a positive int")
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return self.instance.n
+
+    @property
+    def k(self) -> int:
+        return self.instance.k
 
 
 def nae_brute_force(
@@ -485,14 +491,14 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
     ]
     all_entries = cover_entries + entries
     provenance = {bid: prov for bid, (_, _, prov) in enumerate(all_entries)}
-    _audit_reduction([rect for rect, _, _ in all_entries], n_covers, expected, provenance)
+    rects = [rect for rect, _, _ in all_entries]
+    _audit_reduction(rects, n_covers, expected, provenance)
 
-    pad = ((Fraction(0), Fraction(0)),) * (d - 2)
-    boxes = [
-        Box(bid, ((Fraction(x0), Fraction(x1)), (Fraction(y0), Fraction(y1))) + pad, tag)
-        for bid, ((x0, x1, y0, y1), tag, _) in enumerate(all_entries)
-    ]
-    return BoxInstance(tuple(boxes), d, k, provenance)
+    x0s, x1s, y0s, y1s = zip(*rects) if rects else ((),) * 4
+    flat = (0,) * len(rects)
+    dims = [Instance.from_keys(x0s, x1s, 1, k), Instance.from_keys(y0s, y1s, 1, k)]
+    dims += [Instance.from_keys(flat, flat, 1, k)] * (d - 2)
+    return BoxInstance(dims, [tag for _, tag, _ in all_entries], provenance)
 
 
 def _audit_reduction(
@@ -550,36 +556,24 @@ def _meeting_pairs(
     return pairs
 
 
-def _dim_samples_and_masks(
-    boxes: Sequence[Box], d: int
-) -> List[Tuple[List[Coord], List[int]]]:
-    """Per dimension: sample coordinates (endpoints and midpoints between
-    consecutive endpoints) and, per sample, the bitmask of boxes whose
-    projection covers it.  Endpoint coords[i] is sample 2i; each box's bit
-    is toggled in at its lo sample and out just after its hi sample."""
-    per_dim: List[Tuple[List[Coord], List[int]]] = []
-    for dim in range(d):
-        coords = sorted(
-            {b.bounds[dim][0] for b in boxes} | {b.bounds[dim][1] for b in boxes}
-        )
-        samples: List[Coord] = []
-        for idx, x in enumerate(coords):
-            if idx:
-                samples.append((coords[idx - 1] + x) / 2)
-            samples.append(x)
-        slot = {x: 2 * idx for idx, x in enumerate(coords)}
-        toggles = [0] * (len(samples) + 1)
-        for box in boxes:
-            lo, hi = box.bounds[dim]
-            toggles[slot[lo]] ^= 1 << box.id
-            toggles[slot[hi] + 1] ^= 1 << box.id
-        masks: List[int] = []
-        msk = 0
-        for change in toggles[:-1]:
-            msk ^= change
-            masks.append(msk)
-        per_dim.append((samples, masks))
-    return per_dim
+def _masks(dim: Instance) -> List[int]:
+    """Per sample point of one dimension, the bitmask of the boxes whose
+    projection covers it.  Sample 2g is coords[g] of normalize(dim) and
+    sample 2g + 1 the midpoint of coords[g] and coords[g + 1]: the walk
+    over the ranking sets the bits of the boxes starting at coords[g],
+    records the mask, clears those ending there and records it again."""
+    norm = normalize(dim)
+    order, cuts = norm.order, norm.cuts
+    masks: List[int] = []
+    msk = 0
+    for b in range(0, len(cuts) - 1, 2):
+        for i in order[cuts[b] : cuts[b + 1]]:
+            msk |= 1 << i
+        masks.append(msk)
+        for e in order[cuts[b + 1] : cuts[b + 2]]:
+            msk ^= 1 << ~e
+        masks.append(msk)
+    return masks[:-1]  # nothing lies right of the last coordinate
 
 
 def _mask_ids(msk: int) -> List[int]:
@@ -599,11 +593,11 @@ def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
     return max(counts) - min(counts)
 
 
-def _cells(per_dim: Sequence[Tuple[List[Coord], List[int]]]) -> Set[int]:
+def _cells(per_dim: Sequence[List[int]]) -> Set[int]:
     """The distinct sets of boxes, as masks, covering a point of the grid:
     the per-dimension masks folded together one dimension at a time."""
     cells = {-1}  # every box, as a mask
-    for _, masks in per_dim:
+    for masks in per_dim:
         cells = {a & m for a in cells for m in masks}
     return cells
 
@@ -613,7 +607,8 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
 
     Samples the arrangement grid: the Cartesian product, over
     dimensions, of all box endpoints plus the midpoints between
-    consecutive endpoints.  Every distinct covering set attains one of
+    consecutive endpoints, each dimension's samples read off its
+    normalize ranking.  Every distinct covering set attains one of
     those samples, so the maximum, taken over the distinct covering sets,
     is exact.  witness is the first grid point (lexicographic in dimension
     order) attaining it, as a coordinate tuple, or None for an empty
@@ -627,19 +622,23 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
         raise ValueError(
             f"coloring uses k={coloring.k} but instance has k={instance.k}"
         )
-    if not instance.boxes:
+    if not instance.n:
         return ImbalanceReport(0, None)
-    per_dim = _dim_samples_and_masks(instance.boxes, instance.d)
+    per_dim = [_masks(dim) for dim in instance.dims]
     spread = {
         msk: _spread_of_mask(msk, coloring.colors, instance.k) for msk in _cells(per_dim)
     }
     best = max(spread.values())
-    for point in itertools.product(*(zip(samples, masks) for samples, masks in per_dim)):
+    for point in itertools.product(*map(enumerate, per_dim)):
         msk = -1
         for _, m in point:
             msk &= m
         if spread[msk] == best:
-            return ImbalanceReport(best, tuple(x for x, _ in point))
+            witness = (
+                _point(normalize(dim), s // 2, s % 2 == 1)
+                for dim, (s, _) in zip(instance.dims, point)
+            )
+            return ImbalanceReport(best, tuple(witness))
     raise InvariantViolation("no grid point attains the largest cell spread")
 
 
@@ -660,7 +659,7 @@ def decide_balanced_boxes(
     n = instance.n
     if n > limit_n:
         raise ValueError(f"decider limited to n <= {limit_n} boxes, got {n}")
-    cells = _cells(_dim_samples_and_masks(instance.boxes, instance.d))
+    cells = _cells([_masks(dim) for dim in instance.dims])
     found = _search_colorings(n, instance.k, map(_mask_ids, cells), minimize=False)
     return None if found is None else Coloring(found[1], instance.k)
 
@@ -670,11 +669,8 @@ def reduce_partition_to_weighted(values: Sequence[int]) -> WeightedInstance:
     [0, 1] carrying the given weights, k = 2.  The weighted imbalance of
     a 2-coloring is the absolute difference of the two side sums, so
     zero is achievable iff the values split evenly."""
-    weights = tuple(values)
-    intervals = tuple(
-        Interval(i, Fraction(0), Fraction(1)) for i in range(len(weights))
-    )
-    return WeightedInstance(intervals, weights, 2)
+    n = len(values)
+    return WeightedInstance(Instance.from_keys((0,) * n, (1,) * n, 1, 2), values)
 
 
 def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:
@@ -697,7 +693,7 @@ def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:
     w = weighted.weights
     counts = [0] * k
     best = 0
-    norm = normalize(Instance(weighted.intervals, k))
+    norm = normalize(weighted.instance)
     order, cuts = norm.order, norm.cuts
     for b in range(0, len(cuts) - 1, 2):  # the starts, then the ends, at one point
         for i in order[cuts[b] : cuts[b + 1]]:

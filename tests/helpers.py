@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from intervalcolor.core import Coloring, Instance, InvariantViolation, make_instance, normalize
 from intervalcolor.formats import coord_json
-from intervalcolor.hardness import NaeFormula, _dim_samples_and_masks, _spread_of_mask
+from intervalcolor.hardness import NaeFormula
 from intervalcolor.k_color import EdgeGraph
 from intervalcolor.online import OnlineAlgorithm
 
@@ -262,6 +262,54 @@ def reference_audit_reduction(instance, expected):
                 )
 
 
+def reference_samples_and_masks(instance):
+    """Per dimension: the sample coordinates and, per sample, the bitmask of
+    the boxes whose projection covers it, from the Box objects in Fractions.
+
+    The samples are the sorted distinct endpoints with the midpoint of each
+    consecutive pair between them; endpoint coords[i] is sample 2i.  Each
+    box's bit is toggled in at its lo sample and out just after its hi
+    sample.  The reference for the masks box_imbalance reads off normalize.
+    """
+    per_dim = []
+    for dim in range(instance.d):
+        coords = sorted(
+            {b.bounds[dim][0] for b in instance.boxes}
+            | {b.bounds[dim][1] for b in instance.boxes}
+        )
+        samples = []
+        for idx, x in enumerate(coords):
+            if idx:
+                samples.append((coords[idx - 1] + x) / 2)
+            samples.append(x)
+        slot = {x: 2 * idx for idx, x in enumerate(coords)}
+        toggles = [0] * (len(samples) + 1)
+        for box in instance.boxes:
+            lo, hi = box.bounds[dim]
+            toggles[slot[lo]] ^= 1 << box.id
+            toggles[slot[hi] + 1] ^= 1 << box.id
+        masks = []
+        msk = 0
+        for change in toggles[:-1]:
+            msk ^= change
+            masks.append(msk)
+        per_dim.append((samples, masks))
+    return per_dim
+
+
+def distinct_cell_masks(instance):
+    """The nonempty sets of boxes, as masks, covering a point of the grid."""
+    per_dim = reference_samples_and_masks(instance)
+    seen = set()
+    for combo in product(*(masks for _, masks in per_dim)):
+        msk = combo[0]
+        for other in combo[1:]:
+            msk &= other
+        if msk:
+            seen.add(msk)
+    return seen
+
+
 def reference_box_imbalance(instance, coloring):
     """(value, witness) of box_imbalance by visiting the whole sample grid.
 
@@ -270,7 +318,7 @@ def reference_box_imbalance(instance, coloring):
     """
     if not instance.boxes:
         return 0, None
-    per_dim = _dim_samples_and_masks(instance.boxes, instance.d)
+    per_dim = reference_samples_and_masks(instance)
     spread_cache = {}
     best, witness = -1, None
     for combo in product(*(range(len(samples)) for samples, _ in per_dim)):
@@ -279,7 +327,8 @@ def reference_box_imbalance(instance, coloring):
             msk &= masks[i]
         spread = spread_cache.get(msk)
         if spread is None:
-            spread = spread_cache[msk] = _spread_of_mask(msk, coloring.colors, instance.k)
+            members = [b for b in range(instance.n) if msk >> b & 1]
+            spread = spread_cache[msk] = cell_spread([members], coloring)
         if spread > best:
             best = spread
             witness = tuple(samples[i] for (samples, _), i in zip(per_dim, combo))

@@ -8,15 +8,21 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
 from intervalcolor import cli
 from intervalcolor.cli import main
-from intervalcolor.core import to_coord
-from intervalcolor.formats import coord_json
-from intervalcolor.hardness import MAX_REDUCTION_K
-from helpers import format_instance_json, random_instance
+from intervalcolor.core import Coloring, to_coord
+from intervalcolor.formats import coord_json, parse_box_instance_json
+from intervalcolor.hardness import MAX_REDUCTION_K, box_imbalance
+from helpers import (
+    format_instance_json,
+    random_coloring,
+    random_instance,
+    reference_box_imbalance,
+)
 
 TWO = '{"k": 2, "intervals": [[0, 2], ["1/2", "5/2"]]}\n'
 
@@ -164,16 +170,22 @@ def test_color_then_verify_round_trip(tmp_path, capsys):
     ids=ascii,
 )
 def test_coordinate_grammar_at_the_command_line(tmp_path, capsys, value):
-    # every coordinate string reads as to_coord reads it; a rejected one
-    # exits 2 with to_coord's message
+    # every coordinate string reads as to_coord reads it, in interval and
+    # box files alike; a rejected one exits 2 with to_coord's message
     path = write(tmp_path, "one.json", json.dumps({"k": 2, "intervals": [[value, 10**4]]}))
     code, out, err = run(capsys, "color", "--input", path)
+    box = {"id": 0, "tag": "clause", "bounds": [[0, 1], [value, 10**4]]}
+    boxes = write(tmp_path, "box.json", json.dumps({"d": 2, "k": 2, "boxes": [box]}))
+    box_result = run(capsys, "decide-boxes", "--input", boxes)
     try:
         x = to_coord(value)
     except (TypeError, ValueError) as exc:
         assert (code, out, err) == (2, "", f"error: instance: {exc}\n")
+        assert box_result == (2, "", f"error: box instance: {exc}\n")
         return
     assert code == 0 and json.loads(out) == {"colors": [1], "imbalance": 1}
+    assert box_result[0] == 0
+    assert json.loads(box_result[1]) == {"balanced": True, "colors": [1], "imbalance": 1}
     coloring = write(tmp_path, "one-colors.json", out)
     code, out, _ = run(capsys, "verify", "--input", path, "--coloring", coloring)
     assert json.loads(out) == {"imbalance": 1, "witness": coord_json(x)}
@@ -371,6 +383,35 @@ def test_reduce_then_decide_unsatisfiable(tmp_path, capsys):
     assert json.loads(out) == {"balanced": False}
 
 
+@pytest.mark.parametrize("formula", ["p nae 3 2\n1 2 3\n1 3 2\n", "p nae 1 1\n1 1 1\n"])
+def test_decide_boxes_on_fraction_keys(tmp_path, capsys, formula):
+    # x becomes x + 10**-30 in the first dimension: the same arrangement,
+    # but a scale past core._KEY_BITS, so that dimension ranks Fraction keys
+    nae = write(tmp_path, "f.nae", formula)
+    assert main(["reduce", "nae3sat", "--input", nae, "--k", "3"]) == 0
+    small = capsys.readouterr().out
+    data = json.loads(small)
+    den = 10**30
+    for box in data["boxes"]:
+        box["bounds"][0] = [f"{x * den + 1}/{den}" for x in box["bounds"][0]]
+    wide = json.dumps(data)
+    inst = parse_box_instance_json(wide)
+    assert inst.dims[0].scale == 1 and isinstance(inst.dims[0].lo[0], Fraction)
+    assert inst.dims[1].scale == 1 and isinstance(inst.dims[1].lo[0], int)
+
+    results = [
+        run(capsys, "decide-boxes", "--input", write(tmp_path, name, text))
+        for name, text in (("small.json", small), ("wide.json", wide))
+    ]
+    assert results[0] == results[1] and results[0][0] in (0, 1)
+    colorings = [random_coloring(random.Random(9), inst.n, inst.k)]
+    if results[0][0] == 0:
+        colorings.append(Coloring(tuple(json.loads(results[0][1])["colors"]), inst.k))
+    for coloring in colorings:
+        report = box_imbalance(inst, coloring)
+        assert (report.value, report.witness) == reference_box_imbalance(inst, coloring)
+
+
 def test_reduce_svg_is_well_formed(tmp_path, capsys):
     nae = write(tmp_path, "sat.nae", "p nae 3 1\n1 2 3\n")
     svg = tmp_path / "boxes.svg"
@@ -403,6 +444,14 @@ def test_reduce_k_limit(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["k"] == MAX_REDUCTION_K
     assert elapsed < 2, elapsed
+
+
+def test_empty_box_file_shares_one_dimension():
+    # with no boxes the file does not bound d, so the dimensions share one
+    # empty instance rather than costing one each
+    inst = parse_box_instance_json('{"d": 100000, "k": 3, "boxes": []}')
+    assert (inst.d, inst.n, inst.k) == (10**5, 0, 3)
+    assert len({id(dim) for dim in inst.dims}) == 1
 
 
 def test_decide_boxes_rejects_malformed(tmp_path, capsys):

@@ -215,9 +215,33 @@ def run_case(name, directory):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+# k -> sha256 of the file `reduce nae3sat --svg` writes for NAE_FORMULA;
+# k = 3 adds a cover box, whose corner lies at negative coordinates
+SVG_DIGESTS = {
+    2: "1892920de30dfa5b513d096213c51053aae7c2fd28792044b8ac1c7ed3a697c5",
+    3: "6abce5f07824d8dac58674a51002c61bf87e128dbb2ee1cee6ea9cbe318d864a",
+}
+
+
+def svg_digest(k, directory):
+    """sha256 of the SVG drawing of NAE_FORMULA's reduction at k."""
+    formula = Path(directory) / "formula.nae"
+    svg = Path(directory) / "boxes.svg"
+    formula.write_text(NAE_FORMULA, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["reduce", "nae3sat", "--input", str(formula), "--k", str(k),
+                     "--svg", str(svg)]) == 0
+    return hashlib.sha256(svg.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_is_pinned(name, tmp_path):
     assert run_case(name, tmp_path) == CASES[name][2:]
+
+
+@pytest.mark.parametrize("k", sorted(SVG_DIGESTS))
+def test_reduce_svg_is_pinned(k, tmp_path):
+    assert svg_digest(k, tmp_path) == SVG_DIGESTS[k]
 
 
 if __name__ == "__main__":
@@ -225,3 +249,5 @@ if __name__ == "__main__":
         for name in sorted(CASES):
             code, digest = run_case(name, directory)
             print(f"{name} {code} {digest}")
+        for k in sorted(SVG_DIGESTS):
+            print(f"reduce-svg-k{k} {svg_digest(k, directory)}")

@@ -3,18 +3,25 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from intervalcolor.core import Coloring, Interval, InvariantViolation
+from intervalcolor.core import (
+    Coloring,
+    Instance,
+    InvariantViolation,
+    _point,
+    make_instance,
+    normalize,
+)
 from intervalcolor.hardness import (
     Box,
     BoxInstance,
     NaeFormula,
     WeightedInstance,
     _audit_reduction,
-    _dim_samples_and_masks,
+    _masks,
     _meeting_pairs,
     box_imbalance,
     decide_balanced_boxes,
@@ -28,11 +35,13 @@ from intervalcolor.hardness import (
 )
 from helpers import (
     boxes_intersect,
+    distinct_cell_masks,
     formula_corpus,
     random_coloring,
     random_formula,
     reference_audit_reduction,
     reference_box_imbalance,
+    reference_samples_and_masks,
 )
 
 
@@ -53,18 +62,6 @@ def all_meeting_pairs(instance, first=0):
         for b in range(a + 1, len(boxes))
         if boxes_intersect(boxes[a], boxes[b])
     }
-
-
-def distinct_cell_masks(instance):
-    per_dim = _dim_samples_and_masks(instance.boxes, instance.d)
-    seen = set()
-    for combo in product(*(p[1] for p in per_dim)):
-        msk = combo[0]
-        for other in combo[1:]:
-            msk &= other
-        if msk:
-            seen.add(msk)
-    return seen
 
 
 def test_formula_validation():
@@ -100,16 +97,37 @@ def test_brute_force_witness_satisfies():
 
 
 def test_box_validation():
-    with pytest.raises(ValueError):
-        Box(0, ((Fraction(1), Fraction(0)),), "clause")
     with pytest.raises(TypeError):
-        Box(0, ((0.0, 1.0),), "clause")
-    with pytest.raises(ValueError):
-        Box(0, ((Fraction(0), Fraction(1)),), "wall")
-    with pytest.raises(ValueError):
-        BoxInstance((Box(1, ((Fraction(0), Fraction(1)),), "clause"),), 1, 2)
-    with pytest.raises(ValueError):
+        make_box_instance([[(0.0, 1.0)]], 2)
+    with pytest.raises(ValueError, match="unknown tag 'wall'"):
+        make_box_instance([[(0, 1)]], 2, ["wall"])
+    with pytest.raises(ValueError, match="2 dimensions, instance has 1"):
         make_box_instance([[(0, 1)], [(0, 1), (0, 1)]], 2)
+    one, two = make_instance([(0, 1)], 2), make_instance([(0, 1), (2, 3)], 2)
+    with pytest.raises(ValueError, match="dim 1 has n=2, k=2, not n=1"):
+        BoxInstance((one, two), ("clause",))
+    with pytest.raises(ValueError, match="dim 1 has n=1, k=3, not n=1, k=2"):
+        BoxInstance((one, make_instance([(0, 1)], 3)), ("clause",))
+    with pytest.raises(ValueError, match="2 tags for 1 boxes"):
+        BoxInstance((one,), ("clause", "chain"))
+    with pytest.raises(ValueError, match="unknown tag 'wall'"):
+        BoxInstance((one,), ("wall",))
+    with pytest.raises(ValueError, match="at least one dimension"):
+        BoxInstance((), ())
+    with pytest.raises(ValueError, match="lo 1 > hi 0"):
+        make_box_instance([[(0, 1), (1, 0)]], 2)
+
+
+def test_boxes_are_built_on_request():
+    inst = make_box_instance([[(0, "1/2"), (2, 3)], [(1, 1), (0, 5)]], 2, ["chain", "cover"])
+    assert (inst.d, inst.n, inst.k) == (2, 2, 2)
+    assert "boxes" not in inst.__dict__
+    assert inst.boxes == (
+        Box(0, ((Fraction(0), Fraction(1, 2)), (Fraction(2), Fraction(3))), "chain"),
+        Box(1, ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(5))), "cover"),
+    )
+    assert inst.boxes is inst.boxes
+    assert [dim.scale for dim in inst.dims] == [2, 1]
 
 
 def test_boxes_intersect_touching_edges_count():
@@ -189,13 +207,10 @@ def test_swept_pairs_match_all_pairs():
 def audit_message(inst, rects, planned):
     """The audit's error on rects, checked to be the all-pairs check's error."""
     covers = inst.k - 2
+    x0s, x1s, y0s, y1s = zip(*rects)
     tampered = BoxInstance(
-        tuple(
-            Box(i, ((Fraction(x0), Fraction(x1)), (Fraction(y0), Fraction(y1))), box.tag)
-            for i, ((x0, x1, y0, y1), box) in enumerate(zip(rects, inst.boxes))
-        ),
-        2,
-        inst.k,
+        (Instance.from_keys(x0s, x1s, 1, inst.k), Instance.from_keys(y0s, y1s, 1, inst.k)),
+        inst.tags,
         inst.provenance,
     )
     with_covers = planned | {(a, b) for a in range(covers) for b in range(a + 1, inst.n)}
@@ -318,13 +333,31 @@ def test_reduction_equivalence_on_random_formulas():
             assert box_imbalance(inst, coloring).value <= 1
 
 
+FANO = NaeFormula(7, ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)))
+ALL_TRIPLES_OF_FIVE = NaeFormula(5, tuple(combinations(range(1, 6), 3)))
+
+
+@pytest.mark.parametrize(
+    "formula, k, n",
+    [(FANO, 2, 1879), (FANO, 3, 1880), (ALL_TRIPLES_OF_FIVE, 2, 3899)],
+    ids=["fano-k2", "fano-k3", "all-triples-of-five-k2"],
+)
+def test_reduction_says_no_without_a_repeated_clause(formula, k, n):
+    # neither formula repeats a variable inside a clause, so no single
+    # (x, x, x) gadget decides them: every clause is satisfiable alone
+    assert nae_brute_force(formula) == (False, None)
+    inst = reduce_nae_to_boxes(formula, k)
+    assert inst.n == n
+    assert decide_balanced_boxes(inst, limit_n=n) is None
+
+
 def test_decider_is_deterministic():
     inst = reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)]), 2)
     assert decide_balanced_boxes(inst) == decide_balanced_boxes(inst)
 
 
 def test_decider_empty_and_limit():
-    assert decide_balanced_boxes(BoxInstance((), 2, 2)) == Coloring((), 2)
+    assert decide_balanced_boxes(make_box_instance([], 2)) == Coloring((), 2)
     inst = reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)]), 2)
     with pytest.raises(ValueError):
         decide_balanced_boxes(inst, limit_n=10)
@@ -389,6 +422,25 @@ def test_box_imbalance_matches_the_grid_reference():
             for _ in range(n)
         ]
         check(make_box_instance(bounds, k), random_coloring(rng, n, k))
+    # rational endpoints of mixed denominators from a small pool, and many
+    # boxes flat in some dimension (lo == hi), so ties sit off the integers
+    pool = [Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3, 7)]
+    for _ in range(300):
+        d, n, k = rng.randint(1, 3), rng.randint(1, 7), rng.randint(1, 4)
+        bounds = []
+        for _ in range(n):
+            box = []
+            for _ in range(d):
+                lo = rng.choice(pool)
+                hi = lo if rng.random() < 0.3 else rng.choice(pool)
+                box.append([str(x) for x in sorted((lo, hi))])
+            bounds.append(box)
+        inst = make_box_instance(bounds, k)
+        for dim, (samples, masks) in zip(inst.dims, reference_samples_and_masks(inst)):
+            norm = normalize(dim)
+            assert _masks(dim) == masks
+            assert [_point(norm, s // 2, s % 2 == 1) for s in range(len(samples))] == samples
+        check(inst, random_coloring(rng, n, k))
     for formula in formula_corpus():
         for k in (2, 3) if len(formula.clauses) <= 2 else (2,):
             inst = reduce_nae_to_boxes(formula, k)
@@ -431,17 +483,21 @@ def test_weighted_validation():
     w = reduce_partition_to_weighted([3])
     with pytest.raises(ValueError):
         weighted_imbalance(w, Coloring((1, 2), 2))
+    with pytest.raises(ValueError, match="2 weights for 1 intervals"):
+        WeightedInstance(w.instance, (1, 2))
+
+
+def test_weighted_imbalance_reuses_the_instance_ranking():
+    w = reduce_partition_to_weighted([2, 1, 1])
+    assert weighted_imbalance(w, Coloring((1, 2, 2), 2)) == 0
+    norm = w.instance._normalized
+    assert norm is not None and "intervals" not in w.instance.__dict__
+    assert weighted_imbalance(w, Coloring((1, 1, 2), 2)) == 2
+    assert w.instance._normalized is norm
 
 
 def test_weighted_imbalance_varying_overlap():
-    inst = WeightedInstance(
-        (
-            Interval(0, Fraction(0), Fraction(2)),
-            Interval(1, Fraction(1), Fraction(3)),
-        ),
-        (3, 1),
-        2,
-    )
+    inst = WeightedInstance(make_instance([(0, 2), (1, 3)], 2), (3, 1))
     assert weighted_imbalance(inst, Coloring((1, 2), 2)) == 3
     assert weighted_imbalance(inst, Coloring((1, 1), 2)) == 4
 
