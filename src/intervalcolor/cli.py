@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import IO, Any, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Type
 
 from .arcs import ArcInstance, arc_color, arc_imbalance
 from .core import (
@@ -228,83 +228,113 @@ def _svg_dump(instance: BoxInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _input(what: str) -> Tuple[str, Dict[str, Any]]:
+    return "--input", {"required": True, "help": f"{what}, or - for stdin"}
+
+
+_K_OVERRIDE = "--k", {"type": int, "help": "override the instance's color count"}
+_FORMAT = "--format", {
+    "choices": ("json", "text"),
+    "default": "json",
+    "help": "instance file format (default json)",
+}
+
+# subcommand -> (help, its arguments as (name, add_argument options)), in
+# the order help lists them; subcommand x runs cmd_x
+_COMMANDS: Dict[str, Tuple[str, List[Tuple[str, Dict[str, Any]]]]] = {
+    "color": ("balanced k-coloring of an interval file", [
+        _input("instance file"),
+        _K_OVERRIDE,
+        ("--algorithm", {"choices": ("sweep", "dewerra"), "default": "sweep",
+                         "help": "sweep (default) or iterative rebalancing"}),
+        _FORMAT,
+    ]),
+    "verify": ("measure the imbalance of a given coloring", [
+        _input("instance file"),
+        ("--coloring", {"required": True, "help": "coloring JSON file"}),
+        _FORMAT,
+    ]),
+    "oracle": ("exhaustive minimum imbalance (small n)", [
+        _input("instance file"), _K_OVERRIDE, _FORMAT,
+    ]),
+    "arcs": ("k-coloring of circular arcs, spread at most 2", [
+        _input("arc instance JSON"), _K_OVERRIDE,
+    ]),
+    "online": ("online coloring runs and the adversary", [
+        ("--algorithm", {"required": True, "help": "round_robin, greedy_least_loaded, or seeded_random"}),
+        ("--k", {"type": int, "required": True, "help": "number of colors"}),
+        ("--rounds", {"type": int, "required": True, "help": "adversary rounds or stream prefix length"}),
+        ("--seed", {"type": int, "help": "seed for seeded_random"}),
+        ("--adversary", {"action": "store_true", "help": "run the lower-bound adversary"}),
+        ("--input", {"help": "instance file to stream when not using --adversary"}),
+        _FORMAT,
+    ]),
+    "reduce": ("encode a formula as a box coloring question", [
+        ("target", {"choices": ("nae3sat",), "help": "source problem"}),
+        _input("formula file"),
+        ("--k", {"type": int, "default": 2, "help": "colors for the box instance (default 2)"}),
+        ("--svg", {"help": "also write the boxes as an SVG drawing"}),
+    ]),
+    "decide-boxes": ("search for a balanced box coloring", [_input("box instance JSON")]),
+    "hypergraph": ("balanced coloring of a consecutive-ones matrix", [
+        _input("0/1 matrix file"),
+        ("--k", {"type": int, "required": True, "help": "number of colors"}),
+    ]),
+}
+
+
+def _parser(
+    names: Iterable[str], cls: Type[argparse.ArgumentParser] = argparse.ArgumentParser
+) -> argparse.ArgumentParser:
+    parser = cls(
         prog="intervalcolor",
         description="Balanced colorings of intervals, arcs, and boxes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("json", "text"),
-            default="json",
-            help="instance file format (default json)",
-        )
-
-    p = sub.add_parser("color", help="balanced k-coloring of an interval file")
-    p.add_argument("--input", required=True, help="instance file, or - for stdin")
-    p.add_argument("--k", type=int, help="override the instance's color count")
-    p.add_argument(
-        "--algorithm",
-        choices=("sweep", "dewerra"),
-        default="sweep",
-        help="sweep (default) or iterative rebalancing",
-    )
-    add_format(p)
-    p.set_defaults(func=cmd_color)
-
-    p = sub.add_parser("verify", help="measure the imbalance of a given coloring")
-    p.add_argument("--input", required=True, help="instance file, or - for stdin")
-    p.add_argument("--coloring", required=True, help="coloring JSON file")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="exhaustive minimum imbalance (small n)")
-    p.add_argument("--input", required=True, help="instance file, or - for stdin")
-    p.add_argument("--k", type=int, help="override the instance's color count")
-    add_format(p)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("arcs", help="k-coloring of circular arcs, spread at most 2")
-    p.add_argument("--input", required=True, help="arc instance JSON, or - for stdin")
-    p.add_argument("--k", type=int, help="override the instance's color count")
-    p.set_defaults(func=cmd_arcs)
-
-    p = sub.add_parser("online", help="online coloring runs and the adversary")
-    p.add_argument("--algorithm", required=True, help="round_robin, greedy_least_loaded, or seeded_random")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--rounds", type=int, required=True, help="adversary rounds or stream prefix length")
-    p.add_argument("--seed", type=int, help="seed for seeded_random")
-    p.add_argument("--adversary", action="store_true", help="run the lower-bound adversary")
-    p.add_argument("--input", help="instance file to stream when not using --adversary")
-    add_format(p)
-    p.set_defaults(func=cmd_online)
-
-    p = sub.add_parser("reduce", help="encode a formula as a box coloring question")
-    p.add_argument("target", choices=("nae3sat",), help="source problem")
-    p.add_argument("--input", required=True, help="formula file, or - for stdin")
-    p.add_argument("--k", type=int, default=2, help="colors for the box instance (default 2)")
-    p.add_argument("--svg", help="also write the boxes as an SVG drawing")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("decide-boxes", help="search for a balanced box coloring")
-    p.add_argument("--input", required=True, help="box instance JSON, or - for stdin")
-    p.set_defaults(func=cmd_decide_boxes)
-
-    p = sub.add_parser("hypergraph", help="balanced coloring of a consecutive-ones matrix")
-    p.add_argument("--input", required=True, help="0/1 matrix file, or - for stdin")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.set_defaults(func=cmd_hypergraph)
-
+    for name in names:
+        text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        # looked up on each build, so a wrapper later put on the module
+        # attribute cmd_x is what runs
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+class _GiveWay(Exception):
+    """Raised by _QuietParser where argparse would print and exit."""
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """A parser that, instead of printing help or a usage error, gives way."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _GiveWay
+
+    def print_help(self, file: Optional[IO[str]] = None) -> None:
+        raise _GiveWay
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """Parse with only argv[0]'s subparser built, which is all a valid command
+    line needs.  Help and usage errors fall back to the full parser, so
+    what they print does not depend on which subcommands were built."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _parser(argv[:1], _QuietParser).parse_args(argv)
+        except _GiveWay:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -117,9 +117,10 @@ class BoxInstance:
     """Boxes in d dimensions plus the number of colors k.
 
     Box i is interval i of every Instance in dims, one per dimension, all
-    with the same n and k, and carries tags[i].  The Box objects are
-    built on first request.  provenance maps a box id to the formula
-    element it realizes when the instance came out of
+    with the same n and k, and carries tags[i].  The Box objects, and the
+    coverage masks and cells that box_imbalance and decide_balanced_boxes
+    share, are built on first request.  provenance maps a box id to the
+    formula element it realizes when the instance came out of
     reduce_nae_to_boxes; hand-built instances leave it empty.
     """
 
@@ -161,6 +162,20 @@ class BoxInstance:
             for i, (tag, *row) in enumerate(zip(self.tags, *columns))
         )
 
+    @cached_property
+    def sample_masks(self) -> Tuple[List[int], ...]:
+        """Per dimension, the coverage mask of each of its sample points."""
+        return tuple(_masks(dim) for dim in self.dims)
+
+    @cached_property
+    def cells(self) -> Set[int]:
+        """The distinct sets of boxes, as masks, covering a point of d-space:
+        the sample masks folded together one dimension at a time."""
+        cells = {-1}  # every box, as a mask
+        for masks in self.sample_masks:
+            cells = {a & m for a in cells for m in masks}
+        return cells
+
 
 def make_box_instance(
     bounds: Iterable[Sequence[Sequence[CoordInput]]], k: int, tags: Optional[Sequence[str]] = None
@@ -174,8 +189,17 @@ def make_box_instance(
     return BoxInstance(dims, ["clause"] * len(bounds) if tags is None else tags)
 
 
+# A box file with no boxes does not bound its "d" by its size.
+MAX_BOX_DIMS = 100_000
+
+
 def _read_dims(bounds: Sequence[Sequence[Sequence[CoordInput]]], d: int, k: int) -> List[Instance]:
-    """One Instance per dimension of the boxes' bounds, read by make_instance."""
+    """One Instance per dimension of the boxes' bounds, read by make_instance.
+
+    d above MAX_BOX_DIMS is refused before anything of size d is built.
+    """
+    if d > MAX_BOX_DIMS:
+        raise ValueError(f"box instance needs d <= {MAX_BOX_DIMS}, got {d}")
     if not bounds:  # then d is not bounded by the input, so share one instance
         return [make_instance((), k)] * d
     for pos, box in enumerate(bounds):
@@ -593,15 +617,6 @@ def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
     return max(counts) - min(counts)
 
 
-def _cells(per_dim: Sequence[List[int]]) -> Set[int]:
-    """The distinct sets of boxes, as masks, covering a point of the grid:
-    the per-dimension masks folded together one dimension at a time."""
-    cells = {-1}  # every box, as a mask
-    for masks in per_dim:
-        cells = {a & m for a in cells for m in masks}
-    return cells
-
-
 def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     """Worst color-count spread over every point of d-space.
 
@@ -624,12 +639,11 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
         )
     if not instance.n:
         return ImbalanceReport(0, None)
-    per_dim = [_masks(dim) for dim in instance.dims]
     spread = {
-        msk: _spread_of_mask(msk, coloring.colors, instance.k) for msk in _cells(per_dim)
+        msk: _spread_of_mask(msk, coloring.colors, instance.k) for msk in instance.cells
     }
     best = max(spread.values())
-    for point in itertools.product(*map(enumerate, per_dim)):
+    for point in itertools.product(*map(enumerate, instance.sample_masks)):
         msk = -1
         for _, m in point:
             msk &= m
@@ -659,8 +673,7 @@ def decide_balanced_boxes(
     n = instance.n
     if n > limit_n:
         raise ValueError(f"decider limited to n <= {limit_n} boxes, got {n}")
-    cells = _cells([_masks(dim) for dim in instance.dims])
-    found = _search_colorings(n, instance.k, map(_mask_ids, cells), minimize=False)
+    found = _search_colorings(n, instance.k, map(_mask_ids, instance.cells), minimize=False)
     return None if found is None else Coloring(found[1], instance.k)
 
 

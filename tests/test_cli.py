@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from intervalcolor import cli
+from intervalcolor import cli, hardness
 from intervalcolor.cli import main
 from intervalcolor.core import Coloring, to_coord
 from intervalcolor.formats import coord_json, parse_box_instance_json
-from intervalcolor.hardness import MAX_REDUCTION_K, box_imbalance
+from intervalcolor.hardness import MAX_BOX_DIMS, MAX_REDUCTION_K, box_imbalance
+from test_cli_bytes import COMMANDS
 from helpers import (
     format_instance_json,
     random_coloring,
@@ -454,6 +455,54 @@ def test_empty_box_file_shares_one_dimension():
     assert len({id(dim) for dim in inst.dims}) == 1
 
 
+# runs main in a fresh interpreter and reports how long the call took
+TIMED_MAIN = (
+    "import sys, time\n"
+    "from intervalcolor.cli import main\n"
+    "started = time.perf_counter()\n"
+    "code = main(sys.argv[1:])\n"
+    "print(f'main took {time.perf_counter() - started:.3f} s', file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def cap_address_space(limit=1 << 30):
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_empty_box_file_with_huge_d_exits_2(tmp_path):
+    # with no boxes nothing in the file bounds d, so the limit must
+    path = write(tmp_path, "empty.json", '{"d": 1000000000, "k": 2, "boxes": []}')
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "decide-boxes", "--input", path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    message, timing = proc.stderr.splitlines()
+    assert f"d <= {MAX_BOX_DIMS}, got 1000000000" in message
+    assert float(timing.split()[2]) < 1, timing
+
+
+def test_decide_boxes_masks_each_dimension_once(tmp_path, capsys, monkeypatch):
+    nae = write(tmp_path, "sat.nae", "p nae 4 2\n1 2 3\n2 3 4\n")
+    code, boxes, _ = run(capsys, "reduce", "nae3sat", "--input", nae)
+    assert code == 0
+    path = write(tmp_path, "boxes.json", boxes)
+    dims = []
+    real = hardness._masks
+    monkeypatch.setattr(hardness, "_masks", lambda dim: dims.append(dim) or real(dim))
+    code, out, _ = run(capsys, "decide-boxes", "--input", path)
+    assert (code, json.loads(out)["balanced"]) == (0, True)
+    assert len(dims) == json.loads(boxes)["d"] == 2
+    assert dims[0] is not dims[1]
+
+
 def test_decide_boxes_rejects_malformed(tmp_path, capsys):
     path = write(tmp_path, "bad.json", '{"d": 2, "k": 2, "boxes": [{"id": 0}]}')
     code, _, err = run(capsys, "decide-boxes", "--input", path)
@@ -504,6 +553,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["imbalance"] == 1
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_one_subparser_parses_as_the_full_parser(name):
+    argv = [name, *COMMANDS[name][0]]
+    assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_commands_run_through_the_module_attribute(tmp_path, capsys, monkeypatch):
+    # a wrapper put on cli.cmd_color after import, as a tracer does, must run
+    seen = []
+    real = cli.cmd_color
+    monkeypatch.setattr(cli, "cmd_color", lambda args: seen.append(args.input) or real(args))
+    path = write(tmp_path, "two.json", TWO)
+    assert run(capsys, "color", "--input", path)[0] == 0
+    assert seen == [path]
 
 
 def test_missing_subcommand_exits_2(capsys):
