@@ -25,8 +25,8 @@ point_cliques on the pieces measure the circle exactly.
 An ArcInstance keeps its starts, lengths and circumference as keys at one
 scale, as an Instance keeps its endpoints: ints read once from the input,
 or Fractions with scale 1 when the scale would pass core._KEY_BITS.
-unfold and the pieces compute on those keys and hand them to
-Instance.from_keys.  The full-arc margin of unfold, half the smallest gap
+unfold and the pieces compute on those keys and hand them to the
+Instance constructor.  The full-arc margin of unfold, half the smallest gap
 between distinct endpoint keys capped at a quarter of C minus the hull
 width, is an int once every key is multiplied by 4.  A Fraction is built
 only where a value leaves the module: an Arc, on request, or a witness.
@@ -71,21 +71,12 @@ class Arc:
     """Closed arc starting at `start` and extending `length` counterclockwise.
 
     A length of at least the circumference means the arc covers the full
-    circle.  Validation against the circumference happens in ArcInstance,
-    which owns that shared value.
+    circle.  Built by ArcInstance.arcs; nothing takes an Arc as input.
     """
 
     id: int
     start: Coord
     length: Coord
-
-    def __post_init__(self) -> None:
-        for name in ("start", "length"):
-            value = getattr(self, name)
-            if not isinstance(value, Coord):
-                raise TypeError(f"{name} must be a Coord, got {type(value).__name__}")
-        if self.length <= 0:
-            raise ValueError(f"arc length must be positive, got {self.length}")
 
 
 class ArcInstance:
@@ -94,10 +85,10 @@ class ArcInstance:
     Arc i starts at start[i] / scale and extends length[i] / scale
     counterclockwise; the circumference is turn / scale.  start, length
     and turn are keys at one scale, ints, or Fractions when scale is 1
-    (see core._keys), as an Instance keeps its endpoints; they are
-    validated as Arc validates an arc, and every start must lie in
-    [0, circumference).  The Arc objects are built on first request;
-    make_arc_instance reads an instance from coordinates.
+    (see core._keys), as an Instance keeps its endpoints; every length
+    must be positive and every start must lie in [0, circumference).
+    The Arc objects are built on first request; make_arc_instance reads
+    an instance from coordinates.
     """
 
     start: Tuple
@@ -185,7 +176,7 @@ def make_arc_instance(
     c, d = _split(circumference)
     nums.append(c)
     dens.append(d)
-    keys, scale = _keys(nums, dens, lambda: list(map(Fraction, nums, dens)))
+    keys, scale = _keys(nums, dens)
     return ArcInstance(keys[0:-1:2], keys[1:-1:2], keys[-1], scale, k)
 
 
@@ -246,7 +237,7 @@ def unfold(instance: ArcInstance) -> Instance:
         hi = [span[1] if x is None else up * x for x in hi]
         scale *= up
 
-    return Instance.from_keys(lo, hi, scale, instance.k)
+    return Instance(lo, hi, scale, instance.k)
 
 
 def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
@@ -272,7 +263,7 @@ def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
             lo.append(s)
             hi.append(end)
         owners.append(i)
-    return Instance.from_keys(lo, hi, instance.scale, instance.k), owners
+    return Instance(lo, hi, instance.scale, instance.k), owners
 
 
 def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:

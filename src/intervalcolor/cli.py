@@ -64,7 +64,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     else:
         instance = parse_instance_json(text)
     if getattr(args, "k", None) is not None and args.k != instance.k:
-        instance = Instance.from_keys(instance.lo, instance.hi, instance.scale, args.k)
+        instance = Instance(instance.lo, instance.hi, instance.scale, args.k)
     return instance
 
 
@@ -130,7 +130,7 @@ def cmd_online(args: argparse.Namespace) -> int:
     alg = make_algorithm(name, seed=args.seed)
     if args.adversary:
         transcript = adversary_general(alg, args.k, args.rounds)
-        _emit(format_transcript_jsonl(transcript.presented, transcript.colors, transcript.trace))
+        _emit(format_transcript_jsonl(transcript.instance, transcript.colors, transcript.trace))
         final = transcript.final_imbalance
         summary = {"final_imbalance": final, "rounds": args.rounds}
         if args.k == 2:
@@ -148,11 +148,11 @@ def cmd_online(args: argparse.Namespace) -> int:
     if args.rounds < 0:
         raise FormatError(f"--rounds must not be negative, got {args.rounds}")
     instance = _load_instance(args)
-    stream = Instance.from_keys(
+    stream = Instance(
         instance.lo[: args.rounds], instance.hi[: args.rounds], instance.scale, instance.k
     )
     coloring, trace = run_online(alg, stream)
-    _emit(format_transcript_jsonl(stream.intervals, coloring.colors, trace))
+    _emit(format_transcript_jsonl(stream, coloring.colors, trace))
     return 0
 
 

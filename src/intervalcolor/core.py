@@ -3,20 +3,21 @@
 Coordinates are arbitrary-precision rationals so that coinciding endpoints
 are detected exactly; floats are rejected at the boundary.  Rationals only
 order endpoints: an instance keeps each endpoint as a key, its coordinate
-times the instance's scale (the lcm of the denominators), so the keys are
-plain ints.  Only when the scale would pass _KEY_BITS bits are the keys the
-Fractions themselves, with scale 1; every sweep runs the same code either
-way.  normalize() is the only place endpoints are ordered, on the line,
-the circle, boxes (an Instance per dimension) and weighted intervals: it
-ranks an instance's 2n endpoint events once by key, keeps the ranking on
-the instance, and every sweep (imbalance, the colorers, the box masks,
-weighted_imbalance) walks that integer order.  A coordinate becomes a
-Fraction again only where it leaves the library: a witness, a clique's
-point, or an Interval, Arc or Box, built on first request.  All
-types are immutable values and safe to share between threads; the kept
-ranking and intervals are pure functions of the instance, so a race merely
-computes them twice.  imbalance, the check behind every result, costs O(1)
-per event whatever k is and allocates nothing in proportion to k.
+times the instance's positive int scale.  make_instance takes the lcm of the
+denominators, so keys are ints, or the Fractions with scale 1 when the lcm
+would pass _KEY_BITS bits; the online adversary's power-of-two scale,
+bounded by MAX_PRESENTATIONS, passes 64 bits with int keys.  normalize() is
+the only place endpoints are ordered, on the line, the circle, boxes (an
+Instance per dimension) and weighted intervals: it ranks an instance's 2n
+endpoint events once by key, keeps the ranking on the instance, and every
+sweep (imbalance, the colorers, the box masks, weighted_imbalance) walks
+that integer order, whatever the keys.  A coordinate becomes a Fraction
+again only where it leaves the library: a witness, a clique's point, or an
+Interval, Arc or Box, built on first request.  All types are immutable
+values and safe to share between threads; the kept ranking and intervals
+are pure functions of the instance, so a race merely computes them twice.
+imbalance, the check behind every result, costs O(1) per event whatever k
+is and allocates nothing in proportion to k.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 __all__ = [
     "Coord",
@@ -148,22 +149,20 @@ def _read_pairs(pairs: Iterable[Sequence[CoordInput]]) -> Tuple[List[int], List[
     return nums, dens
 
 
-def _keys(
-    nums: List[int], dens: List[int], exact: Callable[[], List[Fraction]]
-) -> Tuple[list, int]:
+def _keys(nums: List[int], dens: List[int]) -> Tuple[list, int]:
     """Keys of the coordinates nums[i] / dens[i], and their scale.
 
     The scale is the lcm of the denominators and key i is
     nums[i] * (scale // dens[i]).  When the scale would pass _KEY_BITS
-    bits, the keys are exact(), the coordinates as Fractions, and the
-    scale is 1.  Either way key / scale is the coordinate.
+    bits, the keys are the coordinates as Fractions and the scale is 1.
+    Either way key / scale is the coordinate.
     """
     distinct = set(dens)
     scale = 1
     for d in distinct:
         scale = lcm(scale, d)
         if scale.bit_length() > _KEY_BITS:
-            return exact(), 1
+            return list(map(Fraction, nums, dens)), 1
     if scale == 1:
         return nums, 1
     factor = {d: scale // d for d in distinct}
@@ -179,28 +178,20 @@ def _same_coords(xs: Sequence, s: int, ys: Sequence, t: int) -> bool:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; point intervals (lo == hi) are allowed."""
+    """Closed interval [lo, hi], built by Instance.intervals; nothing takes one as input."""
 
     id: int
     lo: Coord
     hi: Coord
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
-            raise TypeError("interval endpoints must be Coord; use to_coord()")
-        if self.lo > self.hi:
-            raise ValueError(f"interval {self.id}: lo {self.lo} > hi {self.hi}")
-
-    def contains(self, x: Coord) -> bool:
-        return self.lo <= x <= self.hi
 
 
 class Instance:
     """An ordered list of closed intervals plus the number of colors k.
 
     Interval i is [lo[i] / scale, hi[i] / scale]: lo and hi are key
-    columns, ints, or Fractions when scale is 1 (see _keys).  The
-    intervals themselves are built on first request.
+    columns, ints, or Fractions when scale is 1 (see _keys), and
+    lo[i] > hi[i] is rejected.  make_instance reads an instance from
+    coordinates; the Interval objects are built on first request.
     """
 
     lo: Tuple
@@ -208,35 +199,7 @@ class Instance:
     scale: int
     k: int
 
-    def __init__(self, intervals: Iterable[Interval], k: int) -> None:
-        intervals = tuple(intervals)
-        for pos, itv in enumerate(intervals):
-            if itv.id != pos:
-                raise ValueError(
-                    f"interval ids must be 0..n-1 in order; "
-                    f"position {pos} holds id {itv.id}"
-                )
-        coords = [itv.lo for itv in intervals] + [itv.hi for itv in intervals]
-        keys, scale = _keys(
-            [x.numerator for x in coords], [x.denominator for x in coords],
-            lambda: coords,
-        )
-        n = len(intervals)
-        self._set(keys[:n], keys[n:], scale, k)
-        self.__dict__["intervals"] = intervals
-
-    @classmethod
-    def from_keys(cls, lo: Sequence, hi: Sequence, scale: int, k: int) -> "Instance":
-        """The instance whose interval i is [lo[i] / scale, hi[i] / scale].
-
-        Keys are ints, or Fractions with scale 1; lo[i] > hi[i] is rejected
-        as an Interval would reject it.
-        """
-        instance = cls.__new__(cls)
-        instance._set(lo, hi, scale, k)
-        return instance
-
-    def _set(self, lo: Sequence, hi: Sequence, scale: int, k: int) -> None:
+    def __init__(self, lo: Sequence, hi: Sequence, scale: int, k: int) -> None:
         if len(lo) != len(hi):
             raise ValueError(f"{len(lo)} lower keys for {len(hi)} upper keys")
         for i, (a, b) in enumerate(zip(lo, hi)):
@@ -295,9 +258,9 @@ def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
     the way.
     """
     nums, dens = _read_pairs(bounds)
-    keys, scale = _keys(nums, dens, lambda: list(map(Fraction, nums, dens)))
+    keys, scale = _keys(nums, dens)
     del nums, dens  # drop the columns before the halves are copied out
-    return Instance.from_keys(keys[0::2], keys[1::2], scale, k)
+    return Instance(keys[0::2], keys[1::2], scale, k)
 
 
 @dataclass(frozen=True)

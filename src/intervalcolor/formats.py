@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from .arcs import ArcInstance, make_arc_instance
-from .core import Coloring, Coord, Instance, Interval, make_instance
+from .core import Coloring, Coord, Instance, make_instance
 from .hardness import BoxInstance, NaeFormula, _read_dims
 
 
@@ -25,6 +25,13 @@ def coord_json(value: Coord) -> Union[int, str]:
     if value.denominator == 1:
         return int(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _keys_json(keys: Sequence, scale: int) -> List[Union[int, str]]:
+    """JSON values of the coordinates key / scale, as coord_json writes them."""
+    if scale == 1:
+        return [coord_json(x) for x in keys]
+    return [coord_json(Fraction(x, scale)) for x in keys]
 
 
 def _loads(text: str, what: str) -> Any:
@@ -230,9 +237,7 @@ def parse_nae_text(text: str) -> NaeFormula:
 
 def format_box_instance_json(instance: BoxInstance) -> str:
     columns = [
-        [[coord_json(x if dim.scale == 1 else Fraction(x, dim.scale)) for x in keys]
-         for keys in (dim.lo, dim.hi)]
-        for dim in instance.dims
+        [_keys_json(keys, dim.scale) for keys in (dim.lo, dim.hi)] for dim in instance.dims
     ]
     boxes = [
         {"id": i, "tag": tag, "bounds": [[lo[i], hi[i]] for lo, hi in columns]}
@@ -294,20 +299,22 @@ def parse_box_instance_json(text: str) -> BoxInstance:
 
 
 def format_transcript_jsonl(
-    presented: Sequence[Interval], colors: Sequence[int], trace: Sequence[int]
+    instance: Instance, colors: Sequence[int], trace: Sequence[int]
 ) -> str:
-    """One JSON line per presentation: interval, chosen color, running imbalance."""
-    if not (len(presented) == len(colors) == len(trace)):
+    """One JSON line per presentation: interval, chosen color, running imbalance.
+
+    instance holds the presented intervals in arrival order; their
+    coordinates are written from its keys.
+    """
+    if not (instance.n == len(colors) == len(trace)):
         raise ValueError(
-            f"mismatched transcript parts: {len(presented)} intervals, "
+            f"mismatched transcript parts: {instance.n} intervals, "
             f"{len(colors)} colors, {len(trace)} imbalances"
         )
+    lo = _keys_json(instance.lo, instance.scale)
+    hi = _keys_json(instance.hi, instance.scale)
     lines = []
-    for itv, color, value in zip(presented, colors, trace):
-        record = {
-            "interval": [coord_json(itv.lo), coord_json(itv.hi)],
-            "color": color,
-            "max_imbalance": value,
-        }
+    for a, b, color, value in zip(lo, hi, colors, trace):
+        record = {"interval": [a, b], "color": color, "max_imbalance": value}
         lines.append(json.dumps(record))
     return "\n".join(lines) + "\n" if lines else ""

@@ -520,8 +520,8 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
 
     x0s, x1s, y0s, y1s = zip(*rects) if rects else ((),) * 4
     flat = (0,) * len(rects)
-    dims = [Instance.from_keys(x0s, x1s, 1, k), Instance.from_keys(y0s, y1s, 1, k)]
-    dims += [Instance.from_keys(flat, flat, 1, k)] * (d - 2)
+    dims = [Instance(x0s, x1s, 1, k), Instance(y0s, y1s, 1, k)]
+    dims += [Instance(flat, flat, 1, k)] * (d - 2)
     return BoxInstance(dims, [tag for _, tag, _ in all_entries], provenance)
 
 
@@ -673,6 +673,8 @@ def decide_balanced_boxes(
     n = instance.n
     if n > limit_n:
         raise ValueError(f"decider limited to n <= {limit_n} boxes, got {n}")
+    if not n:  # nothing to color; the cells would still fold all d dimensions
+        return Coloring((), instance.k)
     found = _search_colorings(n, instance.k, map(_mask_ids, instance.cells), minimize=False)
     return None if found is None else Coloring(found[1], instance.k)
 
@@ -683,7 +685,7 @@ def reduce_partition_to_weighted(values: Sequence[int]) -> WeightedInstance:
     a 2-coloring is the absolute difference of the two side sums, so
     zero is achievable iff the values split evenly."""
     n = len(values)
-    return WeightedInstance(Instance.from_keys((0,) * n, (1,) * n, 1, 2), values)
+    return WeightedInstance(Instance((0,) * n, (1,) * n, 1, 2), values)
 
 
 def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:

@@ -9,21 +9,25 @@ of the two region counts must drift at rate t/3, so no online algorithm
 can keep the spread bounded.  For k > 2 only two colors are tracked; an
 interval answered with an untracked color is re-presented with a slightly
 larger startpoint until the algorithm yields a tracked color or the
-stacked copies themselves certify a large spread.
+stacked copies themselves certify a large spread.  Every coordinate the
+adversary makes is dyadic, so it computes on int keys at one power-of-two
+scale fixed from t and the repeat budget, and a run presents at most
+MAX_PRESENTATIONS intervals.
 
 Both run_online and the adversary present intervals through one session
-that asks the algorithm for a color, checks it, and records the imbalance
-of the prefix so far.  The session keeps that trace in one incremental
-sweep resting on the online contract that starts never decrease: points
-left of the latest start are final, and at or right of it the intervals
-covering a point are those ending at or after it.  So an arrival updates
-only the color counts kept per distinct right end at or below its own,
-O(k) each, and no prefix is ever re-ranked.  When the run ends, one
-offline imbalance of the whole presented instance must equal the last
-trace value, so every run still has an independent check.  The worst case
-is every interval alive with rising right ends, O(n^2 k) per run: the
-staircase [i, 2000 + i], i < 2000, with k = 3 takes about 1.5 s on a
-2-vCPU Xeon under Python 3.11.
+that asks the algorithm for a color, checks it, and records the
+imbalance of the prefix so far.  The session and the algorithms see
+endpoint keys only: a stream's own, or the adversary's ints.  The trace
+is one incremental sweep resting on the online contract that starts
+never decrease: points left of the latest start are final, and at or
+right of it the intervals covering a point are those ending at or after
+it.  So an arrival updates only the color counts kept per distinct right
+end at or below its own, O(k) each, and no prefix is ever re-ranked.
+When the run ends, one offline imbalance of the whole presented instance
+must equal the last trace value, so every run still has an independent
+check.  The worst case is every interval alive with rising right ends,
+O(n^2 k) per run: the staircase [i, 2000 + i], i < 2000, with k = 3
+takes about 0.6 s on a 2-vCPU Xeon under Python 3.11.
 """
 
 from __future__ import annotations
@@ -31,16 +35,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from intervalcolor.core import (
-    Coloring,
-    Coord,
-    Instance,
-    Interval,
-    InvariantViolation,
-    imbalance,
-)
+from intervalcolor.core import Coloring, Instance, InvariantViolation, imbalance
 
 __all__ = [
     "OnlineAlgorithm",
@@ -55,21 +53,32 @@ __all__ = [
     "adversary_general",
 ]
 
+# The most intervals one adversary run presents, whatever its rounds and
+# budget; it also bounds the bits of the run's scale.  With the shipped
+# algorithms a run reaching it is the slowest (1.8 s at k = 2, 2-vCPU Xeon,
+# Python 3.11); an arrival costs O(groups x colors in use), so a library
+# algorithm using many colors can run far longer below it.
+MAX_PRESENTATIONS = 5000
+
 
 class OnlineAlgorithm:
     """Irrevocable one-interval-at-a-time coloring strategy.
 
-    reset(k) starts a fresh run.  assign is called once per arrival, in
-    arrival order (startpoints never decrease), and must return a color in
-    1..k; the interval keeps that color, so an algorithm that needs the
-    past records it itself.  Implementations must be deterministic given k,
-    the arrivals so far, and their own construction arguments (e.g. a seed).
+    reset(k) starts a fresh run.  assign(lo, hi) is called once per
+    arrival, in arrival order (startpoints never decrease), with the
+    interval's endpoint keys: its coordinates times one positive scale
+    fixed for the run, so the keys keep the order of the coordinates and
+    the ratios of their differences.  Keys are ints, or Fractions when the
+    scale is 1.  assign must return a color in 1..k; the interval keeps
+    that color, so an algorithm that needs the past records it itself.
+    Implementations must be deterministic given k, the arrivals so far,
+    and their own construction arguments (e.g. a seed).
     """
 
     def reset(self, k: int) -> None:
         raise NotImplementedError
 
-    def assign(self, interval: Interval) -> int:
+    def assign(self, lo, hi) -> int:
         raise NotImplementedError
 
 
@@ -80,7 +89,7 @@ class RoundRobin(OnlineAlgorithm):
         self.k = k
         self.calls = 0
 
-    def assign(self, interval):
+    def assign(self, lo, hi):
         self.calls += 1
         return (self.calls - 1) % self.k + 1
 
@@ -99,15 +108,14 @@ class GreedyLeastLoaded(OnlineAlgorithm):
 
     def reset(self, k: int) -> None:
         self.k = k
-        self.start: Optional[Coord] = None
-        self.ends: List[Coord] = []  # right ends of the active answers, ascending
+        self.start = None  # the latest start key
+        self.ends: list = []  # right end keys of the active answers, ascending
         self.active: List[int] = []  # their colors
         self.counts: List[int] = []  # active answers per used color
 
-    def assign(self, interval):
-        lo = interval.lo
+    def assign(self, lo, hi):
         if self.start is not None and lo < self.start:
-            raise ValueError(f"startpoint {lo} after {self.start}: starts must not decrease")
+            raise ValueError(f"start key {lo} after {self.start}: starts must not decrease")
         self.start = lo
         counts, ends, active = self.counts, self.ends, self.active
         gone = bisect_left(ends, lo)
@@ -118,8 +126,8 @@ class GreedyLeastLoaded(OnlineAlgorithm):
             counts.append(0)  # every used color is busy: take the next one
         color = counts.index(min(counts)) + 1
         counts[color - 1] += 1
-        at = bisect_right(ends, interval.hi)
-        ends.insert(at, interval.hi)
+        at = bisect_right(ends, hi)
+        ends.insert(at, hi)
         active.insert(at, color)
         return color
 
@@ -134,7 +142,7 @@ class SeededRandom(OnlineAlgorithm):
         self.k = k
         self.rng = random.Random(self.seed)
 
-    def assign(self, interval):
+    def assign(self, lo, hi):
         return self.rng.randint(1, self.k)
 
 
@@ -155,21 +163,30 @@ def make_algorithm(name: str, seed: Optional[int] = None) -> OnlineAlgorithm:
 class Transcript:
     """Record of an adversary run.
 
-    presented, colors, and trace have one entry per presentation,
-    including the re-presented copies for k > 2: the interval, its color,
-    and the imbalance of the prefix instance it closes, kept by the
-    session's incremental sweep; the last one is confirmed by one offline
-    imbalance of the whole run.  simb_l and simb_r have one entry per
-    completed adversary round: the signed color-1-minus-color-2 count
-    inside the current L and R regions.
+    instance holds every presentation in arrival order, including the
+    re-presented copies for k > 2, as integer keys at the run's scale.
+    colors and trace have one entry per presentation: its color and the
+    imbalance of the prefix instance it closes, kept by the session's
+    incremental sweep; the last one is confirmed by one offline imbalance
+    of instance.  simb_l and simb_r have one entry per completed adversary
+    round: the signed color-1-minus-color-2 count inside the current L and
+    R regions.
     """
 
-    presented: Tuple[Interval, ...]
+    instance: Instance
     colors: Tuple[int, ...]
     trace: Tuple[int, ...]
     simb_l: Tuple[int, ...]
     simb_r: Tuple[int, ...]
-    k: int
+
+    @property
+    def presented(self) -> tuple:
+        """The presented intervals, as Interval objects built on request."""
+        return self.instance.intervals
+
+    @property
+    def k(self) -> int:
+        return self.instance.k
 
     @property
     def final_imbalance(self) -> int:
@@ -179,13 +196,13 @@ class Transcript:
 class _Session:
     """One run: each presented interval, its color, and its prefix imbalance.
 
-    The trace is one incremental sweep over endpoint keys, any values that
-    order the endpoints (an instance's int keys, or the coordinates).
-    Starts never decrease, so every point left of the latest start is
-    final; frozen is the largest spread there.  At or right of the latest
-    start, the intervals covering a point are those ending at or after it.
-    So the active intervals, those ending at or after the latest start,
-    are grouped by distinct right end, ends ascending, and group j keeps
+    The session keeps the endpoint keys of every presentation in lo and
+    hi, and the trace is one incremental sweep over them.  Starts never
+    decrease, so every point left of the latest start is final; frozen is
+    the largest spread there.  At or right of the latest start, the
+    intervals covering a point are those ending at or after it.  So the
+    active intervals, those ending at or after the latest start, are
+    grouped by distinct right end, ends ascending, and group j keeps
     suf[j], the color counts of every interval ending at or after ends[j],
     and top[j], the largest spread (top count minus bottom count) of the
     counts of groups j and later.  Group j's counts hold on the points
@@ -203,32 +220,32 @@ class _Session:
         alg.reset(k)
         self.alg = alg
         self.k = k
-        self.presented: List[Interval] = []
+        self.lo: list = []  # start keys, in arrival order
+        self.hi: list = []  # end keys
         self.colors: List[int] = []
         self.trace: List[int] = []
-        self.start = None  # the latest start key
         self.frozen = 0
         self.slot: Dict[int, int] = {}  # color -> index into the count lists
         self.ends: list = []
         self.suf: List[List[int]] = []
         self.top: List[int] = []
 
-    def present(self, itv: Interval, lo, hi) -> int:
-        """Color itv, whose endpoint keys are lo and hi, and record its prefix."""
-        color = self.alg.assign(itv)
+    def present(self, lo, hi) -> int:
+        """Color the interval with endpoint keys lo and hi, and record its prefix."""
+        color = self.alg.assign(lo, hi)
         if not (1 <= color <= self.k):
             raise ValueError(f"algorithm returned color {color}, outside 1..{self.k}")
-        self.presented.append(itv)
-        self.colors.append(color)
         ends, suf, top = self.ends, self.suf, self.top
-        if ends and lo > self.start:
+        if ends and lo > self.lo[-1]:
             # the points left of lo are final now; each group ending before
             # lo, and the first group left, holds at one of them
             gone = bisect_left(ends, lo)
             for counts in suf[: gone + 1]:
                 self.frozen = max(self.frozen, max(counts) - min(counts))
             del ends[:gone], suf[:gone], top[:gone]
-        self.start = lo
+        self.lo.append(lo)
+        self.hi.append(hi)
+        self.colors.append(color)
         slot = self.slot.get(color)
         if slot is None:
             # the new color takes the zero slot; a fresh one stands for the rest
@@ -273,15 +290,15 @@ def _signed_count(session: _Session, point) -> int:
     At or right of the latest start this is one group's counts; left of
     it, a scan of every presented interval.
     """
-    if point >= session.start:
+    if point >= session.lo[-1]:
         j = bisect_left(session.ends, point)
         if j == len(session.ends):
             return 0
         counts, slot = session.suf[j], session.slot
         return (counts[slot[1]] if 1 in slot else 0) - (counts[slot[2]] if 2 in slot else 0)
     total = 0
-    for itv, color in zip(session.presented, session.colors):
-        if itv.contains(point):
+    for lo, hi, color in zip(session.lo, session.hi, session.colors):
+        if lo <= point <= hi:
             if color == 1:
                 total += 1
             elif color == 2:
@@ -294,20 +311,20 @@ def run_online(
 ) -> Tuple[Coloring, Tuple[int, ...]]:
     """Feed an instance to an online algorithm in the given order.
 
-    Startpoints must be nondecreasing (the online contract).  Returns the
-    final coloring and the realized imbalance after each assignment.
+    Startpoints must be nondecreasing (the online contract).  The
+    algorithm sees the instance's keys.  Returns the final coloring and
+    the realized imbalance after each assignment.
     """
-    intervals = instance.intervals
     lo, hi = instance.lo, instance.hi
     for i in range(1, instance.n):
         if lo[i] < lo[i - 1]:
             raise ValueError(
-                f"interval {i} starts at {intervals[i].lo},"
-                f" before previous {intervals[i - 1].lo}"
+                f"interval {i} starts at {Fraction(lo[i], instance.scale)},"
+                f" before previous {Fraction(lo[i - 1], instance.scale)}"
             )
     session = _Session(alg, instance.k)
-    for itv, a, b in zip(intervals, lo, hi):
-        session.present(itv, a, b)
+    for a, b in zip(lo, hi):
+        session.present(a, b)
     return session.finish(instance), tuple(session.trace)
 
 
@@ -323,8 +340,6 @@ def adversary_k2(alg: OnlineAlgorithm, t: int) -> Transcript:
     choices.  After t rounds with p color-1 answers the counts inside R and
     L are p and 2p - t, one of which has magnitude at least ceil(t/3).
     """
-    if t < 1:
-        raise ValueError(f"need at least one round, got t={t}")
     return _run_adversary(alg, 2, t, repeat_budget=1)
 
 
@@ -342,71 +357,71 @@ def adversary_general(
     defaults to 2t, which for k up to 8 certifies the same ceil(t/3) rate
     as the tracked drift.
     """
-    if t < 1:
-        raise ValueError(f"need at least one round, got t={t}")
     if k < 2:
         raise ValueError(f"the adversary needs k >= 2, got k={k}")
     if k == 2:
         return adversary_k2(alg, t)
-    budget = 2 * t if repeat_budget is None else repeat_budget
-    if budget < 1:
-        raise ValueError(f"repeat budget must be positive, got {budget}")
-    return _run_adversary(alg, k, t, repeat_budget=budget)
+    return _run_adversary(alg, k, t, 2 * t if repeat_budget is None else repeat_budget)
 
 
-def _run_adversary(
-    alg: OnlineAlgorithm, k: int, t: int, repeat_budget: int
-) -> Transcript:
-    # the session's keys are the coordinates themselves
+def _run_adversary(alg: OnlineAlgorithm, k: int, t: int, repeat_budget: int) -> Transcript:
+    if t < 1:
+        raise ValueError(f"need at least one round, got t={t}")
+    if repeat_budget < 1:
+        raise ValueError(f"repeat budget must be positive, got {repeat_budget}")
+    limit = (
+        f"the adversary presents at most MAX_PRESENTATIONS ="
+        f" {MAX_PRESENTATIONS} intervals, and t={t} rounds need more"
+    )
+    if t > MAX_PRESENTATIONS:
+        raise ValueError(limit)
+    # every coordinate is dyadic: a round halves L and R, and the nudges
+    # of one round halve its gap at most min(repeat_budget,
+    # MAX_PRESENTATIONS) - 1 times, so keys at this scale are exact ints
+    scale = 1 << (t + min(repeat_budget, MAX_PRESENTATIONS) + 2)
     session = _Session(alg, k)
-    presented = session.presented
-    L = (Coord(0), Coord(1))
-    R = (Coord(2), Coord(3))
+    starts = session.lo
+    L = (0, scale)
+    R = (2 * scale, 3 * scale)
     simb_l: List[int] = []
     simb_r: List[int] = []
 
     def record() -> None:
-        simb_l.append(_signed_count(session, (L[0] + L[1]) / 2))
-        simb_r.append(_signed_count(session, (R[0] + R[1]) / 2))
+        simb_l.append(_signed_count(session, (L[0] + L[1]) >> 1))
+        simb_r.append(_signed_count(session, (R[0] + R[1]) >> 1))
 
-    def present(lo: Coord, hi: Coord) -> int:
-        if presented and lo <= presented[-1].lo:
+    def present(lo: int, hi: int) -> int:
+        if len(starts) >= MAX_PRESENTATIONS:
+            raise ValueError(limit)
+        if starts and lo <= starts[-1]:
             raise InvariantViolation(
                 f"adversary startpoints must increase strictly:"
-                f" {lo} after {presented[-1].lo}"
+                f" {Fraction(lo, scale)} after {Fraction(starts[-1], scale)}"
             )
-        return session.present(Interval(len(presented), lo, hi), lo, hi)
+        return session.present(lo, hi)
 
     for _ in range(t):
-        mid_l = (L[0] + L[1]) / 2
-        mid_r = (R[0] + R[1]) / 2
+        mid_l = (L[0] + L[1]) >> 1
+        mid_r = (R[0] + R[1]) >> 1
         color = present(mid_l, mid_r)
         # untracked answers: nudge the startpoint geometrically toward
         # (but never up to) the next round's startpoint and ask again
-        gap = (L[1] - mid_l) / 2
+        gap = (L[1] - mid_l) >> 1
         attempt = 1
         while color > 2 and attempt < repeat_budget:
-            nudge = gap * (1 - Coord(1, 2 ** attempt))
-            color = present(mid_l + nudge, mid_r)
+            color = present(mid_l + gap - (gap >> attempt), mid_r)
             attempt += 1
         if color > 2:
             # the algorithm exhausted the budget with untracked colors;
             # the stacked copies already certify the spread
             record()
             break
-        if color == 1:
-            R = (R[0], mid_r)
-        else:
-            R = (mid_r, R[1])
+        R = (R[0], mid_r) if color == 1 else (mid_r, R[1])
         L = (mid_l, L[1])
         record()
 
-    session.finish(Instance(presented, k))
+    instance = Instance(session.lo, session.hi, scale, k)
+    session.finish(instance)
     return Transcript(
-        tuple(presented),
-        tuple(session.colors),
-        tuple(session.trace),
-        tuple(simb_l),
-        tuple(simb_r),
-        k,
+        instance, tuple(session.colors), tuple(session.trace), tuple(simb_l), tuple(simb_r)
     )

@@ -4,12 +4,21 @@ import gc
 import json
 import random
 import time
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from intervalcolor.core import Coloring, Instance, InvariantViolation, make_instance, normalize
+from intervalcolor.core import (
+    Coloring,
+    Instance,
+    Interval,
+    InvariantViolation,
+    imbalance,
+    make_instance,
+    normalize,
+)
 from intervalcolor.formats import coord_json
 from intervalcolor.hardness import NaeFormula
 from intervalcolor.k_color import EdgeGraph
@@ -75,11 +84,16 @@ def random_arc_instance(rng, n, k, circumference=20, full_rate=0.1):
     return make_arc_instance(pairs, C, k)
 
 
+def interval_contains(itv, x):
+    """Closed-interval membership of the coordinate x."""
+    return itv.lo <= x <= itv.hi
+
+
 def brute_force_counts(instance: Instance, coloring: Coloring, x):
     """Per-color counts at x by direct membership testing."""
     counts = [0] * instance.k
     for itv in instance.intervals:
-        if itv.contains(x):
+        if interval_contains(itv, x):
             counts[coloring.colors[itv.id] - 1] += 1
     return tuple(counts)
 
@@ -345,13 +359,132 @@ class AlwaysColor(OnlineAlgorithm):
         if not (1 <= self.color <= k):
             raise ValueError(f"constant color {self.color} outside 1..{k}")
 
-    def assign(self, interval):
+    def assign(self, lo, hi):
         return self.color
 
 
-def transcript_instance(transcript) -> Instance:
-    """The presented intervals of a Transcript as an offline instance."""
-    return Instance(transcript.presented, transcript.k)
+class ReferenceTranscript(NamedTuple):
+    presented: tuple
+    colors: tuple
+    trace: tuple
+    simb_l: tuple
+    simb_r: tuple
+
+
+class _ReferenceSession:
+    """The online session as it was when it kept Interval objects and the
+    adversary computed in Fractions; reference_adversary runs on it."""
+
+    def __init__(self, alg, k):
+        alg.reset(k)
+        self.alg = alg
+        self.k = k
+        self.presented = []
+        self.colors = []
+        self.trace = []
+        self.start = None
+        self.frozen = 0
+        self.slot = {}
+        self.ends = []
+        self.suf = []
+        self.top = []
+
+    def present(self, itv):
+        lo, hi = itv.lo, itv.hi
+        color = self.alg.assign(lo, hi)
+        assert 1 <= color <= self.k
+        self.presented.append(itv)
+        self.colors.append(color)
+        ends, suf, top = self.ends, self.suf, self.top
+        if ends and lo > self.start:
+            gone = bisect_left(ends, lo)
+            for counts in suf[: gone + 1]:
+                self.frozen = max(self.frozen, max(counts) - min(counts))
+            del ends[:gone], suf[:gone], top[:gone]
+        self.start = lo
+        slot = self.slot.get(color)
+        if slot is None:
+            slot = self.slot[color] = len(self.slot)
+            if slot + 1 < self.k:
+                for counts in suf:
+                    counts.append(0)
+        g = bisect_left(ends, hi)
+        if g == len(ends) or ends[g] != hi:
+            ends.insert(g, hi)
+            suf.insert(g, suf[g][:] if g < len(suf) else [0] * min(self.k, len(self.slot) + 1))
+            top.insert(g, 0)
+        best = top[g + 1] if g + 1 < len(top) else 0
+        for j in range(g, -1, -1):
+            counts = suf[j]
+            counts[slot] += 1
+            best = max(best, max(counts) - min(counts))
+            top[j] = best
+        self.trace.append(max(self.frozen, best))
+        return color
+
+    def signed_count(self, point):
+        if point >= self.start:
+            j = bisect_left(self.ends, point)
+            if j == len(self.ends):
+                return 0
+            counts, slot = self.suf[j], self.slot
+            return (counts[slot[1]] if 1 in slot else 0) - (counts[slot[2]] if 2 in slot else 0)
+        return sum(
+            (color == 1) - (color == 2)
+            for itv, color in zip(self.presented, self.colors)
+            if interval_contains(itv, point)
+        )
+
+
+def reference_adversary(alg, k, t, repeat_budget):
+    """The adversary computed in Fractions on Interval objects, as it was
+    before it moved to int keys at one dyadic scale.
+
+    The algorithm is handed the Fraction coordinates as its keys (scale
+    1).  The final trace value is checked by one offline imbalance of the
+    presented intervals, read from their coordinates by make_instance.
+    """
+    session = _ReferenceSession(alg, k)
+    presented = session.presented
+    L = (Fraction(0), Fraction(1))
+    R = (Fraction(2), Fraction(3))
+    simb_l, simb_r = [], []
+
+    def record():
+        simb_l.append(session.signed_count((L[0] + L[1]) / 2))
+        simb_r.append(session.signed_count((R[0] + R[1]) / 2))
+
+    def present(lo, hi):
+        assert not presented or lo > presented[-1].lo
+        return session.present(Interval(len(presented), lo, hi))
+
+    for _ in range(t):
+        mid_l = (L[0] + L[1]) / 2
+        mid_r = (R[0] + R[1]) / 2
+        color = present(mid_l, mid_r)
+        gap = (L[1] - mid_l) / 2
+        attempt = 1
+        while color > 2 and attempt < repeat_budget:
+            nudge = gap * (1 - Fraction(1, 2**attempt))
+            color = present(mid_l + nudge, mid_r)
+            attempt += 1
+        if color > 2:
+            record()
+            break
+        if color == 1:
+            R = (R[0], mid_r)
+        else:
+            R = (mid_r, R[1])
+        L = (mid_l, L[1])
+        record()
+
+    instance = make_instance([(itv.lo, itv.hi) for itv in presented], k)
+    value = imbalance(instance, Coloring(tuple(session.colors), k)).value
+    assert value == (session.trace[-1] if session.trace else 0)
+    return ReferenceTranscript(
+        tuple(presented), tuple(session.colors), tuple(session.trace),
+        tuple(simb_l), tuple(simb_r),
+    )
 
 
 class Edge(NamedTuple):

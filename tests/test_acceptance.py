@@ -50,7 +50,6 @@ from helpers import (
     random_bipartite_multigraph,
     random_instance,
     steady_pair_seconds,
-    transcript_instance,
 )
 
 
@@ -62,7 +61,7 @@ def test_criterion_01_balanced_random_instances():
         k = rng.randint(1, 16)
         instance = random_instance(rng, n, k, collide=0.3)
         assert imbalance(instance, k_color(instance)).value <= 1
-        pair = Instance(instance.intervals, 2)
+        pair = Instance(instance.lo, instance.hi, instance.scale, 2)
         assert imbalance(pair, two_color(pair)).value <= 1
     assert time.perf_counter() - started < 60
 
@@ -163,7 +162,7 @@ def test_criterion_07_online_adversary_rate():
     for name, seed in runs:
         transcript = adversary_k2(make_algorithm(name, seed=seed), 60)
         assert transcript.final_imbalance >= 20, (name, seed)
-        offline = transcript_instance(transcript)
+        offline = transcript.instance
         assert imbalance(offline, k_color(offline)).value <= 1
 
 

@@ -17,6 +17,7 @@ from intervalcolor.cli import main
 from intervalcolor.core import Coloring, to_coord
 from intervalcolor.formats import coord_json, parse_box_instance_json
 from intervalcolor.hardness import MAX_BOX_DIMS, MAX_REDUCTION_K, box_imbalance
+from intervalcolor.online import MAX_PRESENTATIONS
 from test_cli_bytes import COMMANDS
 from helpers import (
     format_instance_json,
@@ -359,6 +360,46 @@ def test_online_stream_requires_input(capsys):
     assert "--input" in err
 
 
+def test_online_paths_build_no_intervals(tmp_path, capsys, monkeypatch):
+    # the stream and the adversary write their transcripts from keys, so
+    # neither builds the Interval objects of the instance it writes
+    written = []
+    real = cli.format_transcript_jsonl
+
+    def keep(instance, colors, trace):
+        written.append(instance)
+        return real(instance, colors, trace)
+
+    monkeypatch.setattr(cli, "format_transcript_jsonl", keep)
+    path = write(tmp_path, "stream.json", '{"k": 2, "intervals": [[0, 4], ["1/2", 5], [2, 6]]}')
+    assert run(capsys, "online", "--algorithm", "greedy", "--k", "2", "--rounds", "3",
+               "--input", path)[0] == 0
+    assert run(capsys, "online", "--algorithm", "seeded_random", "--k", "3",
+               "--rounds", "20", "--adversary")[0] == 0
+    assert [instance.n for instance in written][0] == 3 and len(written) == 2
+    assert all("intervals" not in vars(instance) for instance in written)
+
+
+def test_online_adversary_limit_exits_2(capsys):
+    # 1000 rounds at k = 1000 need far more presentations than the limit
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "online", "--adversary", "--algorithm", "round_robin",
+        "--k", "1000", "--rounds", "1000",
+    )
+    assert (code, out) == (2, "")
+    assert f"MAX_PRESENTATIONS = {MAX_PRESENTATIONS}" in err
+    assert time.perf_counter() - started < 5
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "online", "--adversary", "--algorithm", "round_robin",
+        "--k", "2", "--rounds", "1000000000",
+    )
+    assert (code, out) == (2, "")
+    assert f"MAX_PRESENTATIONS = {MAX_PRESENTATIONS}" in err
+    assert time.perf_counter() - started < 0.5
+
+
 def test_reduce_then_decide_satisfiable(tmp_path, capsys):
     nae = write(tmp_path, "sat.nae", "c tiny\np nae 3 1\n1 2 3\n")
     code = main(["reduce", "nae3sat", "--input", nae])
@@ -501,6 +542,12 @@ def test_decide_boxes_masks_each_dimension_once(tmp_path, capsys, monkeypatch):
     assert (code, json.loads(out)["balanced"]) == (0, True)
     assert len(dims) == json.loads(boxes)["d"] == 2
     assert dims[0] is not dims[1]
+    # a file with no boxes has no cell to search, whatever its d
+    dims.clear()
+    path = write(tmp_path, "empty.json", '{"d": 100000, "k": 2, "boxes": []}')
+    code, out, _ = run(capsys, "decide-boxes", "--input", path)
+    assert (code, json.loads(out)) == (0, {"balanced": True, "colors": [], "imbalance": 0})
+    assert dims == []
 
 
 def test_decide_boxes_rejects_malformed(tmp_path, capsys):

@@ -57,20 +57,16 @@ def test_to_coord_rejects_floats_and_garbage():
         to_coord("1/0")
 
 
-def test_interval_validation():
-    Interval(0, Fraction(1), Fraction(1))  # point interval allowed
-    with pytest.raises(ValueError):
-        Interval(0, Fraction(2), Fraction(1))
-    with pytest.raises(TypeError):
-        Interval(0, 1, 2)  # raw ints must go through to_coord
-
-
 def test_instance_requires_sequential_ids():
-    itv = Interval(1, Fraction(0), Fraction(1))
-    with pytest.raises(ValueError):
-        Instance((itv,), 2)
+    # ids are positions: the intervals built on request carry 0..n-1
+    inst = make_instance([[1, 1], [0, 2]], 2)  # a point interval is allowed
+    assert inst.intervals == (
+        Interval(0, Fraction(1), Fraction(1)), Interval(1, Fraction(0), Fraction(2))
+    )
     with pytest.raises(ValueError):
         make_instance([[0, 1]], 0)
+    with pytest.raises(ValueError, match="2 lower keys for 1 upper keys"):
+        Instance((0, 1), (2,), 1, 2)
 
 
 def test_coloring_validation():
@@ -110,7 +106,7 @@ def test_normalize_ranks_once_per_instance():
     imbalance(inst, Coloring((1, 2), 2))
     assert normalize(inst) is norm
     # a new instance with other k has its own ranking, equal in value
-    other = Instance(inst.intervals, 3)
+    other = Instance(inst.lo, inst.hi, inst.scale, 3)
     assert normalize(other) is not norm and normalize(other) == norm
 
 
@@ -209,13 +205,11 @@ def test_instance_keys_and_equality_across_scales():
     quarters = make_instance([["2/4", 1], [0, "6/4"]], 2)
     assert (halves.lo, halves.hi, halves.scale) == ((1, 0), (2, 3), 2)
     assert quarters.scale == 4 and quarters == halves
-    again = Instance(halves.intervals, 2)
-    assert (again.lo, again.hi, again.scale) == (halves.lo, halves.hi, halves.scale)
     assert make_instance([["1/2", 1], [0, 2]], 2) != halves
     with pytest.raises(ValueError, match=r"interval 1: lo 3/2 > hi 1/2"):
         make_instance([[0, 1], ["3/2", "1/2"]], 2)
     with pytest.raises(ValueError, match=r"interval 0: lo 3/2 > hi 1/2"):
-        Instance.from_keys((3,), (1,), 2, 2)
+        Instance((3,), (1,), 2, 2)
 
 
 def quarter_string(v):
@@ -267,8 +261,8 @@ def test_ranking_matches_the_fraction_sort(kind):
         order, coords, cuts = reference_ranking(inst)
         assert norm.order == order and norm.cuts == cuts
         assert tuple(Fraction(x, norm.scale) for x in norm.coords) == coords
-        # the same intervals keyed from Interval objects rank alike
-        again = normalize(Instance(inst.intervals, inst.k))
+        # the same intervals read back from their coordinates rank alike
+        again = normalize(make_instance([(x.lo, x.hi) for x in inst.intervals], inst.k))
         assert (again.order, again.cuts) == (order, cuts)
         assert tuple(Fraction(x, again.scale) for x in again.coords) == coords
         col = random_coloring(rng, inst.n, inst.k)

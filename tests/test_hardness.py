@@ -209,7 +209,7 @@ def audit_message(inst, rects, planned):
     covers = inst.k - 2
     x0s, x1s, y0s, y1s = zip(*rects)
     tampered = BoxInstance(
-        (Instance.from_keys(x0s, x1s, 1, inst.k), Instance.from_keys(y0s, y1s, 1, inst.k)),
+        (Instance(x0s, x1s, 1, inst.k), Instance(y0s, y1s, 1, inst.k)),
         inst.tags,
         inst.provenance,
     )

@@ -224,7 +224,7 @@ def test_k_color_edge_colors_only_the_odd_part(monkeypatch):
     inst = random_instance(rng, 200, 2, collide=0.3)  # depth well above 24
     for k, calls in ((2, []), (8, []), (16, []), (3, [3]), (12, [3]), (24, [3]), (20, [5])):
         seen.clear()
-        coloring = k_color(Instance(inst.intervals, k))
+        coloring = k_color(Instance(inst.lo, inst.hi, inst.scale, k))
         assert seen == calls, k
         assert set(coloring.colors) == set(range(1, k + 1))
 

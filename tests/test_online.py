@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from intervalcolor.core import (
 from intervalcolor.k_color import k_color
 from intervalcolor.online import (
     ALGORITHM_NAMES,
+    MAX_PRESENTATIONS,
     GreedyLeastLoaded,
     OnlineAlgorithm,
     RoundRobin,
@@ -28,14 +30,14 @@ from intervalcolor.online import (
     make_algorithm,
     run_online,
 )
-from helpers import AlwaysColor, steady_seconds, transcript_instance
+from helpers import AlwaysColor, interval_contains, reference_adversary, steady_seconds
 
 
 class BadAlgorithm(OnlineAlgorithm):
     def reset(self, k):
         pass
 
-    def assign(self, interval):
+    def assign(self, lo, hi):
         return 0
 
 
@@ -151,7 +153,7 @@ def test_adversary_transcripts_are_balanced_offline():
     # the gap is about online-ness, not about the instances themselves
     for name in ALGORITHM_NAMES:
         tr = adversary_k2(make_algorithm(name, seed=9), 45)
-        inst = transcript_instance(tr)
+        inst = tr.instance
         assert imbalance(inst, k_color(inst)).value <= 1
 
 
@@ -200,9 +202,11 @@ def test_adversary_general_signed_accounting_with_storms():
 
 
 def prefix_imbalances(intervals, colors, k):
-    """The oracle: imbalance of every prefix, each ranked from scratch."""
+    """The oracle: imbalance of every prefix, each read from its
+    coordinates and ranked from scratch."""
+    bounds = [(itv.lo, itv.hi) for itv in intervals]
     return tuple(
-        imbalance(Instance(tuple(intervals[:i]), k), Coloring(tuple(colors[:i]), k)).value
+        imbalance(make_instance(bounds[:i], k), Coloring(tuple(colors[:i]), k)).value
         for i in range(1, len(intervals) + 1)
     )
 
@@ -335,7 +339,7 @@ def signed_count(intervals, colors, point):
     return sum(
         (color == 1) - (color == 2)
         for itv, color in zip(intervals, colors)
-        if itv.contains(point)
+        if interval_contains(itv, point)
     )
 
 
@@ -353,19 +357,20 @@ def test_adversary_region_counts_match_scratch_counts():
 
 
 def test_signed_count_matches_scratch_counts_at_every_point():
-    # points at, between and beyond the endpoints, left of the latest
-    # start too, after every arrival of random streams keyed by coordinate
+    # points at, between and beyond the endpoint keys, left of the latest
+    # start too, after every arrival of random streams
     rng = random.Random(65)
     for _ in range(30):
         inst = random_stream(rng, rng.randint(1, 30), 3)
         session = _Session(SeededRandom(rng.randrange(100)), 3)
-        for itv in inst.intervals:
-            session.present(itv, itv.lo, itv.hi)
-            xs = sorted({x for old in session.presented for x in (old.lo, old.hi)})
-            points = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] + 1]
+        for lo, hi in zip(inst.lo, inst.hi):
+            session.present(lo, hi)
+            keyed = Instance(session.lo, session.hi, 1, 3).intervals
+            xs = sorted(set(session.lo + session.hi))
+            points = xs + [Fraction(a + b, 2) for a, b in zip(xs, xs[1:])] + [xs[-1] + 1]
             for point in points:
                 assert _signed_count(session, point) == signed_count(
-                    session.presented, session.colors, point
+                    keyed, session.colors, point
                 ), point
 
 
@@ -373,8 +378,8 @@ def test_count_lists_stay_within_the_colors_in_use():
     # one slot per color used plus one zero slot, however large k is
     inst = make_instance([(i, 10 + i) for i in range(6)], 10**9)
     session = _Session(RoundRobin(), 10**9)
-    for itv, lo, hi in zip(inst.intervals, inst.lo, inst.hi):
-        session.present(itv, lo, hi)
+    for lo, hi in zip(inst.lo, inst.hi):
+        session.present(lo, hi)
     assert [len(counts) for counts in session.suf] == [7] * 6
     assert session.trace == [1] * 6
 
@@ -390,16 +395,16 @@ def test_break_path_probes_left_of_the_latest_start():
 def test_greedy_rejects_decreasing_startpoints():
     greedy = GreedyLeastLoaded()
     greedy.reset(2)
-    greedy.assign(make_instance([(1, 2)], 2).intervals[0])
+    greedy.assign(1, 2)
     with pytest.raises(ValueError):
-        greedy.assign(make_instance([(0, 3)], 2).intervals[0])
+        greedy.assign(0, 3)
 
 
 def test_finish_refuses_a_trace_the_offline_check_disagrees_with():
     inst = make_instance([(0, 2), (1, 3)], 2)
     session = _Session(RoundRobin(), 2)
-    for itv, lo, hi in zip(inst.intervals, inst.lo, inst.hi):
-        session.present(itv, lo, hi)
+    for lo, hi in zip(inst.lo, inst.hi):
+        session.present(lo, hi)
     assert session.finish(inst).colors == (1, 2)
     session.trace[-1] += 1
     with pytest.raises(InvariantViolation):
@@ -418,3 +423,57 @@ def test_run_online_stays_near_linear():
 def test_adversary_stays_near_linear():
     seconds = steady_seconds(lambda: adversary_general(RoundRobin(), 2, 240))
     assert seconds < 0.5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 10**6])
+def test_adversary_matches_the_fraction_reference(k):
+    # the int-key adversary against the Fraction one it replaced: same
+    # coordinates, colors, trace and region counts, with every key an int
+    # at a power-of-two scale
+    opponents = [lambda name=name: make_algorithm(name, seed=k) for name in ALGORITHM_NAMES]
+    opponents += [lambda: AlwaysColor(1), lambda: AlwaysColor(2)]
+    if k > 2:
+        opponents.append(lambda: AlwaysColor(3))
+    budgets = (1, 2, 5, None) if k > 2 else (None,)
+    for t in (1, 2, 7, 24, 60):
+        for budget in budgets:
+            for opponent in opponents:
+                tr = adversary_general(opponent(), k, t, repeat_budget=budget)
+                ref = reference_adversary(
+                    opponent(), k, t, 1 if k == 2 else 2 * t if budget is None else budget
+                )
+                inst = tr.instance
+                assert tr.presented == ref.presented, (k, t, budget)
+                assert (tr.colors, tr.trace) == (ref.colors, ref.trace), (k, t, budget)
+                assert (tr.simb_l, tr.simb_r) == (ref.simb_l, ref.simb_r), (k, t, budget)
+                assert all(type(x) is int for x in inst.lo + inst.hi)
+                assert inst.scale & (inst.scale - 1) == 0
+
+
+def test_adversary_refuses_rounds_above_the_limit_at_once():
+    for t in (MAX_PRESENTATIONS + 1, 10**9):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"MAX_PRESENTATIONS = {MAX_PRESENTATIONS}"):
+            adversary_general(RoundRobin(), 3, t)
+        assert time.perf_counter() - started < 0.1
+
+
+def test_adversary_stops_at_the_presentation_limit():
+    # round robin answers k - 2 untracked colors a round, so 1000 rounds at
+    # k = 1000 need far more presentations than the limit allows
+    with pytest.raises(ValueError, match=f"MAX_PRESENTATIONS = {MAX_PRESENTATIONS}"):
+        adversary_general(RoundRobin(), 1000, 1000)
+    # a constant untracked color spends its whole budget in round one
+    with pytest.raises(ValueError, match="MAX_PRESENTATIONS"):
+        adversary_general(AlwaysColor(3), 3, 10, repeat_budget=10**9)
+    # at the limit itself the run completes
+    tr = adversary_general(AlwaysColor(1), 2, MAX_PRESENTATIONS)
+    assert len(tr.colors) == MAX_PRESENTATIONS == tr.final_imbalance
+
+
+def test_benchmark_and_golden_runs_stay_under_the_limit():
+    assert len(adversary_k2(RoundRobin(), 240).colors) == 240
+    most = max(
+        len(adversary_general(SeededRandom(seed), 4, 120).colors) for seed in range(20)
+    )
+    assert most < MAX_PRESENTATIONS // 10
