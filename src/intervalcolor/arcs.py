@@ -20,7 +20,7 @@ pieces of an arc shorter than a turn are disjoint.  Line point C holds the
 arcs reaching C, which are those containing the points just below angle 0.
 So every coverage set of the circle appears at some line point, each arc
 counted once, and no line point shows any other; imbalance and
-point_cliques on the pieces measure the circle exactly.
+the coverage walk core._masks on the pieces measure the circle exactly.
 
 An ArcInstance keeps its starts, lengths and circumference as keys at one
 scale, as an Instance keeps its endpoints: ints read once from the input,
@@ -45,13 +45,15 @@ from intervalcolor.core import (
     Coloring,
     ImbalanceReport,
     Instance,
+    _check_coloring,
     _keys,
+    _mask_ids,
+    _masks,
     _read_pairs,
     _same_coords,
     _search_colorings,
     _split,
     imbalance,
-    point_cliques,
 )
 from intervalcolor.k_color import k_color
 
@@ -272,12 +274,7 @@ def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:
     Measured by imbalance on the arcs' pieces in [0, C], each piece in its
     arc's color; the witness is a point of [0, C).
     """
-    if len(coloring.colors) != instance.n:
-        raise ValueError(
-            f"coloring has {len(coloring.colors)} entries for {instance.n} arcs"
-        )
-    if coloring.k != instance.k:
-        raise ValueError(f"coloring uses k={coloring.k}, instance has k={instance.k}")
+    _check_coloring(instance, coloring, "arcs")
     if not instance.n:
         return ImbalanceReport(0, None)
     pieces, owners = _pieces(instance)
@@ -300,14 +297,14 @@ def min_arc_imbalance_oracle(
     """Exhaustive minimum spread over all arc colorings, desk scale only.
 
     Returns the minimum and its lexicographically smallest witness coloring.
-    The cells of the search are the coverage sets of point_cliques on the
-    arcs' pieces, mapped back to arc ids; the work can grow exponentially
+    The cells of the search are the coverage sets of core's walk _masks on
+    the arcs' pieces, mapped back to arc ids; the work can grow exponentially
     in n, so instances beyond limit_n arcs are rejected.
     """
     n, k = instance.n, instance.k
     if n > limit_n:
         raise ValueError(f"exhaustive search limited to {limit_n} arcs, got {n}")
     pieces, owners = _pieces(instance)
-    cells = ([owners[i] for i in clique] for _, clique in point_cliques(pieces))
+    cells = ([owners[i] for i in _mask_ids(msk)] for msk in _masks(pieces))
     value, colors = _search_colorings(n, k, cells, minimize=True)
     return value, Coloring(colors, k)

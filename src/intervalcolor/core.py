@@ -10,14 +10,21 @@ bounded by MAX_PRESENTATIONS, passes 64 bits with int keys.  normalize() is
 the only place endpoints are ordered, on the line, the circle, boxes (an
 Instance per dimension) and weighted intervals: it ranks an instance's 2n
 endpoint events once by key, keeps the ranking on the instance, and every
-sweep (imbalance, the colorers, the box masks, weighted_imbalance) walks
-that integer order, whatever the keys.  A coordinate becomes a Fraction
-again only where it leaves the library: a witness, a clique's point, or an
-Interval, Arc or Box, built on first request.  All types are immutable
-values and safe to share between threads; the kept ranking and intervals
-are pure functions of the instance, so a race merely computes them twice.
-imbalance, the check behind every result, costs O(1) per event whatever k
-is and allocates nothing in proportion to k.
+sweep (imbalance, the colorers, the coverage walk) walks that integer
+order, whatever the keys.  Exact measures sample the line at the points
+of one ranking, named by a sample index s: sample 2g is coords[g] and
+sample 2g + 1 the midpoint of coords[g] and coords[g + 1].  imbalance's
+sweep returns the index it peaks at; _masks, the one coverage walk, yields
+each sample's coverage set as a bitmask, and every exact search (the
+oracles, the deciders, point_cliques, the box masks, weighted_imbalance)
+reads its cells from it.  A coordinate becomes a Fraction again only
+where it leaves the library: _point turns a sample index into a witness
+or a clique's point, and an Interval, Arc or Box is built on first
+request.  All types are immutable values and safe to share between
+threads; the kept ranking and intervals are pure functions of the
+instance, so a race merely computes them twice.  imbalance, the check
+behind every result, costs O(1) per event whatever k is and allocates
+nothing in proportion to k.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Coord",
@@ -357,15 +364,27 @@ class ImbalanceReport:
     witness: Coord
 
 
+def _check_coloring(instance, coloring: Coloring, noun: str) -> None:
+    """Refuse a coloring whose length or k differs from the instance's."""
+    if len(coloring.colors) != instance.n:
+        raise ValueError(
+            f"coloring has {len(coloring.colors)} entries for {instance.n} {noun}"
+        )
+    if coloring.k != instance.k:
+        raise ValueError(
+            f"coloring uses k={coloring.k} but instance has k={instance.k}"
+        )
+
+
 def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     """Measure the worst color-count spread over every point of the line.
 
     The sweep visits events in normalized rank order but measures once per
-    real point: at each distinct coordinate after the intervals starting
-    there have been admitted (so a closed interval still counts at its own
-    right endpoint), and at the midpoint of each region between consecutive
-    distinct coordinates.  Those points realize every coverage set that
-    exists on the line, so the maximum is exact.
+    sample point (see _point): at each distinct coordinate after the
+    intervals starting there have been admitted (so a closed interval still
+    counts at its own right endpoint), and at the midpoint of each region
+    between consecutive distinct coordinates.  Those points realize every
+    coverage set that exists on the line, so the maximum is exact.
 
     Each event costs O(1) whatever k is.  Besides each color's count the
     sweep keeps freq[v], the number of colors whose count is v, with the
@@ -376,17 +395,20 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     one.  The counts take min(k, n) + 1 slots, so nothing is allocated in
     proportion to k.
     """
-    if len(coloring.colors) != instance.n:
-        raise ValueError(
-            f"coloring has {len(coloring.colors)} entries "
-            f"for {instance.n} intervals"
-        )
-    if coloring.k != instance.k:
-        raise ValueError(
-            f"coloring uses k={coloring.k} but instance has k={instance.k}"
-        )
+    _check_coloring(instance, coloring, "intervals")
+    value, s = _sweep(instance, coloring.colors)
+    if s is None:
+        return ImbalanceReport(value, Fraction(0))
+    return ImbalanceReport(value, _point(normalize(instance), s))
+
+
+def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]:
+    """imbalance's count-of-counts walk over the colors cols, one per interval.
+
+    Returns the imbalance and the first sample index attaining it, or None
+    when it is 0.
+    """
     n = instance.n
-    cols = coloring.colors
     if n and max(cols) > n:
         # at most n colors are in use; dense slots keep counts within n slots
         slot = {c: s for s, c in enumerate(set(cols))}
@@ -395,7 +417,7 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     freq = [instance.k]  # freq[v]: colors whose count is v, for v <= top
     top = bottom = 0
     best = 0
-    at = None  # the first point attaining best: (g, between g and g + 1)
+    at = None  # the first sample attaining best
 
     norm = normalize(instance)
     order, cuts = norm.order, norm.cuts
@@ -416,7 +438,7 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
                 bottom = v + 1
         if top - bottom > best:
             best = top - bottom
-            at = g, False
+            at = 2 * g
         if g == last:
             break
         ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
@@ -436,20 +458,55 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
             # something left, so the open region right of coords[g] can differ
             if top - bottom > best:
                 best = top - bottom
-                at = g, True
-
-    if at is None:
-        return ImbalanceReport(best, Fraction(0))
-    g, between = at
-    return ImbalanceReport(best, _point(norm, g, between))
+                at = 2 * g + 1
+    return best, at
 
 
-def _point(norm: NormalizedInstance, g: int, between: bool) -> Coord:
-    """The coordinate coords[g], or the midpoint of coords[g] and coords[g + 1]."""
-    x = norm.coords[g]
-    if between:
-        return Fraction(x + norm.coords[g + 1], 2 * norm.scale)
+def _point(norm: NormalizedInstance, s: int) -> Coord:
+    """Sample point s of the ranking: coords[g] for s = 2g, and the midpoint
+    of coords[g] and coords[g + 1] for s = 2g + 1.
+
+    Every exact measure samples the line at these points only, so their
+    coverage sets are all the coverage sets there are.
+    """
+    x = norm.coords[s >> 1]
+    if s & 1:
+        return Fraction(x + norm.coords[(s >> 1) + 1], 2 * norm.scale)
     return Fraction(x, norm.scale)
+
+
+def _masks(instance: Instance) -> Iterator[int]:
+    """Per sample point s of normalize(instance) in turn (see _point), the
+    bitmask of the intervals covering it.
+
+    The one coverage walk: it sets the bits of the intervals starting at
+    coords[g], yields sample 2g, clears those ending there and yields
+    sample 2g + 1, unless coords[g] is the last coordinate.  One mask is
+    held at a time.
+    """
+    norm = normalize(instance)
+    order, cuts = norm.order, norm.cuts
+    last = len(cuts) - 3
+    msk = 0
+    for b in range(0, len(cuts) - 1, 2):
+        for i in order[cuts[b] : cuts[b + 1]]:
+            msk |= 1 << i
+        yield msk
+        if b == last:
+            return  # nothing lies right of the last coordinate
+        for e in order[cuts[b + 1] : cuts[b + 2]]:
+            msk ^= 1 << ~e
+        yield msk
+
+
+def _mask_ids(msk: int) -> List[int]:
+    """Ids of the set bits of msk, ascending."""
+    ids = []
+    while msk:
+        low = msk & -msk
+        ids.append(low.bit_length() - 1)
+        msk ^= low
+    return ids
 
 
 def is_balanced(instance: Instance, coloring: Coloring) -> bool:
@@ -478,22 +535,14 @@ def divisibility_predicts_zero(instance: Instance) -> bool:
 def point_cliques(instance: Instance) -> Tuple[Tuple[Coord, frozenset], ...]:
     """Every coverage set of the line, each with one witness point.
 
-    Measured at every distinct endpoint (after admitting the intervals
-    starting there) and at the midpoint of every region between consecutive
-    distinct endpoints.  Materializes the sets, so intended for desk-scale
-    inputs only.
+    One entry per sample point of _masks, in order.  Materializes the
+    sets, so intended for desk-scale inputs only.
     """
     norm = normalize(instance)
-    order, cuts = norm.order, norm.cuts
-    active: Set[int] = set()
-    out: List[Tuple[Coord, frozenset]] = []
-    for g in range(len(norm.coords)):
-        active.update(order[cuts[2 * g] : cuts[2 * g + 1]])
-        out.append((_point(norm, g, False), frozenset(active)))
-        active.difference_update([~e for e in order[cuts[2 * g + 1] : cuts[2 * g + 2]]])
-        if g + 1 < len(norm.coords):
-            out.append((_point(norm, g, True), frozenset(active)))
-    return tuple(out)
+    return tuple(
+        (_point(norm, s), frozenset(_mask_ids(msk)))
+        for s, msk in enumerate(_masks(instance))
+    )
 
 
 def _search_colorings(
@@ -569,13 +618,13 @@ def min_imbalance_oracle(
 ) -> Tuple[int, Coloring]:
     """Exhaustive minimum imbalance with its lexicographically smallest coloring.
 
-    The cells of the search are the coverage sets of point_cliques; the
-    work can grow exponentially in n, so instances beyond limit_n
-    intervals are rejected.
+    The cells of the search are the coverage sets of _masks; the work can
+    grow exponentially in n, so instances beyond limit_n intervals are
+    rejected.
     """
     n = instance.n
     if n > limit_n:
         raise ValueError(f"oracle limited to n <= {limit_n} intervals, got {n}")
-    cells = (clique for _, clique in point_cliques(instance))
+    cells = map(_mask_ids, _masks(instance))
     value, colors = _search_colorings(n, instance.k, cells, minimize=True)
     return value, Coloring(colors, instance.k)

@@ -41,11 +41,13 @@ from .core import (
     ImbalanceReport,
     Instance,
     InvariantViolation,
+    _check_coloring,
+    _mask_ids,
+    _masks,
     _point,
     _search_colorings,
     make_instance,
     normalize,
-    point_cliques,
 )
 
 __all__ = [
@@ -165,7 +167,7 @@ class BoxInstance:
     @cached_property
     def sample_masks(self) -> Tuple[List[int], ...]:
         """Per dimension, the coverage mask of each of its sample points."""
-        return tuple(_masks(dim) for dim in self.dims)
+        return tuple(list(_masks(dim)) for dim in self.dims)
 
     @cached_property
     def cells(self) -> Set[int]:
@@ -404,6 +406,15 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
             links.append(bid)
             return bid
 
+        def vertical_run(x0: int, x1: int, bottom: int, top: int, tracks: List[int]) -> None:
+            # down from top to bottom, with a pass-through box at each crossed track
+            for u in reversed(tracks):
+                chain_add(x0, x1, u + 2, top, "chain")
+                wid = chain_add(x0, x1, u - 2, u + 3, "crossing", "cross-pass")
+                registry.setdefault((c, (u - _TRACK0) // _TRACK_PITCH), {})["pass"] = wid
+                top = u - 1
+            chain_add(x0, x1, bottom, top, "chain")
+
         t = track[c]
         xq0, xq1 = _COL_PITCH * q_col[c], _COL_PITCH * q_col[c] + 1
         xb0, xb1 = _COL_PITCH * b_col[c], _COL_PITCH * b_col[c] + 1
@@ -418,20 +429,7 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
             top_end = vy + 1
 
         # Top vertical run, from the variable row down to the track.
-        ups = top_tracks[c]
-        if not ups:
-            chain_add(xq0, xq1, t, top_end, "chain")
-        else:
-            chain_add(xq0, xq1, ups[-1] + 2, top_end, "chain")
-            for idx in range(len(ups) - 1, -1, -1):
-                u = ups[idx]
-                hc = (u - _TRACK0) // _TRACK_PITCH
-                wid = chain_add(xq0, xq1, u - 2, u + 3, "crossing", "cross-pass")
-                registry.setdefault((c, hc), {})["pass"] = wid
-                if idx > 0:
-                    chain_add(xq0, xq1, ups[idx - 1] + 2, u - 1, "chain")
-                else:
-                    chain_add(xq0, xq1, t, u - 1, "chain")
+        vertical_run(xq0, xq1, t, top_end, top_tracks[c])
 
         # Horizontal run along the track, traversed variable side first.
         cols = h_cols[c]
@@ -460,20 +458,7 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
                     chain_add(xb0, _COL_PITCH * j - 2, t, t + 1, "chain")
 
         # Bottom vertical run, from the track down into the clause rect.
-        downs = bot_tracks[c]
-        if not downs:
-            chain_add(xb0, xb1, dip[c], t + 1, "chain")
-        else:
-            chain_add(xb0, xb1, downs[-1] + 2, t + 1, "chain")
-            for idx in range(len(downs) - 1, -1, -1):
-                u = downs[idx]
-                hc = (u - _TRACK0) // _TRACK_PITCH
-                wid = chain_add(xb0, xb1, u - 2, u + 3, "crossing", "cross-pass")
-                registry.setdefault((c, hc), {})["pass"] = wid
-                if idx > 0:
-                    chain_add(xb0, xb1, downs[idx - 1] + 2, u - 1, "chain")
-                else:
-                    chain_add(xb0, xb1, dip[c], u - 1, "chain")
+        vertical_run(xb0, xb1, dip[c], t + 1, bot_tracks[c])
 
         if len(links) % 2 != 1:
             raise InvariantViolation(f"chain {c} has even length {len(links)}")
@@ -580,36 +565,6 @@ def _meeting_pairs(
     return pairs
 
 
-def _masks(dim: Instance) -> List[int]:
-    """Per sample point of one dimension, the bitmask of the boxes whose
-    projection covers it.  Sample 2g is coords[g] of normalize(dim) and
-    sample 2g + 1 the midpoint of coords[g] and coords[g + 1]: the walk
-    over the ranking sets the bits of the boxes starting at coords[g],
-    records the mask, clears those ending there and records it again."""
-    norm = normalize(dim)
-    order, cuts = norm.order, norm.cuts
-    masks: List[int] = []
-    msk = 0
-    for b in range(0, len(cuts) - 1, 2):
-        for i in order[cuts[b] : cuts[b + 1]]:
-            msk |= 1 << i
-        masks.append(msk)
-        for e in order[cuts[b + 1] : cuts[b + 2]]:
-            msk ^= 1 << ~e
-        masks.append(msk)
-    return masks[:-1]  # nothing lies right of the last coordinate
-
-
-def _mask_ids(msk: int) -> List[int]:
-    """Box ids of the set bits of msk, ascending."""
-    ids = []
-    while msk:
-        low = msk & -msk
-        ids.append(low.bit_length() - 1)
-        msk ^= low
-    return ids
-
-
 def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
     counts = [0] * k
     for b in _mask_ids(msk):
@@ -629,14 +584,7 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     order) attaining it, as a coordinate tuple, or None for an empty
     instance; the grid is scanned only as far as that point.
     """
-    if len(coloring.colors) != instance.n:
-        raise ValueError(
-            f"coloring has {len(coloring.colors)} entries for {instance.n} boxes"
-        )
-    if coloring.k != instance.k:
-        raise ValueError(
-            f"coloring uses k={coloring.k} but instance has k={instance.k}"
-        )
+    _check_coloring(instance, coloring, "boxes")
     if not instance.n:
         return ImbalanceReport(0, None)
     spread = {
@@ -648,10 +596,7 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
         for _, m in point:
             msk &= m
         if spread[msk] == best:
-            witness = (
-                _point(normalize(dim), s // 2, s % 2 == 1)
-                for dim, (s, _) in zip(instance.dims, point)
-            )
+            witness = (_point(normalize(dim), s) for dim, (s, _) in zip(instance.dims, point))
             return ImbalanceReport(best, tuple(witness))
     raise InvariantViolation("no grid point attains the largest cell spread")
 
@@ -691,31 +636,17 @@ def reduce_partition_to_weighted(values: Sequence[int]) -> WeightedInstance:
 def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:
     """Worst weighted color-count spread over every point of the line.
 
-    Identical to the unweighted sweep except each interval contributes
-    its weight instead of one.
+    The spread of the summed weights per color, colors absent there
+    included, at each sample point of the coverage walk _masks.
     """
-    if len(coloring.colors) != weighted.n:
-        raise ValueError(
-            f"coloring has {len(coloring.colors)} entries "
-            f"for {weighted.n} intervals"
-        )
-    if coloring.k != weighted.k:
-        raise ValueError(
-            f"coloring uses k={coloring.k} but instance has k={weighted.k}"
-        )
-    k = weighted.k
+    _check_coloring(weighted, coloring, "intervals")
     cols = coloring.colors
     w = weighted.weights
-    counts = [0] * k
     best = 0
-    norm = normalize(weighted.instance)
-    order, cuts = norm.order, norm.cuts
-    for b in range(0, len(cuts) - 1, 2):  # the starts, then the ends, at one point
-        for i in order[cuts[b] : cuts[b + 1]]:
+    for msk in _masks(weighted.instance):
+        counts = [0] * weighted.k
+        for i in _mask_ids(msk):
             counts[cols[i] - 1] += w[i]
-        best = max(best, max(counts) - min(counts))
-        for e in order[cuts[b + 1] : cuts[b + 2]]:
-            counts[cols[~e] - 1] -= w[~e]
         best = max(best, max(counts) - min(counts))
     return best
 
@@ -759,8 +690,8 @@ def decide_grouped_intervals(
     Groups must partition the interval ids.  Exhaustive search over the
     group color assignments in counting order, so the first balanced
     assignment in that order is returned.  The cells of the search are the
-    coverage sets of point_cliques with each interval replaced by its
-    group, so a group counts once per member.
+    coverage sets of _masks with each interval replaced by its group, so a
+    group counts once per member.
     """
     flat = sorted(i for group in groups for i in group)
     if flat != list(range(instance.n)):
@@ -773,7 +704,7 @@ def decide_grouped_intervals(
     for g, group in enumerate(groups):
         for i in group:
             group_of[i] = g
-    cells = ([group_of[i] for i in clique] for _, clique in point_cliques(instance))
+    cells = ([group_of[i] for i in _mask_ids(msk)] for msk in _masks(instance))
     found = _search_colorings(len(groups), instance.k, cells, minimize=False)
     if found is None:
         return None

@@ -27,7 +27,6 @@ halving runs only when k, and so every 2^level, is below the depth.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from intervalcolor.core import (
     Instance,
     InvariantViolation,
     NormalizedInstance,
-    imbalance,
+    _sweep,
     make_instance,
     normalize,
 )
@@ -66,8 +65,11 @@ class EdgeGraph:
     items: Tuple[int, ...]
 
 
-def constraint_graph(norm: NormalizedInstance, k: int) -> EdgeGraph:
+def constraint_graph(order: Sequence[int], k: int) -> EdgeGraph:
     """Scan the ranked events once and emit the constraint multigraph.
+
+    order ranks the events of intervals 0..len(order)/2 - 1 as
+    NormalizedInstance.order does: i the start of interval i, ~i its end.
 
     A window collects events of one type (chosen by the first event after a
     clear) into an active list.  k collected events close it as one
@@ -87,7 +89,6 @@ def constraint_graph(norm: NormalizedInstance, k: int) -> EdgeGraph:
     """
     if k < 2:
         raise ValueError(f"constraint construction needs k >= 2, got {k}")
-    order = norm.order
     n = len(order) // 2
     starts: List[int] = []
     ends: List[int] = []
@@ -298,8 +299,7 @@ def k_color(instance: Instance) -> Coloring:
     by_class: List[List[int]] = [[] for _ in range(count)]
     for e in norm.order:
         by_class[classes[e if e >= 0 else ~e]].append(e)
-    order = tuple([e for events in by_class for e in events])
-    graph = constraint_graph(NormalizedInstance(order, (), ()), m)
+    graph = constraint_graph([e for events in by_class for e in events], m)
     colors = [0] * n
     for item, color in zip(graph.items, edge_color(graph, m)):
         if item >= 0:
@@ -349,7 +349,8 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
     pair (i, j) whose pointwise count difference is largest (ties to the
     lexicographically smallest pair), stops if that difference is at most
     one, and otherwise 2-colors the intervals of those two colors from
-    scratch; the class containing the lowest extracted id keeps color i.
+    scratch: halve splits them, as class 0 of the shared order, and the
+    half holding their lowest id keeps color i.
 
     Each pass drives its own pair's difference to at most 1 and never
     increases the overall worst difference, and a sum-of-squares potential
@@ -366,9 +367,8 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
     k = instance.k
     if k < 2:
         raise ValueError(f"pairwise rebalancing needs k >= 2, got {k}")
-    n = instance.n
     order = normalize(instance).order
-    colors = [(i % k) + 1 for i in range(n)]
+    colors = [(i % k) + 1 for i in range(instance.n)]
     limit = k * (k - 1) // 2 + k
 
     for done in range(limit + 1):
@@ -377,19 +377,10 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
             coloring = Coloring(tuple(colors), k)
             return (coloring, done) if return_passes else coloring
         i, j = pair
-        extracted = [t for t in range(n) if colors[t] in (i, j)]
-        # renumbered in id order, their events keep their ranks: the
-        # subsequence is the order normalizing them alone would give
-        pos = {t: p for p, t in enumerate(extracted)}
-        sub = [
-            pos[e] if e >= 0 else ~pos[~e]
-            for e in order
-            if colors[e if e >= 0 else ~e] in (i, j)
-        ]
-        # the first half holds the lowest extracted id, which keeps color i
-        halves = halve(sub, [0] * len(extracted), 1)
-        for p, t in enumerate(extracted):
-            colors[t] = j if halves[p] else i
+        # halve walks ids ascending, so half 0 holds the pair's lowest id;
+        # the other intervals, class 1, land in halves 2 and 3 untouched
+        halves = halve(order, [0 if c == i or c == j else 1 for c in colors], 2)
+        colors = [c if h > 1 else j if h else i for c, h in zip(colors, halves)]
     raise InvariantViolation(
         f"rebalancing did not converge within {limit} passes"
     )
@@ -401,25 +392,21 @@ def _worst_pair(
     """Largest pointwise count difference and the pair of colors showing it.
 
     The pair holds the first color with the largest count and the first
-    with the smallest at the first point attaining the difference, in
-    ascending order.
+    with the smallest at the first sample point attaining the difference,
+    in ascending order.  The counts there are tallied over the events
+    ranked up to that sample.
     """
-    report = imbalance(instance, Coloring(tuple(colors), instance.k))
+    value, s = _sweep(instance, colors)
     counts = [0] * instance.k
-    if report.value:
-        # the witness is a distinct key or the midpoint of two neighbors;
-        # an interval covers it iff it covers both neighbors
+    if s is not None:
         norm = normalize(instance)
-        coords = norm.coords
-        w = report.witness * norm.scale
-        g = bisect_right(coords, w) - 1
-        left = coords[g]
-        right = left if left == w else coords[g + 1]
-        for lo, hi, color in zip(instance.lo, instance.hi, colors):
-            if lo <= left and right <= hi:
-                counts[color - 1] += 1
+        for e in norm.order[: norm.cuts[s + 1]]:
+            if e >= 0:
+                counts[colors[e] - 1] += 1
+            else:
+                counts[colors[~e] - 1] -= 1
     hi, lo = max(counts), min(counts)
-    return report.value, tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
+    return value, tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
 
 
 def hypergraph_to_instance(matrix: Sequence[Sequence[int]], k: int) -> Instance:

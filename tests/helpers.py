@@ -23,6 +23,7 @@ from intervalcolor.formats import coord_json
 from intervalcolor.hardness import NaeFormula
 from intervalcolor.k_color import EdgeGraph
 from intervalcolor.online import OnlineAlgorithm
+from intervalcolor.two_color import halve
 
 
 def random_instance(rng, n, k, collide=0.3, span=60):
@@ -133,6 +134,33 @@ def reference_imbalance(instance: Instance, coloring: Coloring):
         if max(counts) - min(counts) > best:
             best, witness = max(counts) - min(counts), p
     return best, witness
+
+
+def reference_dewerra(instance: Instance):
+    """(colors, passes) of k_color_dewerra with each pass 2-coloring the
+    worst pair's intervals extracted, renumbered in id order and ranked by
+    their own sub-order, the pair found by counting at imbalance's witness.
+
+    Raises InvariantViolation with k_color_dewerra's message once the pass
+    budget is spent.  The reference for the pass on the shared order.
+    """
+    k, n = instance.k, instance.n
+    order = normalize(instance).order
+    colors = [(i % k) + 1 for i in range(n)]
+    limit = k * (k - 1) // 2 + k
+    for done in range(limit + 1):
+        report = imbalance(instance, Coloring(tuple(colors), k))
+        if report.value <= 1:
+            return colors, done
+        counts = brute_force_counts(instance, Coloring(tuple(colors), k), report.witness)
+        i, j = sorted((counts.index(max(counts)) + 1, counts.index(min(counts)) + 1))
+        extracted = [t for t in range(n) if colors[t] in (i, j)]
+        pos = {t: p for p, t in enumerate(extracted)}
+        sub = [pos[e] if e >= 0 else ~pos[~e] for e in order if colors[e if e >= 0 else ~e] in (i, j)]
+        halves = halve(sub, [0] * len(extracted), 1)
+        for p, t in enumerate(extracted):
+            colors[t] = j if halves[p] else i
+    raise InvariantViolation(f"rebalancing did not converge within {limit} passes")
 
 
 def arc_contains(arc, circumference, point):

@@ -11,6 +11,7 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     InvariantViolation,
+    _masks,
     _point,
     make_instance,
     normalize,
@@ -21,7 +22,6 @@ from intervalcolor.hardness import (
     NaeFormula,
     WeightedInstance,
     _audit_reduction,
-    _masks,
     _meeting_pairs,
     box_imbalance,
     decide_balanced_boxes,
@@ -438,8 +438,8 @@ def test_box_imbalance_matches_the_grid_reference():
         inst = make_box_instance(bounds, k)
         for dim, (samples, masks) in zip(inst.dims, reference_samples_and_masks(inst)):
             norm = normalize(dim)
-            assert _masks(dim) == masks
-            assert [_point(norm, s // 2, s % 2 == 1) for s in range(len(samples))] == samples
+            assert list(_masks(dim)) == masks
+            assert [_point(norm, s) for s in range(len(samples))] == samples
         check(inst, random_coloring(rng, n, k))
     for formula in formula_corpus():
         for k in (2, 3) if len(formula.clauses) <= 2 else (2,):

@@ -11,7 +11,6 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     InvariantViolation,
-    NormalizedInstance,
     divisibility_predicts_zero,
     imbalance,
     is_balanced,
@@ -37,11 +36,12 @@ from helpers import (
     brute_force_counts,
     random_bipartite_multigraph,
     random_instance,
+    reference_dewerra,
 )
 
 
 def sweep(bounds, k):
-    return constraint_graph(normalize(make_instance(bounds, k)), k)
+    return constraint_graph(normalize(make_instance(bounds, k)).order, k)
 
 
 def edges(graph):
@@ -87,7 +87,7 @@ def test_constraint_structure_on_random_instances():
     for _ in range(150):
         k = rng.randint(2, 6)
         inst = random_instance(rng, rng.randint(0, 40), k, collide=0.4)
-        graph = constraint_graph(normalize(inst), k)
+        graph = constraint_graph(normalize(inst).order, k)
         assert_sweep_graph(graph, inst.n, k)
         virtuals = graph.items.count(-1)
         assert virtuals <= 2 * max(inst.n, 1) * (k - 1)
@@ -119,7 +119,7 @@ def test_graph_rejects_inconsistent_occurrences():
     ]
     for order, k, message in cases:
         with pytest.raises(InvariantViolation, match=message):
-            constraint_graph(NormalizedInstance(order, (), ()), k)
+            constraint_graph(order, k)
 
 
 def test_edge_color_shared_left_vertex_path():
@@ -294,6 +294,26 @@ def test_dewerra_matches_oracle_small():
         inst = random_instance(rng, rng.randint(0, 9), k)
         value, _ = min_imbalance_oracle(inst)
         assert imbalance(inst, k_color_dewerra(inst)).value == value
+
+
+def test_dewerra_matches_the_extracting_reference():
+    # each pass halves the worst pair as class 0 of the shared order; the
+    # reference extracts and renumbers the pair's intervals instead
+    rng = random.Random(73)
+    aborts = 0
+    for _ in range(150):
+        k = rng.randint(2, 6)
+        inst = random_instance(rng, rng.randint(0, 40), k, collide=0.35)
+        try:
+            expected = reference_dewerra(inst)
+        except InvariantViolation as err:
+            aborts += 1
+            with pytest.raises(InvariantViolation, match=str(err)):
+                k_color_dewerra(inst)
+            continue
+        coloring, passes = k_color_dewerra(inst, return_passes=True)
+        assert (list(coloring.colors), passes) == expected
+    assert 0 < aborts < 150
 
 
 def test_worst_pair_counts_at_the_witness_by_keys():

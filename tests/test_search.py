@@ -13,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from intervalcolor import core
 from intervalcolor.arcs import min_arc_imbalance_oracle
 from intervalcolor.core import Coloring, imbalance, min_imbalance_oracle
 from intervalcolor.hardness import (
@@ -97,3 +98,32 @@ def test_searches_match_product_over_all_colorings():
         )
         expected = None if assignment is None else item_colors(assignment)
         assert decide_grouped_intervals(inst, groups) == expected
+
+
+def test_searches_build_no_sample_point(monkeypatch):
+    # the three interval searches read their cells off the coverage walk
+    # alone: with no sample coordinate buildable they answer as before
+    rng = random.Random(31)
+    cases = []
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        inst = random_instance(rng, rng.randint(0, 8), k)
+        arcs = random_arc_instance(rng, rng.randint(0, 6), k, circumference=8)
+        groups = [list(range(0, inst.n, 2)), list(range(1, inst.n, 2))]
+        answers = (
+            min_imbalance_oracle(inst),
+            min_arc_imbalance_oracle(arcs),
+            decide_grouped_intervals(inst, groups),
+        )
+        cases.append((inst, arcs, groups, answers))
+
+    def refuse(*args):
+        raise AssertionError("a sample point was built")
+
+    monkeypatch.setattr(core, "_point", refuse)
+    for inst, arcs, groups, answers in cases:
+        assert (
+            min_imbalance_oracle(inst),
+            min_arc_imbalance_oracle(arcs),
+            decide_grouped_intervals(inst, groups),
+        ) == answers
