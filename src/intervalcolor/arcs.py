@@ -20,15 +20,15 @@ pieces of an arc shorter than a turn are disjoint.  Line point C holds the
 arcs reaching C, which are those containing the points just below angle 0.
 So every coverage set of the circle appears at some line point, each arc
 counted once, and no line point shows any other; imbalance and
-the coverage walk core._masks on the pieces measure the circle exactly.
+the coverage walk core._covers on the pieces measure the circle exactly.
 
-An ArcInstance keeps its starts, lengths and circumference as keys at one
-scale, as an Instance keeps its endpoints: ints read once from the input,
-or Fractions with scale 1 when the scale would pass core._KEY_BITS.
-unfold and the pieces compute on those keys and hand them to the
-Instance constructor.  The full-arc margin of unfold, half the smallest gap
-between distinct endpoint keys capped at a quarter of C minus the hull
-width, is an int once every key is multiplied by 4.  A Fraction is built
+An ArcInstance is an interval Instance of the arcs, [start, start +
+length] each, plus the circumference as a key at the same scale: ints
+read once from the input, or Fractions with scale 1 when the scale would
+pass core._KEY_BITS.  unfold and the pieces compute on those keys and
+hand them to the Instance constructor.  The full-arc margin of unfold,
+half the smallest gap between distinct endpoint keys capped at a quarter
+of C minus the hull width, is an int once every key is multiplied by 4.  A Fraction is built
 only where a value leaves the module: an Arc, on request, or a witness.
 """
 
@@ -46,11 +46,9 @@ from intervalcolor.core import (
     ImbalanceReport,
     Instance,
     _check_coloring,
+    _covers,
     _keys,
-    _mask_ids,
-    _masks,
     _read_pairs,
-    _same_coords,
     _search_colorings,
     _split,
     imbalance,
@@ -81,58 +79,46 @@ class Arc:
     length: Coord
 
 
+@dataclass(frozen=True, eq=False)
 class ArcInstance:
     """Closed arcs on a circle plus the number of colors k.
 
-    Arc i starts at start[i] / scale and extends length[i] / scale
-    counterclockwise; the circumference is turn / scale.  start, length
-    and turn are keys at one scale, ints, or Fractions when scale is 1
-    (see core._keys), as an Instance keeps its endpoints; every length
-    must be positive and every start must lie in [0, circumference).
-    The Arc objects are built on first request; make_arc_instance reads
-    an instance from coordinates.
+    line holds arc i as interval i, [start, start + length], and turn is
+    the circumference as a key at line.scale, as Instance keeps its
+    endpoints; n, k and scale are the line's.  Every length must be
+    positive and every start must lie in [0, circumference).  The Arc
+    objects are built on first request; make_arc_instance reads an
+    instance from coordinates.  Equality compares coordinates, whatever
+    the scales.
     """
 
-    start: Tuple
-    length: Tuple
+    line: Instance
     turn: Union[int, Fraction]
-    scale: int
-    k: int
 
-    def __init__(
-        self, start: Sequence, length: Sequence, turn: Union[int, Fraction], scale: int, k: int
-    ) -> None:
-        if len(start) != len(length):
-            raise ValueError(f"{len(start)} starts for {len(length)} lengths")
-        for x in length:
-            if x <= 0:
-                raise ValueError(f"arc length must be positive, got {Fraction(x, scale)}")
-        if turn <= 0:
-            raise ValueError(f"circumference must be positive, got {Fraction(turn, scale)}")
-        if k < 1:
-            raise ValueError(f"need at least one color, got k={k}")
-        for i, x in enumerate(start):
-            if not 0 <= x < turn:
+    def __post_init__(self) -> None:
+        lo, hi, C, s = self.line.lo, self.line.hi, self.turn, self.scale
+        for a, b in zip(lo, hi):
+            if a >= b:
+                raise ValueError(f"arc length must be positive, got {Fraction(b - a, s)}")
+        if C <= 0:
+            raise ValueError(f"circumference must be positive, got {Fraction(C, s)}")
+        for i, a in enumerate(lo):
+            if not 0 <= a < C:
                 raise ValueError(
-                    f"arc {i} start {Fraction(x, scale)} outside "
-                    f"[0, {Fraction(turn, scale)})"
+                    f"arc {i} start {Fraction(a, s)} outside [0, {Fraction(C, s)})"
                 )
-        put = object.__setattr__
-        put(self, "start", tuple(start))
-        put(self, "length", tuple(length))
-        put(self, "turn", turn)
-        put(self, "scale", scale)
-        put(self, "k", k)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"ArcInstance is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"ArcInstance is immutable; cannot delete {name!r}")
 
     @property
     def n(self) -> int:
-        return len(self.start)
+        return self.line.n
+
+    @property
+    def k(self) -> int:
+        return self.line.k
+
+    @property
+    def scale(self) -> int:
+        return self.line.scale
 
     @property
     def circumference(self) -> Coord:
@@ -142,25 +128,17 @@ class ArcInstance:
     def arcs(self) -> Tuple[Arc, ...]:
         s = self.scale
         return tuple(
-            Arc(i, Fraction(a, s), Fraction(b, s))
-            for i, (a, b) in enumerate(zip(self.start, self.length))
+            Arc(i, Fraction(a, s), Fraction(b - a, s))
+            for i, (a, b) in enumerate(zip(self.line.lo, self.line.hi))
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArcInstance):
             return NotImplemented
-        if self.k != other.k or self.n != other.n:
-            return False
-        return _same_coords(
-            self.start + self.length + (self.turn,), self.scale,
-            other.start + other.length + (other.turn,), other.scale,
-        )
+        return self.line == other.line and self.turn * other.scale == other.turn * self.scale
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k))
-
-    def __repr__(self) -> str:
-        return f"ArcInstance(n={self.n}, k={self.k}, scale={self.scale})"
+        return hash(self.line)
 
 
 def make_arc_instance(
@@ -179,7 +157,16 @@ def make_arc_instance(
     nums.append(c)
     dens.append(d)
     keys, scale = _keys(nums, dens)
-    return ArcInstance(keys[0:-1:2], keys[1:-1:2], keys[-1], scale, k)
+    turn = keys.pop()
+    starts, lengths = keys[0::2], keys[1::2]
+    # checked before the line is built, which would report them as intervals
+    for x in lengths:
+        if x <= 0:
+            raise ValueError(f"arc length must be positive, got {Fraction(x, scale)}")
+    if k < 1:
+        raise ValueError(f"need at least one color, got k={k}")
+    ends = [a + x for a, x in zip(starts, lengths)]
+    return ArcInstance(Instance(starts, ends, scale, k), turn)
 
 
 def unfold(instance: ArcInstance) -> Instance:
@@ -210,15 +197,16 @@ def unfold(instance: ArcInstance) -> Instance:
     C = instance.turn
     lo: List = []
     hi: List = []
-    for s, length in zip(instance.start, instance.length):
-        if length >= C:
+    for s, e in zip(instance.line.lo, instance.line.hi):
+        if e - s >= C:
             lo.append(None)
             hi.append(None)
             continue
-        if s + length > C:
+        if e > C:
             s -= C
+            e -= C
         lo.append(s)
-        hi.append(s + length)
+        hi.append(e)
 
     scale = instance.scale
     if None in lo:
@@ -252,9 +240,8 @@ def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
     lo: List = []
     hi: List = []
     owners: List[int] = []
-    for i, (s, length) in enumerate(zip(instance.start, instance.length)):
-        end = s + length
-        if length >= C:
+    for i, (s, end) in enumerate(zip(instance.line.lo, instance.line.hi)):
+        if end - s >= C:
             lo.append(0)
             hi.append(C)
         elif end >= C:
@@ -297,7 +284,7 @@ def min_arc_imbalance_oracle(
     """Exhaustive minimum spread over all arc colorings, desk scale only.
 
     Returns the minimum and its lexicographically smallest witness coloring.
-    The cells of the search are the coverage sets of core's walk _masks on
+    The cells of the search are the coverage sets of core's walk _covers on
     the arcs' pieces, mapped back to arc ids; the work can grow exponentially
     in n, so instances beyond limit_n arcs are rejected.
     """
@@ -305,6 +292,6 @@ def min_arc_imbalance_oracle(
     if n > limit_n:
         raise ValueError(f"exhaustive search limited to {limit_n} arcs, got {n}")
     pieces, owners = _pieces(instance)
-    cells = ([owners[i] for i in _mask_ids(msk)] for msk in _masks(pieces))
+    cells = ([owners[i] for i in ids] for ids in _covers(pieces))
     value, colors = _search_colorings(n, k, cells, minimize=True)
     return value, Coloring(colors, k)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Type
 
-from .arcs import ArcInstance, arc_color, arc_imbalance
+from .arcs import arc_color, arc_imbalance
 from .core import (
     Coloring,
     Instance,
@@ -64,7 +65,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     else:
         instance = parse_instance_json(text)
     if getattr(args, "k", None) is not None and args.k != instance.k:
-        instance = Instance(instance.lo, instance.hi, instance.scale, args.k)
+        instance = replace(instance, k=args.k)
     return instance
 
 
@@ -115,9 +116,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_arcs(args: argparse.Namespace) -> int:
     instance = parse_arc_json(_read_text(args.input))
     if args.k is not None and args.k != instance.k:
-        instance = ArcInstance(
-            instance.start, instance.length, instance.turn, instance.scale, args.k
-        )
+        instance = replace(instance, line=replace(instance.line, k=args.k))
     coloring = arc_color(instance)
     value = arc_imbalance(instance, coloring).value
     _check_spread(value, 2)

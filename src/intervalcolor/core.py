@@ -14,8 +14,8 @@ sweep (imbalance, the colorers, the coverage walk) walks that integer
 order, whatever the keys.  Exact measures sample the line at the points
 of one ranking, named by a sample index s: sample 2g is coords[g] and
 sample 2g + 1 the midpoint of coords[g] and coords[g + 1].  imbalance's
-sweep returns the index it peaks at; _masks, the one coverage walk, yields
-each sample's coverage set as a bitmask, and every exact search (the
+sweep returns the index it peaks at; _covers, the one coverage walk,
+yields the ids covering each sample, and every exact search (the
 oracles, the deciders, point_cliques, the box masks, weighted_imbalance)
 reads its cells from it.  A coordinate becomes a Fraction again only
 where it leaves the library: _point turns a sample index into a witness
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Coord",
@@ -192,6 +192,7 @@ class Interval:
     hi: Coord
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Instance:
     """An ordered list of closed intervals plus the number of colors k.
 
@@ -199,35 +200,27 @@ class Instance:
     columns, ints, or Fractions when scale is 1 (see _keys), and
     lo[i] > hi[i] is rejected.  make_instance reads an instance from
     coordinates; the Interval objects are built on first request.
+    Equality compares coordinates, whatever the scales.
     """
 
     lo: Tuple
     hi: Tuple
     scale: int
     k: int
+    # the ranking normalize() keeps here
+    _normalized: Optional["NormalizedInstance"] = field(default=None, init=False)
 
-    def __init__(self, lo: Sequence, hi: Sequence, scale: int, k: int) -> None:
+    def __post_init__(self) -> None:
+        lo, hi, s = self.lo, self.hi, self.scale
         if len(lo) != len(hi):
             raise ValueError(f"{len(lo)} lower keys for {len(hi)} upper keys")
         for i, (a, b) in enumerate(zip(lo, hi)):
             if a > b:
-                raise ValueError(
-                    f"interval {i}: lo {Fraction(a, scale)} > hi {Fraction(b, scale)}"
-                )
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        put = object.__setattr__
-        put(self, "lo", tuple(lo))
-        put(self, "hi", tuple(hi))
-        put(self, "scale", scale)
-        put(self, "k", k)
-        put(self, "_normalized", None)  # the ranking normalize() keeps here
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Instance is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Instance is immutable; cannot delete {name!r}")
+                raise ValueError(f"interval {i}: lo {Fraction(a, s)} > hi {Fraction(b, s)}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "lo", tuple(lo))
+        object.__setattr__(self, "hi", tuple(hi))
 
     @property
     def n(self) -> int:
@@ -475,38 +468,28 @@ def _point(norm: NormalizedInstance, s: int) -> Coord:
     return Fraction(x, norm.scale)
 
 
-def _masks(instance: Instance) -> Iterator[int]:
+def _covers(instance: Instance) -> Iterator[Tuple[int, ...]]:
     """Per sample point s of normalize(instance) in turn (see _point), the
-    bitmask of the intervals covering it.
+    ids of the intervals covering it, in the order they were admitted.
 
-    The one coverage walk: it sets the bits of the intervals starting at
-    coords[g], yields sample 2g, clears those ending there and yields
-    sample 2g + 1, unless coords[g] is the last coordinate.  One mask is
-    held at a time.
+    The one coverage walk: it admits the intervals starting at coords[g],
+    yields sample 2g, drops those ending there and yields sample 2g + 1,
+    unless coords[g] is the last coordinate.  The live ids sit in an
+    insertion-ordered dict, so a sample costs the number covering it.
     """
     norm = normalize(instance)
     order, cuts = norm.order, norm.cuts
     last = len(cuts) - 3
-    msk = 0
+    live: Dict[int, None] = {}
     for b in range(0, len(cuts) - 1, 2):
         for i in order[cuts[b] : cuts[b + 1]]:
-            msk |= 1 << i
-        yield msk
+            live[i] = None
+        yield tuple(live)
         if b == last:
             return  # nothing lies right of the last coordinate
         for e in order[cuts[b + 1] : cuts[b + 2]]:
-            msk ^= 1 << ~e
-        yield msk
-
-
-def _mask_ids(msk: int) -> List[int]:
-    """Ids of the set bits of msk, ascending."""
-    ids = []
-    while msk:
-        low = msk & -msk
-        ids.append(low.bit_length() - 1)
-        msk ^= low
-    return ids
+            del live[~e]
+        yield tuple(live)
 
 
 def is_balanced(instance: Instance, coloring: Coloring) -> bool:
@@ -535,13 +518,12 @@ def divisibility_predicts_zero(instance: Instance) -> bool:
 def point_cliques(instance: Instance) -> Tuple[Tuple[Coord, frozenset], ...]:
     """Every coverage set of the line, each with one witness point.
 
-    One entry per sample point of _masks, in order.  Materializes the
+    One entry per sample point of _covers, in order.  Materializes the
     sets, so intended for desk-scale inputs only.
     """
     norm = normalize(instance)
     return tuple(
-        (_point(norm, s), frozenset(_mask_ids(msk)))
-        for s, msk in enumerate(_masks(instance))
+        (_point(norm, s), frozenset(ids)) for s, ids in enumerate(_covers(instance))
     )
 
 
@@ -618,13 +600,12 @@ def min_imbalance_oracle(
 ) -> Tuple[int, Coloring]:
     """Exhaustive minimum imbalance with its lexicographically smallest coloring.
 
-    The cells of the search are the coverage sets of _masks; the work can
+    The cells of the search are the coverage sets of _covers; the work can
     grow exponentially in n, so instances beyond limit_n intervals are
     rejected.
     """
     n = instance.n
     if n > limit_n:
         raise ValueError(f"oracle limited to n <= {limit_n} intervals, got {n}")
-    cells = map(_mask_ids, _masks(instance))
-    value, colors = _search_colorings(n, instance.k, cells, minimize=True)
+    value, colors = _search_colorings(n, instance.k, _covers(instance), minimize=True)
     return value, Coloring(colors, instance.k)

@@ -42,8 +42,7 @@ from .core import (
     Instance,
     InvariantViolation,
     _check_coloring,
-    _mask_ids,
-    _masks,
+    _covers,
     _point,
     _search_colorings,
     make_instance,
@@ -167,7 +166,7 @@ class BoxInstance:
     @cached_property
     def sample_masks(self) -> Tuple[List[int], ...]:
         """Per dimension, the coverage mask of each of its sample points."""
-        return tuple(list(_masks(dim)) for dim in self.dims)
+        return tuple([_mask(ids) for ids in _covers(dim)] for dim in self.dims)
 
     @cached_property
     def cells(self) -> Set[int]:
@@ -565,6 +564,24 @@ def _meeting_pairs(
     return pairs
 
 
+def _mask(ids: Iterable[int]) -> int:
+    """The bitmask of the ids: bit i is set when i is among them."""
+    msk = 0
+    for i in ids:
+        msk |= 1 << i
+    return msk
+
+
+def _mask_ids(msk: int) -> List[int]:
+    """Ids of the set bits of msk, ascending."""
+    ids = []
+    while msk:
+        low = msk & -msk
+        ids.append(low.bit_length() - 1)
+        msk ^= low
+    return ids
+
+
 def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
     counts = [0] * k
     for b in _mask_ids(msk):
@@ -637,15 +654,15 @@ def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:
     """Worst weighted color-count spread over every point of the line.
 
     The spread of the summed weights per color, colors absent there
-    included, at each sample point of the coverage walk _masks.
+    included, at each sample point of the coverage walk _covers.
     """
     _check_coloring(weighted, coloring, "intervals")
     cols = coloring.colors
     w = weighted.weights
     best = 0
-    for msk in _masks(weighted.instance):
+    for ids in _covers(weighted.instance):
         counts = [0] * weighted.k
-        for i in _mask_ids(msk):
+        for i in ids:
             counts[cols[i] - 1] += w[i]
         best = max(best, max(counts) - min(counts))
     return best
@@ -690,7 +707,7 @@ def decide_grouped_intervals(
     Groups must partition the interval ids.  Exhaustive search over the
     group color assignments in counting order, so the first balanced
     assignment in that order is returned.  The cells of the search are the
-    coverage sets of _masks with each interval replaced by its group, so a
+    coverage sets of _covers with each interval replaced by its group, so a
     group counts once per member.
     """
     flat = sorted(i for group in groups for i in group)
@@ -704,7 +721,7 @@ def decide_grouped_intervals(
     for g, group in enumerate(groups):
         for i in group:
             group_of[i] = g
-    cells = ([group_of[i] for i in _mask_ids(msk)] for msk in _masks(instance))
+    cells = ([group_of[i] for i in ids] for ids in _covers(instance))
     found = _search_colorings(len(groups), instance.k, cells, minimize=False)
     if found is None:
         return None

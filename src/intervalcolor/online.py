@@ -49,7 +49,6 @@ __all__ = [
     "make_algorithm",
     "Transcript",
     "run_online",
-    "adversary_k2",
     "adversary_general",
 ]
 
@@ -161,23 +160,21 @@ def make_algorithm(name: str, seed: Optional[int] = None) -> OnlineAlgorithm:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Record of an adversary run.
+    """The whole record of an adversary run.
 
     instance holds every presentation in arrival order, including the
     re-presented copies for k > 2, as integer keys at the run's scale.
     colors and trace have one entry per presentation: its color and the
     imbalance of the prefix instance it closes, kept by the session's
     incremental sweep; the last one is confirmed by one offline imbalance
-    of instance.  simb_l and simb_r have one entry per completed adversary
-    round: the signed color-1-minus-color-2 count inside the current L and
-    R regions.
+    of instance.  The presentations of one round share their right end,
+    and consecutive rounds do not, so the rounds and the region counts
+    can be replayed from the transcript alone.
     """
 
     instance: Instance
     colors: Tuple[int, ...]
     trace: Tuple[int, ...]
-    simb_l: Tuple[int, ...]
-    simb_r: Tuple[int, ...]
 
     @property
     def presented(self) -> tuple:
@@ -284,28 +281,6 @@ class _Session:
         return coloring
 
 
-def _signed_count(session: _Session, point) -> int:
-    """Color-1 minus color-2 intervals covering point, a key of the session.
-
-    At or right of the latest start this is one group's counts; left of
-    it, a scan of every presented interval.
-    """
-    if point >= session.lo[-1]:
-        j = bisect_left(session.ends, point)
-        if j == len(session.ends):
-            return 0
-        counts, slot = session.suf[j], session.slot
-        return (counts[slot[1]] if 1 in slot else 0) - (counts[slot[2]] if 2 in slot else 0)
-    total = 0
-    for lo, hi, color in zip(session.lo, session.hi, session.colors):
-        if lo <= point <= hi:
-            if color == 1:
-                total += 1
-            elif color == 2:
-                total -= 1
-    return total
-
-
 def run_online(
     alg: OnlineAlgorithm, instance: Instance
 ) -> Tuple[Coloring, Tuple[int, ...]]:
@@ -328,45 +303,40 @@ def run_online(
     return session.finish(instance), tuple(session.trace)
 
 
-def adversary_k2(alg: OnlineAlgorithm, t: int) -> Transcript:
-    """Adaptive nemesis for two colors: t rounds of region halving.
-
-    Starting from L=[0,1] and R=[2,3], each round presents the interval
-    from the middle of L to the middle of R.  A color-1 answer moves R to
-    its left half (the interval keeps covering R, so R's count rises); any
-    other answer moves R to its right half (the interval stops short of R's
-    interior).  L always moves to its right half, so every presented
-    interval keeps covering L and L accumulates the signed sum of all
-    choices.  After t rounds with p color-1 answers the counts inside R and
-    L are p and 2p - t, one of which has magnitude at least ceil(t/3).
-    """
-    return _run_adversary(alg, 2, t, repeat_budget=1)
-
-
 def adversary_general(
     alg: OnlineAlgorithm, k: int, t: int, repeat_budget: Optional[int] = None
 ) -> Transcript:
-    """Adversary for any k: track colors 1 and 2, re-present on others.
+    """Adaptive nemesis: t rounds of region halving, tracking colors 1 and 2.
 
-    An interval answered with an untracked color is presented again with a
-    slightly larger startpoint (a geometric nudge strictly below the next
-    round's startpoint), up to repeat_budget presentations per round; the
-    copies count for nothing in the tracked accounting but stack up at a
-    common point, so an algorithm that refuses the tracked colors builds a
-    spread of at least repeat_budget / (k - 2) on its own.  repeat_budget
+    Starting from L=[0,1] and R=[2,3], each round presents the interval
+    from the middle of L to the middle of R.  A color-1 answer moves R to
+    its left half (the interval keeps covering R, so R's count rises); a
+    color-2 answer moves R to its right half (the interval stops short of
+    R's interior).  L always moves to its right half, so every presented
+    interval keeps covering L and L accumulates the signed sum of all
+    choices.  After t rounds with p color-1 and m color-2 answers, the
+    color-1-minus-color-2 counts inside R and L are p and p - m; for k = 2
+    one of them has magnitude at least ceil(t/3).
+
+    For k > 2, an interval answered with an untracked color is presented
+    again with a slightly larger startpoint (a geometric nudge strictly
+    below the next round's startpoint), up to repeat_budget presentations
+    per round; the copies count for nothing in the tracked accounting but
+    stack up at a common point, so an algorithm that refuses the tracked
+    colors builds a spread of at least repeat_budget / (k - 2) on its own,
+    and the run ends once a round spends its budget.  repeat_budget
     defaults to 2t, which for k up to 8 certifies the same ceil(t/3) rate
-    as the tracked drift.
+    as the tracked drift.  For k = 2 nothing is re-presented and the
+    budget is 1, whatever is passed.
     """
     if k < 2:
         raise ValueError(f"the adversary needs k >= 2, got k={k}")
-    if k == 2:
-        return adversary_k2(alg, t)
-    return _run_adversary(alg, k, t, 2 * t if repeat_budget is None else repeat_budget)
-
-
-def _run_adversary(alg: OnlineAlgorithm, k: int, t: int, repeat_budget: int) -> Transcript:
     if t < 1:
         raise ValueError(f"need at least one round, got t={t}")
+    if k == 2:
+        repeat_budget = 1
+    elif repeat_budget is None:
+        repeat_budget = 2 * t
     if repeat_budget < 1:
         raise ValueError(f"repeat budget must be positive, got {repeat_budget}")
     limit = (
@@ -383,12 +353,6 @@ def _run_adversary(alg: OnlineAlgorithm, k: int, t: int, repeat_budget: int) -> 
     starts = session.lo
     L = (0, scale)
     R = (2 * scale, 3 * scale)
-    simb_l: List[int] = []
-    simb_r: List[int] = []
-
-    def record() -> None:
-        simb_l.append(_signed_count(session, (L[0] + L[1]) >> 1))
-        simb_r.append(_signed_count(session, (R[0] + R[1]) >> 1))
 
     def present(lo: int, hi: int) -> int:
         if len(starts) >= MAX_PRESENTATIONS:
@@ -412,16 +376,10 @@ def _run_adversary(alg: OnlineAlgorithm, k: int, t: int, repeat_budget: int) -> 
             color = present(mid_l + gap - (gap >> attempt), mid_r)
             attempt += 1
         if color > 2:
-            # the algorithm exhausted the budget with untracked colors;
-            # the stacked copies already certify the spread
-            record()
-            break
+            break  # the stacked copies already certify the spread
         R = (R[0], mid_r) if color == 1 else (mid_r, R[1])
         L = (mid_l, L[1])
-        record()
 
     instance = Instance(session.lo, session.hi, scale, k)
     session.finish(instance)
-    return Transcript(
-        instance, tuple(session.colors), tuple(session.trace), tuple(simb_l), tuple(simb_r)
-    )
+    return Transcript(instance, tuple(session.colors), tuple(session.trace))

@@ -391,6 +391,39 @@ class AlwaysColor(OnlineAlgorithm):
         return self.color
 
 
+def region_counts(transcript):
+    """Color-1 minus color-2 presentations covering the middles of the
+    adversary's regions L and R after each round, replayed from the
+    transcript alone: (the L counts, the R counts), one each per round.
+
+    The presentations of one round share their right end and consecutive
+    rounds do not, so the rounds are the runs of equal right end.  L and R
+    start at [0, 1] and [2, 3].  A round whose last color is 1 moves R to
+    its left half, one whose last color is 2 to its right half, and either
+    moves L to its right half; a round that ends on an untracked color
+    spent its budget and moves neither.  Each count is taken from scratch
+    over the presentations so far.
+    """
+    presented, colors = transcript.presented, transcript.colors
+    mid = lambda region: (region[0] + region[1]) / 2
+    L, R = (Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))
+    simb_l, simb_r = [], []
+    for end in range(1, len(colors) + 1):
+        if end < len(colors) and presented[end].hi == presented[end - 1].hi:
+            continue  # the round goes on
+        color = colors[end - 1]
+        if color <= 2:
+            R = (R[0], mid(R)) if color == 1 else (mid(R), R[1])
+            L = (mid(L), L[1])
+        for point, out in ((mid(L), simb_l), (mid(R), simb_r)):
+            out.append(sum(
+                (c == 1) - (c == 2)
+                for itv, c in zip(presented[:end], colors)
+                if interval_contains(itv, point)
+            ))
+    return tuple(simb_l), tuple(simb_r)
+
+
 class ReferenceTranscript(NamedTuple):
     presented: tuple
     colors: tuple

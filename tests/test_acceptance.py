@@ -41,7 +41,7 @@ from intervalcolor.k_color import (
     k_color,
     k_color_dewerra,
 )
-from intervalcolor.online import adversary_k2, make_algorithm
+from intervalcolor.online import adversary_general, make_algorithm
 from intervalcolor.two_color import two_color
 from helpers import (
     assert_proper_edge_coloring,
@@ -160,7 +160,7 @@ def test_criterion_07_online_adversary_rate():
     runs = [("round_robin", None), ("greedy_least_loaded", None)]
     runs += [("seeded_random", seed) for seed in (1, 2, 3)]
     for name, seed in runs:
-        transcript = adversary_k2(make_algorithm(name, seed=seed), 60)
+        transcript = adversary_general(make_algorithm(name, seed=seed), 2, 60)
         assert transcript.final_imbalance >= 20, (name, seed)
         offline = transcript.instance
         assert imbalance(offline, k_color(offline)).value <= 1

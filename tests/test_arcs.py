@@ -22,7 +22,7 @@ from intervalcolor.arcs import (
     unfold,
 )
 from intervalcolor.cli import main
-from intervalcolor.core import Coloring, imbalance, is_balanced, to_coord
+from intervalcolor.core import Coloring, Instance, imbalance, is_balanced, to_coord
 from intervalcolor.formats import parse_arc_json
 from intervalcolor.k_color import k_color
 
@@ -295,18 +295,26 @@ def test_oracle_rejects_large_instances():
 def test_arc_instance_keys_and_equality_across_scales():
     halves = make_arc_instance([["1/2", 1], [0, "3/2"]], 2, 2)
     quarters = make_arc_instance([["2/4", 1], [0, "6/4"]], "8/4", 2)
-    assert (halves.start, halves.length, halves.turn, halves.scale) == ((1, 0), (2, 3), 4, 2)
+    line = halves.line
+    assert (line.lo, line.hi, halves.turn, halves.scale) == ((1, 0), (3, 3), 4, 2)
+    assert (halves.n, halves.k) == (2, 2)
     assert quarters.scale == 4 and quarters == halves
     assert halves.circumference == 2
     again = make_arc_instance([(a.start, a.length) for a in halves.arcs], halves.circumference, 2)
-    assert (again.start, again.length, again.turn, again.scale) == (
-        halves.start, halves.length, halves.turn, halves.scale,
+    assert (again.line.lo, again.line.hi, again.turn, again.scale) == (
+        line.lo, line.hi, halves.turn, halves.scale,
     )
     assert make_arc_instance([["1/2", 1], [0, "3/2"]], 3, 2) != halves
     with pytest.raises(ValueError, match=r"arc 1 start 5/2 outside \[0, 2\)"):
         make_arc_instance([[0, 1], ["5/2", 1]], 2, 2)
     with pytest.raises(ValueError, match=r"arc length must be positive, got -1/2"):
-        ArcInstance((0,), (-1,), 4, 2, 2)
+        make_arc_instance([(0, "-1/2")], 2, 2)
+    with pytest.raises(ValueError, match=r"arc length must be positive, got 0"):
+        ArcInstance(Instance((1,), (1,), 2, 2), 4)
+    with pytest.raises(ValueError, match=r"arc 0 start 2 outside \[0, 2\)"):
+        ArcInstance(Instance((4,), (5,), 2, 2), 4)
+    with pytest.raises(ValueError, match=r"circumference must be positive, got 0"):
+        ArcInstance(Instance((), (), 2, 2), 0)
     with pytest.raises(TypeError):
         make_arc_instance([(0, 1)], 0.5, 2)  # float circumference
     with pytest.raises(AttributeError):
@@ -356,7 +364,7 @@ def test_key_path_matches_the_fraction_reference(kind):
         if kind == "tiny":
             assert inst.scale == 1 and type(inst.turn) is Fraction
         elif kind != "tiny":
-            assert all(type(x) is int for x in inst.start + inst.length)
+            assert all(type(x) is int for x in inst.line.lo + inst.line.hi)
         line, ref_line = unfold(inst), reference_unfold(inst)
         assert line == ref_line and line.intervals == ref_line.intervals
         pieces, owners = _pieces(inst)

@@ -536,8 +536,8 @@ def test_decide_boxes_masks_each_dimension_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     path = write(tmp_path, "boxes.json", boxes)
     dims = []
-    real = hardness._masks
-    monkeypatch.setattr(hardness, "_masks", lambda dim: dims.append(dim) or real(dim))
+    real = hardness._covers
+    monkeypatch.setattr(hardness, "_covers", lambda dim: dims.append(dim) or real(dim))
     code, out, _ = run(capsys, "decide-boxes", "--input", path)
     assert (code, json.loads(out)["balanced"]) == (0, True)
     assert len(dims) == json.loads(boxes)["d"] == 2

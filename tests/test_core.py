@@ -34,6 +34,7 @@ from helpers import (
     random_instance,
     reference_imbalance,
     reference_ranking,
+    steady_pair_seconds,
     steady_seconds,
 )
 
@@ -521,3 +522,18 @@ def test_oracle_value_is_zero_or_one_and_matches_divisibility():
         assert value in (0, 1)
         assert imbalance(inst, col).value == value
         assert (value == 0) == divisibility_predicts_zero(inst)
+
+
+def test_point_cliques_stays_near_linear():
+    # the coverage walk costs each sample the intervals covering it, so
+    # quadrupling n costs about 4x; a bitmask walk, O(n / word) per event,
+    # made it 9x here
+    def shaped(n):
+        rng = random.Random(n)
+        starts = [rng.randrange(4 * n) for _ in range(n)]
+        return make_instance([(a, a + rng.randrange(201)) for a in starts], 2)
+
+    small, big = shaped(2500), shaped(10000)
+    normalize(small), normalize(big)
+    seconds = steady_pair_seconds(lambda: point_cliques(small), lambda: point_cliques(big), reps=3)
+    assert seconds[1] < 6 * seconds[0], seconds

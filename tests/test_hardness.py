@@ -11,7 +11,6 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     InvariantViolation,
-    _masks,
     _point,
     make_instance,
     normalize,
@@ -436,9 +435,10 @@ def test_box_imbalance_matches_the_grid_reference():
                 box.append([str(x) for x in sorted((lo, hi))])
             bounds.append(box)
         inst = make_box_instance(bounds, k)
-        for dim, (samples, masks) in zip(inst.dims, reference_samples_and_masks(inst)):
+        reference = reference_samples_and_masks(inst)
+        assert list(inst.sample_masks) == [masks for _, masks in reference]
+        for dim, (samples, _) in zip(inst.dims, reference):
             norm = normalize(dim)
-            assert list(_masks(dim)) == masks
             assert [_point(norm, s) for s in range(len(samples))] == samples
         check(inst, random_coloring(rng, n, k))
     for formula in formula_corpus():

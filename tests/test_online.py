@@ -9,7 +9,6 @@ import pytest
 
 from intervalcolor.core import (
     Coloring,
-    Instance,
     InvariantViolation,
     imbalance,
     is_balanced,
@@ -24,13 +23,16 @@ from intervalcolor.online import (
     RoundRobin,
     SeededRandom,
     _Session,
-    _signed_count,
     adversary_general,
-    adversary_k2,
     make_algorithm,
     run_online,
 )
-from helpers import AlwaysColor, interval_contains, reference_adversary, steady_seconds
+from helpers import (
+    AlwaysColor,
+    reference_adversary,
+    region_counts,
+    steady_seconds,
+)
 
 
 class BadAlgorithm(OnlineAlgorithm):
@@ -97,20 +99,20 @@ def test_make_algorithm_names():
 
 
 def test_adversary_k2_always_plus_one():
-    tr = adversary_k2(AlwaysColor(1), 4)
-    assert tr.simb_r[-1] == 4
+    tr = adversary_general(AlwaysColor(1), 2, 4)
+    assert region_counts(tr)[1][-1] == 4
     assert tr.final_imbalance >= 4
 
 
 def test_adversary_k2_always_minus_one():
-    tr = adversary_k2(AlwaysColor(2), 3)
-    assert tr.simb_l[-1] == -3
+    tr = adversary_general(AlwaysColor(2), 2, 3)
+    assert region_counts(tr)[0][-1] == -3
     assert tr.final_imbalance >= 3
 
 
 def test_adversary_k2_round_arguments():
     with pytest.raises(ValueError):
-        adversary_k2(RoundRobin(), 0)
+        adversary_general(RoundRobin(), 2, 0)
     with pytest.raises(ValueError):
         adversary_general(RoundRobin(), 1, 5)
 
@@ -119,20 +121,21 @@ def test_adversary_k2_signed_accounting_per_round():
     # after each round: simb(R) = p and simb(L) = p - m, where p and m
     # count the color-1 and color-2 answers so far
     for name in ALGORITHM_NAMES:
-        tr = adversary_k2(make_algorithm(name, seed=3), 40)
+        tr = adversary_general(make_algorithm(name, seed=3), 2, 40)
+        simb_l, simb_r = region_counts(tr)
         p = m = 0
         for i, color in enumerate(tr.colors):
             if color == 1:
                 p += 1
             else:
                 m += 1
-            assert tr.simb_r[i] == p
-            assert tr.simb_l[i] == p - m
-            assert tr.trace[i] >= max(abs(tr.simb_r[i]), abs(tr.simb_l[i]))
+            assert simb_r[i] == p
+            assert simb_l[i] == p - m
+            assert tr.trace[i] >= max(abs(simb_r[i]), abs(simb_l[i]))
 
 
 def test_adversary_startpoints_strictly_increase():
-    tr = adversary_k2(make_algorithm("seeded_random", seed=5), 50)
+    tr = adversary_general(make_algorithm("seeded_random", seed=5), 2, 50)
     starts = [itv.lo for itv in tr.presented]
     assert all(a < b for a, b in zip(starts, starts[1:]))
     tr = adversary_general(AlwaysColor(3), 4, 5, repeat_budget=6)
@@ -145,14 +148,14 @@ def test_adversary_k2_rate_for_all_builtins():
         seeds = (1, 2, 3) if name == "seeded_random" else (None,)
         for seed in seeds:
             for t in (1, 2, 3, 10, 31, 60):
-                tr = adversary_k2(make_algorithm(name, seed=seed), t)
+                tr = adversary_general(make_algorithm(name, seed=seed), 2, t)
                 assert tr.final_imbalance >= math.ceil(t / 3), (name, seed, t)
 
 
 def test_adversary_transcripts_are_balanced_offline():
     # the gap is about online-ness, not about the instances themselves
     for name in ALGORITHM_NAMES:
-        tr = adversary_k2(make_algorithm(name, seed=9), 45)
+        tr = adversary_general(make_algorithm(name, seed=9), 2, 45)
         inst = tr.instance
         assert imbalance(inst, k_color(inst)).value <= 1
 
@@ -173,8 +176,15 @@ def test_adversary_general_stubborn_algorithm_stacks_copies():
     assert tr.final_imbalance >= 5
 
 
-def test_adversary_general_reduces_to_k2():
-    assert adversary_general(RoundRobin(), 2, 10) == adversary_k2(RoundRobin(), 10)
+def test_repeat_budget_changes_nothing_for_k2():
+    # two colors leave nothing to re-present, so the budget is 1 and the
+    # scale 2^(t + 3) whatever is passed
+    for name in ALGORITHM_NAMES:
+        tr = adversary_general(make_algorithm(name, seed=2), 2, 10)
+        assert tr.instance.scale == 1 << 13
+        for budget in (1, 2, 5, 10**6):
+            other = adversary_general(make_algorithm(name, seed=2), 2, 10, repeat_budget=budget)
+            assert other == tr and other.instance.scale == tr.instance.scale
 
 
 def test_adversary_general_rate_with_default_budget():
@@ -187,6 +197,7 @@ def test_adversary_general_rate_with_default_budget():
 
 def test_adversary_general_signed_accounting_with_storms():
     tr = adversary_general(make_algorithm("seeded_random", seed=12), 4, 25)
+    simb_l, simb_r = region_counts(tr)
     p = m = rounds = 0
     for color in tr.colors:
         if color > 2:
@@ -195,8 +206,8 @@ def test_adversary_general_signed_accounting_with_storms():
             p += 1
         else:
             m += 1
-        assert tr.simb_r[rounds] == p
-        assert tr.simb_l[rounds] == p - m
+        assert simb_r[rounds] == p
+        assert simb_l[rounds] == p - m
         rounds += 1
     assert rounds == 25
 
@@ -317,61 +328,17 @@ def test_adversary_trace_matches_prefix_oracle():
         assert tr.final_imbalance == tr.trace[-1]
 
 
-def region_midpoints(tr):
-    """(L midpoint, R midpoint, presentations so far) at each record,
-    replayed from the transcript's colors; a run that ends on an untracked
-    color broke off with the budget spent and records once more."""
-    L, R = (Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))
-    mid = lambda region: (region[0] + region[1]) / 2
-    out = []
-    for pos, color in enumerate(tr.colors):
-        if color <= 2:
-            R = (R[0], mid(R)) if color == 1 else (mid(R), R[1])
-            L = (mid(L), L[1])
-            out.append((mid(L), mid(R), pos + 1))
-    if tr.colors and tr.colors[-1] > 2:
-        out.append((mid(L), mid(R), len(tr.colors)))
-    return out
-
-
-def signed_count(intervals, colors, point):
-    """Color-1 minus color-2 intervals covering point, counted from scratch."""
-    return sum(
-        (color == 1) - (color == 2)
-        for itv, color in zip(intervals, colors)
-        if interval_contains(itv, point)
-    )
-
-
-def test_adversary_region_counts_match_scratch_counts():
+def test_region_counts_take_one_round_per_tracked_answer_or_break():
+    # consecutive rounds end at different right ends, so the runs of equal
+    # right end are the rounds: one per tracked answer, and one more when
+    # a round spends its budget on untracked colors and the run breaks off
     broke = 0
     for tr in adversary_runs():
-        points = region_midpoints(tr)
-        assert len(points) == len(tr.simb_l) == len(tr.simb_r)
-        for (mid_l, mid_r, n), simb_l, simb_r in zip(points, tr.simb_l, tr.simb_r):
-            prefix = tr.presented[:n], tr.colors[:n]
-            assert simb_l == signed_count(*prefix, mid_l)
-            assert simb_r == signed_count(*prefix, mid_r)
+        rounds = sum(color <= 2 for color in tr.colors) + (tr.colors[-1] > 2)
+        simb_l, simb_r = region_counts(tr)
+        assert len(simb_l) == len(simb_r) == rounds
         broke += tr.colors[-1] > 2
     assert broke >= 3  # the budget-exhausted break path ran
-
-
-def test_signed_count_matches_scratch_counts_at_every_point():
-    # points at, between and beyond the endpoint keys, left of the latest
-    # start too, after every arrival of random streams
-    rng = random.Random(65)
-    for _ in range(30):
-        inst = random_stream(rng, rng.randint(1, 30), 3)
-        session = _Session(SeededRandom(rng.randrange(100)), 3)
-        for lo, hi in zip(inst.lo, inst.hi):
-            session.present(lo, hi)
-            keyed = Instance(session.lo, session.hi, 1, 3).intervals
-            xs = sorted(set(session.lo + session.hi))
-            points = xs + [Fraction(a + b, 2) for a, b in zip(xs, xs[1:])] + [xs[-1] + 1]
-            for point in points:
-                assert _signed_count(session, point) == signed_count(
-                    keyed, session.colors, point
-                ), point
 
 
 def test_count_lists_stay_within_the_colors_in_use():
@@ -385,11 +352,13 @@ def test_count_lists_stay_within_the_colors_in_use():
 
 
 def test_break_path_probes_left_of_the_latest_start():
-    # the last record probes L's midpoint 1/2, left of the stacked copies'
-    # last start 47/64, where the counts kept per right end do not apply
+    # a round that spends its budget moves neither region: L's midpoint 1/2
+    # lies left of the stacked copies' last start 47/64, and none of them
+    # carries a tracked color
     tr = adversary_general(AlwaysColor(3), 3, 30, repeat_budget=5)
     assert tr.presented[-1].lo == Fraction(47, 64)
-    assert region_midpoints(tr) == [(Fraction(1, 2), Fraction(5, 2), 5)]
+    assert {itv.hi for itv in tr.presented} == {Fraction(5, 2)}
+    assert region_counts(tr) == ((0,), (0,))
 
 
 def test_greedy_rejects_decreasing_startpoints():
@@ -445,7 +414,7 @@ def test_adversary_matches_the_fraction_reference(k):
                 inst = tr.instance
                 assert tr.presented == ref.presented, (k, t, budget)
                 assert (tr.colors, tr.trace) == (ref.colors, ref.trace), (k, t, budget)
-                assert (tr.simb_l, tr.simb_r) == (ref.simb_l, ref.simb_r), (k, t, budget)
+                assert region_counts(tr) == (ref.simb_l, ref.simb_r), (k, t, budget)
                 assert all(type(x) is int for x in inst.lo + inst.hi)
                 assert inst.scale & (inst.scale - 1) == 0
 
@@ -472,7 +441,7 @@ def test_adversary_stops_at_the_presentation_limit():
 
 
 def test_benchmark_and_golden_runs_stay_under_the_limit():
-    assert len(adversary_k2(RoundRobin(), 240).colors) == 240
+    assert len(adversary_general(RoundRobin(), 2, 240).colors) == 240
     most = max(
         len(adversary_general(SeededRandom(seed), 4, 120).colors) for seed in range(20)
     )
