@@ -28,19 +28,18 @@ read once from the input, or Fractions with scale 1 when the scale would
 pass core._KEY_BITS.  unfold and the pieces compute on those keys and
 hand them to the Instance constructor.  The full-arc margin of unfold,
 half the smallest gap between distinct endpoint keys capped at a quarter
-of C minus the hull width, is an int once every key is multiplied by 4.  A Fraction is built
-only where a value leaves the module: an Arc, on request, or a witness.
+of C minus the hull width, is an int once every key is multiplied by 4.
+A Fraction is built only where a value leaves the module, as a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from intervalcolor.core import (
-    Coord,
+    MAX_ORACLE_N,
     CoordInput,
     Coloring,
     ImbalanceReport,
@@ -56,7 +55,6 @@ from intervalcolor.core import (
 from intervalcolor.k_color import k_color
 
 __all__ = [
-    "Arc",
     "ArcInstance",
     "make_arc_instance",
     "unfold",
@@ -66,19 +64,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Closed arc starting at `start` and extending `length` counterclockwise.
-
-    A length of at least the circumference means the arc covers the full
-    circle.  Built by ArcInstance.arcs; nothing takes an Arc as input.
-    """
-
-    id: int
-    start: Coord
-    length: Coord
-
-
 @dataclass(frozen=True, eq=False)
 class ArcInstance:
     """Closed arcs on a circle plus the number of colors k.
@@ -86,10 +71,10 @@ class ArcInstance:
     line holds arc i as interval i, [start, start + length], and turn is
     the circumference as a key at line.scale, as Instance keeps its
     endpoints; n, k and scale are the line's.  Every length must be
-    positive and every start must lie in [0, circumference).  The Arc
-    objects are built on first request; make_arc_instance reads an
-    instance from coordinates.  Equality compares coordinates, whatever
-    the scales.
+    positive, and a length of at least the circumference covers the full
+    circle; every start must lie in [0, circumference).
+    make_arc_instance reads an instance from coordinates.  Instances
+    compare by identity.
     """
 
     line: Instance
@@ -119,26 +104,6 @@ class ArcInstance:
     @property
     def scale(self) -> int:
         return self.line.scale
-
-    @property
-    def circumference(self) -> Coord:
-        return Fraction(self.turn, self.scale)
-
-    @cached_property
-    def arcs(self) -> Tuple[Arc, ...]:
-        s = self.scale
-        return tuple(
-            Arc(i, Fraction(a, s), Fraction(b - a, s))
-            for i, (a, b) in enumerate(zip(self.line.lo, self.line.hi))
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArcInstance):
-            return NotImplemented
-        return self.line == other.line and self.turn * other.scale == other.turn * self.scale
-
-    def __hash__(self) -> int:
-        return hash(self.line)
 
 
 def make_arc_instance(
@@ -278,19 +243,17 @@ def arc_color(instance: ArcInstance) -> Coloring:
     return k_color(unfold(instance))
 
 
-def min_arc_imbalance_oracle(
-    instance: ArcInstance, limit_n: int = 12
-) -> Tuple[int, Coloring]:
+def min_arc_imbalance_oracle(instance: ArcInstance) -> Tuple[int, Coloring]:
     """Exhaustive minimum spread over all arc colorings, desk scale only.
 
     Returns the minimum and its lexicographically smallest witness coloring.
     The cells of the search are the coverage sets of core's walk _covers on
     the arcs' pieces, mapped back to arc ids; the work can grow exponentially
-    in n, so instances beyond limit_n arcs are rejected.
+    in n, so instances beyond core.MAX_ORACLE_N arcs are rejected.
     """
     n, k = instance.n, instance.k
-    if n > limit_n:
-        raise ValueError(f"exhaustive search limited to {limit_n} arcs, got {n}")
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"exhaustive search limited to {MAX_ORACLE_N} arcs, got {n}")
     pieces, owners = _pieces(instance)
     cells = ([owners[i] for i in ids] for ids in _covers(pieces))
     value, colors = _search_colorings(n, k, cells, minimize=True)

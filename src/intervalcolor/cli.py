@@ -21,6 +21,7 @@ from .core import (
     Coloring,
     Instance,
     InvariantViolation,
+    divisibility_predicts_zero,
     imbalance,
     min_imbalance_oracle,
 )
@@ -109,6 +110,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     value, coloring = min_imbalance_oracle(instance)
+    measured = imbalance(instance, coloring).value
+    if measured != value:
+        raise InvariantViolation(
+            f"oracle minimum {value} comes with a coloring of imbalance {measured}"
+        )
+    # the paper's theorem: 0 when every depth is a multiple of k, else 1
+    expected = 0 if divisibility_predicts_zero(instance) else 1
+    if value != expected:
+        raise InvariantViolation(
+            f"oracle minimum {value}, but the depths' divisibility gives {expected}"
+        )
     _emit(json.dumps({"minimum": value, "colors": list(coloring.colors)}) + "\n")
     return 0
 
@@ -171,6 +183,7 @@ def cmd_decide_boxes(args: argparse.Namespace) -> int:
         _emit(json.dumps({"balanced": False}) + "\n")
         return 1
     value = box_imbalance(instance, coloring).value
+    _check_spread(value, 1)
     _emit(
         json.dumps(
             {"balanced": True, "colors": list(coloring.colors), "imbalance": value}

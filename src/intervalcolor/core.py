@@ -16,15 +16,14 @@ of one ranking, named by a sample index s: sample 2g is coords[g] and
 sample 2g + 1 the midpoint of coords[g] and coords[g + 1].  imbalance's
 sweep returns the index it peaks at; _covers, the one coverage walk,
 yields the ids covering each sample, and every exact search (the
-oracles, the deciders, point_cliques, the box masks, weighted_imbalance)
-reads its cells from it.  A coordinate becomes a Fraction again only
-where it leaves the library: _point turns a sample index into a witness
-or a clique's point, and an Interval, Arc or Box is built on first
-request.  All types are immutable values and safe to share between
-threads; the kept ranking and intervals are pure functions of the
-instance, so a race merely computes them twice.  imbalance, the check
-behind every result, costs O(1) per event whatever k is and allocates
-nothing in proportion to k.
+oracles, the deciders, the box masks, weighted_imbalance) reads its
+cells from it.  A coordinate becomes a Fraction again only where it
+leaves the library: _point turns a sample index into a witness, and an
+Interval or Box is built on first request.  All types are immutable
+values and safe to share between threads; the kept ranking and
+intervals are pure functions of the instance, so a race merely computes
+them twice.  imbalance, the check behind every result, costs O(1) per
+event whatever k is and allocates nothing in proportion to k.
 """
 
 from __future__ import annotations
@@ -50,9 +49,7 @@ __all__ = [
     "Coloring",
     "ImbalanceReport",
     "imbalance",
-    "is_balanced",
     "divisibility_predicts_zero",
-    "point_cliques",
     "min_imbalance_oracle",
 ]
 
@@ -62,6 +59,9 @@ CoordInput = Union[Fraction, int, str]
 # a scale wider than this ranks Fraction keys instead of int keys, so a
 # hostile spread of denominators cannot grow the keys without bound
 _KEY_BITS = 64
+
+# the exhaustive oracles refuse instances of more intervals or arcs
+MAX_ORACLE_N = 12
 
 _INT_OR_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
@@ -176,13 +176,6 @@ def _keys(nums: List[int], dens: List[int]) -> Tuple[list, int]:
     return [a * factor[d] for a, d in zip(nums, dens)], scale
 
 
-def _same_coords(xs: Sequence, s: int, ys: Sequence, t: int) -> bool:
-    """True iff keys xs at scale s and as many keys ys at scale t are equal coordinates."""
-    if s == t:
-        return xs == ys
-    return all(a * t == b * s for a, b in zip(xs, ys))
-
-
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi], built by Instance.intervals; nothing takes one as input."""
@@ -200,7 +193,7 @@ class Instance:
     columns, ints, or Fractions when scale is 1 (see _keys), and
     lo[i] > hi[i] is rejected.  make_instance reads an instance from
     coordinates; the Interval objects are built on first request.
-    Equality compares coordinates, whatever the scales.
+    Instances compare by identity.
     """
 
     lo: Tuple
@@ -233,18 +226,6 @@ class Instance:
             Interval(i, Fraction(a, s), Fraction(b, s))
             for i, (a, b) in enumerate(zip(self.lo, self.hi))
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        if self.k != other.k or self.n != other.n:
-            return False
-        return _same_coords(
-            self.lo + self.hi, self.scale, other.lo + other.hi, other.scale
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k))
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, k={self.k}, scale={self.scale})"
@@ -492,11 +473,6 @@ def _covers(instance: Instance) -> Iterator[Tuple[int, ...]]:
         yield tuple(live)
 
 
-def is_balanced(instance: Instance, coloring: Coloring) -> bool:
-    """True iff the coloring's imbalance is at most one everywhere."""
-    return imbalance(instance, coloring).value <= 1
-
-
 def divisibility_predicts_zero(instance: Instance) -> bool:
     """True iff every point's coverage depth is a multiple of k.
 
@@ -513,18 +489,6 @@ def divisibility_predicts_zero(instance: Instance) -> bool:
         if depth % k:
             return False
     return True
-
-
-def point_cliques(instance: Instance) -> Tuple[Tuple[Coord, frozenset], ...]:
-    """Every coverage set of the line, each with one witness point.
-
-    One entry per sample point of _covers, in order.  Materializes the
-    sets, so intended for desk-scale inputs only.
-    """
-    norm = normalize(instance)
-    return tuple(
-        (_point(norm, s), frozenset(ids)) for s, ids in enumerate(_covers(instance))
-    )
 
 
 def _search_colorings(
@@ -595,17 +559,15 @@ def _search_colorings(
     return best
 
 
-def min_imbalance_oracle(
-    instance: Instance, limit_n: int = 12
-) -> Tuple[int, Coloring]:
+def min_imbalance_oracle(instance: Instance) -> Tuple[int, Coloring]:
     """Exhaustive minimum imbalance with its lexicographically smallest coloring.
 
     The cells of the search are the coverage sets of _covers; the work can
-    grow exponentially in n, so instances beyond limit_n intervals are
+    grow exponentially in n, so instances beyond MAX_ORACLE_N intervals are
     rejected.
     """
     n = instance.n
-    if n > limit_n:
-        raise ValueError(f"oracle limited to n <= {limit_n} intervals, got {n}")
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"oracle limited to n <= {MAX_ORACLE_N} intervals, got {n}")
     value, colors = _search_colorings(n, instance.k, _covers(instance), minimize=True)
     return value, Coloring(colors, instance.k)

@@ -618,9 +618,11 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     raise InvariantViolation("no grid point attains the largest cell spread")
 
 
-def decide_balanced_boxes(
-    instance: BoxInstance, limit_n: int = 600
-) -> Optional[Coloring]:
+# The box decider's exhaustive search refuses more boxes than this.
+MAX_DECIDER_BOXES = 600
+
+
+def decide_balanced_boxes(instance: BoxInstance) -> Optional[Coloring]:
     """Search for a balanced k-coloring of the boxes, or return None.
 
     Exhaustive backtracking in box id order, colors ascending, so the
@@ -633,8 +635,8 @@ def decide_balanced_boxes(
     may still take exponential time.
     """
     n = instance.n
-    if n > limit_n:
-        raise ValueError(f"decider limited to n <= {limit_n} boxes, got {n}")
+    if n > MAX_DECIDER_BOXES:
+        raise ValueError(f"decider limited to n <= {MAX_DECIDER_BOXES} boxes, got {n}")
     if not n:  # nothing to color; the cells would still fold all d dimensions
         return Coloring((), instance.k)
     found = _search_colorings(n, instance.k, map(_mask_ids, instance.cells), minimize=False)
@@ -697,10 +699,12 @@ def reduce_nae_to_multiple_intervals(
     return instance, groups
 
 
+# The grouped-interval decider's brute force refuses more groups than this.
+MAX_GROUPS = 20
+
+
 def decide_grouped_intervals(
-    instance: Instance,
-    groups: Sequence[Sequence[int]],
-    limit_groups: int = 20,
+    instance: Instance, groups: Sequence[Sequence[int]]
 ) -> Optional[Coloring]:
     """Search for a balanced coloring constant on each group, or None.
 
@@ -713,10 +717,8 @@ def decide_grouped_intervals(
     flat = sorted(i for group in groups for i in group)
     if flat != list(range(instance.n)):
         raise ValueError("groups must partition the interval ids exactly")
-    if len(groups) > limit_groups:
-        raise ValueError(
-            f"brute force limited to {limit_groups} groups, got {len(groups)}"
-        )
+    if len(groups) > MAX_GROUPS:
+        raise ValueError(f"brute force limited to {MAX_GROUPS} groups, got {len(groups)}")
     group_of = [0] * instance.n
     for g, group in enumerate(groups):
         for i in group:

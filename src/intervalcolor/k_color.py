@@ -342,7 +342,7 @@ def _greedy_colors(order: Sequence[int], n: int) -> List[int]:
     return colors
 
 
-def k_color_dewerra(instance: Instance, return_passes: bool = False):
+def k_color_dewerra(instance: Instance) -> Coloring:
     """Balanced k-coloring by repeated pairwise rebalancing.
 
     Starts from the round-robin-by-id coloring.  Each pass finds the color
@@ -360,9 +360,6 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
     instances routinely exceed that figure.  The pass budget is therefore
     capped at k(k-1)/2 + k; exhausting the cap raises InvariantViolation
     rather than looping on.
-
-    With return_passes=True, returns (coloring, passes) instead of the
-    coloring alone.
     """
     k = instance.k
     if k < 2:
@@ -371,11 +368,10 @@ def k_color_dewerra(instance: Instance, return_passes: bool = False):
     colors = [(i % k) + 1 for i in range(instance.n)]
     limit = k * (k - 1) // 2 + k
 
-    for done in range(limit + 1):
+    for _ in range(limit + 1):
         value, pair = _worst_pair(instance, colors)
         if value <= 1:
-            coloring = Coloring(tuple(colors), k)
-            return (coloring, done) if return_passes else coloring
+            return Coloring(tuple(colors), k)
         i, j = pair
         # halve walks ids ascending, so half 0 holds the pair's lowest id;
         # the other intervals, class 1, land in halves 2 and 3 untouched

@@ -1,6 +1,7 @@
 """Shared random generators, references and timing utilities for the test suite."""
 
 import gc
+import importlib
 import json
 import random
 import time
@@ -136,6 +137,31 @@ def reference_imbalance(instance: Instance, coloring: Coloring):
     return best, witness
 
 
+def dewerra_with_passes(instance: Instance):
+    """(coloring, passes) of k_color_dewerra on the instance.
+
+    Each rebalancing pass halves the worst pair once, so the passes are
+    counted as the calls to halve in the k_color module, fetched by
+    import_module since the package attribute intervalcolor.k_color is the
+    function.
+    """
+    module = importlib.import_module("intervalcolor.k_color")
+    halve_once = module.halve
+    passes = 0
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return halve_once(*args)
+
+    module.halve = counted
+    try:
+        coloring = module.k_color_dewerra(instance)
+    finally:
+        module.halve = halve_once
+    return coloring, passes
+
+
 def reference_dewerra(instance: Instance):
     """(colors, passes) of k_color_dewerra with each pass 2-coloring the
     worst pair's intervals extracted, renumbered in id order and ranked by
@@ -163,6 +189,31 @@ def reference_dewerra(instance: Instance):
     raise InvariantViolation(f"rebalancing did not converge within {limit} passes")
 
 
+class Arc(NamedTuple):
+    """Closed arc from start, extending length counterclockwise, in Fractions.
+
+    A length of at least the circumference covers the full circle.
+    """
+
+    id: int
+    start: Fraction
+    length: Fraction
+
+
+def arcs_of(instance):
+    """The arcs of an ArcInstance as Arc tuples, a view read off its keys."""
+    s = instance.scale
+    return tuple(
+        Arc(i, Fraction(a, s), Fraction(b - a, s))
+        for i, (a, b) in enumerate(zip(instance.line.lo, instance.line.hi))
+    )
+
+
+def circumference_of(instance):
+    """The circumference of an ArcInstance as a Fraction."""
+    return Fraction(instance.turn, instance.scale)
+
+
 def arc_contains(arc, circumference, point):
     """Closed-arc membership of a circle point given by any real coordinate."""
     if arc.length >= circumference:
@@ -173,14 +224,14 @@ def arc_contains(arc, circumference, point):
 
 
 def reference_unfold(instance):
-    """unfold computed on the instance's Arc objects in Fractions.
+    """unfold computed on the instance's arcs in Fractions.
 
     The reference for unfold, which computes on keys: the same intervals,
     with the full-arc margin taken from the coordinates normalize ranks.
     """
-    C = instance.circumference
+    C = circumference_of(instance)
     bounds = []
-    for arc in instance.arcs:
+    for arc in arcs_of(instance):
         if arc.length >= C:
             bounds.append(None)
         elif arc.start + arc.length > C:
@@ -208,12 +259,12 @@ def reference_unfold(instance):
 
 
 def reference_pieces(instance):
-    """_pieces computed on the instance's Arc objects in Fractions."""
-    C = instance.circumference
+    """_pieces computed on the instance's arcs in Fractions."""
+    C = circumference_of(instance)
     zero = Fraction(0)
     bounds = []
     owners = []
-    for arc in instance.arcs:
+    for arc in arcs_of(instance):
         end = arc.start + arc.length
         if arc.length >= C:
             cut = ((zero, C),)
@@ -233,17 +284,14 @@ def brute_force_arc_cells(instance):
     each endpoint, the midpoint between consecutive endpoints and the
     midpoint of the gap across zero (just zero when every arc is full).
     """
-    C = instance.circumference
+    C, arcs = circumference_of(instance), arcs_of(instance)
     ends = sorted(
-        {p % C for arc in instance.arcs if arc.length < C
+        {p % C for arc in arcs if arc.length < C
          for p in (arc.start, arc.start + arc.length)}
     ) or [Fraction(0)]
     samples = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
     samples.append((ends[-1] + ends[0] + C) / 2 % C)
-    return [
-        [arc.id for arc in instance.arcs if arc_contains(arc, C, p)]
-        for p in samples
-    ]
+    return [[arc.id for arc in arcs if arc_contains(arc, C, p)] for p in samples]
 
 
 def cell_spread(cells, coloring):

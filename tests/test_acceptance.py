@@ -39,12 +39,12 @@ from intervalcolor.k_color import (
     edge_color,
     hypergraph_to_instance,
     k_color,
-    k_color_dewerra,
 )
 from intervalcolor.online import adversary_general, make_algorithm
 from intervalcolor.two_color import two_color
 from helpers import (
     assert_proper_edge_coloring,
+    dewerra_with_passes,
     formula_corpus,
     random_arc_instance,
     random_bipartite_multigraph,
@@ -111,7 +111,7 @@ def test_criterion_04_rebalancing_pass_bound():
         instance = random_instance(rng, n, k)
         budget = k * (k - 1) // 2
         try:
-            coloring, passes = k_color_dewerra(instance, return_passes=True)
+            coloring, passes = dewerra_with_passes(instance)
         except InvariantViolation:
             aborted.append((trial, k))
             continue

@@ -9,10 +9,8 @@ from itertools import product
 
 import pytest
 
-import intervalcolor.arcs
 from intervalcolor import core
 from intervalcolor.arcs import (
-    Arc,
     ArcInstance,
     _pieces,
     arc_color,
@@ -22,14 +20,17 @@ from intervalcolor.arcs import (
     unfold,
 )
 from intervalcolor.cli import main
-from intervalcolor.core import Coloring, Instance, imbalance, is_balanced, to_coord
+from intervalcolor.core import Coloring, Instance, imbalance, to_coord
 from intervalcolor.formats import parse_arc_json
 from intervalcolor.k_color import k_color
 
 from helpers import (
+    Arc,
     arc_contains,
+    arcs_of,
     brute_force_arc_spread,
     cell_spread,
+    circumference_of,
     interval_contains,
     random_arc_instance,
     random_coloring,
@@ -156,10 +157,10 @@ def _assert_matches_membership(inst, col):
     report = arc_imbalance(inst, col)
     assert report.value == brute_force_arc_spread(inst, col)
     if inst.n:
-        C = inst.circumference
+        C = circumference_of(inst)
         assert 0 <= report.witness < C
         at_witness = [
-            arc.id for arc in inst.arcs if arc_contains(arc, C, report.witness)
+            arc.id for arc in arcs_of(inst) if arc_contains(arc, C, report.witness)
         ]
         assert cell_spread([at_witness], col) == report.value
 
@@ -260,12 +261,12 @@ def test_unfold_preserves_membership():
         k = rng.randint(2, 4)
         inst = random_arc_instance(rng, rng.randint(1, 30), k, full_rate=0.0)
         line = unfold(inst)
-        C = inst.circumference
-        samples = {arc.start for arc in inst.arcs}
-        samples |= {(arc.start + arc.length) % C for arc in inst.arcs}
-        samples |= {(arc.start + arc.length / 2) % C for arc in inst.arcs}
+        C, arcs = circumference_of(inst), arcs_of(inst)
+        samples = {arc.start for arc in arcs}
+        samples |= {(arc.start + arc.length) % C for arc in arcs}
+        samples |= {(arc.start + arc.length / 2) % C for arc in arcs}
         for p in samples:
-            on_circle = {arc.id for arc in inst.arcs if arc_contains(arc, C, p)}
+            on_circle = {arc.id for arc in arcs if arc_contains(arc, C, p)}
             # p + C catches arcs ending exactly at the zero angle
             images = (p - C, p, p + C)
             on_line = {
@@ -298,13 +299,16 @@ def test_arc_instance_keys_and_equality_across_scales():
     line = halves.line
     assert (line.lo, line.hi, halves.turn, halves.scale) == ((1, 0), (3, 3), 4, 2)
     assert (halves.n, halves.k) == (2, 2)
-    assert quarters.scale == 4 and quarters == halves
-    assert halves.circumference == 2
-    again = make_arc_instance([(a.start, a.length) for a in halves.arcs], halves.circumference, 2)
+    assert (quarters.scale, quarters.k) == (4, 2) and arcs_of(quarters) == arcs_of(halves)
+    assert circumference_of(quarters) == circumference_of(halves) == 2
+    again = make_arc_instance(
+        [(a.start, a.length) for a in arcs_of(halves)], circumference_of(halves), 2
+    )
     assert (again.line.lo, again.line.hi, again.turn, again.scale) == (
         line.lo, line.hi, halves.turn, halves.scale,
     )
-    assert make_arc_instance([["1/2", 1], [0, "3/2"]], 3, 2) != halves
+    other = make_arc_instance([["1/2", 1], [0, "3/2"]], 3, 2)
+    assert arcs_of(other) == arcs_of(halves) and circumference_of(other) != circumference_of(halves)
     with pytest.raises(ValueError, match=r"arc 1 start 5/2 outside \[0, 2\)"):
         make_arc_instance([[0, 1], ["5/2", 1]], 2, 2)
     with pytest.raises(ValueError, match=r"arc length must be positive, got -1/2"):
@@ -366,10 +370,11 @@ def test_key_path_matches_the_fraction_reference(kind):
         elif kind != "tiny":
             assert all(type(x) is int for x in inst.line.lo + inst.line.hi)
         line, ref_line = unfold(inst), reference_unfold(inst)
-        assert line == ref_line and line.intervals == ref_line.intervals
+        assert line.k == ref_line.k and line.intervals == ref_line.intervals
         pieces, owners = _pieces(inst)
         ref_pieces, ref_owners = reference_pieces(inst)
-        assert (pieces, owners) == (ref_pieces, ref_owners)
+        assert pieces.k == ref_pieces.k and pieces.intervals == ref_pieces.intervals
+        assert owners == ref_owners
         coloring = arc_color(inst)
         assert coloring == k_color(ref_line)
         for col in (coloring, random_coloring(rng, inst.n, k)):
@@ -383,7 +388,7 @@ def test_key_path_matches_the_fraction_reference(kind):
 
 
 def test_arc_paths_build_no_arc_and_skip_to_coord(tmp_path, monkeypatch, capsys):
-    # the arc op reads integer keys; Arc objects are built only on request
+    # the arc op reads integer keys and builds no arc object
     def refuse(*args):
         raise AssertionError(f"called on {args!r}")
 
@@ -392,19 +397,17 @@ def test_arc_paths_build_no_arc_and_skip_to_coord(tmp_path, monkeypatch, capsys)
     path = tmp_path / "arcs.json"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(core, "to_coord", refuse)
-    monkeypatch.setattr(intervalcolor.arcs, "Arc", refuse)
     inst = parse_arc_json(text)
     assert arc_imbalance(inst, arc_color(inst)).value <= 2
     assert main(["arcs", "--input", str(path), "--k", "2"]) == 0
     assert main(["arcs", "--input", str(path)]) == 0
-    assert "arcs" not in vars(inst)
     monkeypatch.undo()
     capsys.readouterr()
     third, half = Fraction(1, 3), Fraction(1, 2)
-    assert inst.arcs == (
+    assert arcs_of(inst) == (
         Arc(0, Fraction(0), 3 * half),
         Arc(1, 15 * half, Fraction(2)),
         Arc(2, third, Fraction(9)),
         Arc(3, Fraction(4), 9 * half),
     )
-    assert inst.circumference == 17 * half
+    assert circumference_of(inst) == 17 * half

@@ -267,6 +267,23 @@ def test_oracle_rejects_large_instance(tmp_path, capsys):
     assert "oracle" in err
 
 
+def test_oracle_checks_the_minimum_it_prints(tmp_path, capsys, monkeypatch):
+    # three stacked intervals and k = 2: the minimum is 1, by divisibility
+    stacked = write(tmp_path, "stacked.json", '{"k": 2, "intervals": [[0, 1], [0, 1], [0, 1]]}')
+    code, out, _ = run(capsys, "oracle", "--input", stacked)
+    assert (code, json.loads(out)) == (0, {"minimum": 1, "colors": [1, 1, 2]})
+    # an oracle whose coloring does not attain its minimum is refused
+    monkeypatch.setattr(cli, "min_imbalance_oracle", lambda inst: (0, Coloring((1, 1, 1), 2)))
+    code, out, err = run(capsys, "oracle", "--input", stacked)
+    assert (code, out) == (3, "")
+    assert "oracle minimum 0 comes with a coloring of imbalance 3" in err
+    # and so is one whose minimum the divisibility theorem contradicts
+    monkeypatch.setattr(cli, "min_imbalance_oracle", lambda inst: (3, Coloring((1, 1, 1), 2)))
+    code, out, err = run(capsys, "oracle", "--input", stacked)
+    assert (code, out) == (3, "")
+    assert "oracle minimum 3, but the depths' divisibility gives 1" in err
+
+
 def test_arcs_three_pairwise(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -548,6 +565,18 @@ def test_decide_boxes_masks_each_dimension_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "decide-boxes", "--input", path)
     assert (code, json.loads(out)) == (0, {"balanced": True, "colors": [], "imbalance": 0})
     assert dims == []
+
+
+def test_decide_boxes_checks_the_coloring_it_prints(tmp_path, capsys, monkeypatch):
+    boxes = [{"id": i, "tag": "clause", "bounds": [[0, 1], [0, 1]]} for i in range(3)]
+    path = write(tmp_path, "three.json", json.dumps({"d": 2, "k": 2, "boxes": boxes}))
+    code, out, _ = run(capsys, "decide-boxes", "--input", path)
+    assert (code, json.loads(out)) == (0, {"balanced": True, "colors": [1, 1, 2], "imbalance": 1})
+    # a decider whose coloring is not balanced is refused
+    monkeypatch.setattr(cli, "decide_balanced_boxes", lambda inst: Coloring((1, 1, 1), 2))
+    code, out, err = run(capsys, "decide-boxes", "--input", path)
+    assert (code, out) == (3, "")
+    assert "coloring has imbalance 3, above the guaranteed 1" in err
 
 
 def test_decide_boxes_rejects_malformed(tmp_path, capsys):

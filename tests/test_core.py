@@ -15,13 +15,13 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     Interval,
+    _covers,
+    _point,
     divisibility_predicts_zero,
     imbalance,
-    is_balanced,
     make_instance,
     min_imbalance_oracle,
     normalize,
-    point_cliques,
     to_coord,
 )
 
@@ -90,7 +90,7 @@ def test_normalize_touching_endpoints_keep_their_clique():
     norm = normalize(inst)
     assert norm.order == (0, 1, ~0, ~1)  # at x = 1 the start ranks first
     # the region between ranks 2 and 3 carries both intervals, like x = 1
-    cliques = dict(point_cliques(inst))
+    cliques = {_point(norm, s): frozenset(ids) for s, ids in enumerate(_covers(inst))}
     assert cliques[Fraction(1)] == frozenset({0, 1})
 
 
@@ -205,8 +205,8 @@ def test_instance_keys_and_equality_across_scales():
     halves = make_instance([["1/2", 1], [0, "3/2"]], 2)
     quarters = make_instance([["2/4", 1], [0, "6/4"]], 2)
     assert (halves.lo, halves.hi, halves.scale) == ((1, 0), (2, 3), 2)
-    assert quarters.scale == 4 and quarters == halves
-    assert make_instance([["1/2", 1], [0, 2]], 2) != halves
+    assert quarters.scale == 4 and quarters.intervals == halves.intervals
+    assert make_instance([["1/2", 1], [0, 2]], 2).intervals != halves.intervals
     with pytest.raises(ValueError, match=r"interval 1: lo 3/2 > hi 1/2"):
         make_instance([[0, 1], ["3/2", "1/2"]], 2)
     with pytest.raises(ValueError, match=r"interval 0: lo 3/2 > hi 1/2"):
@@ -446,10 +446,10 @@ def test_imbalance_invariant_under_color_relabeling():
 
 
 def test_is_balanced_examples():
-    assert is_balanced(make_instance([], 5), Coloring((), 5))
+    assert imbalance(make_instance([], 5), Coloring((), 5)).value <= 1
     inst = make_instance([[0, 2], [1, 3]], 2)
-    assert not is_balanced(inst, Coloring((1, 1), 2))
-    assert is_balanced(inst, Coloring((1, 2), 2))
+    assert not imbalance(inst, Coloring((1, 1), 2)).value <= 1
+    assert imbalance(inst, Coloring((1, 2), 2)).value <= 1
 
 
 def test_divisibility_examples():
@@ -470,8 +470,11 @@ def test_normalize_is_clique_complete():
             else:
                 active.discard(~e)
             rank_cliques.add(frozenset(active))
-        for _, clique in point_cliques(inst):
-            assert clique in rank_cliques
+        norm = normalize(inst)
+        for s, ids in enumerate(_covers(inst)):
+            point = _point(norm, s)
+            assert {itv.id for itv in inst.intervals if itv.lo <= point <= itv.hi} == set(ids)
+            assert frozenset(ids) in rank_cliques
 
 
 def test_oracle_examples():
@@ -484,13 +487,14 @@ def test_oracle_examples():
     assert value == 1
 
 
-def test_oracle_empty_and_limit():
+def test_oracle_empty_and_limit(monkeypatch):
     value, col = min_imbalance_oracle(make_instance([], 3))
     assert value == 0 and col.colors == ()
     big = make_instance([[i, i + 1] for i in range(13)], 2)
     with pytest.raises(ValueError):
         min_imbalance_oracle(big)
-    min_imbalance_oracle(big, limit_n=13)
+    monkeypatch.setattr(core, "MAX_ORACLE_N", 13)
+    min_imbalance_oracle(big)
 
 
 def test_oracle_with_far_more_colors_than_intervals():
@@ -525,9 +529,9 @@ def test_oracle_value_is_zero_or_one_and_matches_divisibility():
 
 
 def test_point_cliques_stays_near_linear():
-    # the coverage walk costs each sample the intervals covering it, so
-    # quadrupling n costs about 4x; a bitmask walk, O(n / word) per event,
-    # made it 9x here
+    # the coverage walk, building each sample's set of covering intervals,
+    # costs each sample the intervals covering it, so quadrupling n costs
+    # about 4x; a bitmask walk, O(n / word) per event, made it 9x here
     def shaped(n):
         rng = random.Random(n)
         starts = [rng.randrange(4 * n) for _ in range(n)]
@@ -535,5 +539,8 @@ def test_point_cliques_stays_near_linear():
 
     small, big = shaped(2500), shaped(10000)
     normalize(small), normalize(big)
-    seconds = steady_pair_seconds(lambda: point_cliques(small), lambda: point_cliques(big), reps=3)
+    def cliques(inst):
+        return tuple(map(frozenset, _covers(inst)))
+
+    seconds = steady_pair_seconds(lambda: cliques(small), lambda: cliques(big), reps=3)
     assert seconds[1] < 6 * seconds[0], seconds

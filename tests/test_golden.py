@@ -30,7 +30,13 @@ from intervalcolor.formats import (
     parse_nae_text,
 )
 from intervalcolor.hardness import reduce_nae_to_boxes
-from helpers import format_instance_json, random_arc_instance, random_instance
+from helpers import (
+    arcs_of,
+    circumference_of,
+    format_instance_json,
+    random_arc_instance,
+    random_instance,
+)
 
 
 def interval_file(seed, n, k):
@@ -43,8 +49,8 @@ def arc_file(seed, n, k):
     inst = random_arc_instance(rng, n, k, circumference=200, full_rate=0.05)
     payload = {
         "k": inst.k,
-        "circumference": coord_json(inst.circumference),
-        "arcs": [[coord_json(arc.start), coord_json(arc.length)] for arc in inst.arcs],
+        "circumference": coord_json(circumference_of(inst)),
+        "arcs": [[coord_json(arc.start), coord_json(arc.length)] for arc in arcs_of(inst)],
     }
     return json.dumps(payload) + "\n"
 

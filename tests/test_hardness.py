@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from intervalcolor import hardness
 from intervalcolor.core import (
     Coloring,
     Instance,
@@ -341,13 +342,14 @@ ALL_TRIPLES_OF_FIVE = NaeFormula(5, tuple(combinations(range(1, 6), 3)))
     [(FANO, 2, 1879), (FANO, 3, 1880), (ALL_TRIPLES_OF_FIVE, 2, 3899)],
     ids=["fano-k2", "fano-k3", "all-triples-of-five-k2"],
 )
-def test_reduction_says_no_without_a_repeated_clause(formula, k, n):
+def test_reduction_says_no_without_a_repeated_clause(formula, k, n, monkeypatch):
     # neither formula repeats a variable inside a clause, so no single
     # (x, x, x) gadget decides them: every clause is satisfiable alone
     assert nae_brute_force(formula) == (False, None)
     inst = reduce_nae_to_boxes(formula, k)
     assert inst.n == n
-    assert decide_balanced_boxes(inst, limit_n=n) is None
+    monkeypatch.setattr(hardness, "MAX_DECIDER_BOXES", n)
+    assert decide_balanced_boxes(inst) is None
 
 
 def test_decider_is_deterministic():
@@ -355,11 +357,12 @@ def test_decider_is_deterministic():
     assert decide_balanced_boxes(inst) == decide_balanced_boxes(inst)
 
 
-def test_decider_empty_and_limit():
+def test_decider_empty_and_limit(monkeypatch):
     assert decide_balanced_boxes(make_box_instance([], 2)) == Coloring((), 2)
     inst = reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)]), 2)
+    monkeypatch.setattr(hardness, "MAX_DECIDER_BOXES", 10)
     with pytest.raises(ValueError):
-        decide_balanced_boxes(inst, limit_n=10)
+        decide_balanced_boxes(inst)
 
 
 def test_box_imbalance_basics():
@@ -527,9 +530,10 @@ def test_multiple_intervals_matches_brute_force():
         assert (decide_grouped_intervals(inst, groups) is not None) == sat
 
 
-def test_grouped_decider_validation():
+def test_grouped_decider_validation(monkeypatch):
     inst, groups = reduce_nae_to_multiple_intervals(NaeFormula(3, [(1, 2, 3)]))
     with pytest.raises(ValueError):
         decide_grouped_intervals(inst, groups[:-1])
+    monkeypatch.setattr(hardness, "MAX_GROUPS", 2)
     with pytest.raises(ValueError):
-        decide_grouped_intervals(inst, groups, limit_groups=2)
+        decide_grouped_intervals(inst, groups)

@@ -12,12 +12,11 @@ from intervalcolor.core import (
     Instance,
     InvariantViolation,
     divisibility_predicts_zero,
+    _covers,
     imbalance,
-    is_balanced,
     make_instance,
     min_imbalance_oracle,
     normalize,
-    point_cliques,
 )
 from intervalcolor.k_color import (
     EdgeGraph,
@@ -34,6 +33,7 @@ from helpers import (
     assert_proper_edge_coloring,
     assert_sweep_graph,
     brute_force_counts,
+    dewerra_with_passes,
     random_bipartite_multigraph,
     random_instance,
     reference_dewerra,
@@ -175,7 +175,7 @@ def test_k_color_random_instances_are_balanced():
     for _ in range(300):
         k = rng.randint(2, 16)
         inst = random_instance(rng, rng.randint(0, 120), k, collide=0.35)
-        assert is_balanced(inst, k_color(inst))
+        assert imbalance(inst, k_color(inst)).value <= 1
 
 
 def test_k_color_matches_oracle_and_two_color_value():
@@ -198,7 +198,7 @@ def test_k_color_at_or_above_depth_gives_each_point_distinct_colors():
         n = rng.randint(1, 30)
         inst = random_instance(rng, n, n, collide=0.4)
         colors = k_color(inst).colors
-        for _, clique in point_cliques(inst):
+        for clique in _covers(inst):
             assert len({colors[i] for i in clique}) == len(clique)
 
 
@@ -206,7 +206,7 @@ def test_k_color_huge_k_costs_nothing_in_k():
     inst = make_instance([[0, 2], [1, 3], [2, 4]], 99_999)
     started = time.perf_counter()
     coloring = k_color(inst)
-    assert is_balanced(inst, coloring)
+    assert imbalance(inst, coloring).value <= 1
     assert time.perf_counter() - started < 0.5
     assert coloring.colors == (1, 2, 3)
 
@@ -231,15 +231,15 @@ def test_k_color_edge_colors_only_the_odd_part(monkeypatch):
 
 def test_dewerra_balanced_on_worked_example():
     inst = make_instance([[0, 2], [1, 5], [4, 6]], 3)
-    coloring, passes = k_color_dewerra(inst, return_passes=True)
-    assert is_balanced(inst, coloring)
+    coloring, passes = dewerra_with_passes(inst)
+    assert imbalance(inst, coloring).value <= 1
     assert passes <= 3
 
 
 def test_dewerra_keeps_already_balanced_start():
     # round-robin start on disjoint intervals is balanced: no pass runs
     inst = make_instance([[0, 1], [2, 3], [4, 5]], 2)
-    coloring, passes = k_color_dewerra(inst, return_passes=True)
+    coloring, passes = dewerra_with_passes(inst)
     assert coloring.colors == (1, 2, 1)
     assert passes == 0
 
@@ -252,7 +252,7 @@ def test_dewerra_requires_k2():
 def test_dewerra_two_identical_intervals():
     # round-robin start (1, 2) splits the pair immediately: zero passes
     inst = make_instance([[0, 1], [0, 1]], 2)
-    coloring, passes = k_color_dewerra(inst, return_passes=True)
+    coloring, passes = dewerra_with_passes(inst)
     assert sorted(coloring.colors) == [1, 2]
     assert passes == 0
 
@@ -263,8 +263,8 @@ def test_dewerra_small_instances_meet_pass_bound():
     for _ in range(80):
         k = rng.choice((2, 3))
         inst = random_instance(rng, rng.randint(0, 9), k, collide=0.35)
-        coloring, passes = k_color_dewerra(inst, return_passes=True)
-        assert is_balanced(inst, coloring)
+        coloring, passes = dewerra_with_passes(inst)
+        assert imbalance(inst, coloring).value <= 1
         assert passes <= k * (k - 1) // 2
 
 
@@ -282,7 +282,7 @@ def test_dewerra_returns_are_balanced_or_abort_is_diagnosed():
             assert "did not converge" in str(err)
             outcomes["abort"] += 1
         else:
-            assert is_balanced(inst, col)
+            assert imbalance(inst, col).value <= 1
             outcomes["balanced"] += 1
     assert outcomes["balanced"] > 0
 
@@ -311,7 +311,7 @@ def test_dewerra_matches_the_extracting_reference():
             with pytest.raises(InvariantViolation, match=str(err)):
                 k_color_dewerra(inst)
             continue
-        coloring, passes = k_color_dewerra(inst, return_passes=True)
+        coloring, passes = dewerra_with_passes(inst)
         assert (list(coloring.colors), passes) == expected
     assert 0 < aborts < 150
 

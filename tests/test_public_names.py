@@ -1,0 +1,51 @@
+"""Every public name has a caller in the program, or a stated reason.
+
+A name in intervalcolor.__all__ that no module of the package reads is
+surface only the tests exercise.  The modules are parsed, not imported:
+a name counts as read where it appears as a Name or as an attribute,
+outside __init__.py, which only re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import intervalcolor
+
+PACKAGE = Path(intervalcolor.__file__).resolve().parent
+
+# public names no module reads, each with why it stays public
+NO_CALLER = {
+    "nae_brute_force": "the reference of criteria 8 and 10 for both NAE-3SAT reductions",
+    "min_arc_imbalance_oracle": "criterion 6's reference for arc_color",
+    "two_color": "criterion 1's reference colorer, and a layer the benchmark traces",
+    "reduce_partition_to_weighted": "criterion 10: Partition to weighted intervals",
+    "weighted_imbalance": "criterion 10: the weighted reduction's measure",
+    "reduce_nae_to_multiple_intervals": "criterion 10: NAE-3SAT to grouped intervals",
+    "decide_grouped_intervals": "criterion 10: the grouped reduction's decider",
+    "make_box_instance": "the box constructor from coordinates",
+}
+
+
+def names_read():
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_or_allowed():
+    read = names_read()
+    unread = sorted(set(intervalcolor.__all__) - read - set(NO_CALLER))
+    assert unread == [], "public names only tests read; delete them or give a reason"
+
+
+def test_the_allowlist_holds_only_public_names_without_a_caller():
+    read = names_read()
+    assert sorted(set(NO_CALLER) - set(intervalcolor.__all__)) == []
+    assert sorted(set(NO_CALLER) & read) == []
