@@ -12,7 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
+from functools import cache
+from itertools import compress
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Type
 
@@ -199,8 +202,23 @@ def cmd_hypergraph(args: argparse.Namespace) -> int:
     coloring = k_color(instance)
     value = imbalance(instance, coloring).value
     _check_spread(value, 1)
+    _check_spread(_column_spread(matrix, coloring), 1)
     _emit(format_coloring_json(coloring, value))
     return 0
+
+
+def _column_spread(matrix: Sequence[Sequence[int]], coloring: Coloring) -> int:
+    """Largest color spread over the matrix's columns, recounted from the
+    matrix itself rather than from the intervals derived from it."""
+    colors = coloring.colors
+    if len(colors) != len(matrix):
+        raise InvariantViolation(f"{len(colors)} colors for {len(matrix)} rows")
+    worst = 0
+    for column in zip(*matrix):
+        counts = Counter(compress(colors, column)).values()
+        low = min(counts) if len(counts) == coloring.k else 0  # absent colors count 0
+        worst = max(worst, max(counts, default=0) - low)
+    return worst
 
 
 _SVG_FILL = {
@@ -308,9 +326,6 @@ def _parser(
         p = sub.add_parser(name, help=text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        # looked up on each build, so a wrapper later put on the module
-        # attribute cmd_x is what runs
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -332,13 +347,19 @@ class _QuietParser(argparse.ArgumentParser):
         raise _GiveWay
 
 
+@cache
+def _quiet(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone, built once per process."""
+    return _parser([name], _QuietParser)
+
+
 def _parse(argv: List[str]) -> argparse.Namespace:
-    """Parse with only argv[0]'s subparser built, which is all a valid command
-    line needs.  Help and usage errors fall back to the full parser, so
-    what they print does not depend on which subcommands were built."""
+    """Parse with only argv[0]'s subparser, which is all a valid command line
+    needs.  Help and usage errors fall back to the full parser, so what
+    they print does not depend on which subcommands were built."""
     if argv and argv[0] in _COMMANDS:
         try:
-            return _parser(argv[:1], _QuietParser).parse_args(argv)
+            return _quiet(argv[0]).parse_args(argv)
         except _GiveWay:
             pass
     return build_parser().parse_args(argv)
@@ -349,8 +370,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # looked up on each call, so a wrapper later put on the module attribute
+    # cmd_x is what runs, however long the parser has been cached
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

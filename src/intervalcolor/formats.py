@@ -158,6 +158,9 @@ def parse_arc_json(text: str) -> ArcInstance:
 # --- 0/1 membership matrices ---
 
 
+_BITS = frozenset("01")
+
+
 def parse_hypergraph_text(text: str) -> Tuple[Tuple[int, ...], ...]:
     """Matrix from a "n m" header and n rows of m space-separated 0/1."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
@@ -173,9 +176,9 @@ def parse_hypergraph_text(text: str) -> Tuple[Tuple[int, ...], ...]:
         raise FormatError(f"hypergraph: header promises {n} rows, found {len(rows) - 1}")
     matrix = []
     for pos, row in enumerate(rows[1:]):
-        if len(row) != m or any(cell not in ("0", "1") for cell in row):
+        if len(row) != m or not _BITS.issuperset(row):
             raise FormatError(f"hypergraph: row {pos} must be {m} entries of 0 or 1")
-        matrix.append(tuple(int(cell) for cell in row))
+        matrix.append(tuple(map(int, row)))
     return tuple(matrix)
 
 

@@ -420,16 +420,16 @@ def hypergraph_to_instance(matrix: Sequence[Sequence[int]], k: int) -> Instance:
     for r, row in enumerate(matrix):
         if len(row) != width:
             raise ValueError(f"row {r} has {len(row)} entries, expected {width}")
-        ones = [c for c, entry in enumerate(row) if entry == 1]
-        if any(entry not in (0, 1) for entry in row):
+        ones = row.count(1)
+        if ones + row.count(0) != width:
             raise ValueError(f"row {r} contains entries other than 0 and 1")
         if not ones:
             spot = width + 1 + zero_rows
             zero_rows += 1
             bounds.append((spot, spot))
             continue
-        first, last = ones[0], ones[-1]
-        if last - first + 1 != len(ones):
+        first, last = row.index(1), width - 1 - row[::-1].index(1)
+        if last - first + 1 != ones:
             raise ValueError(
                 f"row {r}: ones are not consecutive in the given column order"
             )

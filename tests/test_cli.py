@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: files in, JSON and exit codes out."""
 
+import argparse
 import json
 import os
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from intervalcolor import cli, hardness
 from intervalcolor.cli import main
-from intervalcolor.core import Coloring, to_coord
+from intervalcolor.core import Coloring, make_instance, to_coord
 from intervalcolor.formats import coord_json, parse_box_instance_json
 from intervalcolor.hardness import MAX_BOX_DIMS, MAX_REDUCTION_K, box_imbalance
 from intervalcolor.online import MAX_PRESENTATIONS
@@ -607,6 +608,16 @@ def test_hypergraph_rejects_non_c1p(tmp_path, capsys):
     assert "consecutive" in err
 
 
+def test_hypergraph_checks_the_matrix_not_the_derived_intervals(tmp_path, capsys, monkeypatch):
+    # both rows hold column 1; a mapping that puts them on disjoint points
+    # lets one color take both, which the intervals alone cannot see
+    path = write(tmp_path, "mat.txt", "2 1\n1\n1\n")
+    monkeypatch.setattr(cli, "hypergraph_to_instance", lambda matrix, k: make_instance([(1, 1), (2, 2)], k))
+    code, out, err = run(capsys, "hypergraph", "--input", path, "--k", "2")
+    assert (code, out) == (3, "")
+    assert "coloring has imbalance 2, above the guaranteed 1" in err
+
+
 def test_outputs_byte_deterministic(tmp_path, capsys):
     inst = write(tmp_path, "two.json", TWO)
     first = run(capsys, "color", "--input", inst)
@@ -638,13 +649,37 @@ def test_one_subparser_parses_as_the_full_parser(name):
 
 
 def test_commands_run_through_the_module_attribute(tmp_path, capsys, monkeypatch):
-    # a wrapper put on cli.cmd_color after import, as a tracer does, must run
+    # a wrapper put on cli.cmd_color after import, as a tracer does, must
+    # run, also once the color parser is built and cached
+    path = write(tmp_path, "two.json", TWO)
+    assert run(capsys, "color", "--input", path)[0] == 0
     seen = []
     real = cli.cmd_color
     monkeypatch.setattr(cli, "cmd_color", lambda args: seen.append(args.input) or real(args))
-    path = write(tmp_path, "two.json", TWO)
     assert run(capsys, "color", "--input", path)[0] == 0
     assert seen == [path]
+
+
+def test_a_process_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._quiet.cache_clear()  # as in a fresh process
+    path = write(tmp_path, "two.json", TWO)
+    # the first valid command builds the top parser and its one subparser,
+    # as a one-shot run does; the same command again builds nothing
+    assert run(capsys, "color", "--input", path)[0] == 0
+    assert built == ["_QuietParser"] * 2
+    assert run(capsys, "color", "--input", path)[0] == 0
+    assert built == ["_QuietParser"] * 2
+    # another subcommand builds its own pair
+    assert run(capsys, "oracle", "--input", path)[0] == 0
+    assert built == ["_QuietParser"] * 4
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -104,6 +104,22 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch):
     assert captured(lambda _: cli.main(None), None) == captured(full_parser, ["reduce", "-h"])
 
 
+def test_warm_parsers_still_give_way_to_the_full_parser(tmp_path, monkeypatch):
+    # a long-lived process: every subcommand's parser is built and has
+    # parsed once (each command then fails to read the missing file "f")
+    monkeypatch.chdir(tmp_path)
+    for name, (ok, _, _) in COMMANDS.items():
+        assert captured(cli.main, [name, *ok])[0] == 2
+    results = [captured(cli.main, list(argv)) for _, argv in CASES]
+    assert results == [captured(full_parser, argv) for _, argv in CASES]
+    pinned = PINNED.get(platform.python_version())
+    if pinned is not None:
+        assert digest(results) == pinned
+    # and a valid command still runs after help and usage errors
+    (tmp_path / "f").write_text('{"k": 2, "intervals": [[0, 1]]}', encoding="utf-8")
+    assert captured(cli.main, ["color", "--input", "f"]) == (0, '{"colors": [1], "imbalance": 1}\n', "")
+
+
 def test_full_parser_bytes_are_pinned():
     pinned = PINNED.get(platform.python_version())
     if pinned is None:  # another interpreter words argparse's messages its own way
