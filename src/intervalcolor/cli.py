@@ -5,6 +5,10 @@ codes: 0 success or balanced, 1 semantically negative answer (imbalance
 above 1, no balanced box coloring), 2 bad input, 3 a broken internal
 guarantee.  Results go to standard output, diagnostics to standard
 error, and identical inputs and seeds give identical bytes.
+
+Each cmd_x returns its exit code and its standard output once its checks
+have passed, and only main writes that output, so a command that raises
+leaves standard output empty.
 """
 
 from __future__ import annotations
@@ -73,10 +77,6 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     return instance
 
 
-def _emit(payload: str) -> None:
-    sys.stdout.write(payload)
-
-
 def _check_spread(value: int, bound: int) -> None:
     """Refuse to print a coloring whose measured imbalance breaks its guarantee."""
     if value > bound:
@@ -85,7 +85,7 @@ def _check_spread(value: int, bound: int) -> None:
         )
 
 
-def cmd_color(args: argparse.Namespace) -> int:
+def cmd_color(args: argparse.Namespace) -> Tuple[int, str]:
     instance = _load_instance(args)
     if args.algorithm == "dewerra":
         coloring = k_color_dewerra(instance)
@@ -93,24 +93,19 @@ def cmd_color(args: argparse.Namespace) -> int:
         coloring = k_color(instance)
     value = imbalance(instance, coloring).value
     _check_spread(value, 1)
-    _emit(format_coloring_json(coloring, value))
-    return 0
+    return 0, format_coloring_json(coloring, value)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Tuple[int, str]:
     instance = _load_instance(args)
     colors = parse_coloring_json(_read_text(args.coloring))
-    if len(colors) != instance.n:
-        raise FormatError(
-            f"coloring has {len(colors)} colors for {instance.n} intervals"
-        )
     report = imbalance(instance, Coloring(colors, instance.k))
     witness = None if report.witness is None else coord_json(report.witness)
-    _emit(json.dumps({"imbalance": report.value, "witness": witness}) + "\n")
-    return 0 if report.value <= 1 else 1
+    text = json.dumps({"imbalance": report.value, "witness": witness}) + "\n"
+    return (0 if report.value <= 1 else 1), text
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> Tuple[int, str]:
     instance = _load_instance(args)
     value, coloring = min_imbalance_oracle(instance)
     measured = imbalance(instance, coloring).value
@@ -124,27 +119,24 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise InvariantViolation(
             f"oracle minimum {value}, but the depths' divisibility gives {expected}"
         )
-    _emit(json.dumps({"minimum": value, "colors": list(coloring.colors)}) + "\n")
-    return 0
+    return 0, json.dumps({"minimum": value, "colors": list(coloring.colors)}) + "\n"
 
 
-def cmd_arcs(args: argparse.Namespace) -> int:
+def cmd_arcs(args: argparse.Namespace) -> Tuple[int, str]:
     instance = parse_arc_json(_read_text(args.input))
     if args.k is not None and args.k != instance.k:
         instance = replace(instance, line=replace(instance.line, k=args.k))
     coloring = arc_color(instance)
     value = arc_imbalance(instance, coloring).value
     _check_spread(value, 2)
-    _emit(format_coloring_json(coloring, value))
-    return 0
+    return 0, format_coloring_json(coloring, value)
 
 
-def cmd_online(args: argparse.Namespace) -> int:
+def cmd_online(args: argparse.Namespace) -> Tuple[int, str]:
     name = _ALGORITHM_ALIASES.get(args.algorithm, args.algorithm)
     alg = make_algorithm(name, seed=args.seed)
     if args.adversary:
         transcript = adversary_general(alg, args.k, args.rounds)
-        _emit(format_transcript_jsonl(transcript.instance, transcript.colors, transcript.trace))
         final = transcript.final_imbalance
         summary = {"final_imbalance": final, "rounds": args.rounds}
         if args.k == 2:
@@ -155,8 +147,10 @@ def cmd_online(args: argparse.Namespace) -> int:
                     f"adversary certified imbalance {final}, below the"
                     f" guaranteed {bound}"
                 )
-        _emit(json.dumps(summary) + "\n")
-        return 0
+        records = format_transcript_jsonl(
+            transcript.instance, transcript.colors, transcript.trace
+        )
+        return 0, records + json.dumps(summary) + "\n"
     if args.input is None:
         raise FormatError("online without --adversary needs --input STREAM")
     if args.rounds < 0:
@@ -166,45 +160,36 @@ def cmd_online(args: argparse.Namespace) -> int:
         instance.lo[: args.rounds], instance.hi[: args.rounds], instance.scale, instance.k
     )
     coloring, trace = run_online(alg, stream)
-    _emit(format_transcript_jsonl(stream, coloring.colors, trace))
-    return 0
+    return 0, format_transcript_jsonl(stream, coloring.colors, trace)
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> Tuple[int, str]:
     formula = parse_nae_text(_read_text(args.input))
     instance = reduce_nae_to_boxes(formula, args.k)
-    _emit(format_box_instance_json(instance))
     if args.svg is not None:
         Path(args.svg).write_text(_svg_dump(instance), encoding="utf-8")
-    return 0
+    return 0, format_box_instance_json(instance)
 
 
-def cmd_decide_boxes(args: argparse.Namespace) -> int:
+def cmd_decide_boxes(args: argparse.Namespace) -> Tuple[int, str]:
     instance = parse_box_instance_json(_read_text(args.input))
     coloring = decide_balanced_boxes(instance)
     if coloring is None:
-        _emit(json.dumps({"balanced": False}) + "\n")
-        return 1
+        return 1, json.dumps({"balanced": False}) + "\n"
     value = box_imbalance(instance, coloring).value
     _check_spread(value, 1)
-    _emit(
-        json.dumps(
-            {"balanced": True, "colors": list(coloring.colors), "imbalance": value}
-        )
-        + "\n"
-    )
-    return 0
+    answer = {"balanced": True, "colors": list(coloring.colors), "imbalance": value}
+    return 0, json.dumps(answer) + "\n"
 
 
-def cmd_hypergraph(args: argparse.Namespace) -> int:
+def cmd_hypergraph(args: argparse.Namespace) -> Tuple[int, str]:
     matrix = parse_hypergraph_text(_read_text(args.input))
     instance = hypergraph_to_instance(matrix, args.k)
     coloring = k_color(instance)
     value = imbalance(instance, coloring).value
     _check_spread(value, 1)
     _check_spread(_column_spread(matrix, coloring), 1)
-    _emit(format_coloring_json(coloring, value))
-    return 0
+    return 0, format_coloring_json(coloring, value)
 
 
 def _column_spread(matrix: Sequence[Sequence[int]], coloring: Coloring) -> int:
@@ -374,10 +359,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # cmd_x is what runs, however long the parser has been cached
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code, text = command(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (FormatError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return code

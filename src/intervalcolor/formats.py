@@ -52,6 +52,8 @@ def _loads(text: str, what: str) -> Any:
         )
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{what}: JSON nested too deeply") from None
 
 
 def _require_int(data: Dict[str, Any], key: str, what: str) -> int:
@@ -69,6 +71,24 @@ def _require_pairs(data: Dict[str, Any], key: str, what: str) -> List[Any]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f'{what}: "{key}"[{pos}] must be a two-element list')
     return entries
+
+
+def _counted_rows(text: str, what: str, header: str, noun: str) -> Tuple[int, List[List[str]]]:
+    """Read a two-integer header whose first integer counts the rows after
+    it; return the second integer and the rows split on whitespace,
+    blank lines ignored."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise FormatError(f"{what}: empty file, expected a '{header}' header")
+    if len(rows[0]) != 2:
+        raise FormatError(f"{what}: header must be '{header}'")
+    try:
+        n, second = int(rows[0][0]), int(rows[0][1])
+    except ValueError:
+        raise FormatError(f"{what}: header must hold two integers") from None
+    if len(rows) - 1 != n:
+        raise FormatError(f"{what}: header promises {n} {noun}, found {len(rows) - 1}")
+    return second, rows[1:]
 
 
 # --- interval instances ---
@@ -97,22 +117,12 @@ def parse_instance_text(text: str) -> Instance:
     Blank lines are ignored; endpoint tokens follow the same grammar as
     the JSON form's strings.
     """
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise FormatError("instance: empty file, expected a 'n k' header")
-    if len(rows[0]) != 2:
-        raise FormatError("instance: header must be 'n k'")
-    try:
-        n, k = int(rows[0][0]), int(rows[0][1])
-    except ValueError:
-        raise FormatError("instance: header must hold two integers") from None
-    if len(rows) - 1 != n:
-        raise FormatError(f"instance: header promises {n} intervals, found {len(rows) - 1}")
-    for pos, row in enumerate(rows[1:]):
+    k, rows = _counted_rows(text, "instance", "n k", "intervals")
+    for pos, row in enumerate(rows):
         if len(row) != 2:
             raise FormatError(f"instance: interval line {pos} must be 'lo hi'")
     try:
-        return make_instance(rows[1:], k)
+        return make_instance(rows, k)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"instance: {exc}") from None
 
@@ -163,19 +173,9 @@ _BITS = frozenset("01")
 
 def parse_hypergraph_text(text: str) -> Tuple[Tuple[int, ...], ...]:
     """Matrix from a "n m" header and n rows of m space-separated 0/1."""
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise FormatError("hypergraph: empty file, expected a 'n m' header")
-    if len(rows[0]) != 2:
-        raise FormatError("hypergraph: header must be 'n m'")
-    try:
-        n, m = int(rows[0][0]), int(rows[0][1])
-    except ValueError:
-        raise FormatError("hypergraph: header must hold two integers") from None
-    if len(rows) - 1 != n:
-        raise FormatError(f"hypergraph: header promises {n} rows, found {len(rows) - 1}")
+    m, rows = _counted_rows(text, "hypergraph", "n m", "rows")
     matrix = []
-    for pos, row in enumerate(rows[1:]):
+    for pos, row in enumerate(rows):
         if len(row) != m or not _BITS.issuperset(row):
             raise FormatError(f"hypergraph: row {pos} must be {m} entries of 0 or 1")
         matrix.append(tuple(map(int, row)))

@@ -275,9 +275,14 @@ _SLOT_RECT = ("left", "right", "tall")
 _SLOT_COL = (0, 2, 1)
 _SLOT_DIP = (1, 1, 4)
 
-# Largest k reduce_nae_to_boxes accepts: every color past two adds a
-# cover box, so k alone sets the size of the output.
+# Largest k, variable count and clause count reduce_nae_to_boxes
+# accepts: every color past two adds a cover box, every variable a box,
+# and the crossings 33 to 45 boxes per squared clause.  The largest
+# accepted formula gives about 163k boxes and 18 MB of JSON, in about
+# 2 s through the command line.
 MAX_REDUCTION_K = 10_000
+MAX_REDUCTION_VARS = 1000
+MAX_REDUCTION_CLAUSES = 60
 
 
 def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
@@ -304,11 +309,22 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
 
     The rectangles are audited before they become boxes: every pair must
     intersect exactly when the construction plan says it should,
-    otherwise InvariantViolation is raised.  k is limited to
-    MAX_REDUCTION_K.
+    otherwise InvariantViolation is raised.  k, the variable count and
+    the clause count are limited to MAX_REDUCTION_K, MAX_REDUCTION_VARS
+    and MAX_REDUCTION_CLAUSES.
     """
     if not 2 <= k <= MAX_REDUCTION_K:
         raise ValueError(f"reduction needs 2 <= k <= {MAX_REDUCTION_K}, got {k}")
+    if formula.num_vars > MAX_REDUCTION_VARS:
+        raise ValueError(
+            f"reduction takes at most MAX_REDUCTION_VARS = {MAX_REDUCTION_VARS}"
+            f" variables, got {formula.num_vars}"
+        )
+    if len(formula.clauses) > MAX_REDUCTION_CLAUSES:
+        raise ValueError(
+            f"reduction takes at most MAX_REDUCTION_CLAUSES = {MAX_REDUCTION_CLAUSES}"
+            f" clauses, got {len(formula.clauses)}"
+        )
     if d < 2:
         raise ValueError(f"reduction needs d >= 2, got {d}")
     m = len(formula.clauses)
@@ -430,31 +446,17 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
         # Top vertical run, from the variable row down to the track.
         vertical_run(xq0, xq1, t, top_end, top_tracks[c])
 
-        # Horizontal run along the track, traversed variable side first.
-        cols = h_cols[c]
-        if not cols:
-            chain_add(xb0, xq1, t, t + 1, "chain")
-        else:
-            chain_add(_COL_PITCH * cols[-1] + 2, xq1, t, t + 1, "chain")
-            for idx in range(len(cols) - 1, -1, -1):
-                j = cols[idx]
-                vc = vert_of_col[j]
-                g = registry.setdefault((vc, c), {})
-                g["right"] = chain_add(
-                    _COL_PITCH * j - 1, _COL_PITCH * j + 3, t, t + 1,
-                    "crossing", "cross-right",
-                )
-                g["left"] = chain_add(
-                    _COL_PITCH * j - 3, _COL_PITCH * j + 1, t, t + 1,
-                    "crossing", "cross-left",
-                )
-                if idx > 0:
-                    chain_add(
-                        _COL_PITCH * cols[idx - 1] + 2, _COL_PITCH * j - 2,
-                        t, t + 1, "chain",
-                    )
-                else:
-                    chain_add(xb0, _COL_PITCH * j - 2, t, t + 1, "chain")
+        # Horizontal run along the track, traversed variable side first:
+        # a plain link up to each crossed column, then its two gadget boxes.
+        right = xq1
+        for j in reversed(h_cols[c]):
+            x = _COL_PITCH * j
+            chain_add(x + 2, right, t, t + 1, "chain")
+            g = registry.setdefault((vert_of_col[j], c), {})
+            g["right"] = chain_add(x - 1, x + 3, t, t + 1, "crossing", "cross-right")
+            g["left"] = chain_add(x - 3, x + 1, t, t + 1, "crossing", "cross-left")
+            right = x - 2
+        chain_add(xb0, right, t, t + 1, "chain")
 
         # Bottom vertical run, from the track down into the clause rect.
         vertical_run(xb0, xb1, dip[c], t + 1, bot_tracks[c])

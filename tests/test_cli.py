@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: files in, JSON and exit codes out."""
 
 import argparse
+import ast
 import json
 import os
 import random
@@ -17,7 +18,13 @@ from intervalcolor import cli, hardness
 from intervalcolor.cli import main
 from intervalcolor.core import Coloring, make_instance, to_coord
 from intervalcolor.formats import coord_json, parse_box_instance_json
-from intervalcolor.hardness import MAX_BOX_DIMS, MAX_REDUCTION_K, box_imbalance
+from intervalcolor.hardness import (
+    MAX_BOX_DIMS,
+    MAX_REDUCTION_CLAUSES,
+    MAX_REDUCTION_K,
+    MAX_REDUCTION_VARS,
+    box_imbalance,
+)
 from intervalcolor.online import MAX_PRESENTATIONS
 from test_cli_bytes import COMMANDS
 from helpers import (
@@ -97,6 +104,24 @@ def test_duplicate_json_keys_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--input", inst, "--coloring", coloring)
     assert (code, out) == (2, "")
     assert "duplicate key" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # past the interpreter's recursion limit, json raises RecursionError
+    deep = write(tmp_path, "deep.json", "[" * 100_000)
+    inst = write(tmp_path, "two.json", TWO)
+    for argv in (
+        ["color", "--input", deep],
+        ["verify", "--input", deep, "--coloring", deep],
+        ["verify", "--input", inst, "--coloring", deep],
+        ["oracle", "--input", deep],
+        ["arcs", "--input", deep],
+        ["online", "--algorithm", "greedy", "--k", "2", "--rounds", "3", "--input", deep],
+        ["decide-boxes", "--input", deep],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "nested too deeply" in err, argv
 
 
 def test_guarantee_breach_exits_3(tmp_path, monkeypatch, capsys):
@@ -324,6 +349,18 @@ def test_online_adversary_three_colors(capsys):
     assert json.loads(out.splitlines()[-1])["final_imbalance"] >= 3
 
 
+def test_online_adversary_below_its_bound_prints_nothing(capsys, monkeypatch):
+    # an adversary that stops after one round cannot certify ceil(9/3)
+    real = cli.adversary_general
+    monkeypatch.setattr(cli, "adversary_general", lambda alg, k, rounds: real(alg, k, 1))
+    code, out, err = run(
+        capsys,
+        "online", "--algorithm", "round_robin", "--k", "2", "--rounds", "9", "--adversary",
+    )
+    assert (code, out) == (3, "")
+    assert "below the guaranteed 3" in err
+
+
 def test_online_unknown_algorithm(capsys):
     code, out, err = run(
         capsys,
@@ -484,6 +521,14 @@ def test_reduce_svg_is_well_formed(tmp_path, capsys):
     assert len(root) == len(json.loads(out)["boxes"])
 
 
+def test_reduce_svg_to_an_unwritable_path_prints_nothing(tmp_path, capsys):
+    nae = write(tmp_path, "sat.nae", "p nae 3 1\n1 2 3\n")
+    svg = tmp_path / "missing" / "boxes.svg"
+    code, out, err = run(capsys, "reduce", "nae3sat", "--input", nae, "--svg", str(svg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_reduce_rejects_bad_header(tmp_path, capsys):
     nae = write(tmp_path, "bad.nae", "p cnf 3 1\n1 2 3\n")
     code, _, err = run(capsys, "reduce", "nae3sat", "--input", nae)
@@ -504,6 +549,20 @@ def test_reduce_k_limit(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["k"] == MAX_REDUCTION_K
     assert elapsed < 2, elapsed
+
+
+def test_reduce_formula_limits(tmp_path, capsys):
+    over = MAX_REDUCTION_CLAUSES + 1
+    for text, limit in (
+        ("p nae 1000000000 0\n", f"MAX_REDUCTION_VARS = {MAX_REDUCTION_VARS}"),
+        (f"p nae 3 {over}\n" + "1 2 3\n" * over, f"MAX_REDUCTION_CLAUSES = {over - 1}"),
+    ):
+        nae = write(tmp_path, "big.nae", text)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "nae3sat", "--input", nae)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert limit in err
 
 
 def test_empty_box_file_shares_one_dimension():
@@ -680,6 +739,28 @@ def test_a_process_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypa
     # another subcommand builds its own pair
     assert run(capsys, "oracle", "--input", path)[0] == 0
     assert built == ["_QuietParser"] * 4
+
+
+def stdout_writes(tree):
+    """The nodes of tree that name stdout or print without a file."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "stdout"
+        or isinstance(node, ast.Name) and node.id == "stdout"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "print" and not any(kw.arg == "file" for kw in node.keywords)
+    ]
+
+
+def test_only_main_writes_stdout():
+    # every command returns its output, checked, and main alone prints it,
+    # so no command can print before one of its checks fails
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    [main_def] = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    ]
+    assert len(stdout_writes(main_def)) == 1
+    assert len(stdout_writes(tree)) == 1
 
 
 def test_missing_subcommand_exits_2(capsys):

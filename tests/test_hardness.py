@@ -169,6 +169,17 @@ def test_reduce_argument_errors():
         reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)]), 10_001)
 
 
+def test_reduce_formula_limits_are_inclusive(monkeypatch):
+    monkeypatch.setattr(hardness, "MAX_REDUCTION_CLAUSES", 2)
+    assert reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)] * 2), 2).n > 0
+    with pytest.raises(ValueError, match="MAX_REDUCTION_CLAUSES = 2 clauses, got 3"):
+        reduce_nae_to_boxes(NaeFormula(3, [(1, 2, 3)] * 3), 2)
+    most = hardness.MAX_REDUCTION_VARS
+    assert reduce_nae_to_boxes(NaeFormula(most, ()), 2).n == most
+    with pytest.raises(ValueError, match=f"MAX_REDUCTION_VARS = {most} variables, got {most + 1}"):
+        reduce_nae_to_boxes(NaeFormula(most + 1, ()), 2)
+
+
 def test_reduce_ten_clauses_in_bounded_time():
     # checking all pairs of these 3488 boxes took about 12 s on a 2-vCPU Xeon
     # under Python 3.11; the sweep takes milliseconds

@@ -2,8 +2,9 @@
 
 A name in intervalcolor.__all__ that no module of the package reads is
 surface only the tests exercise.  The modules are parsed, not imported:
-a name counts as read where it appears as a Name or as an attribute,
-outside __init__.py, which only re-exports.
+a name counts as read where it is loaded as a Name or appears as an
+attribute, outside __init__.py, which only re-exports.  A definition or
+an assignment target is not a read.
 """
 
 import ast
@@ -32,7 +33,7 @@ def names_read():
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
