@@ -8,13 +8,16 @@ denominators, so keys are ints, or the Fractions with scale 1 when the lcm
 would pass _KEY_BITS bits; the online adversary's power-of-two scale,
 bounded by MAX_PRESENTATIONS, passes 64 bits with int keys.  normalize() is
 the only place endpoints are ordered, on the line, the circle, boxes (an
-Instance per dimension) and weighted intervals: it ranks an instance's 2n
-endpoint events once by key, keeps the ranking on the instance, and every
-sweep (imbalance, the colorers, the coverage walk) walks that integer
-order, whatever the keys.  Exact measures sample the line at the points
-of one ranking, named by a sample index s: sample 2g is coords[g] and
-sample 2g + 1 the midpoint of coords[g] and coords[g + 1].  imbalance's
-sweep returns the index it peaks at; _covers, the one coverage walk,
+Instance per dimension) and weighted intervals: it sorts an instance's 2n
+signed event ids (i a start, ~i an end) once by key, marks in one pass
+over the ranks where each block of equal-coordinate starts or ends
+closes, keeps the ranking on the instance, and every sweep (imbalance,
+the colorers, the coverage walk) walks that integer order, whatever the
+keys.  Exact measures sample the line at the points of one ranking, named
+by a sample index s: sample 2g is coords[g] and sample 2g + 1 the
+midpoint of coords[g] and coords[g + 1].  imbalance's sweep walks the
+order once, measures at the ranks that close a block and returns the
+sample index it first peaks at; _covers, the one coverage walk,
 yields the ids covering each sample, and every exact search (the
 oracles, the deciders, the box masks, weighted_imbalance) reads its
 cells from it.  A coordinate becomes a Fraction again only where it
@@ -30,10 +33,13 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import lcm
+from operator import gt, xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -207,9 +213,10 @@ class Instance:
         lo, hi, s = self.lo, self.hi, self.scale
         if len(lo) != len(hi):
             raise ValueError(f"{len(lo)} lower keys for {len(hi)} upper keys")
-        for i, (a, b) in enumerate(zip(lo, hi)):
-            if a > b:
-                raise ValueError(f"interval {i}: lo {Fraction(a, s)} > hi {Fraction(b, s)}")
+        if any(map(gt, lo, hi)):  # only then find the first such interval
+            for i, (a, b) in enumerate(zip(lo, hi)):
+                if a > b:
+                    raise ValueError(f"interval {i}: lo {Fraction(a, s)} > hi {Fraction(b, s)}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         object.__setattr__(self, "lo", tuple(lo))
@@ -259,51 +266,72 @@ class NormalizedInstance:
     coords holds the distinct endpoint keys in ascending order, each the
     coordinate times scale (see Instance), and cuts the block boundaries
     of order: the starts at coords[g] are order[cuts[2g]:cuts[2g + 1]] and
-    the ends there are order[cuts[2g + 1]:cuts[2g + 2]].
+    the ends there are order[cuts[2g + 1]:cuts[2g + 2]].  flags[r] is 1
+    where a nonempty block ends at rank r and 0 elsewhere, so a sweep
+    walks order and flags side by side instead of slicing per block;
+    when not given, it is derived from cuts.
     """
 
     order: Tuple[int, ...]
     coords: Tuple
     cuts: Tuple[int, ...]
     scale: int = 1
+    flags: Optional[bytes] = None
+
+    def __post_init__(self) -> None:
+        if self.flags is None:  # a block ends at rank r iff r + 1 is a cut
+            ends = set(self.cuts)
+            flags = bytes(map(ends.__contains__, range(1, len(self.order) + 1)))
+            object.__setattr__(self, "flags", flags)
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
     """Rank the 2n endpoint events once; later calls reuse the ranking.
 
     This is the only place interval endpoints are sorted, and it sorts the
-    instance's keys: ints, exact and cheap to compare, unless the scale
-    was too wide and they are Fractions.  Event e < n is the start of
-    interval e and event n + i its end, so the stable sort leaves equal
-    keys with starts first, then ids ascending.
+    signed event ids by the instance's keys: ints, exact and cheap to
+    compare, unless the scale was too wide and they are Fractions.  With
+    keys = lo + reversed hi, keys[i] is the start key of interval i and
+    keys[~i] its end key, so the ids sort directly.  They enter the
+    stable sort as the starts 0..n-1, then the ends ~0..~(n-1), which
+    leaves equal keys with starts first, then ids ascending.  One pass
+    over the ranks then builds coords, cuts and flags.  No start can rank
+    after its own end: Instance rejects lo > hi and an equal key puts the
+    start first.
     """
     if instance._normalized is not None:
         return instance._normalized
     n = instance.n
-    keys = instance.lo + instance.hi
-    events = sorted(range(2 * n), key=keys.__getitem__)
+    keys = instance.lo + instance.hi[::-1]
+    order = sorted(chain(range(n), range(-1, -n - 1, -1)), key=keys.__getitem__)
     coords: List = []
-    cuts = [0]
-    started = bytearray(n)
+    cuts: List[int] = []
+    flags = bytearray(2 * n)
     previous = None
-    for pos, e in enumerate(events):
+    ending = True  # in an ends block; at the start, that of no coordinate
+    for rank, e in enumerate(order):
         key = keys[e]
         if key != previous:
-            coords.append(key)
             previous = key
-        if e < n:
-            started[e] = 1
-            block = 2 * len(coords) - 2
-        elif started[e - n]:
-            block = 2 * len(coords) - 1
-        else:
-            raise InvariantViolation(f"interval {e - n}: start rank not below end rank")
-        while len(cuts) <= block:
-            cuts.append(pos)
-    while len(cuts) <= 2 * len(coords):
+            coords.append(key)
+            flags[rank - 1] = 1  # at rank 0 this marks the last rank, which ends a block too
+            cuts.append(rank)
+            if not ending:  # the last coordinate had no ends
+                cuts.append(rank)
+            ending = e < 0
+            if ending:  # this one has no starts
+                cuts.append(rank)
+        elif e < 0 and not ending:
+            flags[rank - 1] = 1
+            cuts.append(rank)
+            ending = True
+    cuts.append(2 * n)
+    if not ending:
         cuts.append(2 * n)
-    order = tuple([e if e < n else n + ~e for e in events])
-    norm = NormalizedInstance(order, tuple(coords), tuple(cuts), instance.scale)
+    # the sort hands back the int objects made in id order; fresh ones,
+    # made in rank order, lie in memory as the walks over order read them
+    order = tuple(map(xor, order, repeat(0)))
+    norm = NormalizedInstance(order, tuple(coords), tuple(cuts), instance.scale, bytes(flags))
     object.__setattr__(instance, "_normalized", norm)
     return norm
 
@@ -319,9 +347,21 @@ class Coloring:
         object.__setattr__(self, "colors", tuple(self.colors))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        for pos, c in enumerate(self.colors):
-            if not 1 <= c <= self.k:
-                raise ValueError(f"color {c} at position {pos} outside 1..{self.k}")
+        colors = self.colors
+        # a coloring has few distinct colors: when they are plain ints, min
+        # and max judge them; the loop names the first bad color, and alone
+        # judges colors of any other type
+        try:
+            distinct = set(colors)
+        except TypeError:  # an unhashable color
+            distinct = {None}
+        if not (
+            {*map(type, distinct)} <= {int}
+            and (not distinct or 1 <= min(distinct) and max(distinct) <= self.k)
+        ):
+            for pos, c in enumerate(colors):
+                if not 1 <= c <= self.k:
+                    raise ValueError(f"color {c} at position {pos} outside 1..{self.k}")
 
 
 @dataclass(frozen=True)
@@ -380,7 +420,11 @@ def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]
     """imbalance's count-of-counts walk over the colors cols, one per interval.
 
     Returns the imbalance and the first sample index attaining it, or None
-    when it is 0.
+    when it is 0.  The walk visits order and flags side by side and
+    measures at the flagged ranks, the ends of the nonempty blocks.  An
+    empty block repeats the state of an earlier measured sample, so it is
+    never the first to attain the maximum; after the last block nothing
+    is left, which never attains it either.
     """
     n = instance.n
     if n and max(cols) > n:
@@ -391,15 +435,13 @@ def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]
     freq = [instance.k]  # freq[v]: colors whose count is v, for v <= top
     top = bottom = 0
     best = 0
-    at = None  # the first sample attaining best
+    at = None  # the event whose rank first attains best
 
     norm = normalize(instance)
-    order, cuts = norm.order, norm.cuts
-    last = len(norm.coords) - 1
-
-    for g in range(last + 1):
-        for i in order[cuts[2 * g] : cuts[2 * g + 1]]:
-            c = cols[i]
+    order = norm.order
+    for e, measured in zip(order, norm.flags):
+        if e >= 0:
+            c = cols[e]
             v = counts[c]
             counts[c] = v + 1
             freq[v] -= 1
@@ -410,30 +452,24 @@ def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]
                 freq[v + 1] += 1
             if v == bottom and not freq[v]:
                 bottom = v + 1
-        if top - bottom > best:
+        else:
+            c = cols[~e]
+            v = counts[c]
+            counts[c] = v - 1
+            freq[v - 1] += 1
+            if v == top and freq[v] == 1:
+                top = v - 1
+                freq.pop()
+            else:
+                freq[v] -= 1
+            if v == bottom:
+                bottom = v - 1
+        if measured and top - bottom > best:
             best = top - bottom
-            at = 2 * g
-        if g == last:
-            break
-        ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
-        if ends:
-            for e in ends:
-                c = cols[~e]
-                v = counts[c]
-                counts[c] = v - 1
-                freq[v - 1] += 1
-                if v == top and freq[v] == 1:
-                    top = v - 1
-                    freq.pop()
-                else:
-                    freq[v] -= 1
-                if v == bottom:
-                    bottom = v - 1
-            # something left, so the open region right of coords[g] can differ
-            if top - bottom > best:
-                best = top - bottom
-                at = 2 * g + 1
-    return best, at
+            at = e
+    if at is None:
+        return 0, None
+    return best, bisect_right(norm.cuts, order.index(at)) - 1
 
 
 def _point(norm: NormalizedInstance, s: int) -> Coord:
@@ -481,12 +517,11 @@ def divisibility_predicts_zero(instance: Instance) -> bool:
     multiple of k forces two color counts there to differ).
     """
     k = instance.k
-    cuts = normalize(instance).cuts
+    norm = normalize(instance)
     depth = 0
-    for b in range(len(cuts) - 1):
-        size = cuts[b + 1] - cuts[b]
-        depth += -size if b % 2 else size  # odd blocks hold ends
-        if depth % k:
+    for e, measured in zip(norm.order, norm.flags):
+        depth += 1 if e >= 0 else -1
+        if measured and depth % k:
             return False
     return True
 

@@ -63,14 +63,25 @@ def _require_int(data: Dict[str, Any], key: str, what: str) -> int:
     return value
 
 
-def _require_pairs(data: Dict[str, Any], key: str, what: str) -> List[Any]:
+def _require_lists(data: Dict[str, Any], key: str, what: str) -> List[Any]:
+    """data[key], a list of lists.
+
+    The entries' lengths are left to the reader's unpacking of pairs:
+    when reading fails, _name_bad_pair is asked first.
+    """
     entries = data.get(key)
     if not isinstance(entries, list):
         raise FormatError(f'{what}: "{key}" must be a list of pairs')
+    if not {*map(type, entries)} <= {list}:
+        _name_bad_pair(entries, key, what)
+    return entries
+
+
+def _name_bad_pair(entries: List[Any], key: str, what: str) -> None:
+    """Refuse the first entry that is not a two-element list, if any."""
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f'{what}: "{key}"[{pos}] must be a two-element list')
-    return entries
 
 
 def _counted_rows(text: str, what: str, header: str, noun: str) -> Tuple[int, List[List[str]]]:
@@ -104,10 +115,11 @@ def parse_instance_json(text: str) -> Instance:
     if not isinstance(data, dict):
         raise FormatError("instance: expected a JSON object")
     k = _require_int(data, "k", "instance")
-    entries = _require_pairs(data, "intervals", "instance")
+    entries = _require_lists(data, "intervals", "instance")
     try:
         return make_instance(entries, k)
     except (TypeError, ValueError) as exc:
+        _name_bad_pair(entries, "intervals", "instance")
         raise FormatError(f"instance: {exc}") from None
 
 
@@ -138,9 +150,10 @@ def parse_coloring_json(text: str) -> Tuple[int, ...]:
     colors = data.get("colors")
     if not isinstance(colors, list):
         raise FormatError('coloring: "colors" must be a list')
-    for pos, color in enumerate(colors):
-        if isinstance(color, bool) or not isinstance(color, int):
-            raise FormatError(f"coloring: color {pos} must be an integer")
+    if not {*map(type, colors)} <= {int}:  # only then find the first such color
+        for pos, color in enumerate(colors):
+            if isinstance(color, bool) or not isinstance(color, int):
+                raise FormatError(f"coloring: color {pos} must be an integer")
     return tuple(colors)
 
 
@@ -158,10 +171,11 @@ def parse_arc_json(text: str) -> ArcInstance:
         raise FormatError("arc instance: expected a JSON object")
     k = _require_int(data, "k", "arc instance")
     circumference = data.get("circumference")
-    entries = _require_pairs(data, "arcs", "arc instance")
+    entries = _require_lists(data, "arcs", "arc instance")
     try:
         return make_arc_instance(entries, circumference, k)
     except (TypeError, ValueError) as exc:
+        _name_bad_pair(entries, "arcs", "arc instance")
         raise FormatError(f"arc instance: {exc}") from None
 
 
@@ -280,7 +294,9 @@ def parse_box_instance_json(text: str) -> BoxInstance:
         if not isinstance(tag, str):
             raise FormatError(f'{where}: "tag" must be a string')
         tags.append(tag)
-        bounds.append(_require_pairs(entry, "bounds", where))
+        pairs = _require_lists(entry, "bounds", where)
+        _name_bad_pair(pairs, "bounds", where)
+        bounds.append(pairs)
     provenance: Dict[int, Tuple[Any, ...]] = {}
     raw_prov = data.get("provenance", {})
     if not isinstance(raw_prov, dict):

@@ -34,7 +34,6 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     InvariantViolation,
-    NormalizedInstance,
     _sweep,
     make_instance,
     normalize,
@@ -283,7 +282,7 @@ def k_color(instance: Instance) -> Coloring:
     if k == 1:
         return Coloring((1,) * n, 1)
     norm = normalize(instance)
-    if k >= _max_depth(norm):
+    if not _deeper_than(norm.order, k):
         return Coloring(tuple(_greedy_colors(norm.order, n)), k)
     classes = [0] * n
     count = 1
@@ -307,16 +306,22 @@ def k_color(instance: Instance) -> Coloring:
     return Coloring(tuple(colors), k)
 
 
-def _max_depth(norm: NormalizedInstance) -> int:
-    """Largest number of intervals sharing a point."""
-    cuts = norm.cuts
-    depth = deepest = 0
-    for b in range(0, len(cuts) - 1, 2):
-        depth += cuts[b + 1] - cuts[b]  # the starts at one coordinate
-        if depth > deepest:
-            deepest = depth
-        depth -= cuts[b + 2] - cuts[b + 1]  # then the ends there
-    return deepest
+def _deeper_than(order: Sequence[int], k: int) -> bool:
+    """True iff more than k intervals share a point.
+
+    Starts rank before ends at equal coordinates, so the deepest point's
+    intervals are all live after some start; the scan stops at the first
+    start that makes more than k live.
+    """
+    depth = 0
+    for e in order:
+        if e >= 0:
+            depth += 1
+            if depth > k:
+                return True
+        else:
+            depth -= 1
+    return False
 
 
 def _greedy_colors(order: Sequence[int], n: int) -> List[int]:

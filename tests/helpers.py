@@ -137,6 +137,80 @@ def reference_imbalance(instance: Instance, coloring: Coloring):
     return best, witness
 
 
+def block_sweep(instance: Instance, cols):
+    """(value, s) of imbalance's sweep, walking the ranking block by block.
+
+    The reference for core._sweep, which walks order and flags instead:
+    it measures sample 2g after the starts at coords[g], and sample 2g + 1
+    after a nonempty block of ends there, but not at the last coordinate.
+    s is the first sample attaining the value, None when it is 0.
+    """
+    n = instance.n
+    if n and max(cols) > n:
+        slot = {c: s for s, c in enumerate(set(cols))}
+        cols = [slot[c] for c in cols]
+    counts = [0] * (min(instance.k, n) + 1)
+    freq = [instance.k]
+    top = bottom = 0
+    best, at = 0, None
+    norm = normalize(instance)
+    order, cuts = norm.order, norm.cuts
+    last = len(norm.coords) - 1
+    for g in range(last + 1):
+        for i in order[cuts[2 * g] : cuts[2 * g + 1]]:
+            c = cols[i]
+            v = counts[c]
+            counts[c] = v + 1
+            freq[v] -= 1
+            if v == top:
+                top = v + 1
+                freq.append(1)
+            else:
+                freq[v + 1] += 1
+            if v == bottom and not freq[v]:
+                bottom = v + 1
+        if top - bottom > best:
+            best, at = top - bottom, 2 * g
+        if g == last:
+            break
+        ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
+        if ends:
+            for e in ends:
+                c = cols[~e]
+                v = counts[c]
+                counts[c] = v - 1
+                freq[v - 1] += 1
+                if v == top and freq[v] == 1:
+                    top = v - 1
+                    freq.pop()
+                else:
+                    freq[v] -= 1
+                if v == bottom:
+                    bottom = v - 1
+            if top - bottom > best:
+                best, at = top - bottom, 2 * g + 1
+    return best, at
+
+
+def block_max_depth(cuts):
+    """Largest number of intervals sharing a point, read off block sizes."""
+    depth = deepest = 0
+    for b in range(0, len(cuts) - 1, 2):
+        depth += cuts[b + 1] - cuts[b]
+        deepest = max(deepest, depth)
+        depth -= cuts[b + 2] - cuts[b + 1]
+    return deepest
+
+
+def flags_of_cuts(order, cuts):
+    """Per rank of order, 1 where a nonempty block of cuts ends there."""
+    flags = [0] * len(order)
+    for a, b in zip(cuts, cuts[1:]):
+        if a < b:
+            flags[b - 1] = 1
+    return bytes(flags)
+
+
 def dewerra_with_passes(instance: Instance):
     """(coloring, passes) of k_color_dewerra on the instance.
 

@@ -17,7 +17,14 @@ import pytest
 from intervalcolor import cli, hardness
 from intervalcolor.cli import main
 from intervalcolor.core import Coloring, make_instance, to_coord
-from intervalcolor.formats import coord_json, parse_box_instance_json
+from intervalcolor.formats import (
+    FormatError,
+    coord_json,
+    parse_arc_json,
+    parse_box_instance_json,
+    parse_coloring_json,
+    parse_instance_json,
+)
 from intervalcolor.hardness import (
     MAX_BOX_DIMS,
     MAX_REDUCTION_CLAUSES,
@@ -79,6 +86,34 @@ def test_color_malformed_json(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse_instance_json, '{"k": 2, "intervals": [[0, 1], "12"]}',
+         'instance: "intervals"[1] must be a two-element list'),
+        (parse_instance_json, '{"k": 2, "intervals": [[2, 1], {"1": 0, "2": 1}]}',
+         'instance: "intervals"[1] must be a two-element list'),
+        # a malformed entry is named before an earlier bad coordinate or k
+        (parse_instance_json, '{"k": 0, "intervals": [["x", 1], [1, 2, 3]]}',
+         'instance: "intervals"[1] must be a two-element list'),
+        (parse_instance_json, '{"k": 2, "intervals": [[0, 1], [3, 1], []]}',
+         'instance: "intervals"[2] must be a two-element list'),
+        (parse_instance_json, '{"k": 2, "intervals": [["x", 1], [0, 1]]}',
+         "instance: not a valid coordinate: 'x'"),
+        (parse_arc_json, '{"k": 2, "circumference": "x", "arcs": [[0, 1], [1]]}',
+         'arc instance: "arcs"[1] must be a two-element list'),
+        (parse_box_instance_json,
+         '{"d": 1, "k": 2, "boxes": [{"id": 0, "tag": "a", "bounds": [[0]]}, {"id": 5}]}',
+         'box instance: boxes[0]: "bounds"[0] must be a two-element list'),
+        (parse_coloring_json, '{"colors": [1, 2, true, "3"]}', "coloring: color 2 must be an integer"),
+    ],
+)
+def test_malformed_entries_are_named_by_position(read, text, message):
+    with pytest.raises(FormatError) as caught:
+        read(text)
+    assert str(caught.value) == message
 
 
 def test_color_malformed_text_line(tmp_path, capsys):

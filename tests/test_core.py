@@ -15,8 +15,10 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     Interval,
+    NormalizedInstance,
     _covers,
     _point,
+    _sweep,
     divisibility_predicts_zero,
     imbalance,
     make_instance,
@@ -26,10 +28,13 @@ from intervalcolor.core import (
 )
 
 from intervalcolor.formats import parse_instance_json
-from intervalcolor.k_color import k_color
+from intervalcolor.k_color import _deeper_than, k_color
 
 from helpers import (
+    block_max_depth,
+    block_sweep,
     brute_force_counts,
+    flags_of_cuts,
     random_coloring,
     random_instance,
     reference_imbalance,
@@ -76,6 +81,15 @@ def test_coloring_validation():
         Coloring((1, 3), 2)
     with pytest.raises(ValueError):
         Coloring((0,), 2)
+    # the first bad color is named; a color that is no plain int is judged
+    # by the comparison alone, whatever min and max would say of it
+    with pytest.raises(ValueError, match=r"^color 5 at position 2 outside 1\.\.4$"):
+        Coloring((2, 1, 5, 0), 4)
+    with pytest.raises(ValueError, match=r"^color nan at position 1 outside 1\.\.2$"):
+        Coloring((1, float("nan"), 2), 2)
+    with pytest.raises(TypeError, match="'<=' not supported between instances of 'int' and 'list'"):
+        Coloring((1, [1]), 2)
+    assert Coloring((Fraction(3, 2), True), 2).colors == (Fraction(3, 2), True)
 
 
 def test_normalize_shared_start_breaks_by_id():
@@ -211,6 +225,8 @@ def test_instance_keys_and_equality_across_scales():
         make_instance([[0, 1], ["3/2", "1/2"]], 2)
     with pytest.raises(ValueError, match=r"interval 0: lo 3/2 > hi 1/2"):
         Instance((3,), (1,), 2, 2)
+    with pytest.raises(ValueError, match=r"^interval 1: lo 3 > hi 1$"):
+        make_instance([[0, 1], [3, 1], [5, 2]], 2)
 
 
 def quarter_string(v):
@@ -271,6 +287,32 @@ def test_ranking_matches_the_fraction_sort(kind):
         assert (report.value, report.witness) == reference_imbalance(inst, col)
         counts = brute_force_counts(inst, col, report.witness)
         assert max(counts, default=0) - min(counts, default=0) == report.value
+
+
+@pytest.mark.parametrize("kind", ["mixed", "tiny"])
+def test_rank_walks_match_the_block_walks(kind):
+    # equal starts, equal ends, touching pairs and points come from the
+    # shared pool; "tiny" ranks Fraction keys, and k above n remaps slots
+    rng = random.Random(f"ranks/{kind}")
+    for n in range(15):
+        for _ in range(25):
+            k = rng.choice((rng.randint(1, 4), n + rng.randint(1, 5)))
+            inst = random_keyed_instance(rng, kind, n, k)
+            norm = normalize(inst)
+            order, coords, cuts = reference_ranking(inst)
+            assert norm.order == order and norm.cuts == cuts
+            assert tuple(Fraction(x, norm.scale) for x in norm.coords) == coords
+            assert norm.flags == flags_of_cuts(order, cuts)
+            assert NormalizedInstance(order, norm.coords, cuts, norm.scale).flags == norm.flags
+            cols = random_coloring(rng, n, k).colors
+            value, s = _sweep(inst, cols)
+            assert (value, s) == block_sweep(inst, cols)
+            witness = Fraction(0) if s is None else _point(norm, s)
+            assert (value, witness) == reference_imbalance(inst, Coloring(cols, k))
+            assert _deeper_than(norm.order, k) == (k < block_max_depth(cuts))
+            depths = [sum(1 if e >= 0 else -1 for e in order[:c]) for c in cuts]
+            assert divisibility_predicts_zero(inst) == all(d % k == 0 for d in depths)
+            assert divisibility_predicts_zero(Instance(inst.lo * 2, inst.hi * 2, inst.scale, 2))
 
 
 def first_primes(count):
