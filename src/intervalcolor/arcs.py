@@ -47,6 +47,7 @@ from intervalcolor.core import (
     _check_coloring,
     _covers,
     _keys,
+    _mask,
     _read_pairs,
     _search_colorings,
     _split,
@@ -255,6 +256,6 @@ def min_arc_imbalance_oracle(instance: ArcInstance) -> Tuple[int, Coloring]:
     if n > MAX_ORACLE_N:
         raise ValueError(f"exhaustive search limited to {MAX_ORACLE_N} arcs, got {n}")
     pieces, owners = _pieces(instance)
-    cells = ([owners[i] for i in ids] for ids in _covers(pieces))
+    cells = (_mask(map(owners.__getitem__, ids)) for ids in _covers(pieces))
     value, colors = _search_colorings(n, k, cells, minimize=True)
     return value, Coloring(colors, k)

@@ -20,9 +20,9 @@ order once, measures at the ranks that close a block and returns the
 sample index it first peaks at; _covers, the one coverage walk,
 yields the ids covering each sample, and every exact search (the
 oracles, the deciders, the box masks, weighted_imbalance) reads its
-cells from it.  A coordinate becomes a Fraction again only where it
-leaves the library: _point turns a sample index into a witness, and an
-Interval or Box is built on first request.  All types are immutable
+cells from it, the searches as bitmasks.  A coordinate becomes a
+Fraction again only where it leaves the library: _point turns a sample
+index into a witness, and an Interval or Box is built on first request.  All types are immutable
 values and safe to share between threads; the kept ranking and
 intervals are pure functions of the instance, so a race merely computes
 them twice.  imbalance, the check behind every result, costs O(1) per
@@ -526,40 +526,51 @@ def divisibility_predicts_zero(instance: Instance) -> bool:
     return True
 
 
+def _mask(ids: Iterable[int]) -> int:
+    """The bitmask of the ids: bit i is set when i is among them."""
+    msk = 0
+    for i in ids:
+        msk |= 1 << i
+    return msk
+
+
 def _search_colorings(
-    n: int, k: int, cells: Iterable[Iterable[int]], minimize: bool
+    n: int, k: int, cells: Iterable[int], minimize: bool
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """Exact search over the k-colorings of items 0..n-1, desk scale only.
 
-    A cell lists item ids; a repeated id counts once per occurrence.  A
-    coloring's spread is the largest, over the cells, of the top color
-    count minus the bottom one, colors absent from the cell included.
-    Items take colors in id order, colors ascending, and each cell is
-    checked once its highest member has a color.  An item takes no color
-    above one more than the largest before it, so item 0 is pinned to
-    color 1: relabeling colors never changes a spread, and relabeling them
-    by first use never makes a coloring lexicographically larger, so the
-    first answer has that form anyway.  It also makes the cost the same
-    for every k above n.
+    A cell is a bitmask: bit j * n + i is set when item i is in it more
+    than j times.  A coloring's spread is the largest, over the cells, of
+    the top color count minus the bottom one, colors absent from the cell
+    included.  Items take colors in id order, colors ascending, and each
+    cell is checked once its highest item has a color, by popcount against
+    one mask per color.  An item takes no color above one more than the
+    largest before it, so item 0 is pinned to color 1: relabeling colors
+    never changes a spread, and relabeling them by first use never makes a
+    coloring lexicographically larger, so the first answer has that form
+    anyway.  It also makes the cost the same for every k above n.
 
     With minimize, returns the minimum spread and its lexicographically
     first coloring, abandoning every partial coloring that cannot beat the
     best found so far and stopping at 0.  Otherwise returns the
     lexicographically first coloring of spread at most 1 with its spread,
-    or None when there is none.
+    or None when there is none; a one-member cell is then not checked.
     """
     if n == 0:
         return 0, ()
-    unique = {tuple(sorted(cell)) for cell in cells}
-    unique.discard(())
-    by_last: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
+    unique = {cell for cell in cells if cell & (cell - 1) or minimize and cell}
+    items = (1 << n) - 1
+    by_last: List[List[int]] = [[] for _ in range(n)]
     for cell in unique:
-        by_last[cell[-1]].append(cell)
+        by_last[(cell & items).bit_length() - 1].append(cell)
+    layers = -(-max(map(int.bit_length, unique), default=0) // n)
+    unit = ((1 << layers * n) - 1) // items  # an item's bit in every layer
+    most = layers * n  # no color counts more in a cell
     # partial colorings whose spread reaches bound are abandoned
-    bound = 1 + max(map(len, unique), default=0) if minimize else 2
+    bound = 1 + max(map(int.bit_count, unique), default=0) if minimize else 2
     # colors stay at most n, so when k > n one always-empty slot stands
     # for every color above n
-    width = min(k, n + 1)
+    masks = [0] * min(k, n + 1)
     colors = [0] * n
     running = [0] * n  # spread of the cells completed before item i
     used = [0] * n  # largest color before item i
@@ -567,19 +578,28 @@ def _search_colorings(
     i = 0
     while i >= 0:
         color = colors[i] + 1
+        bit = unit << i
+        if colors[i]:
+            masks[colors[i] - 1] ^= bit
         if color > min(k, used[i] + 1) or running[i] >= bound:
             colors[i] = 0
             i -= 1
             continue
         colors[i] = color
+        masks[color - 1] |= bit
         spread = running[i]
         for cell in by_last[i]:
-            counts = [0] * width
-            for member in cell:
-                counts[colors[member] - 1] += 1
-            spread = max(spread, max(counts) - min(counts))
-            if spread >= bound:
-                break
+            top, bottom = 0, most
+            for mask in masks:
+                count = (cell & mask).bit_count()
+                if count > top:
+                    top = count
+                if count < bottom:
+                    bottom = count
+            if top - bottom > spread:
+                spread = top - bottom
+                if spread >= bound:
+                    break
         if spread >= bound:
             continue
         if i + 1 < n:
@@ -604,5 +624,6 @@ def min_imbalance_oracle(instance: Instance) -> Tuple[int, Coloring]:
     n = instance.n
     if n > MAX_ORACLE_N:
         raise ValueError(f"oracle limited to n <= {MAX_ORACLE_N} intervals, got {n}")
-    value, colors = _search_colorings(n, instance.k, _covers(instance), minimize=True)
+    cells = map(_mask, _covers(instance))
+    value, colors = _search_colorings(n, instance.k, cells, minimize=True)
     return value, Coloring(colors, instance.k)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
 from .arcs import ArcInstance, make_arc_instance
 from .core import Coloring, Coord, Instance, make_instance
@@ -39,11 +41,11 @@ def _loads(text: str, what: str) -> Any:
         raise FormatError(f"{what}: non-finite number {name}")
 
     def unique(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        for key, value in pairs:
-            if key in data:
-                raise FormatError(f"{what}: duplicate key {key!r}")
-            data[key] = value
+        data = dict(pairs)
+        if len(data) < len(pairs):  # only then find the first repeated key
+            seen: Set[str] = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise FormatError(f"{what}: duplicate key {key!r}")
         return data
 
     try:
@@ -282,32 +284,37 @@ def parse_box_instance_json(text: str) -> BoxInstance:
     entries = data.get("boxes")
     if not isinstance(entries, list):
         raise FormatError('box instance: "boxes" must be a list')
-    bounds = []
-    tags = []
-    for pos, entry in enumerate(entries):
-        where = f"box instance: boxes[{pos}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where} must be a JSON object")
-        if _require_int(entry, "id", where) != pos:
-            raise FormatError(f"{where}: box ids must be 0..n-1 in order")
-        tag = entry.get("tag")
-        if not isinstance(tag, str):
-            raise FormatError(f'{where}: "tag" must be a string')
-        tags.append(tag)
-        pairs = _require_lists(entry, "bounds", where)
-        _name_bad_pair(pairs, "bounds", where)
-        bounds.append(pairs)
-    provenance: Dict[int, Tuple[Any, ...]] = {}
+    try:  # every box is checked at once; only a failure walks them to name the first
+        rows = list(map(itemgetter("id", "tag", "bounds"), entries))
+    except (KeyError, TypeError):  # a box that is no object, or lacks a field
+        rows = None
+    ids, tags, bounds = zip(*rows) if rows else ((), (), ())
+    ok = rows is not None and {*map(type, ids)} <= {int} and list(ids) == list(range(len(ids)))
+    ok = ok and {*map(type, tags)} <= {str} and {*map(type, bounds)} <= {list}
+    pairs = list(chain.from_iterable(bounds)) if ok else ()
+    if not (ok and {*map(type, pairs)} <= {list} and {*map(len, pairs)} <= {2}):
+        for pos, entry in enumerate(entries):
+            where = f"box instance: boxes[{pos}]"
+            if not isinstance(entry, dict):
+                raise FormatError(f"{where} must be a JSON object")
+            if _require_int(entry, "id", where) != pos:
+                raise FormatError(f"{where}: box ids must be 0..n-1 in order")
+            if not isinstance(entry.get("tag"), str):
+                raise FormatError(f'{where}: "tag" must be a string')
+            _name_bad_pair(_require_lists(entry, "bounds", where), "bounds", where)
     raw_prov = data.get("provenance", {})
     if not isinstance(raw_prov, dict):
         raise FormatError('box instance: "provenance" must be an object')
-    for key, entry in raw_prov.items():
-        if not key.lstrip("-").isdigit() or not isinstance(entry, list):
-            raise FormatError(f"box instance: provenance entry {key!r} malformed")
-        for part in entry:
-            if isinstance(part, bool) or not isinstance(part, (int, str)):
+    ok = all(map(str.isdigit, map(str.lstrip, raw_prov, repeat("-"))))
+    ok = ok and {*map(type, raw_prov.values())} <= {list}
+    if not (ok and {*map(type, chain.from_iterable(raw_prov.values()))} <= {int, str}):
+        for key, entry in raw_prov.items():  # name the first malformed entry
+            if not key.lstrip("-").isdigit() or not isinstance(entry, list) or not all(
+                type(part) in (int, str) for part in entry
+            ):
                 raise FormatError(f"box instance: provenance entry {key!r} malformed")
-        provenance[int(key)] = tuple(entry)
+            int(key)  # a key int() refuses still fails before a later malformed entry
+    provenance = dict(zip(map(int, raw_prov), map(tuple, raw_prov.values())))
     try:
         return BoxInstance(_read_dims(bounds, d, k), tags, provenance)
     except (TypeError, ValueError) as exc:

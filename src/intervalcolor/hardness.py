@@ -14,7 +14,8 @@ vertical columns, and wherever two chains cross, a three-rectangle
 crossing gadget lets them pass without constraining each other.  For
 k > 2, nested cover rectangles enclose the construction and share a
 witness point outside it, which pins k - 2 colors and keeps the core
-argument two-colored.
+argument two-colored.  A box instance's cells are bitmasks over box ids,
+which box_imbalance and core's exact search count by popcount.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .core import (
     InvariantViolation,
     _check_coloring,
     _covers,
+    _mask,
     _point,
     _search_colorings,
     make_instance,
@@ -174,7 +176,8 @@ class BoxInstance:
         the sample masks folded together one dimension at a time."""
         cells = {-1}  # every box, as a mask
         for masks in self.sample_masks:
-            cells = {a & m for a in cells for m in masks}
+            distinct = set(masks)
+            cells = {a & m for a in cells for m in distinct}
         return cells
 
 
@@ -566,31 +569,6 @@ def _meeting_pairs(
     return pairs
 
 
-def _mask(ids: Iterable[int]) -> int:
-    """The bitmask of the ids: bit i is set when i is among them."""
-    msk = 0
-    for i in ids:
-        msk |= 1 << i
-    return msk
-
-
-def _mask_ids(msk: int) -> List[int]:
-    """Ids of the set bits of msk, ascending."""
-    ids = []
-    while msk:
-        low = msk & -msk
-        ids.append(low.bit_length() - 1)
-        msk ^= low
-    return ids
-
-
-def _spread_of_mask(msk: int, colors: Tuple[int, ...], k: int) -> int:
-    counts = [0] * k
-    for b in _mask_ids(msk):
-        counts[colors[b] - 1] += 1
-    return max(counts) - min(counts)
-
-
 def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     """Worst color-count spread over every point of d-space.
 
@@ -606,9 +584,20 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     _check_coloring(instance, coloring, "boxes")
     if not instance.n:
         return ImbalanceReport(0, None)
-    spread = {
-        msk: _spread_of_mask(msk, coloring.colors, instance.k) for msk in instance.cells
-    }
+    by_color = dict.fromkeys(coloring.colors, 0)
+    for i, c in enumerate(coloring.colors):
+        by_color[c] |= 1 << i
+    masks = [*by_color.values(), 0][: instance.k]  # 0 for the absent colors, if any
+    spread = {}
+    for cell in instance.cells:
+        top, bottom = 0, instance.n
+        for mask in masks:
+            count = (cell & mask).bit_count()
+            if count > top:
+                top = count
+            if count < bottom:
+                bottom = count
+        spread[cell] = top - bottom
     best = max(spread.values())
     for point in itertools.product(*map(enumerate, instance.sample_masks)):
         msk = -1
@@ -641,7 +630,7 @@ def decide_balanced_boxes(instance: BoxInstance) -> Optional[Coloring]:
         raise ValueError(f"decider limited to n <= {MAX_DECIDER_BOXES} boxes, got {n}")
     if not n:  # nothing to color; the cells would still fold all d dimensions
         return Coloring((), instance.k)
-    found = _search_colorings(n, instance.k, map(_mask_ids, instance.cells), minimize=False)
+    found = _search_colorings(n, instance.k, instance.cells, minimize=False)
     return None if found is None else Coloring(found[1], instance.k)
 
 
@@ -721,12 +710,15 @@ def decide_grouped_intervals(
         raise ValueError("groups must partition the interval ids exactly")
     if len(groups) > MAX_GROUPS:
         raise ValueError(f"brute force limited to {MAX_GROUPS} groups, got {len(groups)}")
+    n = len(groups)
     group_of = [0] * instance.n
     for g, group in enumerate(groups):
         for i in group:
             group_of[i] = g
-    cells = ([group_of[i] for i in ids] for ids in _covers(instance))
-    found = _search_colorings(len(groups), instance.k, cells, minimize=False)
+    # a group there m times sets its bit in each of the first m blocks of n
+    counted = (Counter(map(group_of.__getitem__, ids)).items() for ids in _covers(instance))
+    cells = (sum(((1 << n * m) - 1) // ((1 << n) - 1) << g for g, m in c) for c in counted)
+    found = _search_colorings(n, instance.k, cells, minimize=False)
     if found is None:
         return None
     return Coloring(tuple(found[1][g] for g in group_of), instance.k)

@@ -28,7 +28,7 @@ halving runs only when k, and so every 2^level, is below the depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from intervalcolor.core import (
     Coloring,
@@ -374,10 +374,10 @@ def k_color_dewerra(instance: Instance) -> Coloring:
     limit = k * (k - 1) // 2 + k
 
     for _ in range(limit + 1):
-        value, pair = _worst_pair(instance, colors)
-        if value <= 1:
+        value, s = _sweep(instance, colors)
+        if value <= 1:  # always so when k >= n, where each interval has its own color
             return Coloring(tuple(colors), k)
-        i, j = pair
+        i, j = _worst_pair(instance, colors, s)
         # halve walks ids ascending, so half 0 holds the pair's lowest id;
         # the other intervals, class 1, land in halves 2 and 3 untouched
         halves = halve(order, [0 if c == i or c == j else 1 for c in colors], 2)
@@ -387,17 +387,14 @@ def k_color_dewerra(instance: Instance) -> Coloring:
     )
 
 
-def _worst_pair(
-    instance: Instance, colors: List[int]
-) -> Tuple[int, Tuple[int, int]]:
-    """Largest pointwise count difference and the pair of colors showing it.
+def _worst_pair(instance: Instance, colors: List[int], s: Optional[int]) -> Tuple[int, int]:
+    """The pair of colors showing the largest pointwise count difference
+    at s, the first sample attaining it, as _sweep returns it.
 
     The pair holds the first color with the largest count and the first
-    with the smallest at the first sample point attaining the difference,
-    in ascending order.  The counts there are tallied over the events
-    ranked up to that sample.
+    with the smallest there, in ascending order, counting the events
+    ranked up to that sample in k slots: a difference above 1 needs k < n.
     """
-    value, s = _sweep(instance, colors)
     counts = [0] * instance.k
     if s is not None:
         norm = normalize(instance)
@@ -407,7 +404,7 @@ def _worst_pair(
             else:
                 counts[colors[~e] - 1] -= 1
     hi, lo = max(counts), min(counts)
-    return value, tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
+    return tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
 
 
 def hypergraph_to_instance(matrix: Sequence[Sequence[int]], k: int) -> Instance:

@@ -384,6 +384,63 @@ def brute_force_arc_spread(instance, coloring):
     return cell_spread(brute_force_arc_cells(instance), coloring)
 
 
+def reference_search(n, k, cells, minimize):
+    """The exact search on id-tuple cells that the bitmask search replaced.
+
+    A cell lists item ids and a repeated id counts once per occurrence;
+    each cell is counted member by member once its highest member has a
+    color.  Items take colors in id order, colors ascending, with no color
+    above one more than the largest before it.  Returns what
+    core._search_colorings returns for the same cells.
+    """
+    if n == 0:
+        return 0, ()
+    unique = {tuple(sorted(cell)) for cell in cells}
+    unique.discard(())
+    by_last = [[] for _ in range(n)]
+    for cell in unique:
+        by_last[cell[-1]].append(cell)
+    bound = 1 + max(map(len, unique), default=0) if minimize else 2
+    width = min(k, n + 1)
+    colors = [0] * n
+    running = [0] * n
+    used = [0] * n
+    best = None
+    i = 0
+    while i >= 0:
+        color = colors[i] + 1
+        if color > min(k, used[i] + 1) or running[i] >= bound:
+            colors[i] = 0
+            i -= 1
+            continue
+        colors[i] = color
+        spread = running[i]
+        for cell in by_last[i]:
+            counts = [0] * width
+            for member in cell:
+                counts[colors[member] - 1] += 1
+            spread = max(spread, max(counts) - min(counts))
+            if spread >= bound:
+                break
+        if spread >= bound:
+            continue
+        if i + 1 < n:
+            running[i + 1] = spread
+            used[i + 1] = max(used[i], color)
+            i += 1
+            continue
+        best = spread, tuple(colors)
+        if spread == 0 or not minimize:
+            break
+        bound = spread
+    return best
+
+
+def mask_ids(msk):
+    """Ids of the set bits of msk, ascending."""
+    return [i for i in range(msk.bit_length()) if msk >> i & 1]
+
+
 def random_formula(rng, max_clauses=3, max_vars=5):
     nv = rng.randint(1, max_vars)
     nc = rng.randint(0, max_clauses)

@@ -625,20 +625,48 @@ def cap_address_space(limit=1 << 30):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def test_empty_box_file_with_huge_d_exits_2(tmp_path):
-    # with no boxes nothing in the file bounds d, so the limit must
-    path = write(tmp_path, "empty.json", '{"d": 1000000000, "k": 2, "boxes": []}')
-    proc = subprocess.run(
-        [sys.executable, "-c", TIMED_MAIN, "decide-boxes", "--input", path],
+def run_capped(*argv):
+    """TIMED_MAIN on argv in a fresh interpreter capped at 1 GB of address space."""
+    return subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         preexec_fn=cap_address_space,
         timeout=60,
     )
+
+
+def test_empty_box_file_with_huge_d_exits_2(tmp_path):
+    # with no boxes nothing in the file bounds d, so the limit must
+    path = write(tmp_path, "empty.json", '{"d": 1000000000, "k": 2, "boxes": []}')
+    proc = run_capped("decide-boxes", "--input", path)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     message, timing = proc.stderr.splitlines()
     assert f"d <= {MAX_BOX_DIMS}, got 1000000000" in message
+    assert float(timing.split()[2]) < 1, timing
+
+
+@pytest.mark.parametrize(
+    "text, argv, expected",
+    [
+        # box_imbalance counts a cell over the colors in use, not over k
+        ('{"d": 1, "k": 1000000000, "boxes": [{"id": 0, "tag": "clause", "bounds": [[0, 2]]},'
+         ' {"id": 1, "tag": "clause", "bounds": [[1, 3]]}]}',
+         ["decide-boxes"], {"balanced": True, "colors": [1, 2], "imbalance": 1}),
+        # with k >= n the round-robin start is balanced before any count per color
+        ('{"k": 2, "intervals": [[0, 2], [1, 3], [2, 4]]}',
+         ["color", "--algorithm", "dewerra", "--k", "1000000000"],
+         {"colors": [1, 2, 3], "imbalance": 1}),
+    ],
+    ids=["decide-boxes", "dewerra"],
+)
+def test_huge_k_answers_in_bounded_memory(tmp_path, text, argv, expected):
+    path = write(tmp_path, "input.json", text)
+    proc = run_capped(*argv, "--input", path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+    timing = proc.stderr.splitlines()[-1]
     assert float(timing.split()[2]) < 1, timing
 
 

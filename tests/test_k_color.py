@@ -13,6 +13,7 @@ from intervalcolor.core import (
     InvariantViolation,
     divisibility_predicts_zero,
     _covers,
+    _sweep,
     imbalance,
     make_instance,
     min_imbalance_oracle,
@@ -330,7 +331,8 @@ def test_worst_pair_counts_at_the_witness_by_keys():
             )
             assert inst.scale == 1
         colors = [rng.randint(1, k) for _ in range(inst.n)]
-        value, pair = _worst_pair(inst, colors)
+        value, s = _sweep(inst, colors)
+        pair = _worst_pair(inst, colors, s)
         report = imbalance(inst, Coloring(tuple(colors), k))
         counts = brute_force_counts(inst, Coloring(tuple(colors), k), report.witness)
         top, bottom = counts.index(max(counts)) + 1, counts.index(min(counts)) + 1
