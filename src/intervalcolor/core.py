@@ -9,35 +9,33 @@ would pass _KEY_BITS bits; the online adversary's power-of-two scale,
 bounded by MAX_PRESENTATIONS, passes 64 bits with int keys.  normalize() is
 the only place endpoints are ordered, on the line, the circle, boxes (an
 Instance per dimension) and weighted intervals: it sorts an instance's 2n
-signed event ids (i a start, ~i an end) once by key, marks in one pass
-over the ranks where each block of equal-coordinate starts or ends
-closes, keeps the ranking on the instance, and every sweep (imbalance,
-the colorers, the coverage walk) walks that integer order, whatever the
-keys.  Exact measures sample the line at the points of one ranking, named
-by a sample index s: sample 2g is coords[g] and sample 2g + 1 the
-midpoint of coords[g] and coords[g + 1].  imbalance's sweep walks the
-order once, measures at the ranks that close a block and returns the
-sample index it first peaks at; _covers, the one coverage walk,
-yields the ids covering each sample, and every exact search (the
-oracles, the deciders, the box masks, weighted_imbalance) reads its
-cells from it, the searches as bitmasks.  A coordinate becomes a
-Fraction again only where it leaves the library: _point turns a sample
-index into a witness, and an Interval or Box is built on first request.  All types are immutable
-values and safe to share between threads; the kept ranking and
-intervals are pure functions of the instance, so a race merely computes
-them twice.  imbalance, the check behind every result, costs O(1) per
-event whatever k is and allocates nothing in proportion to k.
+signed event ids (i a start, ~i an end) once by key and marks in flags
+the ranks that close a block of equal-coordinate starts or ends; every
+sweep (imbalance, the colorers, the coverage walk) walks that integer
+order, whatever the keys.  imbalance's sweep returns the rank it first
+peaks at, and the witness is read off the keys at that rank.  The exact
+searches sample the line by a sample index s: sample 2g is coords[g] and
+sample 2g + 1 the midpoint of coords[g] and coords[g + 1], where coords
+and the block boundaries cuts are derived from the ranking on first
+request.  _covers, the one coverage walk, yields the ids covering each
+sample, and every exact search (the oracles, the deciders, the box
+masks, weighted_imbalance) reads its cells from it, the searches as
+bitmasks.  A coordinate becomes a Fraction again only where it leaves
+the library: in a witness, and in an Interval or Box built on first
+request.  All types are immutable values and safe to share between
+threads; the kept ranking and intervals are pure functions of the
+instance, so a race merely computes them twice.  imbalance, the check
+behind every result, costs O(1) per event whatever k is and allocates
+nothing in proportion to k.
 """
 
 from __future__ import annotations
 
-import re
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import lcm
 from operator import gt, xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -68,9 +66,6 @@ _KEY_BITS = 64
 
 # the exhaustive oracles refuse instances of more intervals or arcs
 MAX_ORACLE_N = 12
-
-_INT_OR_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
-
 
 class InvariantViolation(RuntimeError):
     """A structural guarantee of a construction failed.
@@ -120,20 +115,20 @@ def to_coord(value: CoordInput) -> Coord:
 def _split(value: CoordInput) -> Tuple[int, int]:
     """(numerator, denominator > 0) of a coordinate, as to_coord reads it.
 
-    Plain ints, ASCII "a" and "a/b" strings and Fractions are split
-    directly; everything else, failures included, goes through to_coord.
+    Plain ints, Fractions and the ASCII strings "a" and "a/b" (a an
+    optional minus sign and digits, b digits) are split directly;
+    everything else, failures included, goes through to_coord.
     """
     kind = type(value)
     if kind is int:
         return value, 1
-    if kind is str:
-        match = _INT_OR_RATIO(value)
-        if match is not None:
-            num, den = match.groups()
+    if kind is str and value.isascii():
+        head, slash, tail = value.partition("/")
+        if (head[1:] if head[:1] == "-" else head).isdigit() and (tail.isdigit() or not slash):
             try:  # int() refuses very long digit strings, as Fraction does
-                d = 1 if den is None else int(den)
+                d = int(tail) if slash else 1
                 if d:
-                    return int(num), d
+                    return int(head), d
             except ValueError:
                 pass
     elif kind is Fraction:
@@ -146,19 +141,27 @@ def _read_pairs(pairs: Iterable[Sequence[CoordInput]]) -> Tuple[List[int], List[
     """Numerators and denominators of the coordinates of (a, b) pairs.
 
     Two flat lists: entry 2i is pair i's first coordinate and 2i + 1 its
-    second.  Each coordinate is read once, by _split; no Fraction and no
-    per-coordinate tuple is kept.
+    second.  A plain int is read in place; any other coordinate is read
+    once, by _split.  No Fraction and no per-coordinate tuple is kept.
     """
     nums: List[int] = []
     dens: List[int] = []
     num, den = nums.append, dens.append
     for a, b in pairs:
-        x, d = _split(a)
-        num(x)
-        den(d)
-        x, d = _split(b)
-        num(x)
-        den(d)
+        if type(a) is int:
+            num(a)
+            den(1)
+        else:
+            x, d = _split(a)
+            num(x)
+            den(d)
+        if type(b) is int:
+            num(b)
+            den(1)
+        else:
+            x, d = _split(b)
+            num(x)
+            den(d)
     return nums, dens
 
 
@@ -251,7 +254,7 @@ def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
     return Instance(keys[0::2], keys[1::2], scale, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NormalizedInstance:
     """The 2n endpoint events of an instance in one exact order.
 
@@ -263,26 +266,54 @@ class NormalizedInstance:
     common rank region afterwards, so nothing that matters to
     balancedness is lost.
 
-    coords holds the distinct endpoint keys in ascending order, each the
-    coordinate times scale (see Instance), and cuts the block boundaries
-    of order: the starts at coords[g] are order[cuts[2g]:cuts[2g + 1]] and
-    the ends there are order[cuts[2g + 1]:cuts[2g + 2]].  flags[r] is 1
-    where a nonempty block ends at rank r and 0 elsewhere, so a sweep
-    walks order and flags side by side instead of slicing per block;
-    when not given, it is derived from cuts.
+    At each coordinate its starts form one block of consecutive ranks and
+    its ends the next.  flags[r] is 1 where a nonempty block ends at rank
+    r, so a sweep walks order and flags side by side.  lo, hi and scale
+    are the instance's (see Instance): event e lies at key(e) / scale.
+    coords, the distinct keys ascending, and cuts, the block boundaries
+    (the starts at coords[g] are order[cuts[2g]:cuts[2g + 1]], the ends
+    order[cuts[2g + 1]:cuts[2g + 2]]), are derived on first request.
     """
 
     order: Tuple[int, ...]
-    coords: Tuple
-    cuts: Tuple[int, ...]
+    flags: bytes
+    lo: Tuple
+    hi: Tuple
     scale: int = 1
-    flags: Optional[bytes] = None
 
-    def __post_init__(self) -> None:
-        if self.flags is None:  # a block ends at rank r iff r + 1 is a cut
-            ends = set(self.cuts)
-            flags = bytes(map(ends.__contains__, range(1, len(self.order) + 1)))
-            object.__setattr__(self, "flags", flags)
+    def key(self, e: int):
+        """The key of event e: interval e's lo key, or interval ~e's hi key."""
+        return self.lo[e] if e >= 0 else self.hi[~e]
+
+    @property
+    def coords(self) -> Tuple:
+        return self._blocks[0]
+
+    @property
+    def cuts(self) -> Tuple[int, ...]:
+        return self._blocks[1]
+
+    @cached_property
+    def _blocks(self) -> Tuple[Tuple, Tuple[int, ...]]:
+        """(coords, cuts), from one walk over the ranks that close a block."""
+        lo, hi, order = self.lo, self.hi, self.order
+        coords: List = []
+        cuts = [0]
+        ends_due = False  # the last coordinate's starts closed, its ends not yet
+        for r in compress(range(len(order)), self.flags):
+            e = order[r]
+            x = lo[e] if e >= 0 else hi[~e]
+            if e >= 0 or not ends_due or x != coords[-1]:  # a new coordinate
+                if ends_due:  # the last one had no ends
+                    cuts.append(cuts[-1])
+                coords.append(x)
+                if e < 0:  # this one has no starts
+                    cuts.append(cuts[-1])
+            cuts.append(r + 1)
+            ends_due = e >= 0
+        if ends_due:
+            cuts.append(cuts[-1])
+        return tuple(coords), tuple(cuts)
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
@@ -295,7 +326,7 @@ def normalize(instance: Instance) -> NormalizedInstance:
     keys[~i] its end key, so the ids sort directly.  They enter the
     stable sort as the starts 0..n-1, then the ends ~0..~(n-1), which
     leaves equal keys with starts first, then ids ascending.  One pass
-    over the ranks then builds coords, cuts and flags.  No start can rank
+    over the ranks then marks the block ends in flags.  No start can rank
     after its own end: Instance rejects lo > hi and an equal key puts the
     start first.
     """
@@ -304,8 +335,6 @@ def normalize(instance: Instance) -> NormalizedInstance:
     n = instance.n
     keys = instance.lo + instance.hi[::-1]
     order = sorted(chain(range(n), range(-1, -n - 1, -1)), key=keys.__getitem__)
-    coords: List = []
-    cuts: List[int] = []
     flags = bytearray(2 * n)
     previous = None
     ending = True  # in an ends block; at the start, that of no coordinate
@@ -313,25 +342,15 @@ def normalize(instance: Instance) -> NormalizedInstance:
         key = keys[e]
         if key != previous:
             previous = key
-            coords.append(key)
             flags[rank - 1] = 1  # at rank 0 this marks the last rank, which ends a block too
-            cuts.append(rank)
-            if not ending:  # the last coordinate had no ends
-                cuts.append(rank)
             ending = e < 0
-            if ending:  # this one has no starts
-                cuts.append(rank)
         elif e < 0 and not ending:
             flags[rank - 1] = 1
-            cuts.append(rank)
             ending = True
-    cuts.append(2 * n)
-    if not ending:
-        cuts.append(2 * n)
     # the sort hands back the int objects made in id order; fresh ones,
     # made in rank order, lie in memory as the walks over order read them
     order = tuple(map(xor, order, repeat(0)))
-    norm = NormalizedInstance(order, tuple(coords), tuple(cuts), instance.scale, bytes(flags))
+    norm = NormalizedInstance(order, bytes(flags), instance.lo, instance.hi, instance.scale)
     object.__setattr__(instance, "_normalized", norm)
     return norm
 
@@ -410,21 +429,27 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     proportion to k.
     """
     _check_coloring(instance, coloring, "intervals")
-    value, s = _sweep(instance, coloring.colors)
-    if s is None:
+    value, r = _sweep(instance, coloring.colors)
+    if r is None:
         return ImbalanceReport(value, Fraction(0))
-    return ImbalanceReport(value, _point(normalize(instance), s))
+    norm = normalize(instance)
+    e = norm.order[r]
+    if e >= 0:  # r closes the starts at a coordinate: that coordinate
+        return ImbalanceReport(value, Fraction(norm.key(e), norm.scale))
+    # r closes the ends there: the midpoint to the next event, as the last rank never peaks
+    after = norm.key(e) + norm.key(norm.order[r + 1])
+    return ImbalanceReport(value, Fraction(after, 2 * norm.scale))
 
 
 def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]:
     """imbalance's count-of-counts walk over the colors cols, one per interval.
 
-    Returns the imbalance and the first sample index attaining it, or None
-    when it is 0.  The walk visits order and flags side by side and
-    measures at the flagged ranks, the ends of the nonempty blocks.  An
-    empty block repeats the state of an earlier measured sample, so it is
-    never the first to attain the maximum; after the last block nothing
-    is left, which never attains it either.
+    Returns the imbalance and the first rank attaining it, or None when
+    it is 0.  The walk visits order and flags side by side and measures
+    at the flagged ranks, the ends of the nonempty blocks.  An empty
+    block repeats the state of an earlier measured block, so it is never
+    the first to attain the maximum; after the last block nothing is
+    left, which never attains it either.
     """
     n = instance.n
     if n and max(cols) > n:
@@ -469,7 +494,7 @@ def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]
             at = e
     if at is None:
         return 0, None
-    return best, bisect_right(norm.cuts, order.index(at)) - 1
+    return best, order.index(at)
 
 
 def _point(norm: NormalizedInstance, s: int) -> Coord:

@@ -8,10 +8,10 @@ writer emits the same bytes for the same input and ends with a newline.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
+from math import gcd
 from operator import itemgetter
-from typing import Any, Dict, List, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .arcs import ArcInstance, make_arc_instance
 from .core import Coloring, Coord, Instance, make_instance
@@ -31,9 +31,10 @@ def coord_json(value: Coord) -> Union[int, str]:
 
 def _keys_json(keys: Sequence, scale: int) -> List[Union[int, str]]:
     """JSON values of the coordinates key / scale, as coord_json writes them."""
-    if scale == 1:
+    if scale == 1:  # int or Fraction keys
         return [coord_json(x) for x in keys]
-    return [coord_json(Fraction(x, scale)) for x in keys]
+    # int keys, reduced by their gcd with the scale
+    return [x // g if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in keys]
 
 
 def _loads(text: str, what: str) -> Any:
@@ -305,20 +306,31 @@ def parse_box_instance_json(text: str) -> BoxInstance:
     raw_prov = data.get("provenance", {})
     if not isinstance(raw_prov, dict):
         raise FormatError('box instance: "provenance" must be an object')
-    ok = all(map(str.isdigit, map(str.lstrip, raw_prov, repeat("-"))))
-    ok = ok and {*map(type, raw_prov.values())} <= {list}
+    box_ids = list(map(_box_id, raw_prov))
+    ok = None not in box_ids and {*map(type, raw_prov.values())} <= {list}
     if not (ok and {*map(type, chain.from_iterable(raw_prov.values()))} <= {int, str}):
-        for key, entry in raw_prov.items():  # name the first malformed entry
-            if not key.lstrip("-").isdigit() or not isinstance(entry, list) or not all(
+        # name the first malformed entry
+        for box_id, (key, entry) in zip(box_ids, raw_prov.items()):
+            if box_id is None or not isinstance(entry, list) or not all(
                 type(part) in (int, str) for part in entry
             ):
                 raise FormatError(f"box instance: provenance entry {key!r} malformed")
-            int(key)  # a key int() refuses still fails before a later malformed entry
-    provenance = dict(zip(map(int, raw_prov), map(tuple, raw_prov.values())))
+    provenance = dict(zip(box_ids, map(tuple, raw_prov.values())))
     try:
         return BoxInstance(_read_dims(bounds, d, k), tags, provenance)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"box instance: {exc}") from None
+
+
+def _box_id(key: str) -> Optional[int]:
+    """A provenance key's box id: its int when the key is an optional minus
+    sign and ASCII digits, within int()'s digit limit, else None."""
+    if key.isascii() and (key[1:] if key[:1] == "-" else key).isdigit():
+        try:
+            return int(key)
+        except ValueError:  # past the digit limit
+            pass
+    return None
 
 
 # --- online transcripts ---
@@ -337,10 +349,11 @@ def format_transcript_jsonl(
             f"mismatched transcript parts: {instance.n} intervals, "
             f"{len(colors)} colors, {len(trace)} imbalances"
         )
-    lo = _keys_json(instance.lo, instance.scale)
-    hi = _keys_json(instance.hi, instance.scale)
-    lines = []
-    for a, b, color, value in zip(lo, hi, colors, trace):
-        record = {"interval": [a, b], "color": color, "max_imbalance": value}
-        lines.append(json.dumps(record))
-    return "\n".join(lines) + "\n" if lines else ""
+    if not instance.n:
+        return ""
+    # each column as JSON text, split into its values' texts: no value's
+    # text holds ", ", so each line is written from one template
+    columns = (_keys_json(instance.lo, instance.scale), _keys_json(instance.hi, instance.scale))
+    texts = [json.dumps(list(column))[1:-1].split(", ") for column in (*columns, colors, trace)]
+    line = '{"interval": [%s, %s], "color": %s, "max_imbalance": %s}\n'
+    return "".join(map(line.__mod__, zip(*texts)))

@@ -647,17 +647,20 @@ def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:
     """Worst weighted color-count spread over every point of the line.
 
     The spread of the summed weights per color, colors absent there
-    included, at each sample point of the coverage walk _covers.
+    included, at each sample point of the coverage walk _covers.  Only the
+    colors present are summed, so nothing is allocated in proportion to k.
     """
     _check_coloring(weighted, coloring, "intervals")
     cols = coloring.colors
     w = weighted.weights
     best = 0
     for ids in _covers(weighted.instance):
-        counts = [0] * weighted.k
+        sums: Dict[int, int] = {}
         for i in ids:
-            counts[cols[i] - 1] += w[i]
-        best = max(best, max(counts) - min(counts))
+            sums[cols[i]] = sums.get(cols[i], 0) + w[i]
+        if len(sums) < weighted.k:
+            sums[0] = 0  # no color is 0: this stands for the absent ones
+        best = max(best, max(sums.values()) - min(sums.values()))
     return best
 
 

@@ -38,7 +38,7 @@ from intervalcolor.core import (
     make_instance,
     normalize,
 )
-from intervalcolor.two_color import halve
+from intervalcolor.two_color import halve, slot_order
 
 __all__ = [
     "EdgeGraph",
@@ -287,8 +287,11 @@ def k_color(instance: Instance) -> Coloring:
     classes = [0] * n
     count = 1
     m = k
+    # every level halves on one slot order and one mate buffer
+    slots = slot_order(norm.order) if k % 2 == 0 else []
+    mate = [0] * len(slots)
     while m % 2 == 0:
-        classes = halve(norm.order, classes, count)
+        classes = halve(slots, classes, count, mate)
         count *= 2
         m //= 2
     if m == 1:
@@ -369,36 +372,36 @@ def k_color_dewerra(instance: Instance) -> Coloring:
     k = instance.k
     if k < 2:
         raise ValueError(f"pairwise rebalancing needs k >= 2, got {k}")
-    order = normalize(instance).order
+    slots = slot_order(normalize(instance).order)
+    mate = [0] * len(slots)
     colors = [(i % k) + 1 for i in range(instance.n)]
     limit = k * (k - 1) // 2 + k
 
     for _ in range(limit + 1):
-        value, s = _sweep(instance, colors)
+        value, r = _sweep(instance, colors)
         if value <= 1:  # always so when k >= n, where each interval has its own color
             return Coloring(tuple(colors), k)
-        i, j = _worst_pair(instance, colors, s)
+        i, j = _worst_pair(instance, colors, r)
         # halve walks ids ascending, so half 0 holds the pair's lowest id;
         # the other intervals, class 1, land in halves 2 and 3 untouched
-        halves = halve(order, [0 if c == i or c == j else 1 for c in colors], 2)
+        halves = halve(slots, [0 if c == i or c == j else 1 for c in colors], 2, mate)
         colors = [c if h > 1 else j if h else i for c, h in zip(colors, halves)]
     raise InvariantViolation(
         f"rebalancing did not converge within {limit} passes"
     )
 
 
-def _worst_pair(instance: Instance, colors: List[int], s: Optional[int]) -> Tuple[int, int]:
+def _worst_pair(instance: Instance, colors: List[int], r: Optional[int]) -> Tuple[int, int]:
     """The pair of colors showing the largest pointwise count difference
-    at s, the first sample attaining it, as _sweep returns it.
+    at rank r, the first rank attaining it, as _sweep returns it.
 
     The pair holds the first color with the largest count and the first
     with the smallest there, in ascending order, counting the events
-    ranked up to that sample in k slots: a difference above 1 needs k < n.
+    ranked up to r in k slots: a difference above 1 needs k < n.
     """
     counts = [0] * instance.k
-    if s is not None:
-        norm = normalize(instance)
-        for e in norm.order[: norm.cuts[s + 1]]:
+    if r is not None:
+        for e in normalize(instance).order[: r + 1]:
             if e >= 0:
                 counts[colors[e] - 1] += 1
             else:

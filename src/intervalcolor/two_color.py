@@ -12,7 +12,8 @@ A class's events are a subsequence of the shared order and rank its
 intervals exactly as normalizing the class alone would, so pairing
 consecutive events within each class (one pending event per class) and
 walking the mates splits every class into two balanced halves in one
-integer pass.  two_color is halve() on the single class of all intervals.
+integer pass; its callers build the slot order once and reuse one mate
+buffer.  two_color is halve() on the single class of all intervals.
 k_color halves t times for k = 2^t * m; since floor(floor(d/2)/2) =
 floor(d/4), and likewise for ceil and every further level, the 2^t
 classes hold floor(d/2^t) or ceil(d/2^t) intervals at a point of depth d.
@@ -36,32 +37,42 @@ def two_color(instance: Instance) -> Coloring:
     """
     if instance.k != 2:
         raise ValueError(f"two_color requires k = 2, got k = {instance.k}")
-    halves = halve(normalize(instance).order, [0] * instance.n, 1)
+    slots = slot_order(normalize(instance).order)
+    halves = halve(slots, [0] * instance.n, 1, [0] * len(slots))
     return Coloring(tuple([c + 1 for c in halves]), 2)
 
 
-def halve(order: Sequence[int], classes: List[int], count: int) -> List[int]:
+def slot_order(order: Sequence[int]) -> List[int]:
+    """The events of order as slots: 2i the start of interval i, 2i + 1 its end."""
+    return [2 * e if e >= 0 else ~(2 * e) for e in order]
+
+
+def halve(slots: Sequence[int], classes: List[int], count: int, mate: List[int]) -> List[int]:
     """Split every class of a partition into two balanced halves.
 
-    order ranks the events of intervals 0..len(classes)-1 (i the start of
-    interval i, ~i its end) and classes[i] in 0..count-1 is the class of
-    interval i.  Returns each interval's new class, 2c or 2c + 1; the
-    first interval of each path or cycle, in id order, takes 2c.
+    slots ranks the events of intervals 0..len(classes)-1 as slot_order
+    gives them, and classes[i] in 0..count-1 is the class of interval i.
+    mate is a list of len(slots) ints, overwritten here.  Returns each
+    interval's new class, 2c or 2c + 1; the first interval of each path
+    or cycle, in id order, takes 2c.
     """
     n = len(classes)
-    # event slot 2i is the start of interval i and 2i + 1 its end
-    mate = [0] * (2 * n)
-    pending = [-1] * count  # the unpaired event slot of each class
-    for e in order:
-        s = 2 * e if e >= 0 else 2 * ~e + 1
-        c = classes[s >> 1]
-        p = pending[c]
-        if p < 0:
-            pending[c] = s
-        else:
+    if count == 1:  # one class: ranks 2j and 2j + 1 pair up
+        pairs = iter(slots)
+        for s, p in zip(pairs, pairs):
             mate[p] = s
             mate[s] = p
-            pending[c] = -1
+    else:
+        pending = [-1] * count  # the unpaired slot of each class
+        for s in slots:
+            c = classes[s >> 1]
+            p = pending[c]
+            if p < 0:
+                pending[c] = s
+            else:
+                mate[p] = s
+                mate[s] = p
+                pending[c] = -1
 
     sides = [0] * n  # 1 or 2 once walked
     for first in range(n):

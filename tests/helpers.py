@@ -24,7 +24,6 @@ from intervalcolor.formats import coord_json
 from intervalcolor.hardness import NaeFormula
 from intervalcolor.k_color import EdgeGraph
 from intervalcolor.online import OnlineAlgorithm
-from intervalcolor.two_color import halve
 
 
 def random_instance(rng, n, k, collide=0.3, span=60):
@@ -236,6 +235,51 @@ def dewerra_with_passes(instance: Instance):
     return coloring, passes
 
 
+def reference_halve(order, classes, count):
+    """Split every class of a partition into two balanced halves, one level.
+
+    order ranks the events of intervals 0..len(classes)-1 (i the start of
+    interval i, ~i its end) and classes[i] in 0..count-1 is the class of
+    interval i.  Each class pairs its own rank-consecutive events, read
+    off order with one pending event per class into a fresh mate table;
+    walking the pairs from the lowest unwalked id gives each interval
+    side 0 or 1, a start/end pair the same side and a same-type pair
+    opposite sides.  Returns 2c + side per interval.  The reference for
+    two_color.halve, which reads a slot order built once and reuses one
+    mate buffer across levels.
+    """
+    n = len(classes)
+    mate = {}
+    pending = {}
+    for e in order:
+        c = classes[e if e >= 0 else ~e]
+        if c in pending:
+            p = pending.pop(c)
+            mate[p], mate[e] = e, p
+        else:
+            pending[c] = e
+    side = [None] * n
+    for first in range(n):
+        if side[first] is not None:
+            continue
+        side[first] = 0
+        for e in (first, ~first):
+            i = first
+            while True:
+                other = mate[e]
+                j = other if other >= 0 else ~other
+                if j == i:
+                    break
+                want = side[i] if (e >= 0) != (other >= 0) else 1 - side[i]
+                if side[j] is not None:
+                    if side[j] != want:
+                        raise InvariantViolation("constraint graph has an odd cycle")
+                    break
+                side[j] = want
+                i, e = j, ~other
+    return [2 * c + s for c, s in zip(classes, side)]
+
+
 def reference_dewerra(instance: Instance):
     """(colors, passes) of k_color_dewerra with each pass 2-coloring the
     worst pair's intervals extracted, renumbered in id order and ranked by
@@ -257,7 +301,7 @@ def reference_dewerra(instance: Instance):
         extracted = [t for t in range(n) if colors[t] in (i, j)]
         pos = {t: p for p, t in enumerate(extracted)}
         sub = [pos[e] if e >= 0 else ~pos[~e] for e in order if colors[e if e >= 0 else ~e] in (i, j)]
-        halves = halve(sub, [0] * len(extracted), 1)
+        halves = reference_halve(sub, [0] * len(extracted), 1)
         for p, t in enumerate(extracted):
             colors[t] = j if halves[p] else i
     raise InvariantViolation(f"rebalancing did not converge within {limit} passes")

@@ -709,6 +709,22 @@ def test_decide_boxes_rejects_malformed(tmp_path, capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["\u00b2", "--5", "+1", " 1", "1" * 5000],
+    ids=["superscript-two", "double-minus", "plus", "space", "past-digit-limit"],
+)
+def test_decide_boxes_names_a_malformed_provenance_key(tmp_path, capsys, key):
+    # each key passes a strip-the-minus-signs digit check or int() itself,
+    # but is no optional minus sign and ASCII digits within int()'s limit
+    box = {"id": 0, "tag": "clause", "bounds": [[0, 1]]}
+    text = json.dumps({"d": 1, "k": 2, "boxes": [box], "provenance": {"0": ["x"], key: ["y"]}})
+    path = write(tmp_path, "bad.json", text)
+    code, out, err = run(capsys, "decide-boxes", "--input", path)
+    message = f"error: box instance: provenance entry {key!r} malformed\n"
+    assert (code, out, err) == (2, "", message)
+
+
 def test_hypergraph_columns_balanced(tmp_path, capsys):
     path = write(tmp_path, "mat.txt", "3 3\n1 1 0\n0 1 1\n1 1 1\n")
     code, out, _ = run(capsys, "hypergraph", "--input", path, "--k", "2")

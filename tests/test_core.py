@@ -1,7 +1,9 @@
 """Core model: coordinates, normalization, imbalance, and the oracle."""
 
+import itertools
 import json
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -15,7 +17,6 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     Interval,
-    NormalizedInstance,
     _covers,
     _point,
     _sweep,
@@ -215,6 +216,31 @@ def test_ints_ratios_and_fractions_skip_to_coord(monkeypatch):
     assert inst.intervals[1].lo == Fraction(-3, 4)
 
 
+def test_split_reads_directly_exactly_the_int_and_ratio_strings(monkeypatch):
+    # every string of up to four characters from an alphabet of digits,
+    # signs, separators, whitespace and non-ASCII digits is read directly
+    # when the pattern below accepts it with a nonzero denominator, and
+    # handed to to_coord otherwise
+    pattern = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+    handed = []
+    monkeypatch.setattr(core, "to_coord", lambda v: handed.append(v) or Fraction(0))
+    for size in range(5):
+        for chars in itertools.product("-/07 +_.\u00b2\u0663", repeat=size):
+            value = "".join(chars)
+            match = pattern(value)
+            direct = match is not None and int(match[2] or 1) != 0
+            handed.clear()
+            pair = core._split(value)
+            assert handed == ([] if direct else [value]), value
+            if direct:
+                assert Fraction(*pair) == Fraction(value)
+    limit = sys.get_int_max_str_digits()
+    for value in ("1" * (limit + 1), "1/" + "2" * (limit + 1)):  # int() refuses these
+        handed.clear()
+        core._split(value)
+        assert handed == [value]
+
+
 def test_instance_keys_and_equality_across_scales():
     halves = make_instance([["1/2", 1], [0, "3/2"]], 2)
     quarters = make_instance([["2/4", 1], [0, "6/4"]], 2)
@@ -303,12 +329,13 @@ def test_rank_walks_match_the_block_walks(kind):
             assert norm.order == order and norm.cuts == cuts
             assert tuple(Fraction(x, norm.scale) for x in norm.coords) == coords
             assert norm.flags == flags_of_cuts(order, cuts)
-            assert NormalizedInstance(order, norm.coords, cuts, norm.scale).flags == norm.flags
             cols = random_coloring(rng, n, k).colors
-            value, s = _sweep(inst, cols)
-            assert (value, s) == block_sweep(inst, cols)
+            value, s = block_sweep(inst, cols)
+            # the sweep's rank is the last of sample s's block
+            assert _sweep(inst, cols) == (value, None if s is None else cuts[s + 1] - 1)
             witness = Fraction(0) if s is None else _point(norm, s)
             assert (value, witness) == reference_imbalance(inst, Coloring(cols, k))
+            assert imbalance(inst, Coloring(cols, k)).witness == witness
             assert _deeper_than(norm.order, k) == (k < block_max_depth(cuts))
             depths = [sum(1 if e >= 0 else -1 for e in order[:c]) for c in cuts]
             assert divisibility_predicts_zero(inst) == all(d % k == 0 for d in depths)

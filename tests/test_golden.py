@@ -44,6 +44,16 @@ def interval_file(seed, n, k):
     return format_instance_json(random_instance(rng, n, k, collide=0.5, span=1000))
 
 
+def coloring_file(seed, n, k):
+    rng = random.Random(seed)
+    return json.dumps({"colors": [rng.randint(1, k) for _ in range(n)]}) + "\n"
+
+
+def verify_files(seed, n, k):
+    """An interval file and a random coloring of it, for verify."""
+    return {"--input": interval_file(seed, n, k), "--coloring": coloring_file(seed, n, k)}
+
+
 def arc_file(seed, n, k):
     rng = random.Random(seed)
     inst = random_arc_instance(rng, n, k, circumference=200, full_rate=0.05)
@@ -88,7 +98,8 @@ def box_file(formula, k):
 
 
 # name -> (input text or None, argv, exit code, sha256 of stdout); with an
-# input the case's argv gets "--input PATH" appended
+# input the case's argv gets "--input PATH" appended, and with a dict of
+# flag -> text each flag with its file's path
 CASES = {
     "color-k2": (
         lambda: interval_file(1, 2000, 2),
@@ -137,6 +148,20 @@ CASES = {
         ["arcs"],
         0,
         "878ddb9db605b6714124571dcd7fe48737cd4b4299fa5bcd57efcc9366d75419",
+    ),
+    # a random coloring's first worst point: the coordinate -699/2 for
+    # verify-k3 and the midpoint -183/4 of -92 and -91/2 for verify-k4
+    "verify-k3": (
+        lambda: verify_files(16, 300, 3),
+        ["verify"],
+        1,
+        "4bbc6ab2c5b51ccfe357d3d436043fee5630ae5f8e247ce71ea8a596b54ecfd5",
+    ),
+    "verify-k4": (
+        lambda: verify_files(18, 300, 4),
+        ["verify"],
+        1,
+        "6a2d2402d8af7898b8431ab6986ff96e8ff043e69c88bd621250fa8b723a1812",
     ),
     "hypergraph-k3": (
         lambda: matrix_file(8, 300, 80),
@@ -208,17 +233,26 @@ CASES = {
 }
 
 
-def run_case(name, directory):
-    """Exit code and stdout sha256 of one case at the current code."""
+def case_output(name, directory):
+    """Exit code and stdout of one case at the current code."""
     make_input, argv, _, _ = CASES[name]
-    if make_input is not None:
-        path = Path(directory) / "input"
-        path.write_text(make_input(), encoding="utf-8")
-        argv = argv + ["--input", str(path)]
+    files = {} if make_input is None else make_input()
+    if isinstance(files, str):
+        files = {"--input": files}
+    for flag, text in files.items():
+        path = Path(directory) / flag.lstrip("-")
+        path.write_text(text, encoding="utf-8")
+        argv = argv + [flag, str(path)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue()
+
+
+def run_case(name, directory):
+    """Exit code and stdout sha256 of one case at the current code."""
+    code, stdout = case_output(name, directory)
+    return code, hashlib.sha256(stdout.encode()).hexdigest()
 
 
 # k -> sha256 of the file `reduce nae3sat --svg` writes for NAE_FORMULA;
@@ -243,6 +277,15 @@ def svg_digest(k, directory):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_is_pinned(name, tmp_path):
     assert run_case(name, tmp_path) == CASES[name][2:]
+
+
+@pytest.mark.parametrize("name, at_coordinate", [("verify-k3", True), ("verify-k4", False)])
+def test_verify_cases_witness_a_coordinate_and_a_midpoint(name, at_coordinate, tmp_path):
+    intervals = json.loads(CASES[name][0]()["--input"])["intervals"]
+    endpoints = {Fraction(x) for pair in intervals for x in pair}
+    witness = Fraction(json.loads(case_output(name, tmp_path)[1])["witness"])
+    assert witness.denominator > 1  # half-integer inputs, a non-integer witness
+    assert (witness in endpoints) == at_coordinate
 
 
 @pytest.mark.parametrize("k", sorted(SVG_DIGESTS))

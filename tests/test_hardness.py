@@ -1,6 +1,9 @@
 """Reductions, the box decider, and their gadget-level guarantees."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -514,6 +517,31 @@ def test_weighted_imbalance_varying_overlap():
     inst = WeightedInstance(make_instance([(0, 2), (1, 3)], 2), (3, 1))
     assert weighted_imbalance(inst, Coloring((1, 2), 2)) == 3
     assert weighted_imbalance(inst, Coloring((1, 1), 2)) == 4
+
+
+# weighted_imbalance at k = 10^9 in a fresh interpreter capped at 1 GB of
+# address space, where a list of k counts cannot be allocated
+HUGE_K_WEIGHTED = (
+    "import resource\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from intervalcolor.core import Coloring, make_instance\n"
+    "from intervalcolor.hardness import WeightedInstance, weighted_imbalance\n"
+    "inst = WeightedInstance(make_instance([(0, 2), (1, 3)], 10**9), (3, 1))\n"
+    "print(weighted_imbalance(inst, Coloring((1, 2), 10**9)),"
+    " weighted_imbalance(inst, Coloring((1, 1), 10**9)))\n"
+)
+
+
+def test_weighted_imbalance_counts_only_the_colors_in_use():
+    # absent colors count 0, so the spreads are those of k = 2 above
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_K_WEIGHTED],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "3 4\n"), proc.stderr
 
 
 def test_multiple_intervals_reduction_examples():

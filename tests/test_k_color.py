@@ -21,6 +21,7 @@ from intervalcolor.core import (
 )
 from intervalcolor.k_color import (
     EdgeGraph,
+    _deeper_than,
     _worst_pair,
     constraint_graph,
     edge_color,
@@ -28,7 +29,7 @@ from intervalcolor.k_color import (
     k_color,
     k_color_dewerra,
 )
-from intervalcolor.two_color import two_color
+from intervalcolor.two_color import halve, slot_order, two_color
 
 from helpers import (
     assert_proper_edge_coloring,
@@ -38,6 +39,7 @@ from helpers import (
     random_bipartite_multigraph,
     random_instance,
     reference_dewerra,
+    reference_halve,
 )
 
 
@@ -438,3 +440,31 @@ def test_k_color_differential_against_divisibility_and_oracle():
         inst = random_instance(rng, rng.randint(0, 9), k, collide=0.35)
         best, _ = min_imbalance_oracle(inst)
         assert imbalance(inst, k_color(inst)).value == best
+
+
+def test_halving_levels_match_the_per_level_reference():
+    # every level on one slot order and one mate buffer, against a fresh
+    # pairing per level; the pool brings equal starts, equal ends and
+    # touching intervals, and arbitrary partitions take the general path
+    rng = random.Random(83)
+    compared = set()
+    for trial in range(150):
+        n = rng.randint(0, 60)
+        inst = random_instance(rng, n, 2, collide=0.5, span=rng.choice((8, 40)))
+        order = normalize(inst).order
+        slots = slot_order(order)
+        mate = [rng.randrange(-5, 5) for _ in slots]  # stale contents are overwritten
+        t = trial % 5 + 1
+        classes = expected = [0] * n
+        for level in range(t):
+            classes = halve(slots, classes, 2**level, mate)
+            expected = reference_halve(order, expected, 2**level)
+            assert classes == expected
+        if _deeper_than(order, 2**t):  # else k_color colors greedily
+            colors = k_color(Instance(inst.lo, inst.hi, inst.scale, 2**t)).colors
+            assert colors == tuple(c + 1 for c in expected)
+            compared.add(t)
+        count = rng.randint(2, 6)
+        partition = [rng.randrange(count) for _ in range(n)]
+        assert halve(slots, partition, count, mate) == reference_halve(order, partition, count)
+    assert compared == {1, 2, 3, 4, 5}

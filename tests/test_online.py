@@ -1,5 +1,6 @@
 """Online harness, builtin strategies, and the unbounded-imbalance adversary."""
 
+import json
 import math
 import random
 import time
@@ -13,6 +14,7 @@ from intervalcolor.core import (
     imbalance,
     make_instance,
 )
+from intervalcolor.formats import coord_json, format_transcript_jsonl
 from intervalcolor.k_color import k_color
 from intervalcolor.online import (
     ALGORITHM_NAMES,
@@ -448,3 +450,28 @@ def test_benchmark_and_golden_runs_stay_under_the_limit():
         len(adversary_general(SeededRandom(seed), 4, 120).colors) for seed in range(20)
     )
     assert most < MAX_PRESENTATIONS // 10
+
+
+def test_transcript_lines_are_the_json_dumps_of_each_record():
+    # int keys at scale 1 and at a power-of-two scale, Fraction keys, and
+    # colors of other types, which json.dumps writes its own way
+    rng = random.Random(89)
+    tiny = Fraction(1, 10**30)
+    for trial in range(60):
+        n = rng.randint(0, 12)
+        bounds = []
+        for _ in range(n):
+            a = Fraction(rng.randrange(-40, 40), rng.choice((1, 2, 8)))
+            bounds.append((a, a + Fraction(rng.randrange(0, 9), 4)))
+        if trial % 3 == 2:  # nudged coordinates keep Fraction keys
+            bounds = [(a + i * tiny, b + i * tiny) for i, (a, b) in enumerate(bounds)]
+        inst = make_instance(bounds, 3)
+        palette = (1, 2, 3, True, 2.5) if trial % 2 else (1, 2, 3)
+        colors = [rng.choice(palette) for _ in range(n)]
+        trace = [rng.randint(0, 5) for _ in range(n)]
+        expected = "".join(
+            json.dumps({"interval": [coord_json(itv.lo), coord_json(itv.hi)],
+                        "color": color, "max_imbalance": value}) + "\n"
+            for itv, color, value in zip(inst.intervals, colors, trace)
+        )
+        assert format_transcript_jsonl(inst, colors, trace) == expected
