@@ -186,9 +186,9 @@ def cmd_hypergraph(args: argparse.Namespace) -> Tuple[int, str]:
     matrix = parse_hypergraph_text(_read_text(args.input))
     instance = hypergraph_to_instance(matrix, args.k)
     coloring = k_color(instance)
-    value = imbalance(instance, coloring).value
+    _check_spread(imbalance(instance, coloring).value, 1)
+    value = _column_spread(matrix, coloring)
     _check_spread(value, 1)
-    _check_spread(_column_spread(matrix, coloring), 1)
     return 0, format_coloring_json(coloring, value)
 
 

@@ -12,21 +12,20 @@ Instance per dimension) and weighted intervals: it sorts an instance's 2n
 signed event ids (i a start, ~i an end) once by key and marks in flags
 the ranks that close a block of equal-coordinate starts or ends; every
 sweep (imbalance, the colorers, the coverage walk) walks that integer
-order, whatever the keys.  imbalance's sweep returns the rank it first
-peaks at, and the witness is read off the keys at that rank.  The exact
-searches sample the line by a sample index s: sample 2g is coords[g] and
-sample 2g + 1 the midpoint of coords[g] and coords[g + 1], where coords
-and the block boundaries cuts are derived from the ranking on first
-request.  _covers, the one coverage walk, yields the ids covering each
-sample, and every exact search (the oracles, the deciders, the box
-masks, weighted_imbalance) reads its cells from it, the searches as
-bitmasks.  A coordinate becomes a Fraction again only where it leaves
-the library: in a witness, and in an Interval or Box built on first
-request.  All types are immutable values and safe to share between
-threads; the kept ranking and intervals are pure functions of the
-instance, so a race merely computes them twice.  imbalance, the check
-behind every result, costs O(1) per event whatever k is and allocates
-nothing in proportion to k.
+order, whatever the keys.  Every measure samples the line at the same
+points, the flagged ranks but the last (see _point): a rank that closes
+a block of starts stands for their coordinate, one that closes a block
+of ends for the midpoint to the next coordinate.  imbalance's sweep
+returns the rank it first peaks at, and _covers, the one coverage walk,
+yields the ids covering each sample, from which every exact search (the
+oracles, the deciders, the box masks, weighted_imbalance) reads its
+cells, the searches as bitmasks.  A coordinate becomes a Fraction again
+only where it leaves the library: in a witness, and in an Interval or
+Box built on first request.  All types are immutable values and safe
+to share between threads; the kept ranking and intervals are pure
+functions of the instance, so a race merely computes them twice.
+imbalance, the check behind every result, costs O(1) per event whatever
+k is and allocates nothing in proportion to k.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import gt, xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -268,52 +267,13 @@ class NormalizedInstance:
 
     At each coordinate its starts form one block of consecutive ranks and
     its ends the next.  flags[r] is 1 where a nonempty block ends at rank
-    r, so a sweep walks order and flags side by side.  lo, hi and scale
-    are the instance's (see Instance): event e lies at key(e) / scale.
-    coords, the distinct keys ascending, and cuts, the block boundaries
-    (the starts at coords[g] are order[cuts[2g]:cuts[2g + 1]], the ends
-    order[cuts[2g + 1]:cuts[2g + 2]]), are derived on first request.
+    r, so a sweep walks order and flags side by side.  The flagged ranks
+    but the last are the sample points of every exact measure (see
+    _point); the coordinates stay with the instance.
     """
 
     order: Tuple[int, ...]
     flags: bytes
-    lo: Tuple
-    hi: Tuple
-    scale: int = 1
-
-    def key(self, e: int):
-        """The key of event e: interval e's lo key, or interval ~e's hi key."""
-        return self.lo[e] if e >= 0 else self.hi[~e]
-
-    @property
-    def coords(self) -> Tuple:
-        return self._blocks[0]
-
-    @property
-    def cuts(self) -> Tuple[int, ...]:
-        return self._blocks[1]
-
-    @cached_property
-    def _blocks(self) -> Tuple[Tuple, Tuple[int, ...]]:
-        """(coords, cuts), from one walk over the ranks that close a block."""
-        lo, hi, order = self.lo, self.hi, self.order
-        coords: List = []
-        cuts = [0]
-        ends_due = False  # the last coordinate's starts closed, its ends not yet
-        for r in compress(range(len(order)), self.flags):
-            e = order[r]
-            x = lo[e] if e >= 0 else hi[~e]
-            if e >= 0 or not ends_due or x != coords[-1]:  # a new coordinate
-                if ends_due:  # the last one had no ends
-                    cuts.append(cuts[-1])
-                coords.append(x)
-                if e < 0:  # this one has no starts
-                    cuts.append(cuts[-1])
-            cuts.append(r + 1)
-            ends_due = e >= 0
-        if ends_due:
-            cuts.append(cuts[-1])
-        return tuple(coords), tuple(cuts)
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
@@ -350,7 +310,7 @@ def normalize(instance: Instance) -> NormalizedInstance:
     # the sort hands back the int objects made in id order; fresh ones,
     # made in rank order, lie in memory as the walks over order read them
     order = tuple(map(xor, order, repeat(0)))
-    norm = NormalizedInstance(order, bytes(flags), instance.lo, instance.hi, instance.scale)
+    norm = NormalizedInstance(order, bytes(flags))
     object.__setattr__(instance, "_normalized", norm)
     return norm
 
@@ -430,15 +390,7 @@ def imbalance(instance: Instance, coloring: Coloring) -> ImbalanceReport:
     """
     _check_coloring(instance, coloring, "intervals")
     value, r = _sweep(instance, coloring.colors)
-    if r is None:
-        return ImbalanceReport(value, Fraction(0))
-    norm = normalize(instance)
-    e = norm.order[r]
-    if e >= 0:  # r closes the starts at a coordinate: that coordinate
-        return ImbalanceReport(value, Fraction(norm.key(e), norm.scale))
-    # r closes the ends there: the midpoint to the next event, as the last rank never peaks
-    after = norm.key(e) + norm.key(norm.order[r + 1])
-    return ImbalanceReport(value, Fraction(after, 2 * norm.scale))
+    return ImbalanceReport(value, Fraction(0) if r is None else _point(instance, r))
 
 
 def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]:
@@ -497,41 +449,44 @@ def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]
     return best, order.index(at)
 
 
-def _point(norm: NormalizedInstance, s: int) -> Coord:
-    """Sample point s of the ranking: coords[g] for s = 2g, and the midpoint
-    of coords[g] and coords[g + 1] for s = 2g + 1.
+def _point(instance: Instance, r: int) -> Coord:
+    """The sample point at flagged rank r of normalize(instance)'s order.
 
-    Every exact measure samples the line at these points only, so their
-    coverage sets are all the coverage sets there are.
+    When r closes a block of starts it is their coordinate, where the
+    intervals starting there have been admitted and none ending there has
+    left.  When r closes a block of ends it is the midpoint to the next
+    event's coordinate, which is larger, so r must not be the last rank.
+    Every exact measure samples the line at these points only: an empty
+    block repeats the cover set before it, so these cover sets are all
+    the cover sets there are.
     """
-    x = norm.coords[s >> 1]
-    if s & 1:
-        return Fraction(x + norm.coords[(s >> 1) + 1], 2 * norm.scale)
-    return Fraction(x, norm.scale)
+    order = normalize(instance).order
+    lo, hi, scale = instance.lo, instance.hi, instance.scale
+    e = order[r]
+    if e >= 0:
+        return Fraction(lo[e], scale)
+    f = order[r + 1]
+    return Fraction(hi[~e] + (lo[f] if f >= 0 else hi[~f]), 2 * scale)
 
 
 def _covers(instance: Instance) -> Iterator[Tuple[int, ...]]:
-    """Per sample point s of normalize(instance) in turn (see _point), the
+    """Per sample point of normalize(instance) in turn (see _point), the
     ids of the intervals covering it, in the order they were admitted.
 
-    The one coverage walk: it admits the intervals starting at coords[g],
-    yields sample 2g, drops those ending there and yields sample 2g + 1,
-    unless coords[g] is the last coordinate.  The live ids sit in an
-    insertion-ordered dict, so a sample costs the number covering it.
+    The one coverage walk: it admits and drops ids rank by rank and
+    yields at each flagged rank but the last, after which nothing is
+    left.  The live ids sit in an insertion-ordered dict, so a sample
+    costs the number covering it.
     """
     norm = normalize(instance)
-    order, cuts = norm.order, norm.cuts
-    last = len(cuts) - 3
     live: Dict[int, None] = {}
-    for b in range(0, len(cuts) - 1, 2):
-        for i in order[cuts[b] : cuts[b + 1]]:
-            live[i] = None
-        yield tuple(live)
-        if b == last:
-            return  # nothing lies right of the last coordinate
-        for e in order[cuts[b + 1] : cuts[b + 2]]:
+    for e, measured in zip(norm.order, norm.flags[:-1]):
+        if e >= 0:
+            live[e] = None
+        else:
             del live[~e]
-        yield tuple(live)
+        if measured:
+            yield tuple(live)
 
 
 def divisibility_predicts_zero(instance: Instance) -> bool:

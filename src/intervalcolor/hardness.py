@@ -573,13 +573,14 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
     """Worst color-count spread over every point of d-space.
 
     Samples the arrangement grid: the Cartesian product, over
-    dimensions, of all box endpoints plus the midpoints between
-    consecutive endpoints, each dimension's samples read off its
-    normalize ranking.  Every distinct covering set attains one of
-    those samples, so the maximum, taken over the distinct covering sets,
-    is exact.  witness is the first grid point (lexicographic in dimension
-    order) attaining it, as a coordinate tuple, or None for an empty
-    instance; the grid is scanned only as far as that point.
+    dimensions, of each dimension's sample points, the flagged ranks of
+    its normalize ranking (see core._point), whose cover sets
+    sample_masks holds in rank order.  Every distinct covering set
+    attains one of those samples, so the maximum, taken over the
+    distinct covering sets, is exact.  witness is the first grid point
+    (lexicographic in dimension order) attaining it, as a coordinate
+    tuple, or None for an empty instance; the grid is scanned only as far
+    as that point.
     """
     _check_coloring(instance, coloring, "boxes")
     if not instance.n:
@@ -604,7 +605,10 @@ def box_imbalance(instance: BoxInstance, coloring: Coloring) -> ImbalanceReport:
         for _, m in point:
             msk &= m
         if spread[msk] == best:
-            witness = (_point(normalize(dim), s) for dim, (s, _) in zip(instance.dims, point))
+            witness = []
+            for dim, (s, _) in zip(instance.dims, point):  # sample s is the s-th flagged rank
+                ranks = itertools.compress(range(2 * dim.n), normalize(dim).flags)
+                witness.append(_point(dim, next(itertools.islice(ranks, s, None))))
             return ImbalanceReport(best, tuple(witness))
     raise InvariantViolation("no grid point attains the largest cell spread")
 

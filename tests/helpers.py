@@ -8,7 +8,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import NamedTuple
 
 from intervalcolor.core import (
@@ -142,7 +142,8 @@ def block_sweep(instance: Instance, cols):
     The reference for core._sweep, which walks order and flags instead:
     it measures sample 2g after the starts at coords[g], and sample 2g + 1
     after a nonempty block of ends there, but not at the last coordinate.
-    s is the first sample attaining the value, None when it is 0.
+    s is the first sample attaining the value, None when it is 0.  The
+    blocks come from reference_ranking, not from normalize.
     """
     n = instance.n
     if n and max(cols) > n:
@@ -152,9 +153,8 @@ def block_sweep(instance: Instance, cols):
     freq = [instance.k]
     top = bottom = 0
     best, at = 0, None
-    norm = normalize(instance)
-    order, cuts = norm.order, norm.cuts
-    last = len(norm.coords) - 1
+    order, coords, cuts = reference_ranking(instance)
+    last = len(coords) - 1
     for g in range(last + 1):
         for i in order[cuts[2 * g] : cuts[2 * g + 1]]:
             c = cols[i]
@@ -345,7 +345,7 @@ def reference_unfold(instance):
     """unfold computed on the instance's arcs in Fractions.
 
     The reference for unfold, which computes on keys: the same intervals,
-    with the full-arc margin taken from the coordinates normalize ranks.
+    with the full-arc margin taken from reference_ranking's coordinates.
     """
     C = circumference_of(instance)
     bounds = []
@@ -359,12 +359,10 @@ def reference_unfold(instance):
 
     if None in bounds:
         proper = make_instance([b for b in bounds if b is not None], instance.k)
-        norm = normalize(proper)
-        coords, scale = norm.coords or (0,), norm.scale
-        hull_lo = Fraction(coords[0], scale)
-        hull_hi = Fraction(coords[-1], scale)
+        coords = reference_ranking(proper)[1] or (Fraction(0),)
+        hull_lo, hull_hi = coords[0], coords[-1]
         gaps = [b - a for a, b in zip(coords, coords[1:])]
-        margin = Fraction(min(gaps), 2 * scale) if gaps else Fraction(1)
+        margin = min(gaps) / 2 if gaps else Fraction(1)
         hull_width = hull_hi - hull_lo
         if hull_width < C:
             margin = min(margin, (C - hull_width) / 4)
@@ -559,6 +557,21 @@ def reference_samples_and_masks(instance):
             msk ^= change
             masks.append(msk)
         per_dim.append((samples, masks))
+    return per_dim
+
+
+def reference_block_samples(instance):
+    """reference_samples_and_masks with one sample per nonempty block of a
+    dimension's ranking: an endpoint where some box starts, and the
+    midpoint after an endpoint where some box ends.  Each sample left out
+    repeats the mask of the sample before it.
+    """
+    per_dim = []
+    for dim, (samples, masks) in enumerate(reference_samples_and_masks(instance)):
+        los = {b.bounds[dim][0] for b in instance.boxes}
+        his = {b.bounds[dim][1] for b in instance.boxes}
+        keep = [x in los if i % 2 == 0 else samples[i - 1] in his for i, x in enumerate(samples)]
+        per_dim.append((list(compress(samples, keep)), list(compress(masks, keep))))
     return per_dim
 
 

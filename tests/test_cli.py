@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import io
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import pytest
 
 from intervalcolor import cli, hardness
 from intervalcolor.cli import main
-from intervalcolor.core import Coloring, make_instance, to_coord
+from intervalcolor.core import Coloring, ImbalanceReport, imbalance, make_instance, to_coord
 from intervalcolor.formats import (
     FormatError,
     coord_json,
@@ -737,6 +738,24 @@ def test_hypergraph_columns_balanced(tmp_path, capsys):
             if matrix[row][col]:
                 counts[colors[row] - 1] += 1
         assert max(counts) - min(counts) <= 1
+
+
+def test_hypergraph_prints_the_column_spread(capsys, monkeypatch):
+    # the all-zero row becomes an isolated point whose one interval has
+    # spread 1 there, but the only column holds colors 1 and 2 once each
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3 1\n1\n1\n0\n"))
+    code, out, err = run(capsys, "hypergraph", "--input", "-", "--k", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"colors": [1, 2, 1], "imbalance": 0}
+    matrix = cli.parse_hypergraph_text("3 1\n1\n1\n0\n")
+    instance = cli.hypergraph_to_instance(matrix, 2)
+    assert imbalance(instance, Coloring((1, 2, 1), 2)).value == 1
+    # the derived intervals are still checked, though no longer printed
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3 1\n1\n1\n0\n"))
+    monkeypatch.setattr(cli, "imbalance", lambda inst, col: ImbalanceReport(2, Fraction(0)))
+    code, out, err = run(capsys, "hypergraph", "--input", "-", "--k", "2")
+    assert (code, out) == (3, "")
+    assert "coloring has imbalance 2, above the guaranteed 1" in err
 
 
 def test_hypergraph_rejects_non_c1p(tmp_path, capsys):

@@ -35,6 +35,7 @@ from helpers import (
     block_max_depth,
     block_sweep,
     brute_force_counts,
+    cell_spread,
     flags_of_cuts,
     random_coloring,
     random_instance,
@@ -94,10 +95,13 @@ def test_coloring_validation():
 
 
 def test_normalize_shared_start_breaks_by_id():
-    norm = normalize(make_instance([[0, 2], [0, 1]], 2))
+    inst = make_instance([[0, 2], [0, 1]], 2)
+    norm = normalize(inst)
     assert norm.order == (0, 1, ~1, ~0)
-    assert norm.coords == (0, 1, 2)
-    assert norm.cuts == (0, 2, 2, 2, 3, 3, 4)
+    order, coords, cuts = reference_ranking(inst)
+    assert coords == (0, 1, 2) and cuts == (0, 2, 2, 2, 3, 3, 4)
+    # the starts at 0 close at rank 1, the ends at 1 and 2 at ranks 2 and 3
+    assert norm.flags == bytes((0, 1, 1, 1)) == flags_of_cuts(order, cuts)
 
 
 def test_normalize_touching_endpoints_keep_their_clique():
@@ -105,15 +109,17 @@ def test_normalize_touching_endpoints_keep_their_clique():
     norm = normalize(inst)
     assert norm.order == (0, 1, ~0, ~1)  # at x = 1 the start ranks first
     # the region between ranks 2 and 3 carries both intervals, like x = 1
-    cliques = {_point(norm, s): frozenset(ids) for s, ids in enumerate(_covers(inst))}
+    ranks = itertools.compress(range(len(norm.order)), norm.flags)
+    cliques = {_point(inst, r): frozenset(ids) for r, ids in zip(ranks, _covers(inst))}
     assert cliques[Fraction(1)] == frozenset({0, 1})
 
 
 def test_normalize_empty():
-    norm = normalize(make_instance([], 2))
-    assert norm.order == ()
-    assert norm.coords == ()
-    assert norm.cuts == (0,)
+    inst = make_instance([], 2)
+    norm = normalize(inst)
+    assert (norm.order, norm.flags) == ((), b"")
+    assert reference_ranking(inst) == ((), (), (0,))
+    assert list(_covers(inst)) == []
 
 
 def test_normalize_ranks_once_per_instance():
@@ -131,20 +137,20 @@ def test_events_are_a_rank_permutation():
     for _ in range(50):
         inst = random_instance(rng, rng.randint(0, 12), 2)
         norm = normalize(inst)
-        order, coords, cuts = norm.order, norm.coords, norm.cuts
+        order = norm.order
         assert sorted(order) == sorted([*range(inst.n), *(~i for i in range(inst.n))])
         rank = {e: r for r, e in enumerate(order)}
         assert all(rank[i] < rank[~i] for i in range(inst.n))
-        # blocks alternate starts and ends at strictly increasing coordinates
-        assert list(coords) == sorted(set(coords))
-        assert len(cuts) == 2 * len(coords) + 1 and cuts[0] == 0
-        assert cuts[-1] == 2 * inst.n and list(cuts) == sorted(cuts)
+        # blocks alternate starts and ends at strictly increasing
+        # coordinates, and flags closes each nonempty one
+        _, coords, cuts = reference_ranking(inst)
+        assert norm.flags == flags_of_cuts(order, cuts)
         for b in range(len(cuts) - 1):
             for e in order[cuts[b] : cuts[b + 1]]:
                 itv = inst.intervals[e if e >= 0 else ~e]
                 assert (e < 0) == (b % 2 == 1)
                 x = itv.lo if e >= 0 else itv.hi
-                assert x == Fraction(coords[b // 2], norm.scale)
+                assert x == coords[b // 2]
             block = list(order[cuts[b] : cuts[b + 1]])
             ids = [e if e >= 0 else ~e for e in block]
             assert ids == sorted(ids)  # ties break by interval id
@@ -155,13 +161,17 @@ def test_normalize_exact_on_float_ties_and_overflow():
     inst = make_instance([[1 + tiny, 2], [1, 1 + tiny], [1, 2]], 2)
     assert float(1 + tiny) == 1.0
     norm = normalize(inst)
-    assert norm.coords == (1, 1 + tiny, 2)
-    assert norm.order == (1, 2, 0, ~1, ~0, ~2)
+    order, coords, cuts = reference_ranking(inst)
+    assert coords == (1, 1 + tiny, 2)
+    assert norm.order == order == (1, 2, 0, ~1, ~0, ~2)
+    assert norm.flags == flags_of_cuts(order, cuts) == bytes((0, 1, 1, 1, 0, 1))
     huge = 10**400  # beyond float range: the exact fallback sorts
     inst = make_instance([[huge, huge + 1], [-huge, huge]], 2)
     norm = normalize(inst)
-    assert norm.coords == (-huge, huge, huge + 1)
-    assert norm.order == (1, 0, ~1, ~0)
+    order, coords, cuts = reference_ranking(inst)
+    assert coords == (-huge, huge, huge + 1)
+    assert norm.order == order == (1, 0, ~1, ~0)
+    assert norm.flags == flags_of_cuts(order, cuts) == bytes((1, 1, 1, 1))
 
 
 GRAMMAR_CASES = [
@@ -301,13 +311,11 @@ def test_ranking_matches_the_fraction_sort(kind):
         elif kind != "mixed":
             assert all(type(x) is int for x in inst.lo + inst.hi)
         norm = normalize(inst)
-        order, coords, cuts = reference_ranking(inst)
-        assert norm.order == order and norm.cuts == cuts
-        assert tuple(Fraction(x, norm.scale) for x in norm.coords) == coords
+        order, _, cuts = reference_ranking(inst)
+        assert (norm.order, norm.flags) == (order, flags_of_cuts(order, cuts))
         # the same intervals read back from their coordinates rank alike
         again = normalize(make_instance([(x.lo, x.hi) for x in inst.intervals], inst.k))
-        assert (again.order, again.cuts) == (order, cuts)
-        assert tuple(Fraction(x, again.scale) for x in again.coords) == coords
+        assert again == norm
         col = random_coloring(rng, inst.n, inst.k)
         report = imbalance(inst, col)
         assert (report.value, report.witness) == reference_imbalance(inst, col)
@@ -326,20 +334,51 @@ def test_rank_walks_match_the_block_walks(kind):
             inst = random_keyed_instance(rng, kind, n, k)
             norm = normalize(inst)
             order, coords, cuts = reference_ranking(inst)
-            assert norm.order == order and norm.cuts == cuts
-            assert tuple(Fraction(x, norm.scale) for x in norm.coords) == coords
+            assert norm.order == order
             assert norm.flags == flags_of_cuts(order, cuts)
             cols = random_coloring(rng, n, k).colors
             value, s = block_sweep(inst, cols)
-            # the sweep's rank is the last of sample s's block
-            assert _sweep(inst, cols) == (value, None if s is None else cuts[s + 1] - 1)
-            witness = Fraction(0) if s is None else _point(norm, s)
+            # the sweep's rank is the last of sample s's block, and its
+            # point is sample s: coords[g] for s = 2g, else the midpoint
+            r = None if s is None else cuts[s + 1] - 1
+            assert _sweep(inst, cols) == (value, r)
+            witness = Fraction(0)
+            if s is not None:
+                g = s // 2
+                witness = coords[g] if s % 2 == 0 else (coords[g] + coords[g + 1]) / 2
+                assert _point(inst, r) == witness
             assert (value, witness) == reference_imbalance(inst, Coloring(cols, k))
             assert imbalance(inst, Coloring(cols, k)).witness == witness
             assert _deeper_than(norm.order, k) == (k < block_max_depth(cuts))
             depths = [sum(1 if e >= 0 else -1 for e in order[:c]) for c in cuts]
             assert divisibility_predicts_zero(inst) == all(d % k == 0 for d in depths)
             assert divisibility_predicts_zero(Instance(inst.lo * 2, inst.hi * 2, inst.scale, 2))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "tiny"])
+def test_every_measure_samples_at_the_flagged_ranks(kind):
+    # one sample index: cover set s of _covers, the point _point builds for
+    # the s-th flagged rank and the rank _sweep returns name the same sample
+    rng = random.Random(f"samples/{kind}")
+    for n in range(13):
+        for _ in range(20):
+            k = rng.choice((rng.randint(1, 4), n + rng.randint(1, 3)))
+            inst = random_keyed_instance(rng, kind, n, k)
+            ranks = [*itertools.compress(range(2 * n), normalize(inst).flags)][:-1]
+            covers = list(_covers(inst))
+            assert len(covers) == len(ranks)
+            for r, ids in zip(ranks, covers):
+                x = _point(inst, r)
+                assert len(set(ids)) == len(ids)
+                assert set(ids) == {itv.id for itv in inst.intervals if itv.lo <= x <= itv.hi}
+            col = random_coloring(rng, n, k)
+            spreads = [cell_spread([ids], col) for ids in covers]
+            value = max(spreads, default=0)
+            r = ranks[spreads.index(value)] if value else None
+            assert _sweep(inst, col.colors) == (value, r)
+            report = imbalance(inst, col)
+            assert report.value == value
+            assert report.witness == (Fraction(0) if r is None else _point(inst, r))
 
 
 def first_primes(count):
@@ -539,9 +578,9 @@ def test_normalize_is_clique_complete():
             else:
                 active.discard(~e)
             rank_cliques.add(frozenset(active))
-        norm = normalize(inst)
-        for s, ids in enumerate(_covers(inst)):
-            point = _point(norm, s)
+        ranks = itertools.compress(range(2 * inst.n), normalize(inst).flags)
+        for r, ids in zip(ranks, _covers(inst)):
+            point = _point(inst, r)
             assert {itv.id for itv in inst.intervals if itv.lo <= point <= itv.hi} == set(ids)
             assert frozenset(ids) in rank_cliques
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import pytest
 
@@ -43,8 +43,8 @@ from helpers import (
     random_coloring,
     random_formula,
     reference_audit_reduction,
+    reference_block_samples,
     reference_box_imbalance,
-    reference_samples_and_masks,
 )
 
 
@@ -452,11 +452,11 @@ def test_box_imbalance_matches_the_grid_reference():
                 box.append([str(x) for x in sorted((lo, hi))])
             bounds.append(box)
         inst = make_box_instance(bounds, k)
-        reference = reference_samples_and_masks(inst)
+        reference = reference_block_samples(inst)
         assert list(inst.sample_masks) == [masks for _, masks in reference]
         for dim, (samples, _) in zip(inst.dims, reference):
-            norm = normalize(dim)
-            assert [_point(norm, s) for s in range(len(samples))] == samples
+            ranks = [*compress(range(2 * dim.n), normalize(dim).flags)][:-1]
+            assert [_point(dim, r) for r in ranks] == samples
         check(inst, random_coloring(rng, n, k))
     for formula in formula_corpus():
         for k in (2, 3) if len(formula.clauses) <= 2 else (2,):

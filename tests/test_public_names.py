@@ -1,10 +1,13 @@
-"""Every public name has a caller in the program, or a stated reason.
+"""Every public name, and every function, method and property the package
+defines, has a caller in the program, or a stated reason.
 
 A name in intervalcolor.__all__ that no module of the package reads is
-surface only the tests exercise.  The modules are parsed, not imported:
-a name counts as read where it is loaded as a Name or appears as an
-attribute, outside __init__.py, which only re-exports.  A definition or
-an assignment target is not a read.
+surface only the tests exercise, and so is a function, private or not,
+that nothing in the package calls.  The modules are parsed, not
+imported: a name counts as read where it is loaded as a Name or appears
+as an attribute, outside __init__.py, which only re-exports.  A
+definition or an assignment target is not a read.  Dunder methods are
+the interpreter's to call and are not scanned.
 """
 
 import ast
@@ -26,6 +29,15 @@ NO_CALLER = {
     "make_box_instance": "the box constructor from coordinates",
 }
 
+# functions, methods and properties no module reads, by qualified name,
+# each with why it stays; besides these, the subcommands cmd_<name>,
+# which cli.main looks up by name
+UNREAD_DEFINITIONS = {
+    "_QuietParser.error": "argparse calls it on a usage error",
+    "_QuietParser.print_help": "argparse calls it for --help",
+    "Transcript.presented": "the benchmark's tracer counts a transcript's presentations by it",
+}
+
 
 def names_read():
     read = set()
@@ -40,6 +52,29 @@ def names_read():
     return read
 
 
+def definitions():
+    """(qualified name, name) of each function, method and property the
+    modules define, dunder methods aside."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not isinstance(child, ast.ClassDef) and not child.name.startswith("__"):
+                    found.append((prefix + child.name, child.name))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def allowed(qualname):
+    return qualname in NO_CALLER or qualname in UNREAD_DEFINITIONS or qualname.startswith("cmd_")
+
+
 def test_every_public_name_is_read_or_allowed():
     read = names_read()
     unread = sorted(set(intervalcolor.__all__) - read - set(NO_CALLER))
@@ -50,3 +85,18 @@ def test_the_allowlist_holds_only_public_names_without_a_caller():
     read = names_read()
     assert sorted(set(NO_CALLER) - set(intervalcolor.__all__)) == []
     assert sorted(set(NO_CALLER) & read) == []
+
+
+def test_every_definition_is_read_or_allowed():
+    read = names_read()
+    unread = sorted(q for q, name in definitions() if name not in read and not allowed(q))
+    assert unread == [], "definitions only tests read; delete them or give a reason"
+
+
+def test_the_definition_allowlist_holds_only_unread_definitions():
+    read = names_read()
+    defined = dict(definitions())
+    assert sorted(set(UNREAD_DEFINITIONS) - set(defined)) == []
+    assert sorted(q for q in UNREAD_DEFINITIONS if defined[q] in read) == []
+    commands = [q for q in defined if q.startswith("cmd_")]
+    assert commands and not set(commands) & read

@@ -103,7 +103,7 @@ def test_two_color_rejects_contradictory_pairs():
     # interval 0 starts twice and never ends: the pairs ask intervals 0
     # and 1 to be both alike and opposite
     inst = make_instance([[0, 1], [0, 1]], 2)
-    ranking = NormalizedInstance((0, 1, 0, ~1), bytes(4), inst.lo, inst.hi)
+    ranking = NormalizedInstance((0, 1, 0, ~1), bytes(4))
     object.__setattr__(inst, "_normalized", ranking)
     with pytest.raises(InvariantViolation, match="odd cycle"):
         two_color(inst)
