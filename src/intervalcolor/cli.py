@@ -16,12 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from dataclasses import replace
 from functools import cache
-from itertools import compress
-from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple, Type
+from typing import IO, Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .arcs import arc_color, arc_imbalance
 from .core import (
@@ -61,7 +58,8 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
@@ -167,7 +165,8 @@ def cmd_reduce(args: argparse.Namespace) -> Tuple[int, str]:
     formula = parse_nae_text(_read_text(args.input))
     instance = reduce_nae_to_boxes(formula, args.k)
     if args.svg is not None:
-        Path(args.svg).write_text(_svg_dump(instance), encoding="utf-8")
+        with open(args.svg, "w", encoding="utf-8") as file:
+            file.write(_svg_dump(instance))
     return 0, format_box_instance_json(instance)
 
 
@@ -198,12 +197,13 @@ def _column_spread(matrix: Sequence[Sequence[int]], coloring: Coloring) -> int:
     colors = coloring.colors
     if len(colors) != len(matrix):
         raise InvariantViolation(f"{len(colors)} colors for {len(matrix)} rows")
-    worst = 0
-    for column in zip(*matrix):
-        counts = Counter(compress(colors, column)).values()
-        low = min(counts) if len(counts) == coloring.k else 0  # absent colors count 0
-        worst = max(worst, max(counts, default=0) - low)
-    return worst
+    rows_of: Dict[int, List[Sequence[int]]] = {}
+    for color, row in zip(colors, matrix):
+        rows_of.setdefault(color, []).append(row)
+    # one tuple of column sums per color in use
+    sums = [tuple(map(sum, zip(*rows))) for rows in rows_of.values()]
+    absent = (0,) * (len(sums) < coloring.k)  # a color no row uses counts 0
+    return max((max(column) - min(column + absent) for column in zip(*sums)), default=0)
 
 
 _SVG_FILL = {
@@ -298,24 +298,20 @@ _COMMANDS: Dict[str, Tuple[str, List[Tuple[str, Dict[str, Any]]]]] = {
 }
 
 
-def _parser(
-    names: Iterable[str], cls: Type[argparse.ArgumentParser] = argparse.ArgumentParser
-) -> argparse.ArgumentParser:
-    parser = cls(
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    for flag, options in _COMMANDS[name][1]:
+        parser.add_argument(flag, **options)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="intervalcolor",
         description="Balanced colorings of intervals, arcs, and boxes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        text, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=text)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
+    for name, (text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_COMMANDS)
 
 
 class _GiveWay(Exception):
@@ -334,17 +330,21 @@ class _QuietParser(argparse.ArgumentParser):
 
 @cache
 def _quiet(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand `name` alone, built once per process."""
-    return _parser([name], _QuietParser)
+    """One flat parser for subcommand `name`'s arguments, built once per
+    process; it parses what follows the subcommand's name."""
+    parser = _QuietParser(prog="intervalcolor " + name)
+    _add_arguments(parser, name)
+    parser.set_defaults(command=name)
+    return parser
 
 
 def _parse(argv: List[str]) -> argparse.Namespace:
-    """Parse with only argv[0]'s subparser, which is all a valid command line
-    needs.  Help and usage errors fall back to the full parser, so what
-    they print does not depend on which subcommands were built."""
+    """Parse with only argv[0]'s own parser, which is all a valid command
+    line needs.  Help and usage errors fall back to the full parser, so
+    what they print does not depend on which parsers were built."""
     if argv and argv[0] in _COMMANDS:
         try:
-            return _quiet(argv[0]).parse_args(argv)
+            return _quiet(argv[0]).parse_args(argv[1:])
         except _GiveWay:
             pass
     return build_parser().parse_args(argv)

@@ -8,6 +8,7 @@ writer emits the same bytes for the same input and ends with a newline.
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain
 from math import gcd
 from operator import itemgetter
@@ -37,7 +38,11 @@ def _keys_json(keys: Sequence, scale: int) -> List[Union[int, str]]:
     return [x // g if (g := gcd(x, scale)) == scale else f"{x // g}/{scale // g}" for x in keys]
 
 
-def _loads(text: str, what: str) -> Any:
+@cache
+def _decoder(what: str) -> json.JSONDecoder:
+    """The decoder of one document kind, built once per process: floats
+    stay strings, and non-finite numbers and repeated keys are refused."""
+
     def reject(name: str) -> Any:
         raise FormatError(f"{what}: non-finite number {name}")
 
@@ -49,10 +54,14 @@ def _loads(text: str, what: str) -> Any:
             raise FormatError(f"{what}: duplicate key {key!r}")
         return data
 
+    return json.JSONDecoder(parse_float=str, parse_constant=reject, object_pairs_hook=unique)
+
+
+def _loads(text: str, what: str) -> Any:
     try:
-        return json.loads(
-            text, parse_float=str, parse_constant=reject, object_pairs_hook=unique
-        )
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _decoder(what).decode(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: invalid JSON: {exc}") from None
     except RecursionError:
@@ -186,6 +195,7 @@ def parse_arc_json(text: str) -> ArcInstance:
 
 
 _BITS = frozenset("01")
+_BIT_VALUE = {"0": 0, "1": 1}
 
 
 def parse_hypergraph_text(text: str) -> Tuple[Tuple[int, ...], ...]:
@@ -195,7 +205,7 @@ def parse_hypergraph_text(text: str) -> Tuple[Tuple[int, ...], ...]:
     for pos, row in enumerate(rows):
         if len(row) != m or not _BITS.issuperset(row):
             raise FormatError(f"hypergraph: row {pos} must be {m} entries of 0 or 1")
-        matrix.append(tuple(map(int, row)))
+        matrix.append(tuple(map(_BIT_VALUE.__getitem__, row)))
     return tuple(matrix)
 
 
@@ -256,19 +266,21 @@ def parse_nae_text(text: str) -> NaeFormula:
 
 
 def format_box_instance_json(instance: BoxInstance) -> str:
-    columns = [
-        [_keys_json(keys, dim.scale) for keys in (dim.lo, dim.hi)] for dim in instance.dims
-    ]
-    boxes = [
-        {"id": i, "tag": tag, "bounds": [[lo[i], hi[i]] for lo, hi in columns]}
-        for i, tag in enumerate(instance.tags)
-    ]
+    # as in format_transcript_jsonl: each column (the tags, each dimension's
+    # lo and hi) as JSON text, split into its values' texts; no tag or key
+    # text holds ", ", so each box is written from one template
+    columns = [instance.tags]
+    for dim in instance.dims:
+        columns += _keys_json(dim.lo, dim.scale), _keys_json(dim.hi, dim.scale)
+    texts = [json.dumps(list(column))[1:-1].split(", ") for column in columns]
+    box = '{"id": %d, "tag": %s, "bounds": [' + ", ".join(["[%s, %s]"] * instance.d) + "]}"
+    boxes = ", ".join(map(box.__mod__, zip(range(instance.n), *texts)))
     provenance = {
         str(box_id): list(entry)
         for box_id, entry in sorted(instance.provenance.items())
     }
-    payload = {"d": instance.d, "k": instance.k, "boxes": boxes, "provenance": provenance}
-    return json.dumps(payload) + "\n"
+    line = '{"d": %d, "k": %d, "boxes": [%s], "provenance": %s}\n'
+    return line % (instance.d, instance.k, boxes, json.dumps(provenance))
 
 
 def parse_box_instance_json(text: str) -> BoxInstance:

@@ -20,7 +20,7 @@ from intervalcolor.core import (
     make_instance,
     normalize,
 )
-from intervalcolor.formats import coord_json
+from intervalcolor.formats import FormatError, _counted_rows, _keys_json, coord_json
 from intervalcolor.hardness import NaeFormula
 from intervalcolor.k_color import EdgeGraph
 from intervalcolor.online import OnlineAlgorithm
@@ -497,6 +497,23 @@ def formula_corpus(count=50):
     return fixed + [random_formula(rng) for _ in range(count)]
 
 
+def reference_format_box_instance_json(instance):
+    """The box file as one json.dumps of the whole payload."""
+    columns = [
+        [_keys_json(keys, dim.scale) for keys in (dim.lo, dim.hi)] for dim in instance.dims
+    ]
+    boxes = [
+        {"id": i, "tag": tag, "bounds": [[lo[i], hi[i]] for lo, hi in columns]}
+        for i, tag in enumerate(instance.tags)
+    ]
+    provenance = {
+        str(box_id): list(entry)
+        for box_id, entry in sorted(instance.provenance.items())
+    }
+    payload = {"d": instance.d, "k": instance.k, "boxes": boxes, "provenance": provenance}
+    return json.dumps(payload) + "\n"
+
+
 def boxes_intersect(a, b):
     """True iff the closed boxes share at least one point."""
     return all(
@@ -611,6 +628,44 @@ def reference_box_imbalance(instance, coloring):
             best = spread
             witness = tuple(samples[i] for (samples, _), i in zip(per_dim, combo))
     return best, witness
+
+
+def reference_parse_hypergraph_text(text):
+    """The 0/1 matrix of a hypergraph file, each entry read by int()."""
+    m, rows = _counted_rows(text, "hypergraph", "n m", "rows")
+    matrix = []
+    for pos, row in enumerate(rows):
+        if len(row) != m or not frozenset("01").issuperset(row):
+            raise FormatError(f"hypergraph: row {pos} must be {m} entries of 0 or 1")
+        matrix.append(tuple(map(int, row)))
+    return tuple(matrix)
+
+
+def reference_column_spread(matrix, coloring):
+    """Largest color spread over the matrix's columns, one Counter per
+    column; a color absent from a column counts 0 there."""
+    colors = coloring.colors
+    if len(colors) != len(matrix):
+        raise InvariantViolation(f"{len(colors)} colors for {len(matrix)} rows")
+    worst = 0
+    for column in zip(*matrix):
+        counts = Counter(compress(colors, column)).values()
+        low = min(counts) if len(counts) == coloring.k else 0
+        worst = max(worst, max(counts, default=0) - low)
+    return worst
+
+
+def random_c1p_matrix(rng, rows, width, zero_rate=0.1):
+    """rows rows of one run of 1s each (or none), consecutive-ones by construction."""
+    matrix = []
+    for _ in range(rows):
+        if not width or rng.random() < zero_rate:
+            matrix.append((0,) * width)
+            continue
+        a = rng.randrange(width)
+        b = rng.randrange(a, width)
+        matrix.append(tuple(int(a <= c <= b) for c in range(width)))
+    return tuple(matrix)
 
 
 class AlwaysColor(OnlineAlgorithm):

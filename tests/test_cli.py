@@ -12,6 +12,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,6 +22,7 @@ from intervalcolor.core import Coloring, ImbalanceReport, imbalance, make_instan
 from intervalcolor.formats import (
     FormatError,
     coord_json,
+    format_box_instance_json,
     parse_arc_json,
     parse_box_instance_json,
     parse_coloring_json,
@@ -31,15 +33,22 @@ from intervalcolor.hardness import (
     MAX_REDUCTION_CLAUSES,
     MAX_REDUCTION_K,
     MAX_REDUCTION_VARS,
+    BoxInstance,
     box_imbalance,
+    reduce_nae_to_boxes,
 )
 from intervalcolor.online import MAX_PRESENTATIONS
 from test_cli_bytes import COMMANDS
 from helpers import (
     format_instance_json,
+    formula_corpus,
+    random_c1p_matrix,
     random_coloring,
     random_instance,
     reference_box_imbalance,
+    reference_column_spread,
+    reference_format_box_instance_json,
+    reference_parse_hypergraph_text,
 )
 
 TWO = '{"k": 2, "intervals": [[0, 2], ["1/2", "5/2"]]}\n'
@@ -545,6 +554,43 @@ def test_decide_boxes_on_fraction_keys(tmp_path, capsys, formula):
         assert (report.value, report.witness) == reference_box_imbalance(inst, coloring)
 
 
+def box_instances():
+    """Reductions and hand-built box instances: keys at scale 1 and above
+    it, Fraction keys, no boxes, and no provenance."""
+    formulas = formula_corpus(6)[1:]
+    for k in (2, 3, 5):
+        for d in (2, 3):
+            for formula in formulas:
+                yield reduce_nae_to_boxes(formula, k, d)
+    halves = make_instance([("1/2", "3/2"), (0, "5/2"), ("-7/2", "-1/2")], 3)
+    ints = make_instance([(0, 4), (-2, 1), (1, 1)], 3)
+    assert halves.scale == 2
+    yield BoxInstance((halves, ints), ("clause", "cover", "chain"))
+    den = 10**30
+    wide = make_instance([(f"{x * den + 1}/{den}", f"{y}/3") for x, y in ((0, 1), (2, 9), (-5, 0))], 3)
+    assert wide.scale == 1 and isinstance(wide.lo[0], Fraction)
+    yield BoxInstance((wide, ints, halves), ("variable", "crossing", "clause"))
+    yield BoxInstance((wide,), ("cover", "cover", "cover"))
+    for d in (1, 2):
+        yield BoxInstance((make_instance((), 2),) * d, ())
+    yield parse_box_instance_json('{"d": 2, "k": 3, "boxes": [], "provenance": {}}')
+
+
+def box_contents(instance):
+    """Each dimension's keys, scale and k, the tags and the provenance;
+    instances themselves compare by identity."""
+    dims = [(tuple(dim.lo), tuple(dim.hi), dim.scale, dim.k) for dim in instance.dims]
+    return dims, instance.tags, instance.provenance
+
+
+def test_box_writer_matches_one_dumps_and_reads_back():
+    for instance in box_instances():
+        text = format_box_instance_json(instance)
+        assert text == reference_format_box_instance_json(instance)
+        back = parse_box_instance_json(text)
+        assert box_contents(back) == box_contents(instance)
+
+
 def test_reduce_svg_is_well_formed(tmp_path, capsys):
     nae = write(tmp_path, "sat.nae", "p nae 3 1\n1 2 3\n")
     svg = tmp_path / "boxes.svg"
@@ -758,6 +804,44 @@ def test_hypergraph_prints_the_column_spread(capsys, monkeypatch):
     assert "coloring has imbalance 2, above the guaranteed 1" in err
 
 
+def read_outcome(parse, text):
+    """parse(text), or the message of the FormatError it raises."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def test_hypergraph_reader_matches_the_int_reference():
+    # every body of up to 5 characters, alone (so its first line is the
+    # header) and under the header its rows promise
+    alphabet = ["0", "1", " ", "\n", "2", "\uff11", "-"]
+    for size in range(6):
+        for chars in product(alphabet, repeat=size):
+            body = "".join(chars)
+            rows = [line.split() for line in body.splitlines() if line.strip()]
+            header = f"{len(rows)} {len(rows[0]) if rows else 0}\n"
+            for text in (body, header + body):
+                expected = read_outcome(reference_parse_hypergraph_text, text)
+                assert read_outcome(cli.parse_hypergraph_text, text) == expected, text
+
+
+def test_column_spread_matches_the_counter_reference():
+    rng = random.Random(33)
+    cases = [((), 2), (((),) * 3, 2), (((1, 1), (0, 0), (0, 1)), 1)]
+    for _ in range(400):
+        rows, width = rng.randint(0, 12), rng.randint(0, 8)
+        k = rng.choice([1, 2, 3, 5, rows + 1, rows + 4])
+        cases.append((random_c1p_matrix(rng, rows, width, zero_rate=0.3), k))
+    for matrix, k in cases:
+        palette = rng.sample(range(1, k + 1), rng.randint(1, k))  # often only some colors
+        coloring = Coloring(tuple(rng.choice(palette) for _ in matrix), k)
+        expected = reference_column_spread(matrix, coloring)
+        assert cli._column_spread(matrix, coloring) == expected, (matrix, coloring)
+    with pytest.raises(cli.InvariantViolation, match="2 colors for 3 rows"):
+        cli._column_spread(((1,), (1,), (0,)), Coloring((1, 2), 2))
+
+
 def test_hypergraph_rejects_non_c1p(tmp_path, capsys):
     path = write(tmp_path, "mat.txt", "1 3\n1 0 1\n")
     code, _, err = run(capsys, "hypergraph", "--input", path, "--k", "2")
@@ -799,10 +883,78 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["imbalance"] == 1
 
 
+def valid_command_lines(name):
+    """Command lines that subcommand `name` accepts, generated from its
+    argument table: every value in the forms `--flag value`, `--flag=value`
+    and a unique prefix of the flag, negative ints, a repeated flag, the
+    positional at every place among the options, and every optional
+    argument both given and omitted."""
+    arguments = cli._COMMANDS[name][1]
+    strings = [flag for flag, _ in arguments if flag.startswith("-")] + ["-h", "--help"]
+
+    def prefixes(flag):  # the flag and each shorter prefix that names it alone
+        return [flag] + [
+            flag[:end] for end in range(3, len(flag))
+            if not any(s.startswith(flag[:end]) for s in strings if s != flag)
+        ]
+
+    def values(options):
+        if "choices" in options:
+            return list(options["choices"])
+        if options.get("type") is int:
+            return ["3", "-3", "0", "-12"]
+        return ["f", "-", "-1", "a b.json"]
+
+    def forms(flag, options, value):
+        """Each way of writing one argument with one value, as token lists."""
+        if not flag.startswith("-"):
+            return [[value]]
+        if options.get("action") == "store_true":
+            return [[prefix] for prefix in prefixes(flag)]
+        return [
+            form for prefix in prefixes(flag)
+            for form in ([prefix, value], [f"{prefix}={value}"])
+        ]
+
+    base = {
+        flag: forms(flag, options, values(options)[0])[0]
+        for flag, options in arguments
+        if options.get("required") or not flag.startswith("-")
+    }
+
+    def line(groups):
+        return [name, *(token for group in groups.values() for token in group)]
+
+    yield line(base)  # every optional omitted: its default
+    for flag, options in arguments:
+        for value in values(options):
+            for form in forms(flag, options, value):
+                yield line({**base, flag: form})
+    everything = {
+        **base,
+        **{flag: forms(flag, options, values(options)[-1])[0] for flag, options in arguments},
+    }
+    yield line(everything)
+    yield line(dict(reversed(everything.items())))
+    # a repeated flag: the last one wins
+    repeated = {
+        flag: forms(flag, options, values(options)[0])[0] + forms(flag, options, values(options)[-1])[-1]
+        for flag, options in arguments if flag.startswith("-")
+    }
+    yield line({**everything, **repeated})
+    # a positional before, between and after the options
+    for flag, options in arguments:
+        if not flag.startswith("-"):
+            rest = [group for other, group in everything.items() if other != flag]
+            for place in range(len(rest) + 1):
+                groups = rest[:place] + [everything[flag]] + rest[place:]
+                yield [name, *(token for group in groups for token in group)]
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_one_subparser_parses_as_the_full_parser(name):
-    argv = [name, *COMMANDS[name][0]]
-    assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+    for argv in [[name, *COMMANDS[name][0]], *valid_command_lines(name)]:
+        assert cli._parse(argv) == cli.build_parser().parse_args(argv), argv
 
 
 def test_commands_run_through_the_module_attribute(tmp_path, capsys, monkeypatch):
@@ -828,15 +980,15 @@ def test_a_process_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypa
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli._quiet.cache_clear()  # as in a fresh process
     path = write(tmp_path, "two.json", TWO)
-    # the first valid command builds the top parser and its one subparser,
-    # as a one-shot run does; the same command again builds nothing
+    # the first valid command builds its subcommand's one flat parser, as a
+    # one-shot run does; the same command again builds nothing
     assert run(capsys, "color", "--input", path)[0] == 0
-    assert built == ["_QuietParser"] * 2
+    assert built == ["_QuietParser"]
     assert run(capsys, "color", "--input", path)[0] == 0
-    assert built == ["_QuietParser"] * 2
-    # another subcommand builds its own pair
+    assert built == ["_QuietParser"]
+    # another subcommand builds its own
     assert run(capsys, "oracle", "--input", path)[0] == 0
-    assert built == ["_QuietParser"] * 4
+    assert built == ["_QuietParser"] * 2
 
 
 def stdout_writes(tree):
