@@ -15,19 +15,20 @@ scale fixed from t and the repeat budget, and a run presents at most
 MAX_PRESENTATIONS intervals.
 
 Both run_online and the adversary present intervals through one session
-that asks the algorithm for a color, checks it, and records the
-imbalance of the prefix so far.  The session and the algorithms see
-endpoint keys only: a stream's own, or the adversary's ints.  The trace
-is one incremental sweep resting on the online contract that starts
-never decrease: points left of the latest start are final, and at or
-right of it the intervals covering a point are those ending at or after
-it.  So an arrival updates only the color counts kept per distinct right
-end at or below its own, O(k) each, and no prefix is ever re-ranked.
-When the run ends, one offline imbalance of the whole presented instance
-must equal the last trace value, so every run still has an independent
-check.  The worst case is every interval alive with rising right ends,
-O(n^2 k) per run: the staircase [i, 2000 + i], i < 2000, with k = 3
-takes about 0.6 s on a 2-vCPU Xeon under Python 3.11.
+that asks the algorithm for a color, checks it, and records the arrival.
+No answer depends on the trace, so it is computed when the run ends, in
+one pass on endpoint keys (a stream's own, or the adversary's ints)
+resting on the online contract that starts never decrease: points left
+of the latest start are final, and at or right of it the intervals
+covering a point are those ending at or after it.  So each color keeps
+its counts per distinct right end packed into one int, an arrival adds a
+run of ones to one of them, and no prefix is ever re-ranked.  Then one
+offline imbalance of the whole presented instance must equal the last
+trace value, so every run still has an independent check.  An arrival
+works on ints with a field per right end of the run from the latest
+start on, so a run is quadratic, a machine word at a time: the staircase
+[i, 2000 + i], i < 2000, takes 0.04 s at k = 3 and 0.24 s at k = 64 on
+a 2-vCPU Xeon under Python 3.11.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import gt
 from typing import Dict, List, Optional, Tuple
 
 from intervalcolor.core import Coloring, Instance, InvariantViolation, imbalance
@@ -53,10 +56,11 @@ __all__ = [
 ]
 
 # The most intervals one adversary run presents, whatever its rounds and
-# budget; it also bounds the bits of the run's scale.  With the shipped
-# algorithms a run reaching it is the slowest (1.8 s at k = 2, 2-vCPU Xeon,
-# Python 3.11); an arrival costs O(groups x colors in use), so a library
-# algorithm using many colors can run far longer below it.
+# budget; it also bounds the bits of the run's scale.  A run just below it
+# takes about 0.2 s, with the shipped algorithms at k = 2 or with all of
+# k = 200 colors in use (2-vCPU Xeon, Python 3.11): an arrival costs a few
+# operations on ints as wide as the live right ends, plus one per color
+# where the least count rises.
 MAX_PRESENTATIONS = 5000
 
 
@@ -165,9 +169,9 @@ class Transcript:
     instance holds every presentation in arrival order, including the
     re-presented copies for k > 2, as integer keys at the run's scale.
     colors and trace have one entry per presentation: its color and the
-    imbalance of the prefix instance it closes, kept by the session's
-    incremental sweep; the last one is confirmed by one offline imbalance
-    of instance.  The presentations of one round share their right end,
+    imbalance of the prefix instance it closes, computed in one pass when
+    the run ends; the last one is confirmed by one offline imbalance of
+    instance.  The presentations of one round share their right end,
     and consecutive rounds do not, so the rounds and the region counts
     can be replayed from the transcript alone.
     """
@@ -190,27 +194,96 @@ class Transcript:
         return self.trace[-1] if self.trace else 0
 
 
+# the trace pass's field widths w, each with the format that reads a field;
+# its counts stay below 2^(w - 1), so a top bit can guard a subtraction
+_FIELDS = ((16, "H"), (32, "I"), (64, "Q"))
+
+
+def _packed_trace(lo, hi, colors, k: int) -> List[int]:
+    """The imbalance of every prefix of a run, in one pass over its arrivals.
+
+    lo and hi are the endpoint keys in arrival order, starts nondecreasing.
+    With the run's distinct right ends ranked once, the points at or right
+    of the latest start and in (ends[r - 1], ends[r]] are covered by the
+    intervals ending at or after ends[r].  Each color in use packs those
+    counts into one column, a w-bit field per rank from base, the first
+    end at or after the latest start, so an arrival adds a run of ones to
+    one column.  top and low pack per field the largest count and the
+    smallest, which is 0 while fewer than k colors are in use; above counts
+    the columns above it, so where it reaches k the smallest rose by one, and
+    only those fields are recounted.  frozen is the largest spread left of
+    the latest start, where every point is final.  A spread moves by at
+    most one per arrival, so live stays at least the largest one from base
+    on, and equals it whenever it is above frozen.
+    """
+    w, fmt = next(f for f in _FIELDS if len(colors) < 1 << (f[0] - 1))
+    ends = sorted(set(hi))
+    rank = {e: r for r, e in enumerate(ends)}
+    every = int.from_bytes((1).to_bytes(w // 8, "little") * len(ends), "little")
+    span = w * len(ends)
+    slot: Dict[int, int] = {}  # color -> index into cols
+    cols: List[int] = []
+    top = low = above = spread = frozen = live = base = 0
+    start = None
+    trace: List[int] = []
+
+    def peak(x: int) -> int:
+        """The largest field of x."""
+        size = -(-x.bit_length() // w) * w >> 3
+        return max(memoryview(x.to_bytes(size, "little")).cast(fmt), default=0)
+
+    def zeros(x: int, ones: int, high: int) -> int:
+        """A 1 in each field of ones where x is 0."""
+        return (high ^ ((x | high) - ones) & high) >> (w - 1)
+
+    for a, b, color in zip(lo, hi, colors):
+        if start is not None and a > start:
+            # the points left of a are final now: those of the ranks
+            # ending before a, and some of the first rank left
+            gone = bisect_left(ends, a, base) - base
+            if gone:
+                cut = w * gone
+                if live > frozen:  # else none of them passes frozen
+                    frozen = max(frozen, peak(spread & ((1 << cut) - 1)))
+                cols = [col >> cut for col in cols]
+                top, low, above, spread = top >> cut, low >> cut, above >> cut, spread >> cut
+                base += gone
+            frozen = max(frozen, spread & (1 << w) - 1)
+        start = a
+        s = slot.get(color)
+        if s is None:
+            s = slot[color] = len(cols)
+            cols.append(0)
+            if len(cols) == k:  # every color in use: count the columns above 0
+                above = sum(every - zeros(col, every, every << w - 1) for col in cols)
+        ones = every >> span - w * (rank[b] - base + 1)  # the ranks base..rank[b]
+        high = ones << w - 1
+        col = cols[s]
+        cols[s] = col + ones
+        top += zeros(col ^ top, ones, high)
+        risen = 0
+        if len(cols) == k:
+            above += zeros(col ^ low, ones, high)
+            risen = zeros(above ^ k * ones, ones, high)
+            if risen:  # no column is left at the minimum there
+                low += risen
+                above -= sum(zeros(col ^ low, ones, high) & risen for col in cols)
+        spread = top - low
+        if (spread | high) - (live + 1) * ones & high:  # a touched field passed live
+            live += 1
+        elif risen and live > frozen:  # else live need not be exact
+            reach = every >> span + (-spread.bit_length() // w) * w  # spread's fields
+            if not (spread | reach << w - 1) - live * reach & reach << w - 1:
+                live -= 1  # none is left at live
+        trace.append(max(frozen, live))
+    return trace
+
+
 class _Session:
-    """One run: each presented interval, its color, and its prefix imbalance.
+    """One run: each presented interval and its color.
 
-    The session keeps the endpoint keys of every presentation in lo and
-    hi, and the trace is one incremental sweep over them.  Starts never
-    decrease, so every point left of the latest start is final; frozen is
-    the largest spread there.  At or right of the latest start, the
-    intervals covering a point are those ending at or after it.  So the
-    active intervals, those ending at or after the latest start, are
-    grouped by distinct right end, ends ascending, and group j keeps
-    suf[j], the color counts of every interval ending at or after ends[j],
-    and top[j], the largest spread (top count minus bottom count) of the
-    counts of groups j and later.  Group j's counts hold on the points
-    after ends[j - 1] up to ends[j], so the prefix imbalance is
-    max(frozen, top[0]).  finish() confirms the last value by one offline
-    imbalance of the whole run.
-
-    The counts are indexed by slot, not color: colors get slots in order
-    of first use, and while fewer than k colors are in use one more slot,
-    always 0, stands for the rest, so a count list holds at most one slot
-    more than the colors in use, however large k is.
+    Nothing reads the trace during a run, so finish computes it in one
+    pass and confirms its last value by an offline imbalance of the run.
     """
 
     def __init__(self, alg: OnlineAlgorithm, k: int):
@@ -220,65 +293,31 @@ class _Session:
         self.lo: list = []  # start keys, in arrival order
         self.hi: list = []  # end keys
         self.colors: List[int] = []
-        self.trace: List[int] = []
-        self.frozen = 0
-        self.slot: Dict[int, int] = {}  # color -> index into the count lists
-        self.ends: list = []
-        self.suf: List[List[int]] = []
-        self.top: List[int] = []
 
     def present(self, lo, hi) -> int:
-        """Color the interval with endpoint keys lo and hi, and record its prefix."""
+        """Color the interval with endpoint keys lo and hi, and record it."""
         color = self.alg.assign(lo, hi)
         if not (1 <= color <= self.k):
             raise ValueError(f"algorithm returned color {color}, outside 1..{self.k}")
-        ends, suf, top = self.ends, self.suf, self.top
-        if ends and lo > self.lo[-1]:
-            # the points left of lo are final now; each group ending before
-            # lo, and the first group left, holds at one of them
-            gone = bisect_left(ends, lo)
-            for counts in suf[: gone + 1]:
-                self.frozen = max(self.frozen, max(counts) - min(counts))
-            del ends[:gone], suf[:gone], top[:gone]
         self.lo.append(lo)
         self.hi.append(hi)
         self.colors.append(color)
-        slot = self.slot.get(color)
-        if slot is None:
-            # the new color takes the zero slot; a fresh one stands for the rest
-            slot = self.slot[color] = len(self.slot)
-            if slot + 1 < self.k:
-                for counts in suf:
-                    counts.append(0)
-        g = bisect_left(ends, hi)
-        if g == len(ends) or ends[g] != hi:
-            ends.insert(g, hi)
-            suf.insert(g, suf[g][:] if g < len(suf) else [0] * min(self.k, len(self.slot) + 1))
-            top.insert(g, 0)
-        best = top[g + 1] if g + 1 < len(top) else 0
-        for j in range(g, -1, -1):
-            counts = suf[j]
-            counts[slot] += 1
-            s = max(counts) - min(counts)
-            if s > best:
-                best = s
-            top[j] = best
-        self.trace.append(max(self.frozen, best))
         return color
 
-    def finish(self, instance: Instance) -> Coloring:
-        """The run's coloring, once an offline imbalance confirms the trace.
+    def finish(self, instance: Instance) -> Tuple[Coloring, Tuple[int, ...]]:
+        """The run's coloring and trace, once an offline imbalance confirms it.
 
         instance holds the presented intervals in arrival order.
         """
         coloring = Coloring(tuple(self.colors), self.k)
-        last = self.trace[-1] if self.trace else 0
+        trace = tuple(_packed_trace(self.lo, self.hi, self.colors, self.k))
+        last = trace[-1] if trace else 0
         value = imbalance(instance, coloring).value
         if value != last:
             raise InvariantViolation(
-                f"incremental trace ends at {last}, but the run's imbalance is {value}"
+                f"the trace ends at {last}, but the run's imbalance is {value}"
             )
-        return coloring
+        return coloring, trace
 
 
 def run_online(
@@ -291,16 +330,17 @@ def run_online(
     the realized imbalance after each assignment.
     """
     lo, hi = instance.lo, instance.hi
-    for i in range(1, instance.n):
-        if lo[i] < lo[i - 1]:
-            raise ValueError(
-                f"interval {i} starts at {Fraction(lo[i], instance.scale)},"
-                f" before previous {Fraction(lo[i - 1], instance.scale)}"
-            )
+    if any(map(gt, lo, islice(lo, 1, None))):  # only then find the first such start
+        for i in range(1, instance.n):
+            if lo[i] < lo[i - 1]:
+                raise ValueError(
+                    f"interval {i} starts at {Fraction(lo[i], instance.scale)},"
+                    f" before previous {Fraction(lo[i - 1], instance.scale)}"
+                )
     session = _Session(alg, instance.k)
     for a, b in zip(lo, hi):
         session.present(a, b)
-    return session.finish(instance), tuple(session.trace)
+    return session.finish(instance)
 
 
 def adversary_general(
@@ -381,5 +421,5 @@ def adversary_general(
         L = (mid_l, L[1])
 
     instance = Instance(session.lo, session.hi, scale, k)
-    session.finish(instance)
-    return Transcript(instance, tuple(session.colors), tuple(session.trace))
+    coloring, trace = session.finish(instance)
+    return Transcript(instance, coloring.colors, trace)

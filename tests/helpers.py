@@ -788,6 +788,28 @@ class _ReferenceSession:
         )
 
 
+class Replay(OnlineAlgorithm):
+    """Answers a fixed sequence of colors, one per arrival."""
+
+    def __init__(self, colors):
+        self.colors = colors
+
+    def reset(self, k):
+        self.answers = iter(self.colors)
+
+    def assign(self, lo, hi):
+        return next(self.answers)
+
+
+def reference_trace(intervals, colors, k):
+    """The prefix imbalances of colors on intervals, kept by the
+    incremental session reference_adversary runs on."""
+    session = _ReferenceSession(Replay(colors), k)
+    for itv in intervals:
+        session.present(itv)
+    return tuple(session.trace)
+
+
 def reference_adversary(alg, k, t, repeat_budget):
     """The adversary computed in Fractions on Interval objects, as it was
     before it moved to int keys at one dyadic scale.

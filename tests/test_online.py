@@ -4,12 +4,15 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from intervalcolor import online
 from intervalcolor.core import (
     Coloring,
+    Instance,
     InvariantViolation,
     imbalance,
     make_instance,
@@ -24,13 +27,16 @@ from intervalcolor.online import (
     RoundRobin,
     SeededRandom,
     _Session,
+    _packed_trace,
     adversary_general,
     make_algorithm,
     run_online,
 )
 from helpers import (
     AlwaysColor,
+    Replay,
     reference_adversary,
+    reference_trace,
     region_counts,
     steady_seconds,
 )
@@ -313,16 +319,33 @@ def test_run_online_trace_on_nested_and_staircase_streams(shape):
             assert trace == prefix_imbalances(inst.intervals, coloring.colors, k), (k, name)
 
 
+class ManyColors(OnlineAlgorithm):
+    """Color 1, each of colors 3..k once, then color 2: against the
+    adversary all k colors come into use and then every right end rises."""
+
+    def reset(self, k):
+        self.answers = iter(range(3, k + 1))
+        self.first = True
+
+    def assign(self, lo, hi):
+        if self.first:
+            self.first = False
+            return 1
+        return next(self.answers, 2)
+
+
 def adversary_runs():
     """Transcripts of every builtin for k = 2..5, of a constant untracked
-    color that exhausts a small repeat budget, and of random colors from
-    a million."""
+    color that exhausts a small repeat budget, of an algorithm that puts
+    every color in use, and of random colors from a million."""
     for k in (2, 3, 4, 5):
         for name in ALGORITHM_NAMES:
             yield adversary_general(make_algorithm(name, seed=k), k, 12)
         yield adversary_general(make_algorithm("seeded_random", seed=k), k, 20, repeat_budget=2)
     for k in (3, 4, 5):
         yield adversary_general(AlwaysColor(3), k, 12, repeat_budget=4)
+    for k in (3, 7, 12):
+        yield adversary_general(ManyColors(), k, 12)
     yield adversary_general(make_algorithm("seeded_random", seed=6), 10**6, 12)
 
 
@@ -346,13 +369,19 @@ def test_region_counts_take_one_round_per_tracked_answer_or_break():
 
 
 def test_count_lists_stay_within_the_colors_in_use():
-    # one slot per color used plus one zero slot, however large k is
+    # one packed column per color in use, however large k is: at k = 10^9
+    # the pass allocates what it does at k = 7, where the six colors in use
+    # leave one unused
     inst = make_instance([(i, 10 + i) for i in range(6)], 10**9)
-    session = _Session(RoundRobin(), 10**9)
-    for lo, hi in zip(inst.lo, inst.hi):
-        session.present(lo, hi)
-    assert [len(counts) for counts in session.suf] == [7] * 6
-    assert session.trace == [1] * 6
+    colors = run_online(RoundRobin(), inst)[0].colors
+    peaks = []
+    for k in (7, 10**9):
+        tracemalloc.start()
+        trace = _packed_trace(inst.lo, inst.hi, colors, k)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert trace == [1] * 6
+    assert peaks[1] <= peaks[0] + 1024, peaks
 
 
 def test_break_path_probes_left_of_the_latest_start():
@@ -373,14 +402,77 @@ def test_greedy_rejects_decreasing_startpoints():
         greedy.assign(0, 3)
 
 
-def test_finish_refuses_a_trace_the_offline_check_disagrees_with():
+def edge_streams():
+    """Equal starts and ends, touching and zero-length intervals."""
+    yield [(0, 1)] * 6
+    yield [(0, 3), (0, 3), (0, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 5)]
+    yield [(i // 2, i // 2) for i in range(8)]
+    yield [(0, 4), (1, 4), (1, 2), (2, 4), (4, 4), (4, 5), (5, 5), (5, 9)]
+
+
+def colorings(rng, inst):
+    """The three shipped algorithms, round robin among them, which puts all
+    k colors in use once the stream is long enough, a constant color, and
+    random colors."""
+    k = inst.k
+    for name in ALGORITHM_NAMES:
+        yield run_online(make_algorithm(name, seed=rng.randrange(100)), inst)[0].colors
+    yield run_online(AlwaysColor(rng.randint(1, min(k, 3))), inst)[0].colors
+    yield tuple(rng.randint(1, min(k, 4)) for _ in range(inst.n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 10**6])
+def test_trace_pass_matches_the_prefix_oracle_and_the_reference_session(k):
+    # the packed pass against an imbalance of every prefix, ranked from
+    # scratch, and against the per-group sweep it replaced; keys are ints
+    # at the instance's scale, or the Fraction coordinates at scale 1
+    rng = random.Random(66 + k)
+    instances = [make_instance(bounds, k) for bounds in edge_streams()]
+    instances += [random_stream(rng, rng.randint(1, 30), k) for _ in range(8)]
+    # 3k intervals (at most 27) alive together, right ends falling and repeating
+    instances.append(make_instance([(i, 40 - i % 5) for i in range(3 * min(k, 9))], k))
+    instances += [
+        Instance([itv.lo for itv in inst.intervals], [itv.hi for itv in inst.intervals], 1, k)
+        for inst in instances[-3:]
+    ]
+    for inst in instances:
+        for colors in colorings(rng, inst):
+            expected = prefix_imbalances(inst.intervals, colors, k)
+            assert tuple(_packed_trace(inst.lo, inst.hi, colors, k)) == expected, (k, colors)
+            assert reference_trace(inst.intervals, colors, k) == expected
+            assert run_online(Replay(colors), inst) == (Coloring(colors, k), expected)
+
+
+def test_trace_pass_takes_wider_fields_past_2_to_the_15():
+    # 2^15 + 1 intervals share one right end, so a count passes 2^15 and
+    # the fields are 32 bits wide; with two or three colors in use
+    n = (1 << 15) + 1
+    for k, colors in (
+        (2, [1] * n),
+        (2, [1] * (n - 1) + [2]),
+        (3, [1 + (i % 7 == 0) + (i % 11 == 0) for i in range(n)]),
+    ):
+        inst = make_instance([(i, n) for i in range(n)], k)
+        trace = _packed_trace(inst.lo, inst.hi, colors, k)
+        assert tuple(trace) == reference_trace(inst.intervals, colors, k)
+        assert trace[-1] == imbalance(inst, Coloring(tuple(colors), k)).value
+
+
+def test_finish_refuses_a_trace_the_offline_check_disagrees_with(monkeypatch):
     inst = make_instance([(0, 2), (1, 3)], 2)
     session = _Session(RoundRobin(), 2)
     for lo, hi in zip(inst.lo, inst.hi):
         session.present(lo, hi)
-    assert session.finish(inst).colors == (1, 2)
-    session.trace[-1] += 1
-    with pytest.raises(InvariantViolation):
+    assert session.finish(inst) == (Coloring((1, 2), 2), (1, 1))
+
+    def off_by_one(*args):
+        trace = packed_trace(*args)
+        trace[-1] += 1
+        return trace
+
+    packed_trace = online._packed_trace
+    monkeypatch.setattr(online, "_packed_trace", off_by_one)
+    with pytest.raises(InvariantViolation, match="trace ends at 2, but the run's imbalance is 1"):
         session.finish(inst)
 
 
@@ -391,6 +483,16 @@ def test_run_online_stays_near_linear():
     starts = sorted(rng.randrange(0, 2 * 10**4) for _ in range(2000))
     inst = make_instance([(a, a + rng.randrange(0, 2500)) for a in starts], 3)
     assert steady_seconds(lambda: run_online(GreedyLeastLoaded(), inst)) < 1.0
+
+
+def test_staircase_and_a_full_palette_stay_fast():
+    # every interval alive with every right end new and highest, at k = 64
+    # (2.8 s when an arrival looped over every group and color); and all
+    # of k = 1500 colors in use on one shared right end
+    stair = make_instance([(i, 2000 + i) for i in range(2000)], 64)
+    assert steady_seconds(lambda: run_online(RoundRobin(), stair)) < 1.0
+    full = make_instance([(i, 3000) for i in range(3000)], 1500)
+    assert steady_seconds(lambda: run_online(RoundRobin(), full)) < 0.1
 
 
 def test_adversary_stays_near_linear():
@@ -406,7 +508,7 @@ def test_adversary_matches_the_fraction_reference(k):
     opponents = [lambda name=name: make_algorithm(name, seed=k) for name in ALGORITHM_NAMES]
     opponents += [lambda: AlwaysColor(1), lambda: AlwaysColor(2)]
     if k > 2:
-        opponents.append(lambda: AlwaysColor(3))
+        opponents += [lambda: AlwaysColor(3), ManyColors]
     budgets = (1, 2, 5, None) if k > 2 else (None,)
     for t in (1, 2, 7, 24, 60):
         for budget in budgets:
