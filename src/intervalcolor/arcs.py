@@ -129,8 +129,6 @@ def make_arc_instance(
     for x in lengths:
         if x <= 0:
             raise ValueError(f"arc length must be positive, got {Fraction(x, scale)}")
-    if k < 1:
-        raise ValueError(f"need at least one color, got k={k}")
     ends = [a + x for a, x in zip(starts, lengths)]
     return ArcInstance(Instance(starts, ends, scale, k), turn)
 

@@ -9,10 +9,11 @@ would pass _KEY_BITS bits; the online adversary's power-of-two scale,
 bounded by MAX_PRESENTATIONS, passes 64 bits with int keys.  normalize() is
 the only place endpoints are ordered, on the line, the circle, boxes (an
 Instance per dimension) and weighted intervals: it sorts an instance's 2n
-signed event ids (i a start, ~i an end) once by key and marks in flags
-the ranks that close a block of equal-coordinate starts or ends; every
-sweep (imbalance, the colorers, the coverage walk) walks that integer
-order, whatever the keys.  Every measure samples the line at the same
+event slots (2i the start of interval i, 2i + 1 its end) once by key and
+marks in flags the ranks that close a block of equal-coordinate starts
+or ends; every sweep (imbalance, the colorers, the coverage walk) walks
+that integer order, whatever the keys, reading slot e as interval e >> 1
+and as an end when e & 1.  Every measure samples the line at the same
 points, the flagged ranks but the last (see _point): a rank that closes
 a block of starts stands for their coordinate, one that closes a block
 of ends for the midpoint to the next coordinate.  imbalance's sweep
@@ -184,6 +185,14 @@ def _keys(nums: List[int], dens: List[int]) -> Tuple[list, int]:
     return [a * factor[d] for a, d in zip(nums, dens)], scale
 
 
+def _check_positive_int(name: str, value) -> None:
+    """Refuse a value that is not an int (a bool included) or is below 1."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi], built by Instance.intervals; nothing takes one as input."""
@@ -199,8 +208,9 @@ class Instance:
 
     Interval i is [lo[i] / scale, hi[i] / scale]: lo and hi are key
     columns, ints, or Fractions when scale is 1 (see _keys), and
-    lo[i] > hi[i] is rejected.  make_instance reads an instance from
-    coordinates; the Interval objects are built on first request.
+    lo[i] > hi[i] is rejected, as is a scale or a k that is not a
+    positive int.  make_instance reads an instance from coordinates; the
+    Interval objects are built on first request.
     Instances compare by identity.
     """
 
@@ -213,14 +223,14 @@ class Instance:
 
     def __post_init__(self) -> None:
         lo, hi, s = self.lo, self.hi, self.scale
+        _check_positive_int("scale", s)
+        _check_positive_int("k", self.k)
         if len(lo) != len(hi):
             raise ValueError(f"{len(lo)} lower keys for {len(hi)} upper keys")
         if any(map(gt, lo, hi)):  # only then find the first such interval
             for i, (a, b) in enumerate(zip(lo, hi)):
                 if a > b:
                     raise ValueError(f"interval {i}: lo {Fraction(a, s)} > hi {Fraction(b, s)}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
         object.__setattr__(self, "lo", tuple(lo))
         object.__setattr__(self, "hi", tuple(hi))
 
@@ -257,13 +267,14 @@ def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
 class NormalizedInstance:
     """The 2n endpoint events of an instance in one exact order.
 
-    order lists the events by rank: i stands for the start of interval i
-    and ~i for its end.  Equal coordinates are tie-broken with all starts
-    before all ends, then by interval id.  This realizes the usual
-    infinitesimal nudge of coinciding endpoints symbolically: every set of
-    intervals covering a common point of the original instance covers a
-    common rank region afterwards, so nothing that matters to
-    balancedness is lost.
+    order lists the event slots by rank: 2i stands for the start of
+    interval i and 2i + 1 for its end, so slot e is an event of interval
+    e >> 1, an end when e & 1, and e ^ 1 is its partner.  Equal
+    coordinates are tie-broken with all starts before all ends, then by
+    interval id.  This realizes the usual infinitesimal nudge of
+    coinciding endpoints symbolically: every set of intervals covering a
+    common point of the original instance covers a common rank region
+    afterwards, so nothing that matters to balancedness is lost.
 
     At each coordinate its starts form one block of consecutive ranks and
     its ends the next.  flags[r] is 1 where a nonempty block ends at rank
@@ -280,21 +291,22 @@ def normalize(instance: Instance) -> NormalizedInstance:
     """Rank the 2n endpoint events once; later calls reuse the ranking.
 
     This is the only place interval endpoints are sorted, and it sorts the
-    signed event ids by the instance's keys: ints, exact and cheap to
-    compare, unless the scale was too wide and they are Fractions.  With
-    keys = lo + reversed hi, keys[i] is the start key of interval i and
-    keys[~i] its end key, so the ids sort directly.  They enter the
-    stable sort as the starts 0..n-1, then the ends ~0..~(n-1), which
-    leaves equal keys with starts first, then ids ascending.  One pass
-    over the ranks then marks the block ends in flags.  No start can rank
-    after its own end: Instance rejects lo > hi and an equal key puts the
-    start first.
+    event slots by the instance's keys: ints, exact and cheap to compare,
+    unless the scale was too wide and they are Fractions.  keys[2i] is
+    the start key of interval i and keys[2i + 1] its end key, so the
+    slots sort directly.  They enter the stable sort as the starts 0, 2,
+    ..., 2n - 2, then the ends 1, 3, ..., 2n - 1, which leaves equal keys
+    with starts first, then ids ascending.  One pass over the ranks then
+    marks the block ends in flags.  No start can rank after its own end:
+    Instance rejects lo > hi and an equal key puts the start first.
     """
     if instance._normalized is not None:
         return instance._normalized
     n = instance.n
-    keys = instance.lo + instance.hi[::-1]
-    order = sorted(chain(range(n), range(-1, -n - 1, -1)), key=keys.__getitem__)
+    keys = [0] * (2 * n)
+    keys[0::2] = instance.lo
+    keys[1::2] = instance.hi
+    order = sorted(chain(range(0, 2 * n, 2), range(1, 2 * n, 2)), key=keys.__getitem__)
     flags = bytearray(2 * n)
     previous = None
     ending = True  # in an ends block; at the start, that of no coordinate
@@ -303,11 +315,11 @@ def normalize(instance: Instance) -> NormalizedInstance:
         if key != previous:
             previous = key
             flags[rank - 1] = 1  # at rank 0 this marks the last rank, which ends a block too
-            ending = e < 0
-        elif e < 0 and not ending:
+            ending = e & 1
+        elif e & 1 and not ending:
             flags[rank - 1] = 1
             ending = True
-    # the sort hands back the int objects made in id order; fresh ones,
+    # the sort hands back the int objects made in slot order; fresh ones,
     # made in rank order, lie in memory as the walks over order read them
     order = tuple(map(xor, order, repeat(0)))
     norm = NormalizedInstance(order, bytes(flags))
@@ -324,23 +336,20 @@ class Coloring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colors", tuple(self.colors))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_positive_int("k", self.k)
         colors = self.colors
-        # a coloring has few distinct colors: when they are plain ints, min
-        # and max judge them; the loop names the first bad color, and alone
-        # judges colors of any other type
-        try:
+        # when every color is a plain int (a bool equal to 1 would hide in
+        # a set of the colors), the few distinct colors' min and max judge
+        # them; otherwise the loop names the first bad color
+        if {*map(type, colors)} <= {int}:
             distinct = set(colors)
-        except TypeError:  # an unhashable color
-            distinct = {None}
-        if not (
-            {*map(type, distinct)} <= {int}
-            and (not distinct or 1 <= min(distinct) and max(distinct) <= self.k)
-        ):
-            for pos, c in enumerate(colors):
-                if not 1 <= c <= self.k:
-                    raise ValueError(f"color {c} at position {pos} outside 1..{self.k}")
+            if not distinct or 1 <= min(distinct) and max(distinct) <= self.k:
+                return
+        for pos, c in enumerate(colors):
+            if type(c) is not int:
+                raise TypeError(f"color {c!r} at position {pos} is not an int")
+            if not 1 <= c <= self.k:
+                raise ValueError(f"color {c} at position {pos} outside 1..{self.k}")
 
 
 @dataclass(frozen=True)
@@ -417,21 +426,9 @@ def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]
     norm = normalize(instance)
     order = norm.order
     for e, measured in zip(order, norm.flags):
-        if e >= 0:
-            c = cols[e]
-            v = counts[c]
-            counts[c] = v + 1
-            freq[v] -= 1
-            if v == top:
-                top = v + 1
-                freq.append(1)
-            else:
-                freq[v + 1] += 1
-            if v == bottom and not freq[v]:
-                bottom = v + 1
-        else:
-            c = cols[~e]
-            v = counts[c]
+        c = cols[e >> 1]
+        v = counts[c]
+        if e & 1:
             counts[c] = v - 1
             freq[v - 1] += 1
             if v == top and freq[v] == 1:
@@ -441,6 +438,16 @@ def _sweep(instance: Instance, cols: Sequence[int]) -> Tuple[int, Optional[int]]
                 freq[v] -= 1
             if v == bottom:
                 bottom = v - 1
+        else:
+            counts[c] = v + 1
+            freq[v] -= 1
+            if v == top:
+                top = v + 1
+                freq.append(1)
+            else:
+                freq[v + 1] += 1
+            if v == bottom and not freq[v]:
+                bottom = v + 1
         if measured and top - bottom > best:
             best = top - bottom
             at = e
@@ -463,10 +470,10 @@ def _point(instance: Instance, r: int) -> Coord:
     order = normalize(instance).order
     lo, hi, scale = instance.lo, instance.hi, instance.scale
     e = order[r]
-    if e >= 0:
-        return Fraction(lo[e], scale)
+    if not e & 1:
+        return Fraction(lo[e >> 1], scale)
     f = order[r + 1]
-    return Fraction(hi[~e] + (lo[f] if f >= 0 else hi[~f]), 2 * scale)
+    return Fraction(hi[e >> 1] + (hi if f & 1 else lo)[f >> 1], 2 * scale)
 
 
 def _covers(instance: Instance) -> Iterator[Tuple[int, ...]]:
@@ -481,10 +488,10 @@ def _covers(instance: Instance) -> Iterator[Tuple[int, ...]]:
     norm = normalize(instance)
     live: Dict[int, None] = {}
     for e, measured in zip(norm.order, norm.flags[:-1]):
-        if e >= 0:
-            live[e] = None
+        if e & 1:
+            del live[e >> 1]
         else:
-            del live[~e]
+            live[e >> 1] = None
         if measured:
             yield tuple(live)
 
@@ -500,7 +507,7 @@ def divisibility_predicts_zero(instance: Instance) -> bool:
     norm = normalize(instance)
     depth = 0
     for e, measured in zip(norm.order, norm.flags):
-        depth += 1 if e >= 0 else -1
+        depth += -1 if e & 1 else 1
         if measured and depth % k:
             return False
     return True

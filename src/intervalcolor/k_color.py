@@ -38,7 +38,7 @@ from intervalcolor.core import (
     make_instance,
     normalize,
 )
-from intervalcolor.two_color import halve, slot_order
+from intervalcolor.two_color import halve
 
 __all__ = [
     "EdgeGraph",
@@ -67,8 +67,9 @@ class EdgeGraph:
 def constraint_graph(order: Sequence[int], k: int) -> EdgeGraph:
     """Scan the ranked events once and emit the constraint multigraph.
 
-    order ranks the events of intervals 0..len(order)/2 - 1 as
-    NormalizedInstance.order does: i the start of interval i, ~i its end.
+    order ranks the event slots of intervals 0..len(order)/2 - 1 as
+    NormalizedInstance.order does: 2i the start of interval i, 2i + 1 its
+    end.
 
     A window collects events of one type (chosen by the first event after a
     clear) into an active list.  k collected events close it as one
@@ -126,13 +127,13 @@ def constraint_graph(order: Sequence[int], k: int) -> EdgeGraph:
     collecting = 0  # 0 at root, +1 collecting starts, -1 collecting ends
     depth = 0
     for ev in order:
-        is_start = ev >= 0
+        is_start = not ev & 1
         depth += 1 if is_start else -1
         if collecting == 0:
             collecting = 1 if is_start else -1
         on_start = collecting == 1
         if is_start == on_start:
-            active.append(ev if is_start else ~ev)
+            active.append(ev >> 1)
             if len(active) < k:
                 continue
             close(active, on_start)
@@ -140,7 +141,7 @@ def constraint_graph(order: Sequence[int], k: int) -> EdgeGraph:
         else:
             j = len(active)
             own = close(active, on_start)  # plus k - j x's seen first here
-            other = close((ev if is_start else ~ev,), not on_start)
+            other = close((ev >> 1,), not on_start)
             starts.extend([own if on_start else other] * (k - j))
             ends.extend([other if on_start else own] * (k - j))
             items.extend([-1] * (k - j))
@@ -287,11 +288,8 @@ def k_color(instance: Instance) -> Coloring:
     classes = [0] * n
     count = 1
     m = k
-    # every level halves on one slot order and one mate buffer
-    slots = slot_order(norm.order) if k % 2 == 0 else []
-    mate = [0] * len(slots)
     while m % 2 == 0:
-        classes = halve(slots, classes, count, mate)
+        classes = halve(norm.order, classes, count)
         count *= 2
         m //= 2
     if m == 1:
@@ -300,7 +298,7 @@ def k_color(instance: Instance) -> Coloring:
     # by side on the line, so one graph holds every class's constraints
     by_class: List[List[int]] = [[] for _ in range(count)]
     for e in norm.order:
-        by_class[classes[e if e >= 0 else ~e]].append(e)
+        by_class[classes[e >> 1]].append(e)
     graph = constraint_graph([e for events in by_class for e in events], m)
     colors = [0] * n
     for item, color in zip(graph.items, edge_color(graph, m)):
@@ -318,12 +316,12 @@ def _deeper_than(order: Sequence[int], k: int) -> bool:
     """
     depth = 0
     for e in order:
-        if e >= 0:
+        if e & 1:
+            depth -= 1
+        else:
             depth += 1
             if depth > k:
                 return True
-        else:
-            depth -= 1
     return False
 
 
@@ -339,14 +337,13 @@ def _greedy_colors(order: Sequence[int], n: int) -> List[int]:
     free: List[int] = []  # heap of released colors
     used = 0
     for e in order:
-        if e >= 0:
-            if free:
-                colors[e] = heapq.heappop(free)
-            else:
-                used += 1
-                colors[e] = used
+        if e & 1:
+            heapq.heappush(free, colors[e >> 1])
+        elif free:
+            colors[e >> 1] = heapq.heappop(free)
         else:
-            heapq.heappush(free, colors[~e])
+            used += 1
+            colors[e >> 1] = used
     return colors
 
 
@@ -372,8 +369,7 @@ def k_color_dewerra(instance: Instance) -> Coloring:
     k = instance.k
     if k < 2:
         raise ValueError(f"pairwise rebalancing needs k >= 2, got {k}")
-    slots = slot_order(normalize(instance).order)
-    mate = [0] * len(slots)
+    order = normalize(instance).order
     colors = [(i % k) + 1 for i in range(instance.n)]
     limit = k * (k - 1) // 2 + k
 
@@ -384,7 +380,7 @@ def k_color_dewerra(instance: Instance) -> Coloring:
         i, j = _worst_pair(instance, colors, r)
         # halve walks ids ascending, so half 0 holds the pair's lowest id;
         # the other intervals, class 1, land in halves 2 and 3 untouched
-        halves = halve(slots, [0 if c == i or c == j else 1 for c in colors], 2, mate)
+        halves = halve(order, [0 if c == i or c == j else 1 for c in colors], 2)
         colors = [c if h > 1 else j if h else i for c, h in zip(colors, halves)]
     raise InvariantViolation(
         f"rebalancing did not converge within {limit} passes"
@@ -402,10 +398,7 @@ def _worst_pair(instance: Instance, colors: List[int], r: Optional[int]) -> Tupl
     counts = [0] * instance.k
     if r is not None:
         for e in normalize(instance).order[: r + 1]:
-            if e >= 0:
-                counts[colors[e] - 1] += 1
-            else:
-                counts[colors[~e] - 1] -= 1
+            counts[colors[e >> 1] - 1] += -1 if e & 1 else 1
     hi, lo = max(counts), min(counts)
     return tuple(sorted((counts.index(hi) + 1, counts.index(lo) + 1)))
 

@@ -153,13 +153,13 @@ ALGORITHM_NAMES = ("round_robin", "greedy_least_loaded", "seeded_random")
 
 
 def make_algorithm(name: str, seed: Optional[int] = None) -> OnlineAlgorithm:
+    if name not in ALGORITHM_NAMES:
+        raise ValueError(f"unknown online algorithm {name!r}")
     if name == "round_robin":
         return RoundRobin()
     if name == "greedy_least_loaded":
         return GreedyLeastLoaded()
-    if name == "seeded_random":
-        return SeededRandom(0 if seed is None else seed)
-    raise ValueError(f"unknown online algorithm {name!r}")
+    return SeededRandom(0 if seed is None else seed)
 
 
 @dataclass(frozen=True)
@@ -297,6 +297,8 @@ class _Session:
     def present(self, lo, hi) -> int:
         """Color the interval with endpoint keys lo and hi, and record it."""
         color = self.alg.assign(lo, hi)
+        if type(color) is not int:
+            raise TypeError(f"algorithm returned color {color!r}, not an int")
         if not (1 <= color <= self.k):
             raise ValueError(f"algorithm returned color {color}, outside 1..{self.k}")
         self.lo.append(lo)

@@ -12,8 +12,9 @@ A class's events are a subsequence of the shared order and rank its
 intervals exactly as normalizing the class alone would, so pairing
 consecutive events within each class (one pending event per class) and
 walking the mates splits every class into two balanced halves in one
-integer pass; its callers build the slot order once and reuse one mate
-buffer.  two_color is halve() on the single class of all intervals.
+integer pass over normalize's slot order, where slot e is an event of
+interval e >> 1, an end when e & 1, and e ^ 1 is the interval's other
+event.  two_color is halve() on the single class of all intervals.
 k_color halves t times for k = 2^t * m; since floor(floor(d/2)/2) =
 floor(d/4), and likewise for ceil and every further level, the 2^t
 classes hold floor(d/2^t) or ceil(d/2^t) intervals at a point of depth d.
@@ -21,6 +22,7 @@ classes hold floor(d/2^t) or ceil(d/2^t) intervals at a point of depth d.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Sequence
 
 from intervalcolor.core import Coloring, Instance, InvariantViolation, normalize
@@ -37,34 +39,31 @@ def two_color(instance: Instance) -> Coloring:
     """
     if instance.k != 2:
         raise ValueError(f"two_color requires k = 2, got k = {instance.k}")
-    slots = slot_order(normalize(instance).order)
-    halves = halve(slots, [0] * instance.n, 1, [0] * len(slots))
+    halves = halve(normalize(instance).order, [0] * instance.n, 1)
     return Coloring(tuple([c + 1 for c in halves]), 2)
 
 
-def slot_order(order: Sequence[int]) -> List[int]:
-    """The events of order as slots: 2i the start of interval i, 2i + 1 its end."""
-    return [2 * e if e >= 0 else ~(2 * e) for e in order]
-
-
-def halve(slots: Sequence[int], classes: List[int], count: int, mate: List[int]) -> List[int]:
+def halve(order: Sequence[int], classes: List[int], count: int) -> List[int]:
     """Split every class of a partition into two balanced halves.
 
-    slots ranks the events of intervals 0..len(classes)-1 as slot_order
-    gives them, and classes[i] in 0..count-1 is the class of interval i.
-    mate is a list of len(slots) ints, overwritten here.  Returns each
-    interval's new class, 2c or 2c + 1; the first interval of each path
-    or cycle, in id order, takes 2c.
+    order ranks the event slots of intervals 0..len(classes)-1 as
+    NormalizedInstance.order does, and classes[i] in 0..count-1 is the
+    class of interval i.  Returns each interval's new class, 2c or
+    2c + 1; the first interval of each path or cycle, in id order, takes
+    2c.
     """
     n = len(classes)
+    # unboxed, as the walk reads it in no order and a list would send
+    # each read on to an int object elsewhere in memory
+    mate = array("q", [0]) * len(order)  # the slot each slot pairs with
     if count == 1:  # one class: ranks 2j and 2j + 1 pair up
-        pairs = iter(slots)
+        pairs = iter(order)
         for s, p in zip(pairs, pairs):
             mate[p] = s
             mate[s] = p
     else:
         pending = [-1] * count  # the unpaired slot of each class
-        for s in slots:
+        for s in order:
             c = classes[s >> 1]
             p = pending[c]
             if p < 0:

@@ -102,7 +102,8 @@ def brute_force_counts(instance: Instance, coloring: Coloring, x):
 def reference_ranking(instance: Instance):
     """(order, coords, cuts) of the endpoint events by exact Fraction sort.
 
-    Events sort by coordinate, then starts before ends, then interval id;
+    Events sort by coordinate, then starts before ends, then interval id,
+    and are named by slot: 2i the start of interval i, 2i + 1 its end.
     coords are the distinct coordinates as Fractions.  The reference for
     normalize, which sorts integer keys instead.
     """
@@ -110,7 +111,7 @@ def reference_ranking(instance: Instance):
         [(itv.lo, 0, itv.id) for itv in instance.intervals]
         + [(itv.hi, 1, itv.id) for itv in instance.intervals]
     )
-    order = tuple(i if end == 0 else ~i for _, end, i in events)
+    order = tuple(2 * i + end for _, end, i in events)
     coords = sorted({x for x, _, _ in events})
     blocks = Counter((x, end) for x, end, _ in events)
     cuts = [0]
@@ -156,8 +157,8 @@ def block_sweep(instance: Instance, cols):
     order, coords, cuts = reference_ranking(instance)
     last = len(coords) - 1
     for g in range(last + 1):
-        for i in order[cuts[2 * g] : cuts[2 * g + 1]]:
-            c = cols[i]
+        for e in order[cuts[2 * g] : cuts[2 * g + 1]]:
+            c = cols[e // 2]
             v = counts[c]
             counts[c] = v + 1
             freq[v] -= 1
@@ -175,7 +176,7 @@ def block_sweep(instance: Instance, cols):
         ends = order[cuts[2 * g + 1] : cuts[2 * g + 2]]
         if ends:
             for e in ends:
-                c = cols[~e]
+                c = cols[e // 2]
                 v = counts[c]
                 counts[c] = v - 1
                 freq[v - 1] += 1
@@ -238,21 +239,22 @@ def dewerra_with_passes(instance: Instance):
 def reference_halve(order, classes, count):
     """Split every class of a partition into two balanced halves, one level.
 
-    order ranks the events of intervals 0..len(classes)-1 (i the start of
-    interval i, ~i its end) and classes[i] in 0..count-1 is the class of
-    interval i.  Each class pairs its own rank-consecutive events, read
-    off order with one pending event per class into a fresh mate table;
-    walking the pairs from the lowest unwalked id gives each interval
-    side 0 or 1, a start/end pair the same side and a same-type pair
-    opposite sides.  Returns 2c + side per interval.  The reference for
-    two_color.halve, which reads a slot order built once and reuses one
-    mate buffer across levels.
+    order ranks the event slots of intervals 0..len(classes)-1 (2i the
+    start of interval i, 2i + 1 its end) and classes[i] in 0..count-1 is
+    the class of interval i.  Each class pairs its own rank-consecutive
+    events, read off order with one pending event per class into a mate
+    table keyed by (interval, is end); walking the pairs from the lowest
+    unwalked id gives each interval side 0 or 1, a start/end pair the
+    same side and a same-type pair opposite sides.  Returns 2c + side
+    per interval.  The reference for two_color.halve, which pairs slots
+    in a list and reads the partner event as slot ^ 1.
     """
     n = len(classes)
     mate = {}
     pending = {}
-    for e in order:
-        c = classes[e if e >= 0 else ~e]
+    for s in order:
+        e = divmod(s, 2)  # (interval, 1 for an end)
+        c = classes[e[0]]
         if c in pending:
             p = pending.pop(c)
             mate[p], mate[e] = e, p
@@ -263,20 +265,20 @@ def reference_halve(order, classes, count):
         if side[first] is not None:
             continue
         side[first] = 0
-        for e in (first, ~first):
+        for e in ((first, 0), (first, 1)):
             i = first
             while True:
                 other = mate[e]
-                j = other if other >= 0 else ~other
+                j = other[0]
                 if j == i:
                     break
-                want = side[i] if (e >= 0) != (other >= 0) else 1 - side[i]
+                want = side[i] if e[1] != other[1] else 1 - side[i]
                 if side[j] is not None:
                     if side[j] != want:
                         raise InvariantViolation("constraint graph has an odd cycle")
                     break
                 side[j] = want
-                i, e = j, ~other
+                i, e = j, (j, 1 - other[1])
     return [2 * c + s for c, s in zip(classes, side)]
 
 
@@ -300,7 +302,7 @@ def reference_dewerra(instance: Instance):
         i, j = sorted((counts.index(max(counts)) + 1, counts.index(min(counts)) + 1))
         extracted = [t for t in range(n) if colors[t] in (i, j)]
         pos = {t: p for p, t in enumerate(extracted)}
-        sub = [pos[e] if e >= 0 else ~pos[~e] for e in order if colors[e if e >= 0 else ~e] in (i, j)]
+        sub = [2 * pos[e // 2] + e % 2 for e in order if colors[e // 2] in (i, j)]
         halves = reference_halve(sub, [0] * len(extracted), 1)
         for p, t in enumerate(extracted):
             colors[t] = j if halves[p] else i

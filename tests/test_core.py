@@ -75,6 +75,20 @@ def test_instance_requires_sequential_ids():
         make_instance([[0, 1]], 0)
     with pytest.raises(ValueError, match="2 lower keys for 1 upper keys"):
         Instance((0, 1), (2,), 1, 2)
+    # a negative scale would turn lo <= hi keys into lo > hi coordinates,
+    # and scale 0 would divide by zero in a witness
+    with pytest.raises(ValueError, match=r"^scale must be >= 1, got -1$"):
+        Instance((0, 1), (1, 2), -1, 2)
+    with pytest.raises(ValueError, match=r"^scale must be >= 1, got 0$"):
+        Instance((0, 1), (1, 2), 0, 2)
+    with pytest.raises(TypeError, match=r"^scale must be an int, not Fraction$"):
+        Instance((0,), (1,), Fraction(1), 2)
+    # a fractional k would surface as a broken invariant deep in k_color,
+    # and k = True would color as k = 1
+    with pytest.raises(TypeError, match=r"^k must be an int, not float$"):
+        make_instance([[0, 1], [0, 1]], 2.5)
+    with pytest.raises(TypeError, match=r"^k must be an int, not bool$"):
+        make_instance([[0, 1]], True)
 
 
 def test_coloring_validation():
@@ -83,21 +97,29 @@ def test_coloring_validation():
         Coloring((1, 3), 2)
     with pytest.raises(ValueError):
         Coloring((0,), 2)
-    # the first bad color is named; a color that is no plain int is judged
-    # by the comparison alone, whatever min and max would say of it
+    # the first bad color is named, and a color must be a plain int,
+    # whatever min and max or a comparison would say of it
     with pytest.raises(ValueError, match=r"^color 5 at position 2 outside 1\.\.4$"):
         Coloring((2, 1, 5, 0), 4)
-    with pytest.raises(ValueError, match=r"^color nan at position 1 outside 1\.\.2$"):
+    with pytest.raises(TypeError, match=r"^color nan at position 1 is not an int$"):
         Coloring((1, float("nan"), 2), 2)
-    with pytest.raises(TypeError, match="'<=' not supported between instances of 'int' and 'list'"):
+    with pytest.raises(TypeError, match=r"^color \[1\] at position 1 is not an int$"):
         Coloring((1, [1]), 2)
-    assert Coloring((Fraction(3, 2), True), 2).colors == (Fraction(3, 2), True)
+    with pytest.raises(TypeError, match=r"^color Fraction\(3, 2\) at position 0 is not an int$"):
+        Coloring((Fraction(3, 2), 1), 2)
+    with pytest.raises(TypeError, match=r"^color True at position 1 is not an int$"):
+        Coloring((1, True), 2)
+    with pytest.raises(TypeError, match=r"^k must be an int, not bool$"):
+        Coloring((1,), True)
+    with pytest.raises(TypeError, match=r"^k must be an int, not float$"):
+        Coloring((1,), 2.0)
 
 
 def test_normalize_shared_start_breaks_by_id():
     inst = make_instance([[0, 2], [0, 1]], 2)
     norm = normalize(inst)
-    assert norm.order == (0, 1, ~1, ~0)
+    # slots: 2i the start of interval i, 2i + 1 its end
+    assert norm.order == (0, 2, 3, 1)
     order, coords, cuts = reference_ranking(inst)
     assert coords == (0, 1, 2) and cuts == (0, 2, 2, 2, 3, 3, 4)
     # the starts at 0 close at rank 1, the ends at 1 and 2 at ranks 2 and 3
@@ -107,7 +129,7 @@ def test_normalize_shared_start_breaks_by_id():
 def test_normalize_touching_endpoints_keep_their_clique():
     inst = make_instance([[0, 1], [1, 2]], 2)
     norm = normalize(inst)
-    assert norm.order == (0, 1, ~0, ~1)  # at x = 1 the start ranks first
+    assert norm.order == (0, 2, 1, 3)  # at x = 1 the start ranks first
     # the region between ranks 2 and 3 carries both intervals, like x = 1
     ranks = itertools.compress(range(len(norm.order)), norm.flags)
     cliques = {_point(inst, r): frozenset(ids) for r, ids in zip(ranks, _covers(inst))}
@@ -138,21 +160,21 @@ def test_events_are_a_rank_permutation():
         inst = random_instance(rng, rng.randint(0, 12), 2)
         norm = normalize(inst)
         order = norm.order
-        assert sorted(order) == sorted([*range(inst.n), *(~i for i in range(inst.n))])
+        assert sorted(order) == list(range(2 * inst.n))
         rank = {e: r for r, e in enumerate(order)}
-        assert all(rank[i] < rank[~i] for i in range(inst.n))
+        assert all(rank[2 * i] < rank[2 * i + 1] for i in range(inst.n))
         # blocks alternate starts and ends at strictly increasing
         # coordinates, and flags closes each nonempty one
         _, coords, cuts = reference_ranking(inst)
         assert norm.flags == flags_of_cuts(order, cuts)
         for b in range(len(cuts) - 1):
             for e in order[cuts[b] : cuts[b + 1]]:
-                itv = inst.intervals[e if e >= 0 else ~e]
-                assert (e < 0) == (b % 2 == 1)
-                x = itv.lo if e >= 0 else itv.hi
+                itv = inst.intervals[e // 2]
+                assert e % 2 == b % 2  # an end in a block of ends
+                x = itv.hi if e % 2 else itv.lo
                 assert x == coords[b // 2]
             block = list(order[cuts[b] : cuts[b + 1]])
-            ids = [e if e >= 0 else ~e for e in block]
+            ids = [e // 2 for e in block]
             assert ids == sorted(ids)  # ties break by interval id
 
 
@@ -163,14 +185,14 @@ def test_normalize_exact_on_float_ties_and_overflow():
     norm = normalize(inst)
     order, coords, cuts = reference_ranking(inst)
     assert coords == (1, 1 + tiny, 2)
-    assert norm.order == order == (1, 2, 0, ~1, ~0, ~2)
+    assert norm.order == order == (2, 4, 0, 3, 1, 5)
     assert norm.flags == flags_of_cuts(order, cuts) == bytes((0, 1, 1, 1, 0, 1))
     huge = 10**400  # beyond float range: the exact fallback sorts
     inst = make_instance([[huge, huge + 1], [-huge, huge]], 2)
     norm = normalize(inst)
     order, coords, cuts = reference_ranking(inst)
     assert coords == (-huge, huge, huge + 1)
-    assert norm.order == order == (1, 0, ~1, ~0)
+    assert norm.order == order == (2, 0, 3, 1)
     assert norm.flags == flags_of_cuts(order, cuts) == bytes((1, 1, 1, 1))
 
 
@@ -311,6 +333,8 @@ def test_ranking_matches_the_fraction_sort(kind):
         elif kind != "mixed":
             assert all(type(x) is int for x in inst.lo + inst.hi)
         norm = normalize(inst)
+        # the Fraction sort of (coordinate, end, id), each event mapped to
+        # its slot 2 * id + end: the same event at every rank
         order, _, cuts = reference_ranking(inst)
         assert (norm.order, norm.flags) == (order, flags_of_cuts(order, cuts))
         # the same intervals read back from their coordinates rank alike
@@ -350,7 +374,7 @@ def test_rank_walks_match_the_block_walks(kind):
             assert (value, witness) == reference_imbalance(inst, Coloring(cols, k))
             assert imbalance(inst, Coloring(cols, k)).witness == witness
             assert _deeper_than(norm.order, k) == (k < block_max_depth(cuts))
-            depths = [sum(1 if e >= 0 else -1 for e in order[:c]) for c in cuts]
+            depths = [sum(-1 if e % 2 else 1 for e in order[:c]) for c in cuts]
             assert divisibility_predicts_zero(inst) == all(d % k == 0 for d in depths)
             assert divisibility_predicts_zero(Instance(inst.lo * 2, inst.hi * 2, inst.scale, 2))
 
@@ -573,10 +597,10 @@ def test_normalize_is_clique_complete():
         rank_cliques = {frozenset()}
         active = set()
         for e in normalize(inst).order:
-            if e >= 0:
-                active.add(e)
+            if e % 2:
+                active.discard(e // 2)
             else:
-                active.discard(~e)
+                active.add(e // 2)
             rank_cliques.add(frozenset(active))
         ranks = itertools.compress(range(2 * inst.n), normalize(inst).flags)
         for r, ids in zip(ranks, _covers(inst)):

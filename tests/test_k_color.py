@@ -29,7 +29,7 @@ from intervalcolor.k_color import (
     k_color,
     k_color_dewerra,
 )
-from intervalcolor.two_color import halve, slot_order, two_color
+from intervalcolor.two_color import halve, two_color
 
 from helpers import (
     assert_proper_edge_coloring,
@@ -112,12 +112,12 @@ def test_graph_of_empty_constraint_list():
 
 
 def test_graph_rejects_inconsistent_occurrences():
-    # hand-built orders that no instance ranks to
+    # hand-built slot orders that no instance ranks to
     cases = [
-        ((~0, 0), 2, "without a matching start-side"),  # end ranked before start
-        ((0, 1, ~1, ~1), 2, "without a matching start-side"),  # second end
+        ((1, 0), 2, "without a matching start-side"),  # end ranked before start
+        ((0, 2, 3, 3), 2, "without a matching start-side"),  # second end
         ((0, 0), 2, "second start-side vertex"),
-        ((0, 1, 1, 0), 3, "second start-side vertex"),
+        ((0, 2, 2, 0), 3, "second start-side vertex"),
         ((0, 0), 3, "ended inside an open window"),
     ]
     for order, k, message in cases:
@@ -443,21 +443,20 @@ def test_k_color_differential_against_divisibility_and_oracle():
 
 
 def test_halving_levels_match_the_per_level_reference():
-    # every level on one slot order and one mate buffer, against a fresh
-    # pairing per level; the pool brings equal starts, equal ends and
-    # touching intervals, and arbitrary partitions take the general path
+    # every level on the shared slot order, against a reference pairing
+    # that keys its mates by (interval, end); the pool brings equal
+    # starts, equal ends and touching intervals, and arbitrary partitions
+    # take the general path
     rng = random.Random(83)
     compared = set()
     for trial in range(150):
         n = rng.randint(0, 60)
         inst = random_instance(rng, n, 2, collide=0.5, span=rng.choice((8, 40)))
         order = normalize(inst).order
-        slots = slot_order(order)
-        mate = [rng.randrange(-5, 5) for _ in slots]  # stale contents are overwritten
         t = trial % 5 + 1
         classes = expected = [0] * n
         for level in range(t):
-            classes = halve(slots, classes, 2**level, mate)
+            classes = halve(order, classes, 2**level)
             expected = reference_halve(order, expected, 2**level)
             assert classes == expected
         if _deeper_than(order, 2**t):  # else k_color colors greedily
@@ -466,5 +465,5 @@ def test_halving_levels_match_the_per_level_reference():
             compared.add(t)
         count = rng.randint(2, 6)
         partition = [rng.randrange(count) for _ in range(n)]
-        assert halve(slots, partition, count, mate) == reference_halve(order, partition, count)
+        assert halve(order, partition, count) == reference_halve(order, partition, count)
     assert compared == {1, 2, 3, 4, 5}

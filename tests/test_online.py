@@ -43,11 +43,16 @@ from helpers import (
 
 
 class BadAlgorithm(OnlineAlgorithm):
+    """Answers every arrival with one fixed color, 0 unless told."""
+
+    def __init__(self, color=0):
+        self.color = color
+
     def reset(self, k):
         pass
 
     def assign(self, lo, hi):
-        return 0
+        return self.color
 
 
 def test_round_robin_pair():
@@ -87,8 +92,15 @@ def test_run_online_rejects_decreasing_startpoints():
 
 
 def test_run_online_rejects_bad_color():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^algorithm returned color 0, outside 1\.\.2$"):
         run_online(BadAlgorithm(), make_instance([(0, 1)], 2))
+    # a color equal to 1 that is no int is refused, not recorded
+    for color in (1.0, True):
+        message = rf"^algorithm returned color {color!r}, not an int$"
+        with pytest.raises(TypeError, match=message):
+            run_online(BadAlgorithm(color), make_instance([(0, 1)], 2))
+        with pytest.raises(TypeError, match=message):
+            adversary_general(BadAlgorithm(color), 2, 3)
 
 
 def test_seeded_random_is_reproducible():

@@ -1,13 +1,13 @@
 """Every public name, and every function, method and property the package
 defines, has a caller in the program, or a stated reason.
 
-A name in intervalcolor.__all__ that no module of the package reads is
-surface only the tests exercise, and so is a function, private or not,
-that nothing in the package calls.  The modules are parsed, not
-imported: a name counts as read where it is loaded as a Name or appears
-as an attribute, outside __init__.py, which only re-exports.  A
-definition or an assignment target is not a read.  Dunder methods are
-the interpreter's to call and are not scanned.
+A name in the __all__ of the package or of any of its modules that no
+module of the package reads is surface only the tests exercise, and so
+is a function, private or not, that nothing in the package calls.  The
+modules are parsed, not imported: a name counts as read where it is
+loaded as a Name or appears as an attribute, outside __init__.py, which
+only re-exports.  A definition or an assignment target is not a read.
+Dunder methods are the interpreter's to call and are not scanned.
 """
 
 import ast
@@ -52,6 +52,18 @@ def names_read():
     return read
 
 
+def exported():
+    """The names in the __all__ of every module, __init__.py included."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names.update(ast.literal_eval(node.value))
+    return names
+
+
 def definitions():
     """(qualified name, name) of each function, method and property the
     modules define, dunder methods aside."""
@@ -77,13 +89,14 @@ def allowed(qualname):
 
 def test_every_public_name_is_read_or_allowed():
     read = names_read()
-    unread = sorted(set(intervalcolor.__all__) - read - set(NO_CALLER))
+    assert set(intervalcolor.__all__) <= exported()
+    unread = sorted(exported() - read - set(NO_CALLER))
     assert unread == [], "public names only tests read; delete them or give a reason"
 
 
 def test_the_allowlist_holds_only_public_names_without_a_caller():
     read = names_read()
-    assert sorted(set(NO_CALLER) - set(intervalcolor.__all__)) == []
+    assert sorted(set(NO_CALLER) - exported()) == []
     assert sorted(set(NO_CALLER) & read) == []
 
 

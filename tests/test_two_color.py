@@ -18,22 +18,23 @@ from helpers import random_instance, steady_pair_seconds
 
 
 def pairs(inst):
-    """The ranked events two by two: ranks (2i-1, 2i) as (i or ~i, j or ~j)."""
+    """The ranked event slots two by two: ranks (2j, 2j + 1), each slot 2i
+    the start of interval i or 2i + 1 its end."""
     order = normalize(inst).order
     return list(zip(order[0::2], order[1::2]))
 
 
 def test_pair_events_single_interval():
-    assert pairs(make_instance([[0, 1]], 2)) == [(0, ~0)]
+    assert pairs(make_instance([[0, 1]], 2)) == [(0, 1)]
 
 
 def test_pair_events_nested():
-    assert pairs(make_instance([[0, 3], [1, 2]], 2)) == [(0, 1), (~1, ~0)]
+    assert pairs(make_instance([[0, 3], [1, 2]], 2)) == [(0, 2), (3, 1)]
 
 
 def test_pair_events_staggered():
     inst = make_instance([[0, 2], [1, 4], [3, 6], [5, 7]], 2)
-    assert pairs(inst) == [(0, 1), (~0, 2), (~1, 3), (~2, ~3)]
+    assert pairs(inst) == [(0, 2), (1, 4), (3, 6), (5, 7)]
 
 
 def test_pair_ranks_are_consecutive():
@@ -43,9 +44,9 @@ def test_pair_ranks_are_consecutive():
         inst = random_instance(rng, rng.randint(0, 20), 2)
         depth = 0
         for first, second in pairs(inst):
-            depth += 1 if first >= 0 else -1
+            depth += -1 if first % 2 else 1
             assert depth % 2 == 1
-            depth += 1 if second >= 0 else -1
+            depth += -1 if second % 2 else 1
         assert depth == 0
 
 
@@ -83,14 +84,14 @@ def test_graph_incidence_is_at_most_one_per_kind():
 
         same_kind = []
         for a, b in pairs(inst):
-            i, j = (a if a >= 0 else ~a), (b if b >= 0 else ~b)
+            i, j = a // 2, b // 2
             if i == j:
                 continue
-            if (a >= 0) != (b >= 0):
+            if a % 2 != b % 2:
                 chain[root(i)] = root(j)
                 assert colors[i] == colors[j]
             else:
-                same_kind.append((i, j, a >= 0))
+                same_kind.append((i, j, a % 2))
                 assert colors[i] != colors[j]
         seen = set()
         for i, j, kind in same_kind:
@@ -103,7 +104,7 @@ def test_two_color_rejects_contradictory_pairs():
     # interval 0 starts twice and never ends: the pairs ask intervals 0
     # and 1 to be both alike and opposite
     inst = make_instance([[0, 1], [0, 1]], 2)
-    ranking = NormalizedInstance((0, 1, 0, ~1), bytes(4))
+    ranking = NormalizedInstance((0, 2, 0, 3), bytes(4))
     object.__setattr__(inst, "_normalized", ranking)
     with pytest.raises(InvariantViolation, match="odd cycle"):
         two_color(inst)
