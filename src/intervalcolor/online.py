@@ -20,15 +20,17 @@ No answer depends on the trace, so it is computed when the run ends, in
 one pass on endpoint keys (a stream's own, or the adversary's ints)
 resting on the online contract that starts never decrease: points left
 of the latest start are final, and at or right of it the intervals
-covering a point are those ending at or after it.  So each color keeps
-its counts per distinct right end packed into one int, an arrival adds a
-run of ones to one of them, and no prefix is ever re-ranked.  Then one
-offline imbalance of the whole presented instance must equal the last
-trace value, so every run still has an independent check.  An arrival
-works on ints with a field per right end of the run from the latest
-start on, so a run is quadratic, a machine word at a time: the staircase
-[i, 2000 + i], i < 2000, takes 0.04 s at k = 3 and 0.24 s at k = 64 on
-a 2-vCPU Xeon under Python 3.11.
+covering a point are those ending at or after it.  So the counts per
+distinct right end are packed into ints, a field per end, an arrival
+adds a run of ones to one of them, and no prefix is ever re-ranked: at
+k = 2 to one column of the two colors' differences, and otherwise to its
+color's column, with a tree over the columns keeping their minimum once
+every color is in use.  Then one offline imbalance of the whole
+presented instance must equal the last trace value, so every run still
+has an independent check.  An arrival works on ints with a field per
+right end of the run from the latest start on, so a run is quadratic, a
+machine word at a time: the staircase [i, 2000 + i], i < 2000, takes
+0.021 s at k = 3 and 0.038 s at k = 64 on a 2-vCPU Xeon under Python 3.11.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ __all__ = [
 ]
 
 # The most intervals one adversary run presents, whatever its rounds and
-# budget; it also bounds the bits of the run's scale.  A run just below it
-# takes about 0.2 s, with the shipped algorithms at k = 2 or with all of
-# k = 200 colors in use (2-vCPU Xeon, Python 3.11): an arrival costs a few
-# operations on ints as wide as the live right ends, plus one per color
-# where the least count rises.
+# budget; it also bounds the bits of the run's scale.  A run to it takes
+# about 0.13 s with round robin at k = 2, and one just below it 0.2 s with
+# all of k = 200 colors in use (2-vCPU Xeon, Python 3.11): an arrival costs
+# a few operations on ints as wide as the live right ends, plus a few for
+# each level of the tree over the colors where the least count rises.
 MAX_PRESENTATIONS = 5000
 
 
@@ -194,9 +196,22 @@ class Transcript:
         return self.trace[-1] if self.trace else 0
 
 
-# the trace pass's field widths w, each with the format that reads a field;
-# its counts stay below 2^(w - 1), so a top bit can guard a subtraction
+# the trace passes' field widths w, each with the format that reads a field
 _FIELDS = ((16, "H"), (32, "I"), (64, "Q"))
+
+
+def _fields(hi, n: int, spare: int):
+    """The layout of a trace pass over n arrivals with right end keys hi.
+
+    Returns the field width w, the smallest whose counts up to n leave
+    spare top bits free, the format that reads a field, the distinct right
+    ends ascending, their ranks, and an int with a 1 in the field of each.
+    """
+    w, fmt = next(f for f in _FIELDS if n < 1 << (f[0] - spare))
+    ends = sorted(set(hi))
+    rank = {e: r for r, e in enumerate(ends)}
+    every = int.from_bytes((1).to_bytes(w // 8, "little") * len(ends), "little")
+    return w, fmt, ends, rank, every
 
 
 def _packed_trace(lo, hi, colors, k: int) -> List[int]:
@@ -205,36 +220,52 @@ def _packed_trace(lo, hi, colors, k: int) -> List[int]:
     lo and hi are the endpoint keys in arrival order, starts nondecreasing.
     With the run's distinct right ends ranked once, the points at or right
     of the latest start and in (ends[r - 1], ends[r]] are covered by the
-    intervals ending at or after ends[r].  Each color in use packs those
-    counts into one column, a w-bit field per rank from base, the first
-    end at or after the latest start, so an arrival adds a run of ones to
-    one column.  top and low pack per field the largest count and the
-    smallest, which is 0 while fewer than k colors are in use; above counts
-    the columns above it, so where it reaches k the smallest rose by one, and
-    only those fields are recounted.  frozen is the largest spread left of
-    the latest start, where every point is final.  A spread moves by at
+    intervals ending at or after ends[r].  A pass packs counts of those
+    intervals into ints, a w-bit field per rank from base, the first end at
+    or after the latest start, so an arrival adds a run of ones to the
+    fields of the ranks base..rank[b].  frozen is the largest spread left
+    of the latest start, where every point is final.  A spread moves by at
     most one per arrival, so live stays at least the largest one from base
-    on, and equals it whenever it is above frozen.
+    on, and equals it whenever it is above frozen.  k = 2 keeps one
+    difference column (_difference_trace), any other k a column per color
+    and a tree of their minima (_tree_trace).
     """
-    w, fmt = next(f for f in _FIELDS if len(colors) < 1 << (f[0] - 1))
-    ends = sorted(set(hi))
-    rank = {e: r for r, e in enumerate(ends)}
-    every = int.from_bytes((1).to_bytes(w // 8, "little") * len(ends), "little")
+    if k == 2:
+        return _difference_trace(lo, hi, colors)
+    return _tree_trace(lo, hi, colors, k)
+
+
+def _tree_trace(lo, hi, colors, k: int) -> List[int]:
+    """_packed_trace with a column of counts per color in use.
+
+    top packs per field the largest count.  Until all k colors are in use
+    the smallest is 0; then the columns become the leaves cols[k:] of a
+    tree whose node i packs the field-wise minimum of nodes 2i and 2i + 1,
+    so the root cols[1] is the smallest count.  An arrival raises its leaf
+    by one in its fields, and a node rises where the child that rose was
+    below its sibling, so the climb stops at the first node that keeps its
+    value.  Counts stay below 2^(w - 1), so a top bit per field guards a
+    subtraction that compares every field at once.  Only where the
+    smallest count rose can the largest spread fall.
+    """
+    w, fmt, ends, rank, every = _fields(hi, len(colors), 1)
+    w1 = w - 1
+    field = (1 << w) - 1
     span = w * len(ends)
-    slot: Dict[int, int] = {}  # color -> index into cols
-    cols: List[int] = []
-    top = low = above = spread = frozen = live = base = 0
+    slot: Dict[int, int] = {}  # color -> its column's index among the columns
+    cols: List[int] = []  # the columns, and once every color is in use the tree
+    leaf = 0  # the index of the first column in cols
+    top = low = spread = frozen = live = base = 0
+    reach = 0  # a 1 in each field some arrival has reached
     start = None
     trace: List[int] = []
 
     def peak(x: int) -> int:
         """The largest field of x."""
+        if x <= field:
+            return x
         size = -(-x.bit_length() // w) * w >> 3
         return max(memoryview(x.to_bytes(size, "little")).cast(fmt), default=0)
-
-    def zeros(x: int, ones: int, high: int) -> int:
-        """A 1 in each field of ones where x is 0."""
-        return (high ^ ((x | high) - ones) & high) >> (w - 1)
 
     for a, b, color in zip(lo, hi, colors):
         if start is not None and a > start:
@@ -246,36 +277,120 @@ def _packed_trace(lo, hi, colors, k: int) -> List[int]:
                 if live > frozen:  # else none of them passes frozen
                     frozen = max(frozen, peak(spread & ((1 << cut) - 1)))
                 cols = [col >> cut for col in cols]
-                top, low, above, spread = top >> cut, low >> cut, above >> cut, spread >> cut
+                top, low, spread, reach = top >> cut, low >> cut, spread >> cut, reach >> cut
                 base += gone
-            frozen = max(frozen, spread & (1 << w) - 1)
+            if spread & field > frozen:
+                frozen = spread & field
         start = a
         s = slot.get(color)
         if s is None:
             s = slot[color] = len(cols)
             cols.append(0)
-            if len(cols) == k:  # every color in use: count the columns above 0
-                above = sum(every - zeros(col, every, every << w - 1) for col in cols)
+            if len(cols) == k:  # every color in use: build the tree
+                cols = [0] * k + cols
+                leaf = k
+                guard = every << w1
+                for i in range(k - 1, 0, -1):
+                    x, y = cols[2 * i], cols[2 * i + 1]
+                    d = (x | guard) - y  # a guard bit left where x >= y
+                    g = d & guard
+                    cols[i] = x - (d & g - (g >> w1))
         ones = every >> span - w * (rank[b] - base + 1)  # the ranks base..rank[b]
-        high = ones << w - 1
-        col = cols[s]
-        cols[s] = col + ones
-        top += zeros(col ^ top, ones, high)
+        high = ones << w1
+        if ones > reach:
+            reach = ones
+        i = leaf + s
+        col = cols[i]
+        node = cols[i] = col + ones
         risen = 0
-        if len(cols) == k:
-            above += zeros(col ^ low, ones, high)
-            risen = zeros(above ^ k * ones, ones, high)
-            if risen:  # no column is left at the minimum there
-                low += risen
-                above -= sum(zeros(col ^ low, ones, high) & risen for col in cols)
+        if leaf:
+            up = high  # a guard bit in each field where node rose
+            while i > 1:
+                up &= (cols[i ^ 1] | high) - node
+                if not up:
+                    break
+                i >>= 1
+                node = cols[i] = cols[i] + (up >> w1)
+            else:
+                risen = up
+                low = node
+        rise = (col | high) - top & high  # where col held the largest count
+        top += rise >> w1
         spread = top - low
-        if (spread | high) - (live + 1) * ones & high:  # a touched field passed live
+        if rise and (spread | high) - (live + 1) * ones & high:  # a field passed live
             live += 1
         elif risen and live > frozen:  # else live need not be exact
-            reach = every >> span + (-spread.bit_length() // w) * w  # spread's fields
-            if not (spread | reach << w - 1) - live * reach & reach << w - 1:
+            h = reach << w1
+            if not (spread | h) - live * reach & h:
                 live -= 1  # none is left at live
-        trace.append(max(frozen, live))
+        trace.append(live if live > frozen else frozen)
+    return trace
+
+
+def _difference_trace(lo, hi, colors) -> List[int]:
+    """_packed_trace for two colors, with one column of their differences.
+
+    diff packs per field bias + c1 - c2, where c1 and c2 count colors 1
+    and 2, in the fields of biased, those some arrival has reached, and 0
+    above them; the spread of a field is its distance from bias.  Counts
+    stay below bias = 2^(w - 2), so every field stays below 2^(w - 1) and
+    a top bit per field guards a subtraction that compares every field at
+    once.  An arrival of color 1 adds its run of ones to diff, one of
+    color 2 subtracts it, and only a field moved away from bias can pass
+    live.
+    """
+    w, fmt, ends, rank, every = _fields(hi, len(colors), 2)
+    w1 = w - 1
+    field = (1 << w) - 1
+    span = w * len(ends)
+    bias = 1 << (w - 2)
+    diff = biased = frozen = live = base = 0
+    start = None
+    trace: List[int] = []
+
+    def peak(x: int, fields: int) -> int:
+        """The largest spread in the first fields of x, all of them biased."""
+        x = memoryview(x.to_bytes(fields * w >> 3, "little")).cast(fmt)
+        return max(max(x) - bias, bias - min(x)) if fields else 0
+
+    def below(diff: int, biased: int, live: int) -> bool:
+        """Whether every spread is below live."""
+        h = biased << w1
+        if (diff | h) - (bias + live) * biased & h:  # a field at bias + live or above
+            return False
+        return not ((bias - live) * biased | h) - diff & h  # or at bias - live or below
+
+    for a, b, color in zip(lo, hi, colors):
+        if start is not None and a > start:
+            gone = bisect_left(ends, a, base) - base  # as in _tree_trace
+            if gone:
+                cut = w * gone
+                if live > frozen:
+                    reached = -(-biased.bit_length() // w)
+                    frozen = max(frozen, peak(diff & ((1 << cut) - 1), min(gone, reached)))
+                diff, biased = diff >> cut, biased >> cut
+                base += gone
+            if biased & 1 and abs((diff & field) - bias) > frozen:
+                frozen = abs((diff & field) - bias)
+        start = a
+        ones = every >> span - w * (rank[b] - base + 1)
+        if ones > biased:  # bias the fields reached first now
+            diff += ones - biased << w - 2
+            biased = ones
+        high = ones << w1
+        if color == 1:
+            diff += ones
+            if (diff | high) - (bias + live + 1) * ones & high:
+                live += 1
+            elif live > frozen and ((bias - live + 1) * ones | high) - diff & high:
+                live -= below(diff, biased, live)  # a field left live: is any left there?
+        else:
+            diff -= ones
+            if ((bias - live - 1) * ones | high) - diff & high:
+                live += 1
+            elif live > frozen and (diff | high) - (bias + live - 1) * ones & high:
+                live -= below(diff, biased, live)
+        trace.append(live if live > frozen else frozen)
     return trace
 
 

@@ -430,6 +430,22 @@ def test_online_stream_trace(tmp_path, capsys):
     assert records[-1]["max_imbalance"] == 1
 
 
+def test_online_refuses_a_trace_the_offline_check_disagrees_with(tmp_path, capsys, monkeypatch):
+    # at k = 2 the trace comes from the difference column; its last value
+    # must match one offline imbalance of the run, or nothing is printed
+    from test_online import off_by_one
+
+    off_by_one(monkeypatch)
+    path = write(tmp_path, "stream.txt", "3 2\n0 4\n1 5\n2 6\n")
+    code, out, err = run(
+        capsys,
+        "online", "--algorithm", "round_robin", "--k", "2", "--rounds", "3",
+        "--input", path, "--format", "text",
+    )
+    assert (code, out) == (3, "")
+    assert "the trace ends at 2, but the run's imbalance is 1" in err
+
+
 def test_online_stream_truncates_to_rounds(tmp_path, capsys):
     path = write(tmp_path, "stream.txt", "3 2\n0 4\n1 5\n2 6\n")
     code, out, _ = run(

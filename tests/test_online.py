@@ -470,20 +470,90 @@ def test_trace_pass_takes_wider_fields_past_2_to_the_15():
         assert trace[-1] == imbalance(inst, Coloring(tuple(colors), k)).value
 
 
-def test_finish_refuses_a_trace_the_offline_check_disagrees_with(monkeypatch):
-    inst = make_instance([(0, 2), (1, 3)], 2)
-    session = _Session(RoundRobin(), 2)
+def test_difference_column_takes_wider_fields_past_2_to_the_14():
+    # the k = 2 column biases every field by 2^(w - 2), so a lead of n
+    # needs n < 2^(w - 2): 2^14 - 1 intervals on one right end, all of one
+    # color, fill a 16-bit field to its top or down to 1, and 2^14 + 1
+    # take 32-bit fields
+    for n, width in (((1 << 14) - 1, 16), ((1 << 14) + 1, 32)):
+        inst = make_instance([(i, n) for i in range(n)], 2)
+        assert online._fields(inst.hi, n, 2)[0] == width
+        for colors in ([1] * n, [2] * n, [1] * (n - 1) + [2]):
+            # the last arrival leaves the lead of n - 1 left of its start
+            expected = list(range(1, n)) + [n if colors[-1] == colors[0] else n - 1]
+            assert online._difference_trace(inst.lo, inst.hi, colors) == expected
+            assert online._tree_trace(inst.lo, inst.hi, colors, 2) == expected
+
+
+def two_color_streams(rng):
+    """k = 2 streams: the edge streams, random ones, right ends falling
+    and repeating, nested and staircase, and Fraction keys at scale 1."""
+    streams = [make_instance(bounds, 2) for bounds in edge_streams()]
+    streams += [random_stream(rng, rng.randint(1, 40), 2) for _ in range(12)]
+    streams.append(make_instance([(i, 40 - i % 5) for i in range(24)], 2))
+    streams.append(make_instance([(i, 60 - i) for i in range(30)], 2))
+    streams.append(make_instance([(i, 30 + i) for i in range(30)], 2))
+    streams += [
+        Instance([itv.lo for itv in inst.intervals], [itv.hi for itv in inst.intervals], 1, 2)
+        for inst in streams[-4:]
+    ]
+    return streams
+
+
+def test_difference_column_and_minimum_tree_agree_at_k_2():
+    # both private passes on one color only, alternating colors, runs of
+    # one color, and random colors, against an imbalance of every prefix
+    rng = random.Random(67)
+    for inst in two_color_streams(rng):
+        n = inst.n
+        for colors in (
+            [1] * n,
+            [2] * n,
+            [i % 2 + 1 for i in range(n)],
+            [i // 3 % 2 + 1 for i in range(n)],
+            [rng.randint(1, 2) for _ in range(n)],
+        ):
+            expected = list(prefix_imbalances(inst.intervals, colors, 2))
+            assert online._difference_trace(inst.lo, inst.hi, colors) == expected, colors
+            assert online._tree_trace(inst.lo, inst.hi, colors, 2) == expected, colors
+
+
+@pytest.mark.parametrize("k", [8, 64, 200])
+def test_minimum_tree_with_every_color_in_use(k):
+    # once all k colors are in use the minimum rises, at many fields at
+    # once on the staircase, wherever the last color at it gains one
+    n = k + 40
+    for bounds in (
+        [(i, 2 * n - i) for i in range(n)],
+        [(i, n + i) for i in range(n)],
+    ):
+        inst = make_instance(bounds, k)
+        for algorithm in (RoundRobin(), ManyColors()):
+            coloring, trace = run_online(algorithm, inst)
+            assert len(set(coloring.colors)) == k
+            assert trace == prefix_imbalances(inst.intervals, coloring.colors, k)
+
+
+def off_by_one(monkeypatch):
+    """Make both trace passes end one above the true last value."""
+    for name in ("_difference_trace", "_tree_trace"):
+
+        def wrong(*args, right=getattr(online, name)):
+            trace = right(*args)
+            trace[-1] += 1
+            return trace
+
+        monkeypatch.setattr(online, name, wrong)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_finish_refuses_a_trace_the_offline_check_disagrees_with(monkeypatch, k):
+    inst = make_instance([(0, 2), (1, 3)], k)
+    session = _Session(RoundRobin(), k)
     for lo, hi in zip(inst.lo, inst.hi):
         session.present(lo, hi)
-    assert session.finish(inst) == (Coloring((1, 2), 2), (1, 1))
-
-    def off_by_one(*args):
-        trace = packed_trace(*args)
-        trace[-1] += 1
-        return trace
-
-    packed_trace = online._packed_trace
-    monkeypatch.setattr(online, "_packed_trace", off_by_one)
+    assert session.finish(inst) == (Coloring((1, 2), k), (1, 1))
+    off_by_one(monkeypatch)
     with pytest.raises(InvariantViolation, match="trace ends at 2, but the run's imbalance is 1"):
         session.finish(inst)
 
