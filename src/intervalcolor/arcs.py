@@ -82,13 +82,14 @@ class ArcInstance:
     turn: Union[int, Fraction]
 
     def __post_init__(self) -> None:
-        lo, hi, C, s = self.line.lo, self.line.hi, self.turn, self.scale
-        for a, b in zip(lo, hi):
+        keys, C, s = self.line.keys, self.turn, self.scale
+        pairs = iter(keys)
+        for a, b in zip(pairs, pairs):
             if a >= b:
                 raise ValueError(f"arc length must be positive, got {Fraction(b - a, s)}")
         if C <= 0:
             raise ValueError(f"circumference must be positive, got {Fraction(C, s)}")
-        for i, a in enumerate(lo):
+        for i, a in enumerate(keys[0::2]):
             if not 0 <= a < C:
                 raise ValueError(
                     f"arc {i} start {Fraction(a, s)} outside [0, {Fraction(C, s)})"
@@ -124,13 +125,13 @@ def make_arc_instance(
     dens.append(d)
     keys, scale = _keys(nums, dens)
     turn = keys.pop()
-    starts, lengths = keys[0::2], keys[1::2]
-    # checked before the line is built, which would report them as intervals
-    for x in lengths:
-        if x <= 0:
-            raise ValueError(f"arc length must be positive, got {Fraction(x, scale)}")
-    ends = [a + x for a, x in zip(starts, lengths)]
-    return ArcInstance(Instance(starts, ends, scale, k), turn)
+    # each length becomes its arc's end in place; a length is checked
+    # before the line is built, which would report it as an interval
+    for e in range(1, len(keys), 2):
+        if keys[e] <= 0:
+            raise ValueError(f"arc length must be positive, got {Fraction(keys[e], scale)}")
+        keys[e] += keys[e - 1]
+    return ArcInstance(Instance(keys, scale, k), turn)
 
 
 def unfold(instance: ArcInstance) -> Instance:
@@ -159,22 +160,20 @@ def unfold(instance: ArcInstance) -> Instance:
     Fraction keys the scale stays 1 and the margin is divided out exactly.
     """
     C = instance.turn
-    lo: List = []
-    hi: List = []
-    for s, e in zip(instance.line.lo, instance.line.hi):
+    keys: List = []
+    pairs = iter(instance.line.keys)
+    for s, e in zip(pairs, pairs):
         if e - s >= C:
-            lo.append(None)
-            hi.append(None)
+            keys += (None, None)
             continue
         if e > C:
             s -= C
             e -= C
-        lo.append(s)
-        hi.append(e)
+        keys += (s, e)
 
     scale = instance.scale
-    if None in lo:
-        xs = sorted({x for x in lo + hi if x is not None}) or [0]
+    if None in keys:
+        xs = sorted({x for x in keys if x is not None}) or [0]
         hull_lo, hull_hi = xs[0], xs[-1]
         gap = min((b - a for a, b in zip(xs, xs[1:])), default=None)
         room = C - (hull_hi - hull_lo)
@@ -187,11 +186,10 @@ def unfold(instance: ArcInstance) -> Instance:
             span = (up * hull_lo - margin, up * hull_hi + margin)
         else:
             span = (up * hull_lo - margin, up * (hull_lo + C) - margin)
-        lo = [span[0] if x is None else up * x for x in lo]
-        hi = [span[1] if x is None else up * x for x in hi]
+        keys = [span[e & 1] if x is None else up * x for e, x in enumerate(keys)]
         scale *= up
 
-    return Instance(lo, hi, scale, instance.k)
+    return Instance(keys, scale, instance.k)
 
 
 def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
@@ -201,22 +199,19 @@ def _pieces(instance: ArcInstance) -> Tuple[Instance, List[int]]:
     piece, its arc's id.
     """
     C = instance.turn
-    lo: List = []
-    hi: List = []
+    keys: List = []
     owners: List[int] = []
-    for i, (s, end) in enumerate(zip(instance.line.lo, instance.line.hi)):
+    pairs = iter(instance.line.keys)
+    for i, (s, end) in enumerate(zip(pairs, pairs)):
         if end - s >= C:
-            lo.append(0)
-            hi.append(C)
+            keys += (0, C)
         elif end >= C:
-            lo += (s, 0)
-            hi += (C, end - C)
+            keys += (s, C, 0, end - C)
             owners.append(i)
         else:
-            lo.append(s)
-            hi.append(end)
+            keys += (s, end)
         owners.append(i)
-    return Instance(lo, hi, instance.scale, instance.k), owners
+    return Instance(keys, instance.scale, instance.k), owners
 
 
 def arc_imbalance(instance: ArcInstance, coloring: Coloring) -> ImbalanceReport:

@@ -154,9 +154,7 @@ def cmd_online(args: argparse.Namespace) -> Tuple[int, str]:
     if args.rounds < 0:
         raise FormatError(f"--rounds must not be negative, got {args.rounds}")
     instance = _load_instance(args)
-    stream = Instance(
-        instance.lo[: args.rounds], instance.hi[: args.rounds], instance.scale, instance.k
-    )
+    stream = Instance(instance.keys[: 2 * args.rounds], instance.scale, instance.k)
     coloring, trace = run_online(alg, stream)
     return 0, format_transcript_jsonl(stream, coloring.colors, trace)
 
@@ -224,15 +222,16 @@ def _svg_dump(instance: BoxInstance) -> str:
         return f"{float(key / scale):g}"  # type: ignore[operator]
 
     if instance.n:
-        xlo, xhi = min(xs.lo) - sx, max(xs.hi) + sx
-        ylo, yhi = min(ys.lo) - sy, max(ys.hi) + sy
+        xlo, xhi = min(xs.keys[0::2]) - sx, max(xs.keys[1::2]) + sx
+        ylo, yhi = min(ys.keys[0::2]) - sy, max(ys.keys[1::2]) + sy
     else:
         xlo, xhi, ylo, yhi = 0, sx, 0, sy
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox='
         f'"{num(xlo, sx)} 0 {num(xhi - xlo, sx)} {num(yhi - ylo, sy)}">'
     ]
-    for x0, x1, y0, y1, tag in zip(xs.lo, xs.hi, ys.lo, ys.hi, instance.tags):
+    x, y = iter(xs.keys), iter(ys.keys)
+    for x0, x1, y0, y1, tag in zip(x, x, y, y, instance.tags):
         lines.append(
             f'<rect x="{num(x0, sx)}" y="{num(yhi - y1, sy)}"'
             f' width="{num(x1 - x0, sx)}" height="{num(y1 - y0, sy)}"'

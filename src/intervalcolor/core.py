@@ -3,30 +3,33 @@
 Coordinates are arbitrary-precision rationals so that coinciding endpoints
 are detected exactly; floats are rejected at the boundary.  Rationals only
 order endpoints: an instance keeps each endpoint as a key, its coordinate
-times the instance's positive int scale.  make_instance takes the lcm of the
+times the instance's positive int scale, in one tuple in slot order: 2i the
+start of interval i, 2i + 1 its end.  make_instance takes the lcm of the
 denominators, so keys are ints, or the Fractions with scale 1 when the lcm
 would pass _KEY_BITS bits; the online adversary's power-of-two scale,
-bounded by MAX_PRESENTATIONS, passes 64 bits with int keys.  normalize() is
-the only place endpoints are ordered, on the line, the circle, boxes (an
-Instance per dimension) and weighted intervals: it sorts an instance's 2n
-event slots (2i the start of interval i, 2i + 1 its end) once by key and
-marks in flags the ranks that close a block of equal-coordinate starts
-or ends; every sweep (imbalance, the colorers, the coverage walk) walks
-that integer order, whatever the keys, reading slot e as interval e >> 1
-and as an end when e & 1.  Every measure samples the line at the same
-points, the flagged ranks but the last (see _point): a rank that closes
-a block of starts stands for their coordinate, one that closes a block
-of ends for the midpoint to the next coordinate.  imbalance's sweep
-returns the rank it first peaks at, and _covers, the one coverage walk,
-yields the ids covering each sample, from which every exact search (the
-oracles, the deciders, the box masks, weighted_imbalance) reads its
-cells, the searches as bitmasks.  A coordinate becomes a Fraction again
-only where it leaves the library: in a witness, and in an Interval or
-Box built on first request.  All types are immutable values and safe
-to share between threads; the kept ranking and intervals are pure
-functions of the instance, so a race merely computes them twice.
-imbalance, the check behind every result, costs O(1) per event whatever
-k is and allocates nothing in proportion to k.
+bounded by MAX_PRESENTATIONS, passes 64 bits with int keys.  normalize()
+ranks the event slots, on the line, the circle, boxes (an Instance per
+dimension) and weighted intervals: it sorts them once by key and marks in
+flags the ranks that close a block of equal-coordinate starts or ends;
+every sweep (imbalance, the colorers, the coverage walk) walks that integer
+order, whatever the keys, reading slot e as interval e >> 1 and as an end
+when e & 1.  Every measure samples the line at the same points, the flagged
+ranks but the last (see _point): a rank that closes a block of starts
+stands for their coordinate, one that closes a block of ends for the
+midpoint to the next coordinate.  imbalance's sweep returns the rank it
+first peaks at, and _covers, the one coverage walk, yields the ids covering
+each sample, from which every exact search (the oracles, the deciders, the
+box masks, weighted_imbalance) reads its cells, the searches as bitmasks.
+A few places order keys on their own: the online trace ranks right ends and
+the reduction audit of hardness sweeps its rectangles, so that neither
+check leans on the ranking it checks; arcs.unfold sorts the distinct keys
+for its margin, and GreedyLeastLoaded bisects its own answers.  A
+coordinate becomes a Fraction again only where it leaves the library: in a
+witness, and in an Interval or Box built on first request.  All types are
+immutable values and safe to share between threads; the kept ranking and
+intervals are pure functions of the instance, so a race merely computes
+them twice.  imbalance, the check behind every result, costs O(1) per event
+whatever k is and allocates nothing in proportion to k.
 """
 
 from __future__ import annotations
@@ -206,44 +209,43 @@ class Interval:
 class Instance:
     """An ordered list of closed intervals plus the number of colors k.
 
-    Interval i is [lo[i] / scale, hi[i] / scale]: lo and hi are key
-    columns, ints, or Fractions when scale is 1 (see _keys), and
-    lo[i] > hi[i] is rejected, as is a scale or a k that is not a
-    positive int.  make_instance reads an instance from coordinates; the
-    Interval objects are built on first request.
-    Instances compare by identity.
+    keys holds the endpoint keys in slot order, the order normalize ranks:
+    interval i is [keys[2i] / scale, keys[2i + 1] / scale].  Keys are ints,
+    or Fractions when scale is 1 (see _keys).  An odd key count, a start
+    above its end, and a scale or a k that is not a positive int are
+    rejected.  make_instance reads an instance from coordinates; the
+    Interval objects are built on first request.  Instances compare by
+    identity.
     """
 
-    lo: Tuple
-    hi: Tuple
+    keys: Tuple
     scale: int
     k: int
     # the ranking normalize() keeps here
     _normalized: Optional["NormalizedInstance"] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        lo, hi, s = self.lo, self.hi, self.scale
+        keys, s = tuple(self.keys), self.scale
         _check_positive_int("scale", s)
         _check_positive_int("k", self.k)
-        if len(lo) != len(hi):
-            raise ValueError(f"{len(lo)} lower keys for {len(hi)} upper keys")
-        if any(map(gt, lo, hi)):  # only then find the first such interval
-            for i, (a, b) in enumerate(zip(lo, hi)):
-                if a > b:
-                    raise ValueError(f"interval {i}: lo {Fraction(a, s)} > hi {Fraction(b, s)}")
-        object.__setattr__(self, "lo", tuple(lo))
-        object.__setattr__(self, "hi", tuple(hi))
+        if len(keys) & 1:
+            raise ValueError(f"{len(keys)} keys: each interval needs a start and an end")
+        pairs = iter(keys)
+        if any(map(gt, pairs, pairs)):  # only then find the first such interval
+            e = next(e for e in range(0, len(keys), 2) if keys[e] > keys[e + 1])
+            lo, hi = Fraction(keys[e], s), Fraction(keys[e + 1], s)
+            raise ValueError(f"interval {e >> 1}: lo {lo} > hi {hi}")
+        object.__setattr__(self, "keys", keys)
 
     @property
     def n(self) -> int:
-        return len(self.lo)
+        return len(self.keys) >> 1
 
     @cached_property
     def intervals(self) -> Tuple[Interval, ...]:
-        s = self.scale
+        s, pairs = self.scale, iter(self.keys)
         return tuple(
-            Interval(i, Fraction(a, s), Fraction(b, s))
-            for i, (a, b) in enumerate(zip(self.lo, self.hi))
+            Interval(i, Fraction(a, s), Fraction(b, s)) for i, (a, b) in enumerate(zip(pairs, pairs))
         )
 
     def __repr__(self) -> str:
@@ -254,13 +256,11 @@ def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
     """Build an Instance from (lo, hi) pairs, assigning ids in order.
 
     Each coordinate is read once into an integer numerator and
-    denominator (see _read_pairs); no Fraction or Interval is built on
-    the way.
+    denominator (see _read_pairs), in the slot order Instance keeps; no
+    Fraction or Interval is built on the way.
     """
-    nums, dens = _read_pairs(bounds)
-    keys, scale = _keys(nums, dens)
-    del nums, dens  # drop the columns before the halves are copied out
-    return Instance(keys[0::2], keys[1::2], scale, k)
+    keys, scale = _keys(*_read_pairs(bounds))
+    return Instance(keys, scale, k)
 
 
 @dataclass(frozen=True, repr=False)
@@ -290,22 +290,20 @@ class NormalizedInstance:
 def normalize(instance: Instance) -> NormalizedInstance:
     """Rank the 2n endpoint events once; later calls reuse the ranking.
 
-    This is the only place interval endpoints are sorted, and it sorts the
-    event slots by the instance's keys: ints, exact and cheap to compare,
-    unless the scale was too wide and they are Fractions.  keys[2i] is
-    the start key of interval i and keys[2i + 1] its end key, so the
-    slots sort directly.  They enter the stable sort as the starts 0, 2,
-    ..., 2n - 2, then the ends 1, 3, ..., 2n - 1, which leaves equal keys
-    with starts first, then ids ascending.  One pass over the ranks then
+    Every sweep of the library walks this ranking.  It sorts the event
+    slots by the instance's keys: ints, exact and cheap to compare,
+    unless the scale was too wide and they are Fractions.  The keys are
+    in slot order, so the slots sort by them directly.  They enter the
+    stable sort as the starts 0, 2, ..., 2n - 2, then the ends 1, 3, ...,
+    2n - 1, which leaves equal keys with starts first, then ids ascending.  One pass over the ranks then
     marks the block ends in flags.  No start can rank after its own end:
-    Instance rejects lo > hi and an equal key puts the start first.
+    Instance rejects a start above its end and an equal key puts the
+    start first.
     """
     if instance._normalized is not None:
         return instance._normalized
     n = instance.n
-    keys = [0] * (2 * n)
-    keys[0::2] = instance.lo
-    keys[1::2] = instance.hi
+    keys = instance.keys
     order = sorted(chain(range(0, 2 * n, 2), range(1, 2 * n, 2)), key=keys.__getitem__)
     flags = bytearray(2 * n)
     previous = None
@@ -468,12 +466,11 @@ def _point(instance: Instance, r: int) -> Coord:
     the cover sets there are.
     """
     order = normalize(instance).order
-    lo, hi, scale = instance.lo, instance.hi, instance.scale
+    keys, scale = instance.keys, instance.scale
     e = order[r]
     if not e & 1:
-        return Fraction(lo[e >> 1], scale)
-    f = order[r + 1]
-    return Fraction(hi[e >> 1] + (hi if f & 1 else lo)[f >> 1], 2 * scale)
+        return Fraction(keys[e], scale)
+    return Fraction(keys[e] + keys[order[r + 1]], 2 * scale)
 
 
 def _covers(instance: Instance) -> Iterator[Tuple[int, ...]]:

@@ -267,14 +267,13 @@ def parse_nae_text(text: str) -> NaeFormula:
 
 def format_box_instance_json(instance: BoxInstance) -> str:
     # as in format_transcript_jsonl: each column (the tags, each dimension's
-    # lo and hi) as JSON text, split into its values' texts; no tag or key
-    # text holds ", ", so each box is written from one template
-    columns = [instance.tags]
-    for dim in instance.dims:
-        columns += _keys_json(dim.lo, dim.scale), _keys_json(dim.hi, dim.scale)
-    texts = [json.dumps(list(column))[1:-1].split(", ") for column in columns]
+    # keys) as JSON text, split into its values' texts; no tag or key text
+    # holds ", ", so each box is written from one template
+    columns = [instance.tags] + [_keys_json(dim.keys, dim.scale) for dim in instance.dims]
+    tags, *dims = [iter(json.dumps(list(column))[1:-1].split(", ")) for column in columns]
     box = '{"id": %d, "tag": %s, "bounds": [' + ", ".join(["[%s, %s]"] * instance.d) + "]}"
-    boxes = ", ".join(map(box.__mod__, zip(range(instance.n), *texts)))
+    fields = chain.from_iterable(zip(dims, dims))  # a dimension's texts read in pairs
+    boxes = ", ".join(map(box.__mod__, zip(range(instance.n), tags, *fields)))
     provenance = {
         str(box_id): list(entry)
         for box_id, entry in sorted(instance.provenance.items())
@@ -363,9 +362,9 @@ def format_transcript_jsonl(
         )
     if not instance.n:
         return ""
-    # each column as JSON text, split into its values' texts: no value's
-    # text holds ", ", so each line is written from one template
-    columns = (_keys_json(instance.lo, instance.scale), _keys_json(instance.hi, instance.scale))
-    texts = [json.dumps(list(column))[1:-1].split(", ") for column in (*columns, colors, trace)]
+    # each column as JSON text, split into its values' texts, keys read in
+    # pairs: no value's text holds ", ", so each line is one template's
+    columns = (_keys_json(instance.keys, instance.scale), colors, trace)
+    keys, *texts = [iter(json.dumps(list(column))[1:-1].split(", ")) for column in columns]
     line = '{"interval": [%s, %s], "color": %s, "max_imbalance": %s}\n'
-    return "".join(map(line.__mod__, zip(*texts)))
+    return "".join(map(line.__mod__, zip(keys, keys, *texts)))

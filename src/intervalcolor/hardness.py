@@ -507,10 +507,9 @@ def reduce_nae_to_boxes(formula: NaeFormula, k: int, d: int = 2) -> BoxInstance:
     rects = [rect for rect, _, _ in all_entries]
     _audit_reduction(rects, n_covers, expected, provenance)
 
-    x0s, x1s, y0s, y1s = zip(*rects) if rects else ((),) * 4
-    flat = (0,) * len(rects)
-    dims = [Instance(x0s, x1s, 1, k), Instance(y0s, y1s, 1, k)]
-    dims += [Instance(flat, flat, 1, k)] * (d - 2)
+    dims = [Instance([x for r in rects for x in r[:2]], 1, k)]
+    dims += [Instance([y for r in rects for y in r[2:]], 1, k)]
+    dims += [Instance((0, 0) * len(rects), 1, k)] * (d - 2)
     return BoxInstance(dims, [tag for _, tag, _ in all_entries], provenance)
 
 
@@ -644,7 +643,7 @@ def reduce_partition_to_weighted(values: Sequence[int]) -> WeightedInstance:
     a 2-coloring is the absolute difference of the two side sums, so
     zero is achievable iff the values split evenly."""
     n = len(values)
-    return WeightedInstance(Instance((0,) * n, (1,) * n, 1, 2), values)
+    return WeightedInstance(Instance((0, 1) * n, 1, 2), values)
 
 
 def weighted_imbalance(weighted: WeightedInstance, coloring: Coloring) -> int:

@@ -34,6 +34,7 @@ from intervalcolor.core import (
     Coloring,
     Instance,
     InvariantViolation,
+    NormalizedInstance,
     _sweep,
     make_instance,
     normalize,
@@ -357,34 +358,47 @@ def k_color_dewerra(instance: Instance) -> Coloring:
     scratch: halve splits them, as class 0 of the shared order, and the
     half holding their lowest id keeps color i.
 
-    Each pass drives its own pair's difference to at most 1 and never
-    increases the overall worst difference, and a sum-of-squares potential
-    over the measured points guarantees termination.  The scheme is
-    classically credited with needing at most k(k-1)/2 passes, but pairs
-    already balanced can re-break at small differences, and moderate random
-    instances routinely exceed that figure.  The pass budget is therefore
-    capped at k(k-1)/2 + k; exhausting the cap raises InvariantViolation
-    rather than looping on.
+    A pass balances colors i and j at every sample point (see core._point)
+    with their sum there fixed, so the potential, the squared color counts
+    at the sample points summed, falls, and the passes end; a pass that
+    does not lower it raises InvariantViolation.  Pairs already balanced
+    can re-break, so the classical k(k-1)/2 passes do not always suffice.
     """
     k = instance.k
     if k < 2:
         raise ValueError(f"pairwise rebalancing needs k >= 2, got {k}")
-    order = normalize(instance).order
+    norm = normalize(instance)
     colors = [(i % k) + 1 for i in range(instance.n)]
-    limit = k * (k - 1) // 2 + k
-
-    for _ in range(limit + 1):
+    potential = _potential(norm, colors)
+    while True:
         value, r = _sweep(instance, colors)
         if value <= 1:  # always so when k >= n, where each interval has its own color
             return Coloring(tuple(colors), k)
         i, j = _worst_pair(instance, colors, r)
         # halve walks ids ascending, so half 0 holds the pair's lowest id;
         # the other intervals, class 1, land in halves 2 and 3 untouched
-        halves = halve(order, [0 if c == i or c == j else 1 for c in colors], 2)
+        halves = halve(norm.order, [0 if c == i or c == j else 1 for c in colors], 2)
         colors = [c if h > 1 else j if h else i for c, h in zip(colors, halves)]
-    raise InvariantViolation(
-        f"rebalancing did not converge within {limit} passes"
-    )
+        before, potential = potential, _potential(norm, colors)
+        if potential >= before:
+            raise InvariantViolation(
+                f"a rebalancing pass left the potential at {potential}, not below {before}"
+            )
+
+
+def _potential(norm: NormalizedInstance, colors: List[int]) -> int:
+    """The squared color counts at each flagged rank of norm, summed; after
+    the last rank nothing is left, so it adds 0 there."""
+    counts = [0] * (max(colors, default=0) + 1)
+    squares = total = 0
+    for e, measured in zip(norm.order, norm.flags):
+        c = colors[e >> 1]
+        step = -1 if e & 1 else 1
+        squares += 2 * step * counts[c] + 1  # (v + step)^2 - v^2
+        counts[c] += step
+        if measured:
+            total += squares
+    return total
 
 
 def _worst_pair(instance: Instance, colors: List[int], r: Optional[int]) -> Tuple[int, int]:

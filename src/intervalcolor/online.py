@@ -188,10 +188,6 @@ class Transcript:
         return self.instance.intervals
 
     @property
-    def k(self) -> int:
-        return self.instance.k
-
-    @property
     def final_imbalance(self) -> int:
         return self.trace[-1] if self.trace else 0
 
@@ -200,42 +196,43 @@ class Transcript:
 _FIELDS = ((16, "H"), (32, "I"), (64, "Q"))
 
 
-def _fields(hi, n: int, spare: int):
-    """The layout of a trace pass over n arrivals with right end keys hi.
+def _fields(keys, spare: int):
+    """The layout of a trace pass over the n arrivals of endpoint keys keys.
 
     Returns the field width w, the smallest whose counts up to n leave
     spare top bits free, the format that reads a field, the distinct right
     ends ascending, their ranks, and an int with a 1 in the field of each.
     """
-    w, fmt = next(f for f in _FIELDS if n < 1 << (f[0] - spare))
-    ends = sorted(set(hi))
+    w, fmt = next(f for f in _FIELDS if len(keys) >> 1 < 1 << (f[0] - spare))
+    ends = sorted(set(keys[1::2]))
     rank = {e: r for r, e in enumerate(ends)}
     every = int.from_bytes((1).to_bytes(w // 8, "little") * len(ends), "little")
     return w, fmt, ends, rank, every
 
 
-def _packed_trace(lo, hi, colors, k: int) -> List[int]:
+def _packed_trace(keys, colors, k: int) -> List[int]:
     """The imbalance of every prefix of a run, in one pass over its arrivals.
 
-    lo and hi are the endpoint keys in arrival order, starts nondecreasing.
-    With the run's distinct right ends ranked once, the points at or right
-    of the latest start and in (ends[r - 1], ends[r]] are covered by the
-    intervals ending at or after ends[r].  A pass packs counts of those
-    intervals into ints, a w-bit field per rank from base, the first end at
-    or after the latest start, so an arrival adds a run of ones to the
-    fields of the ranks base..rank[b].  frozen is the largest spread left
-    of the latest start, where every point is final.  A spread moves by at
-    most one per arrival, so live stays at least the largest one from base
-    on, and equals it whenever it is above frozen.  k = 2 keeps one
-    difference column (_difference_trace), any other k a column per color
-    and a tree of their minima (_tree_trace).
+    keys holds the endpoint keys in slot order, as Instance keeps them, in
+    arrival order, starts nondecreasing.  With the run's distinct right
+    ends ranked once, the points at or right of the latest start and in
+    (ends[r - 1], ends[r]] are covered by the intervals ending at or after
+    ends[r].  A pass packs counts of those intervals into ints, a w-bit
+    field per rank from base, the first end at or after the latest start,
+    so an arrival adds a run of ones to the fields of the ranks
+    base..rank[b].  frozen is the largest spread left of the latest start,
+    where every point is final.  A spread moves by at most one per arrival,
+    so live stays at least the largest one from base on, and equals it
+    whenever it is above frozen.  k = 2 keeps one difference column
+    (_difference_trace), any other k a column per color and a tree of their
+    minima (_tree_trace).
     """
     if k == 2:
-        return _difference_trace(lo, hi, colors)
-    return _tree_trace(lo, hi, colors, k)
+        return _difference_trace(keys, colors)
+    return _tree_trace(keys, colors, k)
 
 
-def _tree_trace(lo, hi, colors, k: int) -> List[int]:
+def _tree_trace(keys, colors, k: int) -> List[int]:
     """_packed_trace with a column of counts per color in use.
 
     top packs per field the largest count.  Until all k colors are in use
@@ -248,7 +245,7 @@ def _tree_trace(lo, hi, colors, k: int) -> List[int]:
     subtraction that compares every field at once.  Only where the
     smallest count rose can the largest spread fall.
     """
-    w, fmt, ends, rank, every = _fields(hi, len(colors), 1)
+    w, fmt, ends, rank, every = _fields(keys, 1)
     w1 = w - 1
     field = (1 << w) - 1
     span = w * len(ends)
@@ -267,7 +264,8 @@ def _tree_trace(lo, hi, colors, k: int) -> List[int]:
         size = -(-x.bit_length() // w) * w >> 3
         return max(memoryview(x.to_bytes(size, "little")).cast(fmt), default=0)
 
-    for a, b, color in zip(lo, hi, colors):
+    pairs = iter(keys)
+    for a, b, color in zip(pairs, pairs, colors):
         if start is not None and a > start:
             # the points left of a are final now: those of the ranks
             # ending before a, and some of the first rank left
@@ -327,7 +325,7 @@ def _tree_trace(lo, hi, colors, k: int) -> List[int]:
     return trace
 
 
-def _difference_trace(lo, hi, colors) -> List[int]:
+def _difference_trace(keys, colors) -> List[int]:
     """_packed_trace for two colors, with one column of their differences.
 
     diff packs per field bias + c1 - c2, where c1 and c2 count colors 1
@@ -339,7 +337,7 @@ def _difference_trace(lo, hi, colors) -> List[int]:
     color 2 subtracts it, and only a field moved away from bias can pass
     live.
     """
-    w, fmt, ends, rank, every = _fields(hi, len(colors), 2)
+    w, fmt, ends, rank, every = _fields(keys, 2)
     w1 = w - 1
     field = (1 << w) - 1
     span = w * len(ends)
@@ -360,7 +358,8 @@ def _difference_trace(lo, hi, colors) -> List[int]:
             return False
         return not ((bias - live) * biased | h) - diff & h  # or at bias - live or below
 
-    for a, b, color in zip(lo, hi, colors):
+    pairs = iter(keys)
+    for a, b, color in zip(pairs, pairs, colors):
         if start is not None and a > start:
             gone = bisect_left(ends, a, base) - base  # as in _tree_trace
             if gone:
@@ -405,8 +404,7 @@ class _Session:
         alg.reset(k)
         self.alg = alg
         self.k = k
-        self.lo: list = []  # start keys, in arrival order
-        self.hi: list = []  # end keys
+        self.keys: list = []  # endpoint keys in slot order, arrivals in order
         self.colors: List[int] = []
 
     def present(self, lo, hi) -> int:
@@ -416,8 +414,7 @@ class _Session:
             raise TypeError(f"algorithm returned color {color!r}, not an int")
         if not (1 <= color <= self.k):
             raise ValueError(f"algorithm returned color {color}, outside 1..{self.k}")
-        self.lo.append(lo)
-        self.hi.append(hi)
+        self.keys += (lo, hi)
         self.colors.append(color)
         return color
 
@@ -427,7 +424,7 @@ class _Session:
         instance holds the presented intervals in arrival order.
         """
         coloring = Coloring(tuple(self.colors), self.k)
-        trace = tuple(_packed_trace(self.lo, self.hi, self.colors, self.k))
+        trace = tuple(_packed_trace(self.keys, self.colors, self.k))
         last = trace[-1] if trace else 0
         value = imbalance(instance, coloring).value
         if value != last:
@@ -446,16 +443,14 @@ def run_online(
     algorithm sees the instance's keys.  Returns the final coloring and
     the realized imbalance after each assignment.
     """
-    lo, hi = instance.lo, instance.hi
-    if any(map(gt, lo, islice(lo, 1, None))):  # only then find the first such start
-        for i in range(1, instance.n):
-            if lo[i] < lo[i - 1]:
-                raise ValueError(
-                    f"interval {i} starts at {Fraction(lo[i], instance.scale)},"
-                    f" before previous {Fraction(lo[i - 1], instance.scale)}"
-                )
+    starts = instance.keys[0::2]
+    if any(map(gt, starts, islice(starts, 1, None))):  # only then find the first such start
+        i = next(i for i in range(1, instance.n) if starts[i] < starts[i - 1])
+        was, now = (Fraction(x, instance.scale) for x in starts[i - 1 : i + 1])
+        raise ValueError(f"interval {i} starts at {now}, before previous {was}")
     session = _Session(alg, instance.k)
-    for a, b in zip(lo, hi):
+    pairs = iter(instance.keys)
+    for a, b in zip(pairs, pairs):
         session.present(a, b)
     return session.finish(instance)
 
@@ -507,17 +502,17 @@ def adversary_general(
     # MAX_PRESENTATIONS) - 1 times, so keys at this scale are exact ints
     scale = 1 << (t + min(repeat_budget, MAX_PRESENTATIONS) + 2)
     session = _Session(alg, k)
-    starts = session.lo
+    keys = session.keys
     L = (0, scale)
     R = (2 * scale, 3 * scale)
 
     def present(lo: int, hi: int) -> int:
-        if len(starts) >= MAX_PRESENTATIONS:
+        if len(keys) >= 2 * MAX_PRESENTATIONS:
             raise ValueError(limit)
-        if starts and lo <= starts[-1]:
+        if keys and lo <= keys[-2]:
             raise InvariantViolation(
                 f"adversary startpoints must increase strictly:"
-                f" {Fraction(lo, scale)} after {Fraction(starts[-1], scale)}"
+                f" {Fraction(lo, scale)} after {Fraction(keys[-2], scale)}"
             )
         return session.present(lo, hi)
 
@@ -537,6 +532,6 @@ def adversary_general(
         R = (R[0], mid_r) if color == 1 else (mid_r, R[1])
         L = (mid_l, L[1])
 
-    instance = Instance(session.lo, session.hi, scale, k)
+    instance = Instance(keys, scale, k)
     coloring, trace = session.finish(instance)
     return Transcript(instance, coloring.colors, trace)

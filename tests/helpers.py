@@ -282,19 +282,28 @@ def reference_halve(order, classes, count):
     return [2 * c + s for c, s in zip(classes, side)]
 
 
+def reference_potential(instance: Instance, colors):
+    """The squared color counts at every coordinate and gap midpoint,
+    summed, by direct counting: a potential every rebalancing pass lowers."""
+    _, xs, _ = reference_ranking(instance)
+    points = [*xs, *((a + b) / 2 for a, b in zip(xs, xs[1:]))]
+    coloring = Coloring(tuple(colors), instance.k)
+    return sum(c * c for p in points for c in brute_force_counts(instance, coloring, p))
+
+
 def reference_dewerra(instance: Instance):
     """(colors, passes) of k_color_dewerra with each pass 2-coloring the
     worst pair's intervals extracted, renumbered in id order and ranked by
     their own sub-order, the pair found by counting at imbalance's witness.
 
-    Raises InvariantViolation with k_color_dewerra's message once the pass
-    budget is spent.  The reference for the pass on the shared order.
+    Raises InvariantViolation when a pass does not lower
+    reference_potential.  The reference for the pass on the shared order.
     """
     k, n = instance.k, instance.n
     order = normalize(instance).order
     colors = [(i % k) + 1 for i in range(n)]
-    limit = k * (k - 1) // 2 + k
-    for done in range(limit + 1):
+    done = 0
+    while True:
         report = imbalance(instance, Coloring(tuple(colors), k))
         if report.value <= 1:
             return colors, done
@@ -304,9 +313,12 @@ def reference_dewerra(instance: Instance):
         pos = {t: p for p, t in enumerate(extracted)}
         sub = [2 * pos[e // 2] + e % 2 for e in order if colors[e // 2] in (i, j)]
         halves = reference_halve(sub, [0] * len(extracted), 1)
+        before = reference_potential(instance, colors)
         for p, t in enumerate(extracted):
             colors[t] = j if halves[p] else i
-    raise InvariantViolation(f"rebalancing did not converge within {limit} passes")
+        if reference_potential(instance, colors) >= before:
+            raise InvariantViolation(f"pass {done + 1} did not lower the potential")
+        done += 1
 
 
 class Arc(NamedTuple):
@@ -325,7 +337,7 @@ def arcs_of(instance):
     s = instance.scale
     return tuple(
         Arc(i, Fraction(a, s), Fraction(b - a, s))
-        for i, (a, b) in enumerate(zip(instance.line.lo, instance.line.hi))
+        for i, (a, b) in enumerate(zip(instance.line.keys[0::2], instance.line.keys[1::2]))
     )
 
 
@@ -501,11 +513,9 @@ def formula_corpus(count=50):
 
 def reference_format_box_instance_json(instance):
     """The box file as one json.dumps of the whole payload."""
-    columns = [
-        [_keys_json(keys, dim.scale) for keys in (dim.lo, dim.hi)] for dim in instance.dims
-    ]
+    columns = [_keys_json(dim.keys, dim.scale) for dim in instance.dims]
     boxes = [
-        {"id": i, "tag": tag, "bounds": [[lo[i], hi[i]] for lo, hi in columns]}
+        {"id": i, "tag": tag, "bounds": [column[2 * i : 2 * i + 2] for column in columns]}
         for i, tag in enumerate(instance.tags)
     ]
     provenance = {

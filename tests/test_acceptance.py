@@ -61,7 +61,7 @@ def test_criterion_01_balanced_random_instances():
         k = rng.randint(1, 16)
         instance = random_instance(rng, n, k, collide=0.3)
         assert imbalance(instance, k_color(instance)).value <= 1
-        pair = Instance(instance.lo, instance.hi, instance.scale, 2)
+        pair = Instance(instance.keys, instance.scale, 2)
         assert imbalance(pair, two_color(pair)).value <= 1
     assert time.perf_counter() - started < 60
 

@@ -297,16 +297,14 @@ def test_arc_instance_keys_and_equality_across_scales():
     halves = make_arc_instance([["1/2", 1], [0, "3/2"]], 2, 2)
     quarters = make_arc_instance([["2/4", 1], [0, "6/4"]], "8/4", 2)
     line = halves.line
-    assert (line.lo, line.hi, halves.turn, halves.scale) == ((1, 0), (3, 3), 4, 2)
+    assert (line.keys, halves.turn, halves.scale) == ((1, 3, 0, 3), 4, 2)
     assert (halves.n, halves.k) == (2, 2)
     assert (quarters.scale, quarters.k) == (4, 2) and arcs_of(quarters) == arcs_of(halves)
     assert circumference_of(quarters) == circumference_of(halves) == 2
     again = make_arc_instance(
         [(a.start, a.length) for a in arcs_of(halves)], circumference_of(halves), 2
     )
-    assert (again.line.lo, again.line.hi, again.turn, again.scale) == (
-        line.lo, line.hi, halves.turn, halves.scale,
-    )
+    assert (again.line.keys, again.turn, again.scale) == (line.keys, halves.turn, halves.scale)
     other = make_arc_instance([["1/2", 1], [0, "3/2"]], 3, 2)
     assert arcs_of(other) == arcs_of(halves) and circumference_of(other) != circumference_of(halves)
     with pytest.raises(ValueError, match=r"arc 1 start 5/2 outside \[0, 2\)"):
@@ -314,11 +312,11 @@ def test_arc_instance_keys_and_equality_across_scales():
     with pytest.raises(ValueError, match=r"arc length must be positive, got -1/2"):
         make_arc_instance([(0, "-1/2")], 2, 2)
     with pytest.raises(ValueError, match=r"arc length must be positive, got 0"):
-        ArcInstance(Instance((1,), (1,), 2, 2), 4)
+        ArcInstance(Instance((1, 1), 2, 2), 4)
     with pytest.raises(ValueError, match=r"arc 0 start 2 outside \[0, 2\)"):
-        ArcInstance(Instance((4,), (5,), 2, 2), 4)
+        ArcInstance(Instance((4, 5), 2, 2), 4)
     with pytest.raises(ValueError, match=r"circumference must be positive, got 0"):
-        ArcInstance(Instance((), (), 2, 2), 0)
+        ArcInstance(Instance((), 2, 2), 0)
     with pytest.raises(TypeError):
         make_arc_instance([(0, 1)], 0.5, 2)  # float circumference
     with pytest.raises(AttributeError):
@@ -368,7 +366,7 @@ def test_key_path_matches_the_fraction_reference(kind):
         if kind == "tiny":
             assert inst.scale == 1 and type(inst.turn) is Fraction
         elif kind != "tiny":
-            assert all(type(x) is int for x in inst.line.lo + inst.line.hi)
+            assert all(type(x) is int for x in inst.line.keys)
         line, ref_line = unfold(inst), reference_unfold(inst)
         assert line.k == ref_line.k and line.intervals == ref_line.intervals
         pieces, owners = _pieces(inst)

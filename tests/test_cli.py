@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import importlib
 import io
 import json
 import os
@@ -222,6 +223,34 @@ def test_color_dewerra_algorithm(tmp_path, capsys):
     code, out, _ = run(capsys, "color", "--input", path, "--algorithm", "dewerra")
     assert code == 0
     assert json.loads(out)["imbalance"] <= 1
+
+
+def dewerra_corpus_instance(trial):
+    """Trial trial of the acceptance corpus of rebalancing runs (seed 104)."""
+    rng = random.Random(104)
+    for _ in range(trial + 1):
+        n, k = rng.randint(2, 60), rng.randint(2, 8)
+        instance = random_instance(rng, n, k)
+    return instance
+
+
+@pytest.mark.parametrize("trial", [1, 42, 190])
+def test_color_dewerra_finishes_past_the_old_pass_cap(tmp_path, capsys, trial):
+    # these runs need more than k(k-1)/2 + k passes, where a guessed cap used
+    # to stop them with exit 3
+    path = write(tmp_path, "inst.json", format_instance_json(dewerra_corpus_instance(trial)))
+    code, out, _ = run(capsys, "color", "--input", path, "--algorithm", "dewerra")
+    assert code == 0 and json.loads(out)["imbalance"] <= 1
+
+
+def test_color_dewerra_pass_that_keeps_the_potential_exits_3(tmp_path, monkeypatch, capsys):
+    # a halve that moves no interval leaves the potential where it was
+    module = importlib.import_module("intervalcolor.k_color")
+    monkeypatch.setattr(module, "halve", lambda order, classes, count: [2 + c for c in classes])
+    path = write(tmp_path, "inst.json", format_instance_json(dewerra_corpus_instance(1)))
+    code, out, err = run(capsys, "color", "--input", path, "--algorithm", "dewerra")
+    assert (code, out) == (3, "")
+    assert "left the potential at" in err
 
 
 def test_color_then_verify_round_trip(tmp_path, capsys):
@@ -446,15 +475,17 @@ def test_online_refuses_a_trace_the_offline_check_disagrees_with(tmp_path, capsy
     assert "the trace ends at 2, but the run's imbalance is 1" in err
 
 
-def test_online_stream_truncates_to_rounds(tmp_path, capsys):
+@pytest.mark.parametrize("rounds", [0, 1, 2, 3, 8])
+def test_online_stream_truncates_to_rounds(tmp_path, capsys, rounds):
+    # none, one, some, all 3 and more than all: the first rounds lines of
+    # the whole stream's run
     path = write(tmp_path, "stream.txt", "3 2\n0 4\n1 5\n2 6\n")
-    code, out, _ = run(
-        capsys,
-        "online", "--algorithm", "round_robin", "--k", "2", "--rounds", "2",
-        "--input", path, "--format", "text",
-    )
+    argv = ["online", "--algorithm", "round_robin", "--k", "2", "--input", path, "--format", "text"]
+    code, whole, _ = run(capsys, *argv, "--rounds", "3")
+    assert code == 0 and len(whole.splitlines()) == 3
+    code, out, _ = run(capsys, *argv, "--rounds", str(rounds))
     assert code == 0
-    assert len(out.splitlines()) == 2
+    assert out.splitlines() == whole.splitlines()[:rounds]
 
 
 def test_online_stream_rejects_negative_rounds(tmp_path, capsys):
@@ -554,8 +585,8 @@ def test_decide_boxes_on_fraction_keys(tmp_path, capsys, formula):
         box["bounds"][0] = [f"{x * den + 1}/{den}" for x in box["bounds"][0]]
     wide = json.dumps(data)
     inst = parse_box_instance_json(wide)
-    assert inst.dims[0].scale == 1 and isinstance(inst.dims[0].lo[0], Fraction)
-    assert inst.dims[1].scale == 1 and isinstance(inst.dims[1].lo[0], int)
+    assert inst.dims[0].scale == 1 and isinstance(inst.dims[0].keys[0], Fraction)
+    assert inst.dims[1].scale == 1 and isinstance(inst.dims[1].keys[0], int)
 
     results = [
         run(capsys, "decide-boxes", "--input", write(tmp_path, name, text))
@@ -584,7 +615,7 @@ def box_instances():
     yield BoxInstance((halves, ints), ("clause", "cover", "chain"))
     den = 10**30
     wide = make_instance([(f"{x * den + 1}/{den}", f"{y}/3") for x, y in ((0, 1), (2, 9), (-5, 0))], 3)
-    assert wide.scale == 1 and isinstance(wide.lo[0], Fraction)
+    assert wide.scale == 1 and isinstance(wide.keys[0], Fraction)
     yield BoxInstance((wide, ints, halves), ("variable", "crossing", "clause"))
     yield BoxInstance((wide,), ("cover", "cover", "cover"))
     for d in (1, 2):
@@ -595,7 +626,7 @@ def box_instances():
 def box_contents(instance):
     """Each dimension's keys, scale and k, the tags and the provenance;
     instances themselves compare by identity."""
-    dims = [(tuple(dim.lo), tuple(dim.hi), dim.scale, dim.k) for dim in instance.dims]
+    dims = [(dim.keys, dim.scale, dim.k) for dim in instance.dims]
     return dims, instance.tags, instance.provenance
 
 

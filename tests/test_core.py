@@ -1,5 +1,6 @@
 """Core model: coordinates, normalization, imbalance, and the oracle."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -73,16 +74,16 @@ def test_instance_requires_sequential_ids():
     )
     with pytest.raises(ValueError):
         make_instance([[0, 1]], 0)
-    with pytest.raises(ValueError, match="2 lower keys for 1 upper keys"):
-        Instance((0, 1), (2,), 1, 2)
+    with pytest.raises(ValueError, match="^3 keys: each interval needs a start and an end$"):
+        Instance((0, 1, 2), 1, 2)
     # a negative scale would turn lo <= hi keys into lo > hi coordinates,
     # and scale 0 would divide by zero in a witness
     with pytest.raises(ValueError, match=r"^scale must be >= 1, got -1$"):
-        Instance((0, 1), (1, 2), -1, 2)
+        Instance((0, 1, 1, 2), -1, 2)
     with pytest.raises(ValueError, match=r"^scale must be >= 1, got 0$"):
-        Instance((0, 1), (1, 2), 0, 2)
+        Instance((0, 1, 1, 2), 0, 2)
     with pytest.raises(TypeError, match=r"^scale must be an int, not Fraction$"):
-        Instance((0,), (1,), Fraction(1), 2)
+        Instance((0, 1), Fraction(1), 2)
     # a fractional k would surface as a broken invariant deep in k_color,
     # and k = True would color as k = 1
     with pytest.raises(TypeError, match=r"^k must be an int, not float$"):
@@ -150,8 +151,12 @@ def test_normalize_ranks_once_per_instance():
     imbalance(inst, Coloring((1, 2), 2))
     assert normalize(inst) is norm
     # a new instance with other k has its own ranking, equal in value
-    other = Instance(inst.lo, inst.hi, inst.scale, 3)
+    other = Instance(inst.keys, inst.scale, 3)
     assert normalize(other) is not norm and normalize(other) == norm
+    # a copy by dataclasses.replace does not carry the kept ranking over
+    copy = dataclasses.replace(inst, k=3)
+    assert copy._normalized is None
+    assert normalize(copy) is not norm and normalize(copy) == norm
 
 
 def test_events_are_a_rank_permutation():
@@ -276,13 +281,20 @@ def test_split_reads_directly_exactly_the_int_and_ratio_strings(monkeypatch):
 def test_instance_keys_and_equality_across_scales():
     halves = make_instance([["1/2", 1], [0, "3/2"]], 2)
     quarters = make_instance([["2/4", 1], [0, "6/4"]], 2)
-    assert (halves.lo, halves.hi, halves.scale) == ((1, 0), (2, 3), 2)
+    assert (halves.keys, halves.scale) == ((1, 2, 0, 3), 2)
     assert quarters.scale == 4 and quarters.intervals == halves.intervals
     assert make_instance([["1/2", 1], [0, 2]], 2).intervals != halves.intervals
     with pytest.raises(ValueError, match=r"interval 1: lo 3/2 > hi 1/2"):
         make_instance([[0, 1], ["3/2", "1/2"]], 2)
     with pytest.raises(ValueError, match=r"interval 0: lo 3/2 > hi 1/2"):
-        Instance((3,), (1,), 2, 2)
+        Instance((3, 1), 2, 2)
+    # the first pair, the last, and a key count that leaves a start alone
+    with pytest.raises(ValueError, match=r"^interval 0: lo 2 > hi 1$"):
+        Instance((2, 1, 0, 5, 1, 1), 1, 2)
+    with pytest.raises(ValueError, match=r"^interval 2: lo 3/2 > hi 1/2$"):
+        Instance((0, 1, 1, 1, 3, 1), 2, 2)
+    with pytest.raises(ValueError, match=r"^5 keys: each interval needs a start and an end$"):
+        Instance((0, 1, 1, 2, 3), 1, 2)
     with pytest.raises(ValueError, match=r"^interval 1: lo 3 > hi 1$"):
         make_instance([[0, 1], [3, 1], [5, 2]], 2)
 
@@ -329,9 +341,9 @@ def test_ranking_matches_the_fraction_sort(kind):
     for _ in range(60):
         inst = random_keyed_instance(rng, kind, rng.randint(0, 20), rng.randint(1, 4))
         if kind == "tiny" and inst.n:
-            assert inst.scale == 1 and all(type(x) is Fraction for x in inst.lo)
+            assert inst.scale == 1 and all(type(x) is Fraction for x in inst.keys)
         elif kind != "mixed":
-            assert all(type(x) is int for x in inst.lo + inst.hi)
+            assert all(type(x) is int for x in inst.keys)
         norm = normalize(inst)
         # the Fraction sort of (coordinate, end, id), each event mapped to
         # its slot 2 * id + end: the same event at every rank
@@ -376,7 +388,7 @@ def test_rank_walks_match_the_block_walks(kind):
             assert _deeper_than(norm.order, k) == (k < block_max_depth(cuts))
             depths = [sum(-1 if e % 2 else 1 for e in order[:c]) for c in cuts]
             assert divisibility_predicts_zero(inst) == all(d % k == 0 for d in depths)
-            assert divisibility_predicts_zero(Instance(inst.lo * 2, inst.hi * 2, inst.scale, 2))
+            assert divisibility_predicts_zero(Instance(inst.keys * 2, inst.scale, 2))
 
 
 @pytest.mark.parametrize("kind", ["mixed", "tiny"])

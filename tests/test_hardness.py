@@ -221,9 +221,10 @@ def test_swept_pairs_match_all_pairs():
 def audit_message(inst, rects, planned):
     """The audit's error on rects, checked to be the all-pairs check's error."""
     covers = inst.k - 2
-    x0s, x1s, y0s, y1s = zip(*rects)
+    xs = [x for rect in rects for x in rect[:2]]
+    ys = [y for rect in rects for y in rect[2:]]
     tampered = BoxInstance(
-        (Instance(x0s, x1s, 1, inst.k), Instance(y0s, y1s, 1, inst.k)),
+        (Instance(xs, 1, inst.k), Instance(ys, 1, inst.k)),
         inst.tags,
         inst.provenance,
     )

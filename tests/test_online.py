@@ -204,8 +204,8 @@ def test_repeat_budget_changes_nothing_for_k2():
         for budget in (1, 2, 5, 10**6):
             other = adversary_general(make_algorithm(name, seed=2), 2, 10, repeat_budget=budget)
             assert other.instance.scale == tr.instance.scale
-            assert (other.instance.lo, other.instance.hi, other.colors, other.trace) == (
-                tr.instance.lo, tr.instance.hi, tr.colors, tr.trace,
+            assert (other.instance.keys, other.colors, other.trace) == (
+                tr.instance.keys, tr.colors, tr.trace,
             )
 
 
@@ -363,7 +363,7 @@ def adversary_runs():
 
 def test_adversary_trace_matches_prefix_oracle():
     for tr in adversary_runs():
-        assert tr.trace == prefix_imbalances(tr.presented, tr.colors, tr.k), tr.colors
+        assert tr.trace == prefix_imbalances(tr.presented, tr.colors, tr.instance.k), tr.colors
         assert tr.final_imbalance == tr.trace[-1]
 
 
@@ -389,7 +389,7 @@ def test_count_lists_stay_within_the_colors_in_use():
     peaks = []
     for k in (7, 10**9):
         tracemalloc.start()
-        trace = _packed_trace(inst.lo, inst.hi, colors, k)
+        trace = _packed_trace(inst.keys, colors, k)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         assert trace == [1] * 6
@@ -444,13 +444,13 @@ def test_trace_pass_matches_the_prefix_oracle_and_the_reference_session(k):
     # 3k intervals (at most 27) alive together, right ends falling and repeating
     instances.append(make_instance([(i, 40 - i % 5) for i in range(3 * min(k, 9))], k))
     instances += [
-        Instance([itv.lo for itv in inst.intervals], [itv.hi for itv in inst.intervals], 1, k)
+        Instance([x for itv in inst.intervals for x in (itv.lo, itv.hi)], 1, k)
         for inst in instances[-3:]
     ]
     for inst in instances:
         for colors in colorings(rng, inst):
             expected = prefix_imbalances(inst.intervals, colors, k)
-            assert tuple(_packed_trace(inst.lo, inst.hi, colors, k)) == expected, (k, colors)
+            assert tuple(_packed_trace(inst.keys, colors, k)) == expected, (k, colors)
             assert reference_trace(inst.intervals, colors, k) == expected
             assert run_online(Replay(colors), inst) == (Coloring(colors, k), expected)
 
@@ -465,7 +465,7 @@ def test_trace_pass_takes_wider_fields_past_2_to_the_15():
         (3, [1 + (i % 7 == 0) + (i % 11 == 0) for i in range(n)]),
     ):
         inst = make_instance([(i, n) for i in range(n)], k)
-        trace = _packed_trace(inst.lo, inst.hi, colors, k)
+        trace = _packed_trace(inst.keys, colors, k)
         assert tuple(trace) == reference_trace(inst.intervals, colors, k)
         assert trace[-1] == imbalance(inst, Coloring(tuple(colors), k)).value
 
@@ -477,12 +477,12 @@ def test_difference_column_takes_wider_fields_past_2_to_the_14():
     # take 32-bit fields
     for n, width in (((1 << 14) - 1, 16), ((1 << 14) + 1, 32)):
         inst = make_instance([(i, n) for i in range(n)], 2)
-        assert online._fields(inst.hi, n, 2)[0] == width
+        assert online._fields(inst.keys, 2)[0] == width
         for colors in ([1] * n, [2] * n, [1] * (n - 1) + [2]):
             # the last arrival leaves the lead of n - 1 left of its start
             expected = list(range(1, n)) + [n if colors[-1] == colors[0] else n - 1]
-            assert online._difference_trace(inst.lo, inst.hi, colors) == expected
-            assert online._tree_trace(inst.lo, inst.hi, colors, 2) == expected
+            assert online._difference_trace(inst.keys, colors) == expected
+            assert online._tree_trace(inst.keys, colors, 2) == expected
 
 
 def two_color_streams(rng):
@@ -494,7 +494,7 @@ def two_color_streams(rng):
     streams.append(make_instance([(i, 60 - i) for i in range(30)], 2))
     streams.append(make_instance([(i, 30 + i) for i in range(30)], 2))
     streams += [
-        Instance([itv.lo for itv in inst.intervals], [itv.hi for itv in inst.intervals], 1, 2)
+        Instance([x for itv in inst.intervals for x in (itv.lo, itv.hi)], 1, 2)
         for inst in streams[-4:]
     ]
     return streams
@@ -514,8 +514,8 @@ def test_difference_column_and_minimum_tree_agree_at_k_2():
             [rng.randint(1, 2) for _ in range(n)],
         ):
             expected = list(prefix_imbalances(inst.intervals, colors, 2))
-            assert online._difference_trace(inst.lo, inst.hi, colors) == expected, colors
-            assert online._tree_trace(inst.lo, inst.hi, colors, 2) == expected, colors
+            assert online._difference_trace(inst.keys, colors) == expected, colors
+            assert online._tree_trace(inst.keys, colors, 2) == expected, colors
 
 
 @pytest.mark.parametrize("k", [8, 64, 200])
@@ -550,7 +550,7 @@ def off_by_one(monkeypatch):
 def test_finish_refuses_a_trace_the_offline_check_disagrees_with(monkeypatch, k):
     inst = make_instance([(0, 2), (1, 3)], k)
     session = _Session(RoundRobin(), k)
-    for lo, hi in zip(inst.lo, inst.hi):
+    for lo, hi in zip(inst.keys[0::2], inst.keys[1::2]):
         session.present(lo, hi)
     assert session.finish(inst) == (Coloring((1, 2), k), (1, 1))
     off_by_one(monkeypatch)
@@ -603,7 +603,7 @@ def test_adversary_matches_the_fraction_reference(k):
                 assert tr.presented == ref.presented, (k, t, budget)
                 assert (tr.colors, tr.trace) == (ref.colors, ref.trace), (k, t, budget)
                 assert region_counts(tr) == (ref.simb_l, ref.simb_r), (k, t, budget)
-                assert all(type(x) is int for x in inst.lo + inst.hi)
+                assert all(type(x) is int for x in inst.keys)
                 assert inst.scale & (inst.scale - 1) == 0
 
 
