@@ -1,4 +1,8 @@
-"""Balanced k-coloring of intervals, circular arcs, and related constructions."""
+"""Balanced k-coloring of intervals, circular arcs, and related constructions.
+
+The hardness constructions are imported on first use of one of their
+names (PEP 562), so that coloring intervals does not load them.
+"""
 
 from intervalcolor.arcs import (
     ArcInstance,
@@ -25,21 +29,6 @@ from intervalcolor.core import (
     to_coord,
 )
 from intervalcolor.formats import FormatError
-from intervalcolor.hardness import (
-    Box,
-    BoxInstance,
-    NaeFormula,
-    WeightedInstance,
-    box_imbalance,
-    decide_balanced_boxes,
-    decide_grouped_intervals,
-    make_box_instance,
-    nae_brute_force,
-    reduce_nae_to_boxes,
-    reduce_nae_to_multiple_intervals,
-    reduce_partition_to_weighted,
-    weighted_imbalance,
-)
 from intervalcolor.k_color import (
     EdgeGraph,
     constraint_graph,
@@ -111,3 +100,16 @@ __all__ = [
     "unfold",
     "weighted_imbalance",
 ]
+
+
+def __getattr__(name: str):
+    # the names of __all__ not imported above are the hardness module's
+    if name in __all__:
+        from intervalcolor import hardness
+
+        return getattr(hardness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

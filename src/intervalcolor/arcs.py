@@ -34,7 +34,6 @@ A Fraction is built only where a value leaves the module, as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -49,6 +48,7 @@ from intervalcolor.core import (
     _keys,
     _mask,
     _read_pairs,
+    _Record,
     _search_colorings,
     _split,
     imbalance,
@@ -65,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ArcInstance:
+class ArcInstance(_Record):
     """Closed arcs on a circle plus the number of colors k.
 
     line holds arc i as interval i, [start, start + length], and turn is
@@ -78,11 +77,12 @@ class ArcInstance:
     compare by identity.
     """
 
-    line: Instance
-    turn: Union[int, Fraction]
+    _fields = ("line", "turn")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        keys, C, s = self.line.keys, self.turn, self.scale
+    def __init__(self, line: Instance, turn: Union[int, Fraction]) -> None:
+        keys, C, s = line.keys, turn, line.scale
         pairs = iter(keys)
         for a, b in zip(pairs, pairs):
             if a >= b:
@@ -94,6 +94,8 @@ class ArcInstance:
                 raise ValueError(
                     f"arc {i} start {Fraction(a, s)} outside [0, {Fraction(C, s)})"
                 )
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "turn", turn)
 
     @property
     def n(self) -> int:

@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import cache
-from typing import IO, Any, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import IO, TYPE_CHECKING, Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
-from .arcs import arc_color, arc_imbalance
+from .arcs import ArcInstance, arc_color, arc_imbalance
 from .core import (
     Coloring,
     Instance,
@@ -43,13 +42,15 @@ from .formats import (
     parse_instance_text,
     parse_nae_text,
 )
-from .hardness import BoxInstance, box_imbalance, decide_balanced_boxes, reduce_nae_to_boxes
 from .k_color import hypergraph_to_instance, k_color, k_color_dewerra
 from .online import (
     adversary_general,
     make_algorithm,
     run_online,
 )
+
+if TYPE_CHECKING:  # reduce and decide-boxes import the box layer when they run
+    from .hardness import BoxInstance
 
 _ALGORITHM_ALIASES = {"greedy": "greedy_least_loaded"}
 
@@ -71,7 +72,7 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     else:
         instance = parse_instance_json(text)
     if getattr(args, "k", None) is not None and args.k != instance.k:
-        instance = replace(instance, k=args.k)
+        instance = Instance(instance.keys, instance.scale, args.k)
     return instance
 
 
@@ -123,7 +124,8 @@ def cmd_oracle(args: argparse.Namespace) -> Tuple[int, str]:
 def cmd_arcs(args: argparse.Namespace) -> Tuple[int, str]:
     instance = parse_arc_json(_read_text(args.input))
     if args.k is not None and args.k != instance.k:
-        instance = replace(instance, line=replace(instance.line, k=args.k))
+        line = instance.line
+        instance = ArcInstance(Instance(line.keys, line.scale, args.k), instance.turn)
     coloring = arc_color(instance)
     value = arc_imbalance(instance, coloring).value
     _check_spread(value, 2)
@@ -160,6 +162,8 @@ def cmd_online(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def cmd_reduce(args: argparse.Namespace) -> Tuple[int, str]:
+    from .hardness import reduce_nae_to_boxes
+
     formula = parse_nae_text(_read_text(args.input))
     instance = reduce_nae_to_boxes(formula, args.k)
     if args.svg is not None:
@@ -169,6 +173,8 @@ def cmd_reduce(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def cmd_decide_boxes(args: argparse.Namespace) -> Tuple[int, str]:
+    from .hardness import box_imbalance, decide_balanced_boxes
+
     instance = parse_box_instance_json(_read_text(args.input))
     coloring = decide_balanced_boxes(instance)
     if coloring is None:

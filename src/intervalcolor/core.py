@@ -35,7 +35,6 @@ whatever k is and allocates nothing in proportion to k.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -196,17 +195,47 @@ def _check_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Record:
+    """A value whose fields its class's __init__ sets once, through
+    object.__setattr__, and that cannot be assigned after; ==, hash and
+    repr go field by field over _fields."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Interval(_Record):
     """Closed interval [lo, hi], built by Instance.intervals; nothing takes one as input."""
 
-    id: int
-    lo: Coord
-    hi: Coord
+    _fields = ("id", "lo", "hi")
+
+    def __init__(self, id: int, lo: Coord, hi: Coord) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Instance:
+class Instance(_Record):
     """An ordered list of closed intervals plus the number of colors k.
 
     keys holds the endpoint keys in slot order, the order normalize ranks:
@@ -218,24 +247,24 @@ class Instance:
     identity.
     """
 
-    keys: Tuple
-    scale: int
-    k: int
-    # the ranking normalize() keeps here
-    _normalized: Optional["NormalizedInstance"] = field(default=None, init=False)
+    _normalized: Optional["NormalizedInstance"] = None  # the ranking normalize() keeps here
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        keys, s = tuple(self.keys), self.scale
-        _check_positive_int("scale", s)
-        _check_positive_int("k", self.k)
+    def __init__(self, keys: Iterable, scale: int, k: int) -> None:
+        keys = tuple(keys)
+        _check_positive_int("scale", scale)
+        _check_positive_int("k", k)
         if len(keys) & 1:
             raise ValueError(f"{len(keys)} keys: each interval needs a start and an end")
         pairs = iter(keys)
         if any(map(gt, pairs, pairs)):  # only then find the first such interval
             e = next(e for e in range(0, len(keys), 2) if keys[e] > keys[e + 1])
-            lo, hi = Fraction(keys[e], s), Fraction(keys[e + 1], s)
+            lo, hi = Fraction(keys[e], scale), Fraction(keys[e + 1], scale)
             raise ValueError(f"interval {e >> 1}: lo {lo} > hi {hi}")
         object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -263,8 +292,7 @@ def make_instance(bounds: Iterable[Sequence[CoordInput]], k: int) -> Instance:
     return Instance(keys, scale, k)
 
 
-@dataclass(frozen=True, repr=False)
-class NormalizedInstance:
+class NormalizedInstance(_Record):
     """The 2n endpoint events of an instance in one exact order.
 
     order lists the event slots by rank: 2i stands for the start of
@@ -283,8 +311,12 @@ class NormalizedInstance:
     _point); the coordinates stay with the instance.
     """
 
-    order: Tuple[int, ...]
-    flags: bytes
+    _fields = ("order", "flags")
+    __repr__ = object.__repr__
+
+    def __init__(self, order: Tuple[int, ...], flags: bytes) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "flags", flags)
 
 
 def normalize(instance: Instance) -> NormalizedInstance:
@@ -325,33 +357,31 @@ def normalize(instance: Instance) -> NormalizedInstance:
     return norm
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """Color per interval, aligned with instance order; colors are 1..k."""
 
-    colors: Tuple[int, ...]
-    k: int
+    _fields = ("colors", "k")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(self.colors))
-        _check_positive_int("k", self.k)
-        colors = self.colors
+    def __init__(self, colors: Iterable[int], k: int) -> None:
+        colors = tuple(colors)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "k", k)
+        _check_positive_int("k", k)
         # when every color is a plain int (a bool equal to 1 would hide in
         # a set of the colors), the few distinct colors' min and max judge
         # them; otherwise the loop names the first bad color
         if {*map(type, colors)} <= {int}:
             distinct = set(colors)
-            if not distinct or 1 <= min(distinct) and max(distinct) <= self.k:
+            if not distinct or 1 <= min(distinct) and max(distinct) <= k:
                 return
         for pos, c in enumerate(colors):
             if type(c) is not int:
                 raise TypeError(f"color {c!r} at position {pos} is not an int")
-            if not 1 <= c <= self.k:
-                raise ValueError(f"color {c} at position {pos} outside 1..{self.k}")
+            if not 1 <= c <= k:
+                raise ValueError(f"color {c} at position {pos} outside 1..{k}")
 
 
-@dataclass(frozen=True)
-class ImbalanceReport:
+class ImbalanceReport(_Record):
     """Worst-point color imbalance.
 
     value is the maximum, over all points of the line, of the largest
@@ -360,8 +390,11 @@ class ImbalanceReport:
     witness is the first measured point attaining the maximum.
     """
 
-    value: int
-    witness: Coord
+    _fields = ("value", "witness")
+
+    def __init__(self, value: int, witness: Coord) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def _check_coloring(instance, coloring: Coloring, noun: str) -> None:

@@ -12,11 +12,13 @@ from functools import cache
 from itertools import chain
 from math import gcd
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .arcs import ArcInstance, make_arc_instance
 from .core import Coloring, Coord, Instance, make_instance
-from .hardness import BoxInstance, NaeFormula, _read_dims
+
+if TYPE_CHECKING:  # the box layer is imported by the readers that build its values
+    from .hardness import BoxInstance, NaeFormula
 
 
 class FormatError(ValueError):
@@ -219,6 +221,8 @@ def parse_nae_text(text: str) -> NaeFormula:
     <clauses>" header precedes one line of three positive variable
     numbers per clause.
     """
+    from .hardness import NaeFormula
+
     num_vars = None
     declared = 0
     clauses: List[Tuple[int, int, int]] = []
@@ -288,6 +292,8 @@ def parse_box_instance_json(text: str) -> BoxInstance:
     Box i must have id i.  Each dimension's coordinates are read as an
     interval file's are, by make_instance.
     """
+    from .hardness import BoxInstance, _read_dims
+
     data = _loads(text, "box instance")
     if not isinstance(data, dict):
         raise FormatError("box instance: expected a JSON object")

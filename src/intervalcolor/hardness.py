@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
     Dict,
@@ -46,6 +45,7 @@ from .core import (
     _covers,
     _mask,
     _point,
+    _Record,
     _search_colorings,
     make_instance,
     normalize,
@@ -70,8 +70,7 @@ __all__ = [
 BOX_TAGS = ("clause", "variable", "chain", "crossing", "cover")
 
 
-@dataclass(frozen=True)
-class NaeFormula:
+class NaeFormula(_Record):
     """Positive not-all-equal 3-SAT: each clause lists three variable ids.
 
     Variables occur unnegated.  A clause is satisfied when its three
@@ -80,43 +79,44 @@ class NaeFormula:
     unsatisfiable, naming it twice reduces the clause to an inequality.
     """
 
-    num_vars: int
-    clauses: Tuple[Tuple[int, int, int], ...]
+    _fields = ("num_vars", "clauses")
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
+    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]) -> None:
+        if num_vars < 0:
+            raise ValueError(f"num_vars must be >= 0, got {num_vars}")
         normalized = []
-        for pos, clause in enumerate(self.clauses):
+        for pos, clause in enumerate(clauses):
             triple = tuple(clause)
             if len(triple) != 3:
                 raise ValueError(f"clause {pos} has {len(triple)} literals, not 3")
             for v in triple:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise TypeError(f"clause {pos}: variable ids must be int")
-                if not 1 <= v <= self.num_vars:
+                if not 1 <= v <= num_vars:
                     raise ValueError(
-                        f"clause {pos}: variable {v} outside 1..{self.num_vars}"
+                        f"clause {pos}: variable {v} outside 1..{num_vars}"
                     )
             normalized.append(triple)
+        object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "clauses", tuple(normalized))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Record):
     """Axis-aligned closed box: one [lo, hi] interval per dimension.
 
     BoxInstance.boxes builds these from an instance's keys, which the
     instance has validated; nothing takes a Box as input.
     """
 
-    id: int
-    bounds: Tuple[Tuple[Coord, Coord], ...]
-    tag: str
+    _fields = ("id", "bounds", "tag")
+
+    def __init__(self, id: int, bounds: Tuple[Tuple[Coord, Coord], ...], tag: str) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "tag", tag)
 
 
-@dataclass(frozen=True)
-class BoxInstance:
+class BoxInstance(_Record):
     """Boxes in d dimensions plus the number of colors k.
 
     Box i is interval i of every Instance in dims, one per dimension, all
@@ -127,13 +127,17 @@ class BoxInstance:
     reduce_nae_to_boxes; hand-built instances leave it empty.
     """
 
-    dims: Tuple[Instance, ...]
-    tags: Tuple[str, ...]
-    provenance: Mapping[int, Tuple] = field(default_factory=dict)
+    _fields = ("dims", "tags", "provenance")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "tags", tuple(self.tags))
+    def __init__(
+        self,
+        dims: Iterable[Instance],
+        tags: Iterable[str],
+        provenance: Optional[Mapping[int, Tuple]] = None,
+    ) -> None:
+        object.__setattr__(self, "dims", tuple(dims))
+        object.__setattr__(self, "tags", tuple(tags))
+        object.__setattr__(self, "provenance", {} if provenance is None else provenance)
         if not self.dims:
             raise ValueError("a box instance needs at least one dimension")
         for j, dim in enumerate(self.dims):
@@ -212,15 +216,14 @@ def _read_dims(bounds: Sequence[Sequence[Sequence[CoordInput]]], d: int, k: int)
     return [make_instance([box[j] for box in bounds], k) for j in range(d)]
 
 
-@dataclass(frozen=True)
-class WeightedInstance:
+class WeightedInstance(_Record):
     """An interval instance with a positive integer weight per interval."""
 
-    instance: Instance
-    weights: Tuple[int, ...]
+    _fields = ("instance", "weights")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
+    def __init__(self, instance: Instance, weights: Iterable[int]) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "weights", tuple(weights))
         if len(self.weights) != self.n:
             raise ValueError(f"{len(self.weights)} weights for {self.n} intervals")
         for pos, w in enumerate(self.weights):

@@ -27,7 +27,6 @@ halving runs only when k, and so every 2^level, is below the depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from intervalcolor.core import (
@@ -35,6 +34,7 @@ from intervalcolor.core import (
     Instance,
     InvariantViolation,
     NormalizedInstance,
+    _Record,
     _sweep,
     make_instance,
     normalize,
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeGraph:
+class EdgeGraph(_Record):
     """Bipartite multigraph as edge arrays.
 
     Edge e joins start-side vertex starts[e] to end-side vertex ends[e] and
@@ -60,9 +59,14 @@ class EdgeGraph:
     are numbered 0, 1, ... on each side.
     """
 
-    starts: Tuple[int, ...]
-    ends: Tuple[int, ...]
-    items: Tuple[int, ...]
+    _fields = ("starts", "ends", "items")
+
+    def __init__(
+        self, starts: Tuple[int, ...], ends: Tuple[int, ...], items: Tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "items", items)
 
 
 def constraint_graph(order: Sequence[int], k: int) -> EdgeGraph:

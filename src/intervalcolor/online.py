@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import gt
 from typing import Dict, List, Optional, Tuple
 
-from intervalcolor.core import Coloring, Instance, InvariantViolation, imbalance
+from intervalcolor.core import Coloring, Instance, InvariantViolation, _Record, imbalance
 
 __all__ = [
     "OnlineAlgorithm",
@@ -164,8 +163,7 @@ def make_algorithm(name: str, seed: Optional[int] = None) -> OnlineAlgorithm:
     return SeededRandom(0 if seed is None else seed)
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(_Record):
     """The whole record of an adversary run.
 
     instance holds every presentation in arrival order, including the
@@ -178,9 +176,12 @@ class Transcript:
     can be replayed from the transcript alone.
     """
 
-    instance: Instance
-    colors: Tuple[int, ...]
-    trace: Tuple[int, ...]
+    _fields = ("instance", "colors", "trace")
+
+    def __init__(self, instance: Instance, colors: Tuple[int, ...], trace: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def presented(self) -> tuple:

@@ -120,7 +120,7 @@ def test_criterion_04_rebalancing_pass_bound():
             over_budget.append((trial, k, passes, budget))
     assert not over_budget and not aborted, (
         f"of 200 runs, {len(over_budget)} needed more than k(k-1)/2 passes "
-        f"and {len(aborted)} hit the abort cap; worst overrun "
+        f"and {len(aborted)} had a pass that did not lower the potential; worst overrun "
         f"(trial, k, passes, budget): "
         f"{max(over_budget, key=lambda row: row[2] - row[3], default=None)}"
     )

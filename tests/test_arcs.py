@@ -293,6 +293,17 @@ def test_oracle_rejects_large_instances():
         min_arc_imbalance_oracle(inst)
 
 
+def test_arc_instances_compare_by_identity_and_keep_their_fields():
+    arcs = make_arc_instance([[0, 1], [1, 2]], 4, 2)
+    twin = ArcInstance(arcs.line, arcs.turn)
+    assert arcs == arcs and arcs != twin and len({arcs, twin}) == 2
+    assert repr(arcs) == "ArcInstance(line=Instance(n=2, k=2, scale=1), turn=4)"
+    with pytest.raises(AttributeError):
+        arcs.turn = 5
+    with pytest.raises(AttributeError):
+        arcs.line = twin.line
+
+
 def test_arc_instance_keys_and_equality_across_scales():
     halves = make_arc_instance([["1/2", 1], [0, "3/2"]], 2, 2)
     quarters = make_arc_instance([["2/4", 1], [0, "6/4"]], "8/4", 2)

@@ -790,7 +790,7 @@ def test_decide_boxes_checks_the_coloring_it_prints(tmp_path, capsys, monkeypatc
     code, out, _ = run(capsys, "decide-boxes", "--input", path)
     assert (code, json.loads(out)) == (0, {"balanced": True, "colors": [1, 1, 2], "imbalance": 1})
     # a decider whose coloring is not balanced is refused
-    monkeypatch.setattr(cli, "decide_balanced_boxes", lambda inst: Coloring((1, 1, 1), 2))
+    monkeypatch.setattr(hardness, "decide_balanced_boxes", lambda inst: Coloring((1, 1, 1), 2))
     code, out, err = run(capsys, "decide-boxes", "--input", path)
     assert (code, out) == (3, "")
     assert "coloring has imbalance 3, above the guaranteed 1" in err

@@ -1,6 +1,5 @@
 """Core model: coordinates, normalization, imbalance, and the oracle."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -16,6 +15,7 @@ from intervalcolor import core
 from intervalcolor.arcs import make_arc_instance
 from intervalcolor.core import (
     Coloring,
+    ImbalanceReport,
     Instance,
     Interval,
     _covers,
@@ -153,8 +153,8 @@ def test_normalize_ranks_once_per_instance():
     # a new instance with other k has its own ranking, equal in value
     other = Instance(inst.keys, inst.scale, 3)
     assert normalize(other) is not norm and normalize(other) == norm
-    # a copy by dataclasses.replace does not carry the kept ranking over
-    copy = dataclasses.replace(inst, k=3)
+    # a copy by the constructor does not carry the kept ranking over
+    copy = Instance(inst.keys, inst.scale, 3)
     assert copy._normalized is None
     assert normalize(copy) is not norm and normalize(copy) == norm
 
@@ -297,6 +297,35 @@ def test_instance_keys_and_equality_across_scales():
         Instance((0, 1, 1, 2, 3), 1, 2)
     with pytest.raises(ValueError, match=r"^interval 1: lo 3 > hi 1$"):
         make_instance([[0, 1], [3, 1], [5, 2]], 2)
+
+
+def test_values_compare_field_by_field_and_instances_by_identity():
+    inst = make_instance([[0, 2], [1, 3]], 2)
+    norm = normalize(inst)
+    half = Fraction(1, 2)
+    triples = [  # a value, one equal to it, one not
+        (Coloring([1, 2], 2), Coloring((1, 2), 2), Coloring((1, 2), 3)),
+        (ImbalanceReport(1, half), ImbalanceReport(1, Fraction(2, 4)), ImbalanceReport(1, 0)),
+        (Interval(0, Fraction(1), 2), Interval(0, 1, Fraction(2)), Interval(1, 1, 2)),
+        (norm, normalize(make_instance([["0/2", 2], [1, "6/2"]], 2)), normalize(Instance((0, 2, 0, 3), 1, 2))),
+    ]
+    for value, same, other in triples:
+        assert value == same and hash(value) == hash(same) and value is not same
+        assert value != other and value != tuple(vars(value).values())
+    assert repr(Coloring((1, 2), 2)) == "Coloring(colors=(1, 2), k=2)"
+    assert repr(ImbalanceReport(1, half)) == "ImbalanceReport(value=1, witness=Fraction(1, 2))"
+    # instances compare, and hash, by identity, even with equal keys
+    twin = Instance(inst.keys, inst.scale, inst.k)
+    assert inst == inst and inst != twin and len({inst, twin}) == 2
+    assert repr(inst) == "Instance(n=2, k=2, scale=1)"
+    # no field can be assigned or deleted after construction
+    for value, name in [(inst, "k"), (inst, "keys"), (norm, "order"), (Coloring((1,), 1), "k")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        ImbalanceReport(0, None).value = 1
 
 
 def quarter_string(v):
