@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import IO, TYPE_CHECKING, Any, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from .arcs import ArcInstance, arc_color, arc_imbalance
 from .core import (
@@ -319,39 +319,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _GiveWay(Exception):
-    """Raised by _QuietParser where argparse would print and exit."""
-
-
-class _QuietParser(argparse.ArgumentParser):
-    """A parser that, instead of printing help or a usage error, gives way."""
-
-    def error(self, message: str) -> NoReturn:
-        raise _GiveWay
-
-    def print_help(self, file: Optional[IO[str]] = None) -> None:
-        raise _GiveWay
-
-
 @cache
-def _quiet(name: str) -> argparse.ArgumentParser:
+def _flat_parser(name: str) -> argparse.ArgumentParser:
     """One flat parser for subcommand `name`'s arguments, built once per
-    process; it parses what follows the subcommand's name."""
-    parser = _QuietParser(prog="intervalcolor " + name)
+    process; it parses what follows the subcommand's name, and prints its
+    help and usage errors as the full parser's subparser would."""
+    parser = argparse.ArgumentParser(prog="intervalcolor " + name)
     _add_arguments(parser, name)
     parser.set_defaults(command=name)
     return parser
 
 
 def _parse(argv: List[str]) -> argparse.Namespace:
-    """Parse with only argv[0]'s own parser, which is all a valid command
-    line needs.  Help and usage errors fall back to the full parser, so
-    what they print does not depend on which parsers were built."""
+    """Parse with only argv[0]'s own parser, which is all a command line
+    that names a subcommand needs.  What that parser leaves over, and a
+    command line that names no subcommand, go to the full parser, which
+    words those errors as the top-level program."""
     if argv and argv[0] in _COMMANDS:
-        try:
-            return _quiet(argv[0]).parse_args(argv[1:])
-        except _GiveWay:
-            pass
+        args, extra = _flat_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
     return build_parser().parse_args(argv)
 
 

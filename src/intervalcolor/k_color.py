@@ -288,8 +288,9 @@ def k_color(instance: Instance) -> Coloring:
     if k == 1:
         return Coloring((1,) * n, 1)
     norm = normalize(instance)
-    if not _deeper_than(norm.order, k):
-        return Coloring(tuple(_greedy_colors(norm.order, n)), k)
+    greedy = _greedy_colors(norm.order, n, k)
+    if greedy is not None:
+        return Coloring(tuple(greedy), k)
     classes = [0] * n
     count = 1
     m = k
@@ -312,31 +313,18 @@ def k_color(instance: Instance) -> Coloring:
     return Coloring(tuple(colors), k)
 
 
-def _deeper_than(order: Sequence[int], k: int) -> bool:
-    """True iff more than k intervals share a point.
-
-    Starts rank before ends at equal coordinates, so the deepest point's
-    intervals are all live after some start; the scan stops at the first
-    start that makes more than k live.
-    """
-    depth = 0
-    for e in order:
-        if e & 1:
-            depth -= 1
-        else:
-            depth += 1
-            if depth > k:
-                return True
-    return False
-
-
-def _greedy_colors(order: Sequence[int], n: int) -> List[int]:
-    """First-free coloring in rank order, using as many colors as the depth.
+def _greedy_colors(order: Sequence[int], n: int, k: int) -> Optional[List[int]]:
+    """First-free coloring in rank order, using as many colors as the depth,
+    or None at the first start that would need color k + 1.
 
     A start takes the smallest color its earlier holders have released, or
-    a new one; an end releases its interval's color.
+    a new one; an end releases its interval's color.  A start takes a new
+    color exactly when every color in use is live, so color k + 1 is needed
+    exactly when more than k intervals share a point: starts rank before
+    ends at equal coordinates, so the deepest point's intervals are all
+    live after some start.
     """
-    import heapq  # only this path needs it; the CLI's start-up stays lean
+    import heapq  # imported on first use, so the CLI's start-up stays lean
 
     colors = [0] * n
     free: List[int] = []  # heap of released colors
@@ -346,6 +334,8 @@ def _greedy_colors(order: Sequence[int], n: int) -> List[int]:
             heapq.heappush(free, colors[e >> 1])
         elif free:
             colors[e >> 1] = heapq.heappop(free)
+        elif used == k:
+            return None
         else:
             used += 1
             colors[e >> 1] = used

@@ -17,13 +17,14 @@ from itertools import product
 
 import pytest
 
-from intervalcolor import cli, hardness
+from intervalcolor import cli, core, formats, hardness
 from intervalcolor.cli import main
 from intervalcolor.core import Coloring, ImbalanceReport, imbalance, make_instance, to_coord
 from intervalcolor.formats import (
     FormatError,
     coord_json,
     format_box_instance_json,
+    format_transcript_jsonl,
     parse_arc_json,
     parse_box_instance_json,
     parse_coloring_json,
@@ -38,7 +39,7 @@ from intervalcolor.hardness import (
     box_imbalance,
     reduce_nae_to_boxes,
 )
-from intervalcolor.online import MAX_PRESENTATIONS
+from intervalcolor.online import MAX_PRESENTATIONS, adversary_general, make_algorithm
 from test_cli_bytes import COMMANDS
 from helpers import (
     format_instance_json,
@@ -124,6 +125,75 @@ def test_color_malformed_json(tmp_path, capsys):
 def test_malformed_entries_are_named_by_position(read, text, message):
     with pytest.raises(FormatError) as caught:
         read(text)
+    assert str(caught.value) == message
+
+
+# command line (with "--input in" put after the subcommand), the files it
+# reads by name, and the one line it prints to stderr
+REFUSALS = [
+    ("color", {"in": '{"k": 2, "intervals": [[0, NaN]]}'},
+     "instance: non-finite number NaN"),
+    ("arcs", {"in": '{"k": 2, "circumference": Infinity, "arcs": []}'},
+     "arc instance: non-finite number Infinity"),
+    ("verify --coloring c", {"in": TWO, "c": '{"colors": [1, -Infinity]}'},
+     "coloring: non-finite number -Infinity"),
+    ("decide-boxes", {"in": '{"d": 1, "k": NaN, "boxes": []}'},
+     "box instance: non-finite number NaN"),
+    ("color", {"in": "\ufeff" + TWO},
+     "instance: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("color", {"in": '{"k": "2", "intervals": []}'}, 'instance: "k" must be an integer'),
+    ("color", {"in": '{"k": 2, "intervals": {"0": [0, 1]}}'},
+     'instance: "intervals" must be a list of pairs'),
+    ("color", {"in": "[[0, 1]]"}, "instance: expected a JSON object"),
+    ("verify --coloring c", {"in": TWO, "c": "[1, 2]"}, "coloring: expected a JSON object"),
+    ("arcs", {"in": "[]"}, "arc instance: expected a JSON object"),
+    ("decide-boxes", {"in": "[]"}, "box instance: expected a JSON object"),
+    # looks like a decimal exponent, but no exponent follows the "e"
+    ("color", {"in": '{"k": 2, "intervals": [["1e", 2]]}'}, "instance: not a valid coordinate: '1e'"),
+    ("color --format text", {"in": "1 2\n0 x\n"}, "instance: not a valid coordinate: 'x'"),
+    ("verify --coloring c", {"in": TWO, "c": '{"colors": "12"}'}, 'coloring: "colors" must be a list'),
+    ("arcs", {"in": '{"k": 2, "circumference": 0, "arcs": [[0, 1]]}'},
+     "arc instance: circumference must be positive, got 0"),
+    ("reduce nae3sat", {"in": "p nae 3 1\np nae 3 1\n1 2 3\n"}, "formula: line 2: second 'p' header"),
+    ("reduce nae3sat", {"in": "p nae three 1\n1 2 3\n"}, "formula: line 1: header counts must be integers"),
+    ("reduce nae3sat", {"in": "1 2 3\np nae 3 1\n"}, "formula: line 1: clause before 'p nae' header"),
+    ("reduce nae3sat", {"in": "p nae 3 1\n1 2\n"}, "formula: line 2: expected three variables"),
+    ("reduce nae3sat", {"in": "p nae 3 1\n1 2 x\n"}, "formula: line 2: variables must be integers"),
+    ("reduce nae3sat", {"in": "c only a comment\n"}, "formula: missing 'p nae <vars> <clauses>' header"),
+    ("reduce nae3sat", {"in": "p nae 3 2\n1 2 3\n"}, "formula: header promises 2 clauses, found 1"),
+    ("reduce nae3sat", {"in": "p nae 2 1\n1 2 3\n"}, "formula: clause 0: variable 3 outside 1..2"),
+    ("decide-boxes", {"in": '{"d": 1, "k": 2, "boxes": {}}'}, 'box instance: "boxes" must be a list'),
+    ("decide-boxes", {"in": '{"d": 1, "k": 2, "boxes": [5]}'},
+     "box instance: boxes[0] must be a JSON object"),
+    ("decide-boxes", {"in": '{"d": 1, "k": 2, "boxes": [{"id": 1, "tag": "a", "bounds": [[0, 1]]}]}'},
+     "box instance: boxes[0]: box ids must be 0..n-1 in order"),
+    ("decide-boxes", {"in": '{"d": 1, "k": 2, "boxes": [], "provenance": []}'},
+     'box instance: "provenance" must be an object'),
+]
+
+
+@pytest.mark.parametrize("command, files, message", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_refused_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    name, *rest = command.split()
+    assert run(capsys, name, "--input", "in", *rest) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: adversary_general(make_algorithm("round_robin"), 3, 2, repeat_budget=0),
+         "repeat budget must be positive, got 0"),
+        (lambda: format_transcript_jsonl(make_instance([(0, 1)], 2), (1, 2), (0,)),
+         "mismatched transcript parts: 1 intervals, 2 colors, 1 imbalances"),
+    ],
+    ids=["repeat budget", "transcript parts"],
+)
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
     assert str(caught.value) == message
 
 
@@ -650,6 +720,16 @@ def test_reduce_svg_is_well_formed(tmp_path, capsys):
     assert len(root) == len(json.loads(out)["boxes"])
 
 
+def test_reduce_svg_of_no_boxes_is_well_formed(tmp_path, capsys):
+    nae = write(tmp_path, "empty.nae", "p nae 0 0\n")
+    svg = tmp_path / "boxes.svg"
+    code, out, _ = run(capsys, "reduce", "nae3sat", "--input", nae, "--svg", str(svg))
+    assert code == 0
+    assert json.loads(out)["boxes"] == []
+    root = ET.fromstring(svg.read_text(encoding="utf-8"))
+    assert (root.tag, len(root)) == ("{http://www.w3.org/2000/svg}svg", 0)
+
+
 def test_reduce_svg_to_an_unwritable_path_prints_nothing(tmp_path, capsys):
     nae = write(tmp_path, "sat.nae", "p nae 3 1\n1 2 3\n")
     svg = tmp_path / "missing" / "boxes.svg"
@@ -1025,17 +1105,17 @@ def test_a_process_builds_each_subcommand_parser_once(tmp_path, capsys, monkeypa
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli._quiet.cache_clear()  # as in a fresh process
+    cli._flat_parser.cache_clear()  # as in a fresh process
     path = write(tmp_path, "two.json", TWO)
     # the first valid command builds its subcommand's one flat parser, as a
     # one-shot run does; the same command again builds nothing
     assert run(capsys, "color", "--input", path)[0] == 0
-    assert built == ["_QuietParser"]
+    assert built == ["ArgumentParser"]
     assert run(capsys, "color", "--input", path)[0] == 0
-    assert built == ["_QuietParser"]
+    assert built == ["ArgumentParser"]
     # another subcommand builds its own
     assert run(capsys, "oracle", "--input", path)[0] == 0
-    assert built == ["_QuietParser"] * 2
+    assert built == ["ArgumentParser"] * 2
 
 
 def stdout_writes(tree):
@@ -1113,3 +1193,64 @@ def test_readme_examples_print_what_they_show(tmp_path):
             assert proc.stdout == text, command
             shown.update(re.findall(r"intervalcolor (\S+)", command))
     assert {"color", "verify", "oracle", "arcs", "hypergraph"} <= shown
+
+
+def key_corpus(seed):
+    """(argv, files) command lines over seeded coordinates whose
+    denominators are 1, 2, 3, 7, 10 or 12: intervals for color, verify
+    and oracle, arcs, and a stream with nondecreasing starts."""
+    rng = random.Random(seed)
+
+    def coord(lo, hi):
+        d = rng.choice((1, 2, 3, 7, 10, 12))
+        return Fraction(rng.randrange(lo * d, hi * d), d)
+
+    n = rng.randint(1, 12)
+    k = rng.randint(1, 5)
+    bounds = []
+    for _ in range(n):
+        a = coord(-20, 20)
+        bounds.append((a, a + coord(0, 15)))
+    intervals = json.dumps({"k": k, "intervals": [[str(a), str(b)] for a, b in bounds]})
+    colors = json.dumps({"colors": [rng.randint(1, k) for _ in range(n)]})
+    yield ["color", "--input", "in"], {"in": intervals}
+    yield ["verify", "--input", "in", "--coloring", "c"], {"in": intervals, "c": colors}
+    yield ["oracle", "--input", "in"], {"in": intervals}
+    turn = coord(3, 20)
+    arcs = [[str(min(coord(0, 20), turn - Fraction(1, 12))), str(coord(0, 25) + Fraction(1, 7))]
+            for _ in range(n)]
+    yield ["arcs", "--input", "in"], {"in": json.dumps({"k": k, "circumference": str(turn), "arcs": arcs})}
+    starts = sorted(a for a, _ in bounds)
+    stream = [[str(a), str(a + coord(0, 15))] for a in starts]
+    yield (["online", "--algorithm", "greedy_least_loaded", "--k", str(max(k, 2)),
+            "--rounds", str(n), "--input", "in"],
+           {"in": json.dumps({"k": max(k, 2), "intervals": stream})})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_int_and_fraction_keys_print_the_same_bytes(tmp_path, capsys, monkeypatch, seed):
+    # with _KEY_BITS at 0 every scale passes the cap, so every key is a
+    # Fraction at scale 1; the readers' results show which keys a run built
+    monkeypatch.chdir(tmp_path)
+    built = []
+    for name in ("make_instance", "make_arc_instance"):
+        def spy(*args, real=getattr(formats, name)):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(formats, name, spy)
+
+    def key_types():
+        lines = [getattr(instance, "line", instance) for instance in built]
+        built.clear()
+        return {type(key) for line in lines for key in line.keys}
+
+    for argv, files in key_corpus(seed):
+        for name, text in files.items():
+            write(tmp_path, name, text)
+        as_ints = run(capsys, *argv)
+        assert key_types() == {int}
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_KEY_BITS", 0)
+            assert run(capsys, *argv) == as_ints, argv
+        assert key_types() == {Fraction}

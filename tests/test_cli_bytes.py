@@ -104,7 +104,7 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch):
     assert captured(lambda _: cli.main(None), None) == captured(full_parser, ["reduce", "-h"])
 
 
-def test_warm_parsers_still_give_way_to_the_full_parser(tmp_path, monkeypatch):
+def test_warm_parsers_print_what_the_full_parser_prints(tmp_path, monkeypatch):
     # a long-lived process: every subcommand's parser is built and has
     # parsed once (each command then fails to read the missing file "f")
     monkeypatch.chdir(tmp_path)

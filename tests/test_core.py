@@ -30,7 +30,7 @@ from intervalcolor.core import (
 )
 
 from intervalcolor.formats import parse_instance_json
-from intervalcolor.k_color import _deeper_than, k_color
+from intervalcolor.k_color import _greedy_colors, k_color
 
 from helpers import (
     block_max_depth,
@@ -414,7 +414,7 @@ def test_rank_walks_match_the_block_walks(kind):
                 assert _point(inst, r) == witness
             assert (value, witness) == reference_imbalance(inst, Coloring(cols, k))
             assert imbalance(inst, Coloring(cols, k)).witness == witness
-            assert _deeper_than(norm.order, k) == (k < block_max_depth(cuts))
+            assert (_greedy_colors(norm.order, n, k) is None) == (k < block_max_depth(cuts))
             depths = [sum(-1 if e % 2 else 1 for e in order[:c]) for c in cuts]
             assert divisibility_predicts_zero(inst) == all(d % k == 0 for d in depths)
             assert divisibility_predicts_zero(Instance(inst.keys * 2, inst.scale, 2))

@@ -21,7 +21,7 @@ from intervalcolor.core import (
 )
 from intervalcolor.k_color import (
     EdgeGraph,
-    _deeper_than,
+    _greedy_colors,
     _worst_pair,
     constraint_graph,
     edge_color,
@@ -442,7 +442,7 @@ def test_halving_levels_match_the_per_level_reference():
             classes = halve(order, classes, 2**level)
             expected = reference_halve(order, expected, 2**level)
             assert classes == expected
-        if _deeper_than(order, 2**t):  # else k_color colors greedily
+        if _greedy_colors(order, n, 2**t) is None:  # else k_color colors greedily
             colors = k_color(Instance(inst.keys, inst.scale, 2**t)).colors
             assert colors == tuple(c + 1 for c in expected)
             compared.add(t)

@@ -33,8 +33,6 @@ NO_CALLER = {
 # each with why it stays; besides these, the subcommands cmd_<name>,
 # which cli.main looks up by name
 UNREAD_DEFINITIONS = {
-    "_QuietParser.error": "argparse calls it on a usage error",
-    "_QuietParser.print_help": "argparse calls it for --help",
     "Transcript.presented": "the benchmark's tracer counts a transcript's presentations by it",
 }
 
